@@ -21,8 +21,8 @@ from . import __version__
 from .builder import build_bounding_chain, verify_assumptions
 from .chain import BoundingChain
 from .classifier import (check_irreducible, classify, combine, drift_stats)
-from .cme import (delta_p0, min_truncation, solve_chain_cme,
-                  truncation_certificate)
+from .cme import (TruncatedCME, _crossing_rates, _initial_tail, delta_p0,
+                  min_truncation, solve_chain_cme, truncation_certificate)
 from .coupling import CoupledSimulator, coupled_ssa
 from .errors import ConsistencyError, InfeasibleError, ToolError, ValidationError
 from .network import ClassPartition, load_network
@@ -78,8 +78,9 @@ def _versions() -> dict:
 
 
 def write_manifest(out_path: Path, command: str, config: dict,
-                   seeds=()) -> Path:
-    config = {k: v for k, v in sorted(config.items())}
+                   seeds=(), counters: dict | None = None) -> Path:
+    # callables (the subcommand handler) carry a memory address, not data
+    config = {k: v for k, v in sorted(config.items()) if not callable(v)}
     blob = json.dumps(config, sort_keys=True, default=str)
     manifest = {
         "command": command,
@@ -88,9 +89,18 @@ def write_manifest(out_path: Path, command: str, config: dict,
         "versions": _versions(),
         "seeds": [int(s) for s in seeds],
     }
+    if counters is not None:
+        manifest["counters"] = counters
     path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, default=str) + "\n")
     return path
+
+
+def _solver_counters(cme: TruncatedCME) -> dict:
+    """Uniformization work and its error bound, for the manifest."""
+    return {"uniform_rate": cme.uniform_rate,
+            "poisson_terms": cme.poisson_terms,
+            "solver_term": cme.solver_term}
 
 
 def _load_chain(path: str) -> BoundingChain:
@@ -282,7 +292,8 @@ def cmd_truncate(args) -> int:
     text = json.dumps(doc, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
-        write_manifest(Path(args.out), "truncate", vars(args))
+        write_manifest(Path(args.out), "truncate", vars(args),
+                       counters=_solver_counters(cme))
     print(text)
     return 0
 
@@ -299,7 +310,8 @@ def cmd_plan_truncation(args) -> int:
                       indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
-        write_manifest(Path(args.out), "plan-truncation", vars(args))
+        write_manifest(Path(args.out), "plan-truncation", vars(args),
+                       counters=_solver_counters(cme))
     print(text)
     return 0
 
@@ -313,27 +325,30 @@ def cmd_heatmap(args) -> int:
     t_max = float(t_grid.max()) if len(t_grid) else 0.0
     cme = solve_chain_cme(chain, M, p0, t_max or 1.0, budget=args.budget)
     fine = np.linspace(0.0, t_max, max(2, 16 * len(t_grid)))
-    from .cme import QUAD_TOL, _flux_table
-    table = _flux_table(cme, fine)  # flux_N on the fine grid
-    # running integral of the flux, then read off at the requested times
+    # the fine grid and the requested times in one uniformization pass
+    P = cme.p_report(np.concatenate([fine, t_grid]))
+    table = _crossing_rates(cme) @ P[:, :len(fine)]  # flux_N on the fine grid
+    # running integral of the flux (trapezoid), read off at the requested
+    # times; it undershoots the exact integral by up to ~5e-5 on the README
+    # grid, so cells can sit below certificate_table's E_T
     cumF = np.concatenate(
         [np.zeros((table.shape[0], 1)),
          np.cumsum(0.5 * (table[:, 1:] + table[:, :-1])
                    * np.diff(fine), axis=1)], axis=1)
-    p0_tail = np.concatenate([np.cumsum(p0[::-1])[::-1][1:], [0.0]])
-    solver_term = cme.budget + QUAD_TOL
+    p0_tail = _initial_tail(cme)
     out = Path(args.out)
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "N", "E_T_clipped"])
-        for t in t_grid:
-            deficit = max(0.0, 1.0 - cme.mass(t))
+        for t, mass in zip(t_grid, P[:, len(fine):].sum(axis=0)):
+            deficit = max(0.0, 1.0 - mass)
             row_F = np.array([np.interp(t, fine, cumF[N]) for N in n_grid])
-            bounds = deficit + p0_tail[n_grid] + row_F + solver_term
+            bounds = deficit + p0_tail[n_grid] + row_F + cme.solver_term
             for N, b in zip(n_grid, bounds):
                 writer.writerow([repr(float(t)), int(N),
                                  repr(float(min(1.0, max(0.0, b))))])
-    write_manifest(out, "heatmap", vars(args))
+    write_manifest(out, "heatmap", vars(args),
+                   counters=_solver_counters(cme))
     print(f"wrote {len(t_grid) * len(n_grid)} certificate values to {out}")
     return 0
 

@@ -1,8 +1,13 @@
 """Truncated master equation solves and the truncation certificates."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 
 from boundchain import (BoundingChain, InfeasibleError, TailModel,
                         ValidationError, cdf_dominance, certificate_table,
@@ -199,3 +204,92 @@ def test_cdf_dominance_initial_order_precondition():
     # claiming a's CDF is dominated by b's already fails at t = 0
     with pytest.raises(ValidationError):
         cdf_dominance(a, [b], [0.5])
+
+
+def _truth(Q, p0, t):
+    """p0 exp(Q t) by dense matrix exponential."""
+    return np.asarray(p0, dtype=float) @ expm(Q.toarray() * t)
+
+
+def _solver_cases():
+    """(name, Q, p0, t_final): the two-state chain and a truncated M/M/1."""
+    return [("two-state", two_state(), np.array([1.0, 0.0]), 2.0),
+            ("mm1", chain_generator(mm1(1.5, 2.0), 30), delta_p0(30, 12),
+             3.0)]
+
+
+@pytest.mark.parametrize("case", _solver_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("budget", [1e-5, 1e-8, 1e-12])
+def test_uniformization_is_a_certified_lower_bound(case, budget):
+    _, Q, p0, t_final = case
+    cme = solve_cme(Q, p0, t_final, budget=budget)
+    times = np.array([0.0, 0.4, 1.0, t_final])
+    P = cme.p(times)
+    assert P.shape == (len(p0), len(times))
+    rounding = 1e-13  # about K machine epsilons over the pass
+    for j, t in enumerate(times):
+        truth = _truth(Q, p0, t)
+        assert np.all(P[:, j] <= truth + rounding)
+        dropped = truth.sum() - P[:, j].sum()
+        assert -rounding <= dropped <= cme.solver_term + rounding
+    assert 0.0 < cme.solver_term <= budget
+    assert cme.uniform_rate == pytest.approx(float(-Q.diagonal().min()))
+    assert cme.poisson_terms >= cme.uniform_rate * t_final
+
+
+def test_p_evaluates_many_times_in_one_call():
+    cme = solve_cme(two_state(), [1.0, 0.0], t_final=2.0)
+    P = cme.p([0.3, 1.0, 0.3])
+    assert np.array_equal(P[:, 0], cme.p(0.3))
+    assert np.array_equal(P[:, 2], P[:, 0])
+    assert np.allclose(P[:, 1], cme.p(1.0), atol=1e-15)
+    with pytest.raises(ValidationError):
+        cme.p(-1.0)
+
+
+def test_occupation_time_two_state():
+    T = 2.0
+    cme = solve_cme(two_state(), [1.0, 0.0], t_final=T)
+    decay = (1 - np.exp(-2 * T)) / 4
+    want = np.array([T / 2 + decay, T / 2 - decay])
+    err = want - cme.occupation
+    # z is a lower bound, short by at most the stop-loss over Lambda = 1
+    assert np.all(err >= -1e-14)
+    assert err.sum() <= cme.solver_term
+
+
+@pytest.mark.parametrize("M, t_final, start", [(60, 2.0, 30), (160, 4.0, 80)])
+def test_certificate_table_equals_single_certificates(upper211, M, t_final,
+                                                      start):
+    chain = mm1(1.5, 2.0) if M == 60 else upper211
+    p0 = delta_p0(M, start)
+    cme = solve_chain_cme(chain, M, p0, t_final)
+    bounds, parts = certificate_table(cme)
+    assert parts["solver_term"] == cme.solver_term
+    for N in range(M + 1):
+        single = truncation_certificate(chain, p0, N, M, t_final, cme=cme)
+        assert abs(bounds[N] - single.bound) <= 1e-12
+        assert single.solver_term == cme.solver_term
+
+
+def test_solver_rejects_bad_generators_and_budgets():
+    bad = sp.csr_matrix(np.array([[-1.0, 2.0], [1.0, -1.0]]))  # row sum > 0
+    with pytest.raises(ValidationError):
+        solve_cme(bad, [1.0, 0.0], 1.0)
+    negative = sp.csr_matrix(np.array([[1.0, -1.0], [1.0, -1.0]]))
+    with pytest.raises(ValidationError):
+        solve_cme(negative, [1.0, 0.0], 1.0)
+    for budget in (0.0, -1e-8, float("nan")):
+        with pytest.raises(ValidationError):
+            solve_cme(two_state(), [1.0, 0.0], 1.0, budget=budget)
+
+
+def test_import_loads_neither_integrate_nor_stats():
+    code = ("import sys, boundchain; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') "
+            "if m in sys.modules))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={"PYTHONPATH": str(src), "PATH": ""})
+    assert done.stdout.strip() == "[]"
