@@ -19,7 +19,7 @@ from .chain import BoundingChain, TailModel
 from .errors import (ConsistencyError, ResourceLimitError, StabilizationError,
                      ValidationError)
 from .network import (DEFAULT_CLASS_CAP, ClassPartition, ReactionNetwork,
-                      class_shift, class_size, enumerate_class, j_max)
+                      class_rates, class_shift, j_max)
 
 RTOL = 1e-10
 
@@ -79,21 +79,10 @@ def compute_f(network: ReactionNetwork, partition: ClassPartition,
     # column masks: reactions counted in the prefix 0..ell-j / tail ell+j..
     minus_masks = [shifts <= -j for j in range(1, J + 1)]
     plus_masks = [shifts >= j for j in range(1, J + 1)]
-    seen = 0
-    for ell in range(l_exact + 1):
-        n = class_size(ell, partition)
-        if n == 0:
+    for ell, X, rates in class_rates(network, partition, l_exact, cap=cap):
+        if X.shape[0] == 0:
             empty[ell] = True
             continue
-        seen += n
-        if seen > cap:
-            raise ResourceLimitError(
-                f"cumulative class size passed the cap of {cap} at class {ell}"
-            )
-        X = enumerate_class(ell, partition, cap=cap)
-        rates = np.column_stack(
-            [r.propensity.evaluate_many(X) for r in network.reactions]
-        )
         for j in range(1, J + 1):
             if ell - j >= 0:
                 pref = rates[:, minus_masks[j - 1]].sum(axis=1)
@@ -414,8 +403,7 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
         raise ValidationError(
             f"candidate must be defined on [0, {l_check + J}] for this window"
         )
-    f = compute_f(network, partition, "upper" if upper else "lower",
-                  max(l_check, 2 * j_max(network, partition) + 2))
+    shifts = np.array([class_shift(r, partition) for r in network.reactions])
 
     def fail(kind, ell, m, lhs, rhs, state=None):
         detail = (f"{kind} fails at (ell={ell}, m={m}): "
@@ -426,43 +414,34 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
                                 {"kind": kind, "ell": ell, "m": m,
                                  "state": state}, detail)
 
-    def witness(ell, m, side):
-        # re-find the extreme state of one class for the failure report
-        X = enumerate_class(ell, partition)
-        shifts = np.array([class_shift(r, partition) for r in network.reactions])
-        rates = np.column_stack(
-            [r.propensity.evaluate_many(X) for r in network.reactions])
-        if side == "minus":
-            agg = rates[:, shifts <= m - ell].sum(axis=1)
-            idx = int(np.argmin(agg) if upper else np.argmax(agg))
-        else:
-            agg = rates[:, shifts >= m - ell].sum(axis=1)
-            idx = int(np.argmax(agg) if upper else np.argmin(agg))
-        return tuple(int(v) for v in X[idx])
+    def extreme(X, agg, smallest):
+        # the class extreme of one aggregate and the state attaining it
+        idx = int(np.argmin(agg) if smallest else np.argmax(agg))
+        return float(agg[idx]), tuple(int(v) for v in X[idx])
 
     name1 = "A1" if upper else "B1"
     name2 = "A2" if upper else "B2"
-    for ell in range(l_check + 1):
-        if class_size(ell, partition) == 0:
+    for ell, X, rates in class_rates(network, partition, l_check):
+        if X.shape[0] == 0:
             continue
         for j in range(1, min(J, ell) + 1):
             m = ell - j
             cand = candidate.prefix(ell, m)
-            ref = f.f_minus(ell, m)
+            ref, state = extreme(X, rates[:, shifts <= -j].sum(axis=1), upper)
             tol = rtol * max(1.0, abs(ref))
             if upper and cand > ref + tol:
-                return fail(name1, ell, m, cand, ref, witness(ell, m, "minus"))
+                return fail(name1, ell, m, cand, ref, state)
             if not upper and cand < ref - tol:
-                return fail(name1, ell, m, cand, ref, witness(ell, m, "minus"))
+                return fail(name1, ell, m, cand, ref, state)
         for j in range(1, J + 1):
             m = ell + j
             cand = candidate.tail_sum(ell, m)
-            ref = f.f_plus(ell, m)
+            ref, state = extreme(X, rates[:, shifts >= j].sum(axis=1), not upper)
             tol = rtol * max(1.0, abs(ref))
             if upper and cand < ref - tol:
-                return fail(name1, ell, m, cand, ref, witness(ell, m, "plus"))
+                return fail(name1, ell, m, cand, ref, state)
             if not upper and cand > ref + tol:
-                return fail(name1, ell, m, cand, ref, witness(ell, m, "plus"))
+                return fail(name1, ell, m, cand, ref, state)
     # monotonicity between consecutive rows (identical for both directions)
     for ell in range(l_check + 1):
         for j in range(1, J + 1):

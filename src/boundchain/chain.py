@@ -186,16 +186,25 @@ class BoundingChain:
                         tail_rows.append((int(row[0]), float(row[1]), float(row[2]),
                                           int(row[3]), int(row[4]), int(row[5]),
                                           float(row[6]), float(row[7])))
+            l_exact = int(meta["l_exact"])
+            weights = None
+            if meta.get("weights", "-") != "-":
+                weights = tuple(int(v) for v in meta["weights"].split(","))
+            head = (meta["direction"], int(meta["j_max"]), l_exact,
+                    int(meta["l_total"]))
         except OSError as exc:
             raise ValidationError(f"cannot read chain file {path}: {exc}") from exc
-        except (ValueError, IndexError) as exc:
-            raise ValidationError(f"malformed chain CSV {path}: {exc}") from exc
+        except (KeyError, ValueError, IndexError) as exc:
+            raise ValidationError(f"malformed chain CSV {path}: {exc!r}") from exc
 
-        l_exact = int(meta["l_exact"])
+        if len({row[:2] for row in exact_rows}) < len(exact_rows):
+            raise ValidationError(f"chain CSV {path} repeats an (ell, offset) row")
         exact: dict[int, np.ndarray] = {}
         for ell, k, rate in exact_rows:
-            arr = exact.setdefault(k, np.zeros(l_exact + 1))
-            arr[ell] = rate
+            if not 0 <= ell <= l_exact:
+                raise ValidationError(
+                    f"chain CSV {path} has ell={ell} outside [0, {l_exact}]")
+            exact.setdefault(k, np.zeros(l_exact + 1))[ell] = rate
         tails = {}
         by_offset: dict[int, list] = {}
         for row in tail_rows:
@@ -210,8 +219,4 @@ class BoundingChain:
                 intercepts=tuple(r[2] for r in rows),
                 slope=rows[0][1], c2=rows[0][6], c3=rows[0][7],
             )
-        weights = None
-        if meta.get("weights", "-") != "-":
-            weights = tuple(int(v) for v in meta["weights"].split(","))
-        return cls(meta["direction"], int(meta["j_max"]), l_exact,
-                   int(meta["l_total"]), exact, tails, weights)
+        return cls(*head, exact, tails, weights)

@@ -29,7 +29,7 @@ from scipy import special
 
 from .chain import BoundingChain
 from .errors import InfeasibleError, ResourceLimitError, ValidationError
-from .network import ClassPartition, ReactionNetwork, class_size, enumerate_class
+from .network import ClassPartition, ReactionNetwork, class_rates
 
 DEFAULT_BUDGET = 1e-8
 MULTI_STATE_CAP = 1_000_000
@@ -66,40 +66,45 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
     Returns (Q, states, classes) with ``states`` the (n, d) state array and
     ``classes`` the class label per index.
     """
-    blocks = []
-    classes = []
-    total = 0
-    for ell in range(n_max + 1):
-        n = class_size(ell, partition)
-        total += n
-        if total > cap:
-            raise ResourceLimitError(
-                f"state space above the cap of {cap} states at class {ell}"
-            )
-        if n:
-            X = enumerate_class(ell, partition)
-            blocks.append(X)
-            classes.extend([ell] * n)
-    states = np.vstack(blocks)
-    classes = np.array(classes)
-    index = {tuple(int(v) for v in s): i for i, s in enumerate(states)}
+    d = partition.d
+    base = n_max + 1
+    if base ** (d + 1) > np.iinfo(np.int64).max:
+        raise ResourceLimitError(
+            f"state codes for n_max={n_max} in {d} species overflow int64"
+        )
+    blocks = list(class_rates(network, partition, n_max, cap=cap))
+    states = np.vstack([X for _, X, _ in blocks])
+    rates = np.vstack([R for _, _, R in blocks])
+    classes = np.repeat(np.arange(n_max + 1), [len(X) for _, X, _ in blocks])
+    bad = np.argwhere(rates < 0)
+    if bad.size:
+        i, k = bad[0]
+        raise ValidationError(
+            f"negative propensity {rates[i, k]} for reaction {k} at "
+            f"{tuple(int(v) for v in states[i])}"
+        )
+    # every count is at most n_max < base, so class-major lexicographic
+    # order is ascending order of class * base^d + (x in base `base`)
+    radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    codes = classes * base ** d + states @ radix
+    w = np.asarray(partition.weights, dtype=np.int64)
     rows, cols, vals = [], [], []
     exit_rate = np.zeros(len(states))
-    for r in network.reactions:
-        rates = r.propensity.evaluate_many(states)
-        dests = states + np.asarray(r.change, dtype=np.int64)
-        for i in np.flatnonzero(rates > 0):
-            exit_rate[i] += rates[i]
-            dest = tuple(int(v) for v in dests[i])
-            j = index.get(dest)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(rates[i]))
-    rows.extend(range(len(states)))
-    cols.extend(range(len(states)))
-    vals.extend(-exit_rate)
-    Q = sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)))
+    for k, nu in enumerate(network.change_matrix()):
+        fires = np.flatnonzero(rates[:, k] > 0)
+        exit_rate[fires] += rates[fires, k]
+        dests = states[fires] + nu
+        dclass = classes[fires] + int(w @ nu)
+        inside = (dests >= 0).all(axis=1) & (dclass <= n_max)
+        rows.append(fires[inside])
+        cols.append(np.searchsorted(
+            codes, dclass[inside] * base ** d + dests[inside] @ radix))
+        vals.append(rates[fires[inside], k])
+    diag = np.arange(len(states))
+    Q = sp.csr_matrix(
+        (np.concatenate(vals + [-exit_rate]),
+         (np.concatenate(rows + [diag]), np.concatenate(cols + [diag]))),
+        shape=(len(states), len(states)))
     return Q, states, classes
 
 

@@ -5,6 +5,11 @@ weights w assigns state x to class w.x, so every class
 S_l = {x : w.x = l} is a finite slice of the lattice.  That finiteness is
 what makes the min/max tables of the bound builder computable by exact
 enumeration.
+
+Every per-class computation goes through one layer: ``enumerate_class``
+lists a class in lexicographic order, ``ReactionNetwork.rates`` evaluates
+every reaction on a block of states, and ``class_rates`` yields both for
+classes 0..hi under one cumulative state cap.
 """
 
 from __future__ import annotations
@@ -95,11 +100,16 @@ class ReactionNetwork:
             raise ValidationError("species names must be unique")
         self.reactions = tuple(reactions)
         self.parameters = dict(parameters or {})
-        for r in self.reactions:
+        for ridx, r in enumerate(self.reactions):
             if len(r.change) != self.d:
                 raise ValidationError(
                     f"change vector {r.change} does not match {self.d} species"
                 )
+            for f in (f for t in r.propensity.terms for f in t.factors):
+                if not 0 <= f.species < self.d:
+                    raise ValidationError(
+                        f"reaction {ridx} has a factor on species {f.species}, "
+                        f"outside 0..{self.d - 1}")
 
     @property
     def d(self) -> int:
@@ -107,6 +117,14 @@ class ReactionNetwork:
 
     def change_matrix(self) -> np.ndarray:
         return np.array([r.change for r in self.reactions], dtype=np.int64)
+
+    def rates(self, states) -> np.ndarray:
+        """(n, reactions) propensity matrix on an (n, d) array of states."""
+        X = np.asarray(states, dtype=float)
+        out = np.empty((X.shape[0], len(self.reactions)))
+        for ridx, r in enumerate(self.reactions):
+            out[:, ridx] = r.propensity.evaluate_many(X)
+        return out
 
 
 def network_from_dict(doc: dict) -> ReactionNetwork:
@@ -218,34 +236,37 @@ def enumerate_class(ell: int, partition: ClassPartition,
         raise ResourceLimitError(
             f"class {ell} holds {n} states, above the cap of {cap}"
         )
+    # expand species by species: each partial row with remaining budget r
+    # takes every count v in 0..r // w_k; the last count is fixed by r
     w = partition.weights
-    d = partition.d
+    X = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([ell], dtype=np.int64)
+    for wk in w[:-1]:
+        counts = rem // wk + 1
+        parent = np.repeat(np.arange(rem.size), counts)
+        starts = np.cumsum(counts) - counts
+        v = np.arange(parent.size, dtype=np.int64) - np.repeat(starts, counts)
+        X = np.column_stack([X[parent], v])
+        rem = rem[parent] - wk * v
+    ok = rem % w[-1] == 0
+    return np.column_stack([X[ok], rem[ok] // w[-1]])
 
-    def build(rem: int, k: int) -> np.ndarray:
-        if k == d - 1:
-            if rem % w[k] == 0:
-                return np.array([[rem // w[k]]], dtype=np.int64)
-            return np.empty((0, 1), dtype=np.int64)
-        if k == d - 2:
-            # two-weight tail solved vectorized: w[k]*v + w[k+1]*u = rem
-            v = np.arange(rem // w[k] + 1, dtype=np.int64)
-            r = rem - w[k] * v
-            ok = (r % w[k + 1]) == 0
-            return np.stack([v[ok], r[ok] // w[k + 1]], axis=1)
-        blocks = []
-        for v in range(rem // w[k] + 1):
-            sub = build(rem - v * w[k], k + 1)
-            if sub.shape[0]:
-                col = np.full((sub.shape[0], 1), v, dtype=np.int64)
-                blocks.append(np.hstack([col, sub]))
-        if not blocks:
-            return np.empty((0, d - k), dtype=np.int64)
-        return np.vstack(blocks)
 
-    out = build(ell, 0)
-    if d == 1:
-        out = out.reshape(-1, 1)
-    return out
+def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
+                cap: int = DEFAULT_CLASS_CAP):
+    """Yield (ell, enumerate_class(ell), network.rates of it) for ell in 0..hi.
+
+    Raises ResourceLimitError once classes 0..ell hold more than ``cap`` states.
+    """
+    seen = 0
+    for ell in range(hi + 1):
+        seen += class_size(ell, partition)
+        if seen > cap:
+            raise ResourceLimitError(
+                f"classes 0..{ell} hold {seen} states, above the cap of {cap}"
+            )
+        X = enumerate_class(ell, partition, cap=cap)
+        yield ell, X, network.rates(X)
 
 
 def class_shift(reaction: Reaction, partition: ClassPartition) -> int:
@@ -271,12 +292,9 @@ def aggregate_rate(state, interval, network: ReactionNetwork,
     """
     lo, hi = interval
     ell = partition.class_of(state)
-    total = 0.0
-    for r in network.reactions:
-        dest = ell + class_shift(r, partition)
-        if lo <= dest <= hi:
-            total += r.propensity.evaluate(state)
-    return total
+    rates = network.rates(np.reshape(state, (1, -1)))[0]
+    return float(sum(rate for r, rate in zip(network.reactions, rates)
+                     if lo <= ell + class_shift(r, partition) <= hi))
 
 
 @dataclass
@@ -301,18 +319,10 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
     violations = []
     nu = network.change_matrix()
     null_change_active = [False] * len(network.reactions)
-    seen = 0
-    for ell in range(window + 1):
-        seen += class_size(ell, partition)
-        if seen > cap:
-            raise ResourceLimitError(
-                f"validation window holds more than {cap} states"
-            )
-        X = enumerate_class(ell, partition, cap=cap)
+    for _, X, R in class_rates(network, partition, window, cap=cap):
         if X.shape[0] == 0:
             continue
-        for ridx, r in enumerate(network.reactions):
-            vals = r.propensity.evaluate_many(X)
+        for ridx, vals in enumerate(R.T):
             neg = np.flatnonzero(vals < -1e-12)
             if neg.size:
                 x = tuple(int(v) for v in X[neg[0]])

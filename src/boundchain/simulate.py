@@ -173,8 +173,7 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
             )
         idx = np.flatnonzero(active)
         Xa = X[idx]
-        R = np.column_stack([r.propensity.evaluate_many(Xa)
-                             for r in network.reactions])
+        R = network.rates(Xa)
         if (R < 0).any():
             raise ValidationError("negative propensity during simulation")
         total = R.sum(axis=1)

@@ -333,3 +333,25 @@ def test_chain_csv_roundtrip(tmp_path, upper211, lower225, naive111):
         for ell in list(range(0, chain.l_exact)) + [chain.l_exact + 37]:
             for k in chain.offsets:
                 assert back.rate(ell, k) == chain.rate(ell, k)
+
+
+def _add_row(row):
+    def edit(lines):
+        return lines[:2] + [row] + lines[2:]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _add_row("-1,-1,9.0"),  # would overwrite the rate at ell = l_exact
+    _add_row("71,-1,9.0"),  # past l_exact = 70
+    _add_row("1,-1,2.5"),  # repeats (1, -1)
+    lambda lines: [lines[0].replace(" l_total=3000", "")] + lines[1:],
+], ids=["negative-ell", "ell-past-l-exact", "duplicate-row", "missing-key"])
+def test_from_csv_rejects_corrupt_files(tmp_path, upper211, edit):
+    path = tmp_path / "chain.csv"
+    upper211.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "ell,offset,rate" and "1,-1,2.5" in lines
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValidationError):
+        BoundingChain.from_csv(path)

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main()."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -65,6 +66,33 @@ def test_identical_builds_hash_equal(tmp_path):
             (tmp_path / "chain.csv.manifest.json").read_text()))
     assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
     assert "fn" not in manifests[0]["config"]
+
+
+# sha256 of the chain CSVs as built before the shared class layer existed
+@pytest.mark.parametrize("direction, weights, sha256", [
+    ("upper", "2,1,1",
+     "d09474b83475dd168167944e1d5abbd45ffc1d269f1533509f40d7ec773742f9"),
+    ("lower", "2,2,5",
+     "00936dcb93f1e4ab70c112be437a079f3395b2a4222c31d7bfe6941630c12d65"),
+])
+def test_build_csv_is_byte_identical(tmp_path, direction, weights, sha256):
+    out = tmp_path / "chain.csv"
+    assert main(["build", "--network", NET, "--weights", weights,
+                 "--direction", direction, "--l-exact", "70",
+                 "--l-total", "3000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("species", [7, -1])
+def test_build_rejects_out_of_range_species(tmp_path, species, capsys):
+    doc = json.loads(Path(NET).read_text())
+    doc["reactions"][3]["propensity"][0]["factors"][0]["species"] = species
+    bad = tmp_path / "net.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["build", "--network", str(bad), "--weights", "2,1,1",
+                 "--direction", "upper", "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert f"species {species}" in capsys.readouterr().err
 
 
 def test_build_rejects_bad_input(tmp_path):

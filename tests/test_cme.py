@@ -1,5 +1,7 @@
 """Truncated master equation solves and the truncation certificates."""
 
+import copy
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +14,9 @@ from scipy.linalg import expm
 from boundchain import (BoundingChain, InfeasibleError, TailModel,
                         ValidationError, cdf_dominance, certificate_table,
                         chain_generator, delta_p0, exit_flux, min_truncation,
-                        network_generator, solve_chain_cme, solve_cme,
-                        solve_network_cme, truncation_certificate)
+                        network_from_dict, network_generator, solve_chain_cme,
+                        solve_cme, solve_network_cme, truncation_certificate)
+from conftest import NETWORK_DOC
 
 
 def two_state():
@@ -164,6 +167,37 @@ def test_network_generator_layout(network, part211):
     assert np.all(sums <= 1e-12)  # leaks only outward
     interior = classes <= 10 - 2  # no reaction jumps more than 2 classes
     assert np.allclose(sums[interior], 0.0, atol=1e-12)
+
+
+def test_network_generator_matches_python_loop(network, part211):
+    n_max = 12
+    w = part211.weights
+    states = sorted(
+        (x for x in itertools.product(range(n_max + 1), repeat=3)
+         if np.dot(w, x) <= n_max),
+        key=lambda x: (np.dot(w, x), x))
+    index = {x: i for i, x in enumerate(states)}
+    ref = np.zeros((len(states), len(states)))
+    for i, x in enumerate(states):
+        for r in network.reactions:
+            rate = r.propensity.evaluate(x)
+            if rate > 0:
+                ref[i, i] -= rate
+                y = tuple(a + c for a, c in zip(x, r.change))
+                if y in index:
+                    ref[i, index[y]] += rate
+    Q, got_states, classes = network_generator(network, part211, n_max)
+    assert np.array_equal(got_states, np.array(states))
+    assert np.array_equal(classes, [np.dot(w, x) for x in states])
+    assert np.array_equal(Q.toarray(), ref)
+
+
+def test_network_generator_rejects_negative_propensity(part211):
+    doc = copy.deepcopy(NETWORK_DOC)
+    doc["reactions"][3]["propensity"].append({"coeff": -10.0})
+    with pytest.raises(ValidationError,
+                       match=r"-10.0 for reaction 3 at \(0, 0, 0\)"):
+        network_generator(network_from_dict(doc), part211, 12)
 
 
 def test_solve_network_cme(network, part211):

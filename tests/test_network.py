@@ -1,12 +1,17 @@
 """Network parsing, class enumeration, and aggregation."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boundchain import (ClassPartition, Factor, PropensityPolynomial,
-                        Reaction, Term, ValidationError, aggregate_rate,
-                        class_of, class_shift, class_size, enumerate_class,
-                        j_max, load_network, network_from_dict,
+                        Reaction, ResourceLimitError, Term, ValidationError,
+                        aggregate_rate, class_of, class_shift, class_size,
+                        compute_f, enumerate_class, j_max, load_network,
+                        network_from_dict, network_generator,
                         validate_network)
 from conftest import NETWORK_PATH
 
@@ -42,6 +47,8 @@ def test_evaluate_many_matches_scalar(network):
         many = r.propensity.evaluate_many(states)
         each = [r.propensity.evaluate(s) for s in states]
         assert np.allclose(many, each, rtol=0, atol=0)
+    assert np.array_equal(network.rates(states), np.column_stack(
+        [r.propensity.evaluate_many(states) for r in network.reactions]))
 
 
 def test_malformed_documents_rejected():
@@ -57,6 +64,15 @@ def test_malformed_documents_rejected():
             {"change": [1, 2], "propensity": [{"coeff": 1.0}]}]})
 
 
+@pytest.mark.parametrize("species", [7, -1])
+def test_factor_species_must_be_in_range(species):
+    # -1 would otherwise index the last column and rate the wrong species
+    with pytest.raises(ValidationError, match="outside 0..1"):
+        network_from_dict({"species": ["A", "B"], "reactions": [
+            {"change": [-1, 0], "propensity": [
+                {"coeff": 1.0, "factors": [{"species": species}]}]}]})
+
+
 def test_partition_validation():
     with pytest.raises(ValidationError):
         ClassPartition((0, 1))
@@ -68,10 +84,19 @@ def test_partition_validation():
         class_of((1, -1, 0), p)
 
 
-def test_enumerate_class_order_and_content():
-    p = ClassPartition((2, 1, 1))
-    got = [tuple(row) for row in enumerate_class(2, p)]
-    assert got == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 0)]
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       st.integers(0, 25))
+@example([2, 1, 1], 2)
+def test_enumerate_class_order_and_content(weights, ell):
+    p = ClassPartition(tuple(weights))
+    want = [x for x in itertools.product(*(range(ell // w + 1) for w in weights))
+            if sum(w * v for w, v in zip(weights, x)) == ell]
+    got = enumerate_class(ell, p)
+    assert got.shape == (len(want), len(weights))
+    assert got.dtype == np.int64
+    assert [tuple(int(v) for v in row) for row in got] == want
+    assert class_size(ell, p) == len(want)
 
 
 def test_enumerate_class_matches_count():
@@ -85,6 +110,18 @@ def test_enumerate_class_matches_count():
     assert class_size(10, p) == 7
     assert class_size(1, p) == 0
     assert class_size(3, p) == 0
+
+
+def test_class_cap_is_checked_on_every_per_class_pass(network, part211):
+    # compute_f, validate_network and network_generator all visit 0..12
+    total = sum(class_size(ell, part211) for ell in range(13))
+    runs = [lambda cap: compute_f(network, part211, "upper", 12, cap=cap),
+            lambda cap: validate_network(network, part211, 12, cap=cap),
+            lambda cap: network_generator(network, part211, 12, cap=cap)]
+    for run in runs:
+        run(total)
+        with pytest.raises(ResourceLimitError, match=f"cap of {total - 1}"):
+            run(total - 1)
 
 
 def test_class_shift_and_j_max(network, part211, part225, part111):
