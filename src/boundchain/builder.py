@@ -59,9 +59,6 @@ class FTable:
             return 0.0
         return float(self.plus[j, ell])
 
-    def is_empty(self, ell: int) -> bool:
-        return bool(self.empty[ell])
-
 
 def compute_f(network: ReactionNetwork, partition: ClassPartition,
               direction: str, l_exact: int,
@@ -106,13 +103,24 @@ class UTable:
     plus: np.ndarray
 
 
+def _shift(row: np.ndarray, step: int, edge: float) -> np.ndarray:
+    """``row[ell + step]`` at every ell (step is +1 or -1), ``edge`` off the end."""
+    out = np.roll(row, -step)
+    out[-1 if step > 0 else 0] = edge
+    return out
+
+
 def optimal_U(f: FTable, direction: str | None = None) -> UTable:
     """Running min/max aggregation of the f-table over class ranges.
 
-    Entries of the min-type tables whose whole aggregation range consists of
-    empty classes are unconstrained; they get the smallest value compatible
-    with both monotonicity requirements (max of the two already-forced
-    neighbors), which keeps the table inside the admissible set.
+    In band coordinates (j = |ell - m|) an aggregation range gains one class
+    per offset along a band diagonal, so each table is a running extreme
+    down its diagonals, one offset at a time.  Empty classes add nothing;
+    a max over an empty range is zero.  Entries of the min-type tables whose
+    whole aggregation range consists of empty classes are unconstrained;
+    they get the smallest value compatible with both monotonicity
+    requirements (max of the two already-forced neighbors one offset
+    further out), which keeps the table inside the admissible set.
     """
     direction = direction or f.direction
     if direction != f.direction:
@@ -120,100 +128,76 @@ def optimal_U(f: FTable, direction: str | None = None) -> UTable:
     J = f.j_max
     L = f.l_max
     upper = direction == "upper"
-
-    memo_minus: dict = {}
-    memo_plus: dict = {}
-
-    def u_minus(ell: int, m: int) -> float:
-        # U(ell, m) on m < ell
-        if m < 0:
-            return 0.0
-        key = (ell, m)
-        if key in memo_minus:
-            return memo_minus[key]
-        if upper:
-            lo, hi = m + 1, ell
-        else:
-            lo, hi = ell, m + J
-        if ell > L:
-            raise ResourceLimitError(
-                "empty-class fill needs f-values beyond the computed range; "
-                "raise l_exact"
-            )
-        vals = [f.f_minus(lp, m) for lp in range(lo, min(hi, L) + 1)
-                if not f.is_empty(lp)]
-        if upper:
-            if vals:
-                out = min(vals)
-            else:
-                # unconstrained: smallest value keeping row and column monotone
-                out = max(u_minus(ell, m - 1), u_minus(ell + 1, m))
-        else:
-            # max-type aggregation: empty classes contribute nothing, and the
-            # sup over the out-of-band remainder is zero
-            out = max(vals) if vals else 0.0
-        memo_minus[key] = out
-        return out
-
-    def u_plus(ell: int, m: int) -> float:
-        # U(ell, m) on m > ell
-        key = (ell, m)
-        if key in memo_plus:
-            return memo_plus[key]
-        if upper:
-            lo, hi = 0, ell
-        else:
-            lo, hi = ell, m - 1
-        if ell > L:
-            raise ResourceLimitError(
-                "empty-class fill needs f-values beyond the computed range; "
-                "raise l_exact"
-            )
-        vals = [f.f_plus(lp, m) for lp in range(max(lo, 0), min(hi, L) + 1)
-                if not f.is_empty(lp)]
-        if upper:
-            out = max(vals) if vals else 0.0
-        else:
-            if vals:
-                out = min(vals)
-            else:
-                out = max(u_plus(ell, m + 1), u_plus(ell - 1, m) if ell > 0 else 0.0)
-        memo_plus[key] = out
-        return out
-
+    # a run of r empty classes empties ranges of up to r classes, and their
+    # fill reads offset r + 1
+    padded = np.concatenate(([False], f.empty, [False]))
+    runs = np.diff(np.flatnonzero(padded[1:] != padded[:-1]))[::2]
+    width = max(J + 1, int(runs.max(initial=0)) + 1)
+    minus = np.full((width + 1, L + 1), np.nan)
+    plus = np.full((width + 1, L + 1), np.nan)
+    for table, part in ((minus, f.minus), (plus, f.plus)):
+        table[1:J + 1] = part[1:]
+        table[J + 1:, ~f.empty] = 0.0  # no row mass past the band
+    # U(ell, m) = 0 for m < 0: no mass leaves below class 0
+    minus[np.arange(width + 1)[:, None] > np.arange(L + 1)] = 0.0
+    # each fold reads the previous offset one level down the diagonal in
+    # the upper direction, one level up in the lower direction
+    step = -1 if upper else 1
+    min_side, max_side = (minus, plus) if upper else (plus, minus)
+    # min-type: the range grows outward, offset j folds in offset j - 1
+    for j in range(2, width + 1):
+        min_side[j] = np.fmin(min_side[j], _shift(min_side[j - 1], step, np.nan))
+    # the empty-range fill, from the outer band inward; past the top level
+    # the upper fill has nothing to read
+    for j in range(width - 1, 0, -1):
+        gap = np.isnan(min_side[j])
+        outer = _shift(min_side[j + 1], -step, np.nan if upper else 0.0)
+        min_side[j, gap] = np.maximum(min_side[j + 1], outer)[gap]
+    # max-type: the range grows inward from offset J + 1, which the upper
+    # plus range [0, ell] always covers with zero mass past the band
+    max_side[J + 1] = 0.0 if upper else np.nan
+    for j in range(J, 0, -1):
+        max_side[j] = np.fmax(max_side[j], _shift(max_side[j + 1], step, np.nan))
+    max_side[np.isnan(max_side)] = 0.0
     # the last j_max rows of the f-table are lookahead: the lower-direction
-    # ranges reach that far above ell, and the empty-class fill recursion can
-    # climb past ell in either direction
+    # ranges reach that far above ell, and the upper fill climbs past ell
     l_out = L - J
-    minus = np.zeros((J + 2, l_out + 1))
-    plus = np.zeros((J + 2, l_out + 1))
-    for ell in range(l_out + 1):
-        for j in range(1, J + 2):
-            if ell - j >= 0:
-                minus[j, ell] = u_minus(ell, ell - j)
-            plus[j, ell] = u_plus(ell, ell + j)
+    minus = minus[:J + 2, :l_out + 1].copy()
+    plus = plus[:J + 2, :l_out + 1].copy()
+    minus[0] = plus[0] = 0.0
+    if np.isnan(minus).any() or np.isnan(plus).any():
+        raise ResourceLimitError(
+            "empty-class fill needs f-values beyond the computed range; "
+            "raise l_exact"
+        )
     return UTable(direction, J, l_out, minus, plus)
 
 
 def check_u_membership(U: UTable, rtol: float = RTOL) -> list:
     """Violations of the admissibility conditions (monotonicity, boundary)."""
-    bad = []
     J, L = U.j_max, U.l_exact
     scale = max(1.0, np.nanmax(np.abs(U.minus)), np.nanmax(np.abs(U.plus)))
     tol = rtol * scale
-    for ell in range(L + 1):
+    # nondecreasing in m on the minus side: U(ell, m-1) <= U(ell, m)
+    down = ((U.minus[2:] > U.minus[1:-1] + tol)
+            & (np.arange(1, J + 1)[:, None] <= np.arange(L + 1)))
+    # nonincreasing in m on the plus side
+    up = U.plus[2:] > U.plus[1:-1] + tol
+    sign = (U.minus.min(axis=0) < -tol) | (U.plus.min(axis=0) < -tol)
+    edge = np.abs(U.plus[J + 1]) > tol
+    bad = []
+    rows = down.any(axis=0) | up.any(axis=0) | sign | edge
+    for ell in np.flatnonzero(rows).tolist():
         for j in range(1, J + 1):
-            # nondecreasing in m on the minus side: U(ell, m-1) <= U(ell, m)
-            if ell - j >= 0 and U.minus[j + 1, ell] > U.minus[j, ell] + tol:
+            if down[j - 1, ell]:
                 bad.append(("minus", ell, ell - j,
                             f"U({ell},{ell - j - 1}) > U({ell},{ell - j})"))
-            # nonincreasing in m on the plus side
-            if U.plus[j + 1, ell] > U.plus[j, ell] + tol:
+            if up[j - 1, ell]:
                 bad.append(("plus", ell, ell + j,
                             f"U({ell},{ell + j + 1}) > U({ell},{ell + j})"))
-        if U.minus[:, ell].min() < -tol or U.plus[:, ell].min() < -tol:
+        if sign[ell]:
             bad.append(("sign", ell, None, f"negative U entry in row {ell}"))
-        if abs(U.plus[J + 1, ell]) > tol:
+        if edge[ell]:
             bad.append(("plus", ell, ell + J + 1,
                         "U beyond the band does not vanish"))
     return bad
@@ -239,16 +223,24 @@ def phi_inverse(U: UTable, weights=None) -> BoundingChain:
     return BoundingChain(U.direction, J, L, L, exact, tails={}, weights=weights)
 
 
+def _cumulative(chain: BoundingChain, hi: int, J: int):
+    """Row masses of a chain on levels 0..hi: ``minus[j, ell]`` into classes
+    <= ell - j and ``plus[j, ell]`` into classes >= ell + j, for j in
+    [0, J + 1] with J >= chain.j_max.  Each is summed from the band edge
+    inward."""
+    K = chain.j_max
+    rates = chain.band(hi)
+    minus = np.zeros((J + 2, hi + 1))
+    plus = np.zeros((J + 2, hi + 1))
+    minus[K:0:-1] = np.cumsum(rates[:, :K], axis=1).T
+    plus[K:0:-1] = np.cumsum(rates[:, :K:-1], axis=1).T
+    return minus, plus
+
+
 def phi(chain: BoundingChain) -> UTable:
     """Cumulative row prefix/tail sums of a chain; inverse of ``phi_inverse``."""
     J, L = chain.j_max, chain.l_exact
-    minus = np.zeros((J + 2, L + 1))
-    plus = np.zeros((J + 2, L + 1))
-    for j in range(J, 0, -1):
-        down = np.array([chain.rate(ell, -j) for ell in range(L + 1)])
-        up = np.array([chain.rate(ell, j) for ell in range(L + 1)])
-        minus[j] = minus[j + 1] + down
-        plus[j] = plus[j + 1] + up
+    minus, plus = _cumulative(chain, L, J)
     return UTable(chain.direction, J, L, minus, plus)
 
 
@@ -259,12 +251,11 @@ def _divisors(n: int) -> list[int]:
     return [p for p in range(1, n + 1) if n % p == 0]
 
 
-def _match(values: np.ndarray, start: int, model: TailModel,
-           rtol: float = RTOL) -> bool:
-    ells = np.arange(start, start + len(values))
-    pred = model(ells)
-    scale = np.maximum(1.0, np.abs(values))
-    return bool(np.all(np.abs(pred - values) <= rtol * scale))
+def _misfit(values: np.ndarray, start: int, model: TailModel,
+            rtol: float = RTOL) -> np.ndarray:
+    """Where the model misses ``values``, the rates on levels start, start+1, ..."""
+    pred = model(np.arange(start, start + len(values)))
+    return ~(np.abs(pred - values) <= rtol * np.maximum(1.0, np.abs(values)))
 
 
 def _fit_window(values: np.ndarray, start: int, offset: int,
@@ -295,7 +286,7 @@ def _fit_window(values: np.ndarray, start: int, offset: int,
                                     intercepts=(float(c[0]),), slope=float(c[1]),
                                     c2=float(c[2]), c3=float(c[3])))
     for model in candidates:
-        if _match(values, start, model):
+        if not _misfit(values, start, model).any():
             return model
     return None
 
@@ -316,9 +307,10 @@ def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
         raise ValidationError("exact horizon too short for the tail window")
     weights = chain.weights if chain.weights else (partition.weights if partition else (1,))
     periods = _divisors(math.lcm(*weights))
+    rates = chain.band(L)
     tails = {}
     for k in sorted(chain.exact):
-        values = np.array([chain.rate(ell, k) for ell in range(start, L + 1)])
+        values = rates[start:, J + k]
         if np.all(values == 0.0):
             continue
         model = _fit_window(values, start, k, periods, degree_max)
@@ -333,13 +325,10 @@ def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
                 f"offset {k}: exact rates on [{start}, {L}] fit no "
                 f"periodic-affine or degree<=3 model"
             )
-        # extend the validated range downward to find the true onset
-        onset = start
-        while onset > 0:
-            v = chain.rate(onset - 1, k)
-            if not _match(np.array([v]), onset - 1, model):
-                break
-            onset -= 1
+        # the model holds down to the true onset: one past the last miss
+        # below the window
+        miss = np.flatnonzero(_misfit(rates[:start, J + k], 0, model))
+        onset = int(miss[-1]) + 1 if miss.size else 0
         tails[k] = TailModel(offset=k, onset=onset, period=model.period,
                              intercepts=model.intercepts, slope=model.slope,
                              c2=model.c2, c3=model.c3)
@@ -398,6 +387,8 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
     """
     direction = candidate.direction
     upper = direction == "upper"
+    if l_check < 0:
+        raise ValidationError(f"l_check must be nonnegative, got {l_check}")
     J = max(candidate.j_max, j_max(network, partition))
     if candidate.l_total < l_check + J:
         raise ValidationError(
@@ -421,12 +412,13 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
 
     name1 = "A1" if upper else "B1"
     name2 = "A2" if upper else "B2"
+    down, up = _cumulative(candidate, l_check + 1, J)
     for ell, X, rates in class_rates(network, partition, l_check):
         if X.shape[0] == 0:
             continue
         for j in range(1, min(J, ell) + 1):
             m = ell - j
-            cand = candidate.prefix(ell, m)
+            cand = float(down[j, ell])
             ref, state = extreme(X, rates[:, shifts <= -j].sum(axis=1), upper)
             tol = rtol * max(1.0, abs(ref))
             if upper and cand > ref + tol:
@@ -435,29 +427,29 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
                 return fail(name1, ell, m, cand, ref, state)
         for j in range(1, J + 1):
             m = ell + j
-            cand = candidate.tail_sum(ell, m)
+            cand = float(up[j, ell])
             ref, state = extreme(X, rates[:, shifts >= j].sum(axis=1), not upper)
             tol = rtol * max(1.0, abs(ref))
             if upper and cand < ref - tol:
                 return fail(name1, ell, m, cand, ref, state)
             if not upper and cand > ref + tol:
                 return fail(name1, ell, m, cand, ref, state)
-    # monotonicity between consecutive rows (identical for both directions)
-    for ell in range(l_check + 1):
-        for j in range(1, J + 1):
-            m = ell - j
-            if m >= 0:
-                hi = candidate.prefix(ell, m)
-                lo = candidate.prefix(ell + 1, m)
-                if lo > hi + rtol * max(1.0, abs(hi)):
-                    return fail(name2, ell, m, lo, hi)
-        for j in range(1, J + 1):
-            # tail form of the same inequality for m > ell (m = ell excluded)
-            m = ell + j
-            lo = candidate.tail_sum(ell, m + 1)
-            hi = candidate.tail_sum(ell + 1, m + 1)
-            if hi < lo - rtol * max(1.0, abs(lo)):
-                return fail(name2, ell, m, hi, lo)
+    # monotonicity between consecutive rows (identical for both directions):
+    # row ell + 1 puts no more mass into 0..m than row ell for m = ell - j,
+    # and (tail form, so m = ell never enters) no less into m + 1.. for
+    # m = ell + j; scanned row by row, prefixes before tails
+    hi, lo = down[1:-1, :-1], down[2:, 1:]
+    bad_down = ((lo > hi + rtol * np.maximum(1.0, np.abs(hi)))
+                & (np.arange(1, J + 1)[:, None] <= np.arange(l_check + 1)))
+    lo_t, hi_t = up[2:, :-1], up[1:-1, 1:]
+    bad_up = hi_t < lo_t - rtol * np.maximum(1.0, np.abs(lo_t))
+    hits = np.argwhere(np.stack([bad_down.T, bad_up.T], axis=1))
+    if hits.size:
+        ell, tail, i = hits[0].tolist()
+        if tail:
+            return fail(name2, ell, ell + i + 1, float(hi_t[i, ell]),
+                        float(lo_t[i, ell]))
+        return fail(name2, ell, ell - i - 1, float(lo[i, ell]), float(hi[i, ell]))
     return AssumptionReport(True, direction, l_check, None,
                             f"{name1} and {name2} hold on [0, {l_check}]")
 
@@ -481,25 +473,23 @@ def check_optimality(candidate: BoundingChain, optimal: BoundingChain,
     candidate_{ell,0:m} <= optimal_{ell,0:m}; lower direction reverses the
     inequality.  Returns the worst signed margin (positive = violation).
     """
+    if window < 0:
+        raise ValidationError(f"window must be nonnegative, got {window}")
     upper = optimal.direction == "upper"
-    worst = -math.inf
-    worst_at = None
     J = max(candidate.j_max, optimal.j_max)
-    for ell in range(window + 1):
-        for m in range(ell - J - 1, ell + J + 1):
-            if m < 0:
-                continue
-            if m < ell:
-                c = candidate.prefix(ell, m)
-                o = optimal.prefix(ell, m)
-            else:
-                # prefix through the diagonal, expressed with tail sums
-                c = -candidate.tail_sum(ell, m + 1)
-                o = -optimal.tail_sum(ell, m + 1)
-            margin = (c - o) if upper else (o - c)
-            if margin > worst:
-                worst = margin
-                worst_at = (ell, m)
+    # one column per m in ell-J-1..ell+J: prefixes into 0..m below the
+    # diagonal, then the prefix through it expressed with tail sums
+    tables = []
+    for chain in (candidate, optimal):
+        minus, plus = _cumulative(chain, window, J)
+        tables.append(np.vstack([minus[:0:-1], -plus[1:]]).T)
+    c, o = tables
+    margin = (c - o) if upper else (o - c)
+    ms = np.arange(window + 1)[:, None] + np.arange(-J - 1, J + 1)
+    margin[ms < 0] = -np.inf
+    ell, col = np.unravel_index(int(np.argmax(margin)), margin.shape)
+    worst = float(margin[ell, col])
+    worst_at = (int(ell), int(ms[ell, col]))
     scale = max(1.0, abs(worst))
     ok = worst <= rtol * scale
     return OptimalityReport(ok, worst, worst_at,

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+
+# rates in band(l_total); every band a chain builds is at most this large
+BAND_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -68,28 +71,44 @@ class BoundingChain:
                  exact: dict, tails: dict | None = None, weights=None):
         if direction not in ("upper", "lower"):
             raise ValidationError(f"direction must be upper or lower, got {direction!r}")
-        if l_total < l_exact:
-            raise ValidationError("l_total must be at least l_exact")
+        if not 0 <= l_exact <= l_total:
+            raise ValidationError("need 0 <= l_exact <= l_total")
+        if j_max < 0:
+            raise ValidationError(f"j_max must be nonnegative, got {j_max}")
+        if (l_total + 1) * (2 * j_max + 1) > BAND_CAP:
+            raise ResourceLimitError(
+                f"a band of {l_total + 1} levels by {2 * j_max + 1} offsets "
+                f"exceeds the cap of {BAND_CAP} rates"
+            )
         self.direction = direction
         self.j_max = int(j_max)
         self.l_exact = int(l_exact)
         self.l_total = int(l_total)
-        self.exact = {}
-        for k, arr in exact.items():
-            k = int(k)
+        self.tails = dict(tails or {})
+        for k in set(exact) | set(self.tails):
             if k == 0 or abs(k) > self.j_max:
                 raise ValidationError(f"offset {k} outside the band")
+        self.exact = {}
+        for k, arr in exact.items():
             arr = np.asarray(arr, dtype=float)
             if arr.shape != (self.l_exact + 1,):
                 raise ValidationError(
                     f"exact rates for offset {k} must cover [0, {self.l_exact}]"
                 )
-            self.exact[k] = arr
-        self.tails = dict(tails or {})
+            self.exact[int(k)] = arr
         for k, tm in self.tails.items():
             if tm.offset != k:
                 raise ValidationError("tail model offset disagrees with its key")
         self.weights = tuple(int(w) for w in weights) if weights is not None else None
+        rates = self.band(self.l_total)
+        bad = np.argwhere(~np.isfinite(rates) | (rates < 0.0))
+        if bad.size:
+            ell, col = (int(v) for v in bad[0])
+            raise ValidationError(
+                f"rate {float(rates[ell, col])} at level {ell}, offset "
+                f"{col - self.j_max}: rates on [0, {self.l_total}] must be "
+                "finite and nonnegative"
+            )
 
     @property
     def offsets(self) -> list[int]:
@@ -120,13 +139,24 @@ class BoundingChain:
     def diagonal(self, ell: int) -> float:
         return -self.exit_rate(ell)
 
-    def prefix(self, ell: int, m: int) -> float:
-        """Row mass into classes 0..m, for m < ell."""
-        return float(sum(r for k, r in self.row(ell).items() if ell + k <= m))
+    def band(self, hi: int) -> np.ndarray:
+        """Rates on levels 0..hi as one (hi + 1, 2*j_max + 1) array.
 
-    def tail_sum(self, ell: int, m: int) -> float:
-        """Row mass into classes m.., for m > ell."""
-        return float(sum(r for k, r in self.row(ell).items() if ell + k >= m))
+        Column ``j_max + k`` holds the rate from ell to ell + k for k in
+        -j_max..j_max: exact rates up to l_exact, tail models past it.  The
+        k = 0 column and every jump below class 0 are zero, as in ``rate``.
+        """
+        J = self.j_max
+        out = np.zeros((hi + 1, 2 * J + 1))
+        head = min(hi, self.l_exact) + 1
+        for k, arr in self.exact.items():
+            out[:head, J + k] = arr[:head]
+        ells = np.arange(head, hi + 1)
+        for k, tm in self.tails.items():
+            out[head:, J + k] = tm(ells)
+        for k in range(1, J + 1):
+            out[:k, J - k] = 0.0
+        return out
 
     def tail_degrees(self) -> dict:
         return {k: tm.degree for k, tm in sorted(self.tails.items())}
@@ -143,11 +173,10 @@ class BoundingChain:
             fh.write(meta + "\n")
             writer = csv.writer(fh)
             writer.writerow(["ell", "offset", "rate"])
-            for ell in range(self.l_exact + 1):
-                for k in self.offsets:
-                    r = self.rate(ell, k)
-                    if r != 0.0:
-                        writer.writerow([ell, k, repr(r)])
+            rates = self.band(self.l_exact)
+            ell, col = np.nonzero(rates)
+            writer.writerows(zip(ell.tolist(), (col - self.j_max).tolist(),
+                                 map(repr, rates[ell, col].tolist())))
             fh.write("# tails\n")
             writer.writerow(["offset", "slope", "intercept", "onset",
                              "period", "residue", "c2", "c3"])
@@ -194,9 +223,10 @@ class BoundingChain:
                     int(meta["l_total"]))
         except OSError as exc:
             raise ValidationError(f"cannot read chain file {path}: {exc}") from exc
-        except (KeyError, ValueError, IndexError) as exc:
+        except (KeyError, ValueError, IndexError, csv.Error) as exc:
             raise ValidationError(f"malformed chain CSV {path}: {exc!r}") from exc
 
+        cls(*head, {}, {}, weights)  # the header alone, before it sizes arrays
         if len({row[:2] for row in exact_rows}) < len(exact_rows):
             raise ValidationError(f"chain CSV {path} repeats an (ell, offset) row")
         exact: dict[int, np.ndarray] = {}
@@ -212,7 +242,7 @@ class BoundingChain:
         for k, rows in by_offset.items():
             rows.sort(key=lambda r: r[5])
             period = rows[0][4]
-            if [r[5] for r in rows] != list(range(period)):
+            if len(rows) != period or [r[5] for r in rows] != list(range(period)):
                 raise ValidationError(f"tail residues for offset {k} are incomplete")
             tails[k] = TailModel(
                 offset=k, onset=rows[0][3], period=period,

@@ -227,14 +227,12 @@ def check_irreducible(chain: BoundingChain, horizon: int = 200) -> Attestation:
     full period of the tail models persists for all larger classes.
     """
     horizon = min(horizon, chain.l_total)
-    rows, cols = [], []
-    for ell in range(horizon + 1):
-        for k, rate in chain.row(ell).items():
-            m = ell + k
-            if rate > 0 and 0 <= m <= horizon:
-                rows.append(ell)
-                cols.append(m)
-    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
+    J = chain.j_max
+    rates = chain.band(max(horizon, chain.l_exact))
+    ell, col = np.nonzero(rates[:horizon + 1] > 0)
+    m = ell + col - J
+    inside = m <= horizon
+    graph = sp.coo_matrix((np.ones(inside.sum()), (ell[inside], m[inside])),
                           shape=(horizon + 1, horizon + 1)).tocsr()
     reach = breadth_first_order(graph, 0, directed=True,
                                 return_predecessors=False)
@@ -255,14 +253,15 @@ def check_irreducible(chain: BoundingChain, horizon: int = 200) -> Attestation:
     period = 1
     for tm in chain.tails.values():
         period = int(np.lcm(period, tm.period))
-    for ell in range(max(1, chain.l_exact - period + 1), chain.l_exact + 1):
-        row = chain.row(ell)
-        if not any(k > 0 and r > 0 for k, r in row.items()):
-            return Attestation(False, [ell],
-                               f"no positive up-rate at class {ell}")
-        if not any(k < 0 and r > 0 for k, r in row.items()):
-            return Attestation(False, [ell],
-                               f"no positive down-rate at class {ell}")
+    lo = max(1, chain.l_exact - period + 1)
+    tail = rates[lo:chain.l_exact + 1] > 0
+    up, down = tail[:, J + 1:].any(axis=1), tail[:, :J].any(axis=1)
+    miss = np.flatnonzero(~(up & down))
+    if miss.size:
+        i = int(miss[0])
+        return Attestation(False, [lo + i],
+                           f"no positive {'down' if up[i] else 'up'}-rate "
+                           f"at class {lo + i}")
     return Attestation(True, None,
                        f"reachable classes in [0, {horizon}] form one "
                        "strongly connected component with persistently "

@@ -63,7 +63,12 @@ def parse_grid(text: str, integer: bool = False) -> np.ndarray:
 
 def parse_p0(text: str, M: int) -> np.ndarray:
     if text.startswith("delta:"):
-        return delta_p0(M, int(text.split(":", 1)[1]))
+        try:
+            at = int(text.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValidationError(f"bad initial law {text!r}; use "
+                                  "delta:<level>") from exc
+        return delta_p0(M, at)
     raise ValidationError(f"unsupported initial law {text!r}; use delta:<level>")
 
 
@@ -178,16 +183,26 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _read_report(path: str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValidationError(f"report {path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"report {path} is not a JSON object")
+    return doc
+
+
 def cmd_combine(args) -> int:
-    lower = json.loads(Path(args.lower).read_text())
-    upper = json.loads(Path(args.upper).read_text())
+    lower = _read_report(args.lower)
+    upper = _read_report(args.upper)
     for doc, want, src in ((lower, "lower", args.lower), (upper, "upper", args.upper)):
         if doc.get("direction") not in (want, None):
             raise ValidationError(f"{src} is a {doc.get('direction')} chain, "
                                   f"expected {want}")
     from .classifier import ChainClass
-    z = ChainClass(lower["class"], lower.get("provenance") or "external report")
-    y = ChainClass(upper["class"], upper.get("provenance") or "external report")
+    z = ChainClass(lower.get("class"), lower.get("provenance") or "external report")
+    y = ChainClass(upper.get("class"), upper.get("provenance") or "external report")
     z_irr = bool(lower.get("irreducible", False)) or args.assume_irreducible
     y_irr = bool(upper.get("irreducible", False)) or args.assume_irreducible
     verdict = combine(z, y, z_irreducible=z_irr, y_irreducible=y_irr)
@@ -213,6 +228,8 @@ def cmd_couple(args) -> int:
         chain = build_bounding_chain(network, partition, args.direction,
                                      l_exact=300, l_total=2000)
     x0 = parse_ints(args.x0)
+    if args.seeds < 1:
+        raise ValidationError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = [args.seed + i for i in range(args.seeds)]
     sim = CoupledSimulator(network, partition, chain)
     out = Path(args.out)
@@ -267,7 +284,7 @@ def cmd_simulate(args) -> int:
             writer.writerow([repr(float(traj.times[i]))]
                             + [int(v) for v in traj.states[i]])
     write_manifest(out, "simulate", vars(args), seeds=[args.seed])
-    print(f"wrote one path ({len(traj)} jumps, ended: {traj.reason}) to {out}")
+    print(f"wrote one path ({len(traj) - 1} jumps, ended: {traj.reason}) to {out}")
     return 0
 
 
@@ -540,6 +557,11 @@ def main(argv=None) -> int:
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        # inputs are checked where they are read; this is an output path
+        # that cannot be written, or a report file that cannot be read
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return ValidationError.exit_code
 
 
 if __name__ == "__main__":

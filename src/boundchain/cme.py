@@ -44,19 +44,16 @@ def chain_generator(chain: BoundingChain, M: int) -> sp.csr_matrix:
     """Generator of a 1-D chain restricted to [0, M], diagonal kept full."""
     if M > chain.l_total:
         raise ValidationError(f"M={M} exceeds the chain horizon {chain.l_total}")
-    rows, cols, vals = [], [], []
-    for ell in range(M + 1):
-        row = chain.row(ell)
-        for k, rate in row.items():
-            m = ell + k
-            if 0 <= m <= M:
-                rows.append(ell)
-                cols.append(m)
-                vals.append(rate)
-        rows.append(ell)
-        cols.append(ell)
-        vals.append(-sum(row.values()))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(M + 1, M + 1))
+    J = chain.j_max
+    rates = chain.band(M)
+    # the diagonal keeps every jump out of the row, those past M included;
+    # summed offset by offset in row order
+    rates[:, J] = -np.cumsum(rates, axis=1)[:, -1]
+    keep = (rates != 0.0) & (np.arange(M + 1)[:, None] + np.arange(-J, J + 1) <= M)
+    keep[:, J] = True
+    ell, col = np.nonzero(keep)
+    return sp.csr_matrix((rates[ell, col], (ell, ell + col - J)),
+                         shape=(M + 1, M + 1))
 
 
 def network_generator(network: ReactionNetwork, partition: ClassPartition,

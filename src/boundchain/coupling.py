@@ -16,7 +16,7 @@ import numpy as np
 from .chain import BoundingChain
 from .errors import ConsistencyError, ValidationError
 from .network import ClassPartition, ReactionNetwork, class_of
-from .simulate import make_rng
+from .simulate import check_t_final, make_rng
 from .transport import pi_bar
 
 ROW_CACHE = 100_000
@@ -227,6 +227,7 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
     chain level runs past the band where the chain is defined the path is
     cut short with reason "band".
     """
+    check_t_final(t_final)
     sim = simulator or CoupledSimulator(network, partition, chain)
     rng = make_rng(seed)
     x = np.asarray(x0, dtype=np.int64).copy()

@@ -258,6 +258,7 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
 
     Raises ResourceLimitError once classes 0..ell hold more than ``cap`` states.
     """
+    _check_dims(network, partition)
     seen = 0
     for ell in range(hi + 1):
         seen += class_size(ell, partition)
@@ -269,6 +270,13 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
         yield ell, X, network.rates(X)
 
 
+def _check_dims(network: ReactionNetwork, partition: ClassPartition) -> None:
+    if partition.d != network.d:
+        raise ValidationError(
+            f"{partition.d} class weights for a network of {network.d} species"
+        )
+
+
 def class_shift(reaction: Reaction, partition: ClassPartition) -> int:
     """Signed class displacement w.nu of one reaction."""
     return int(np.dot(partition.weights, reaction.change))
@@ -276,6 +284,7 @@ def class_shift(reaction: Reaction, partition: ClassPartition) -> int:
 
 def j_max(network: ReactionNetwork, partition: ClassPartition) -> int:
     """Band half-width: the largest absolute class shift over all reactions."""
+    _check_dims(network, partition)
     shifts = [abs(class_shift(r, partition)) for r in network.reactions]
     j = max(shifts, default=0)
     if j == 0:

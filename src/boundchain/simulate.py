@@ -19,7 +19,15 @@ Z_95 = 1.959963984540054
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
+
+
+def check_t_final(t_final: float) -> None:
+    if not (np.isfinite(t_final) and t_final >= 0.0):
+        raise ValidationError(
+            f"t_final must be finite and nonnegative, got {t_final}")
 
 
 @dataclass
@@ -61,6 +69,7 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
     reported at the horizon.  ``stop`` is evaluated on each newly entered
     state and ends the path with reason "exit".
     """
+    check_t_final(t_final)
     rng = make_rng(seed)
     is_chain = isinstance(model, BoundingChain)
     if is_chain:
@@ -152,6 +161,9 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
     sweep, vectorized over the batch.  A path exits when its class label
     moves above N; paths are frozen at the horizon or on absorption.
     """
+    check_t_final(t_final)
+    if samples < 1:
+        raise ValidationError("need at least one sample")
     x0 = np.asarray(x0, dtype=np.int64)
     if class_of(x0, partition) > N:
         return ExitEstimate(exits=samples, samples=samples, estimate=1.0,

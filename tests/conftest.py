@@ -3,9 +3,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from boundchain import (ClassPartition, build_bounding_chain,
                         network_from_dict)
+
+# CI runs with --hypothesis-profile=ci so every run draws the same examples
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 NETWORK_PATH = Path(__file__).resolve().parents[1] / "docs" / "examples" / "network.json"
 

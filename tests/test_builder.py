@@ -4,14 +4,18 @@ Expected rate rows come from an independent brute-force enumeration oracle
 computed before this module existed; they are asserted exactly.
 """
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
-from boundchain import (BoundingChain, StabilizationError, ValidationError,
+from boundchain import (BoundingChain, ClassPartition, ResourceLimitError,
+                        StabilizationError, TailModel, ValidationError,
                         build_bounding_chain, check_optimality,
-                        check_u_membership, compute_f, optimal_U, phi,
+                        check_u_membership, compute_f, j_max, optimal_U, phi,
                         phi_inverse, verify_assumptions)
-from boundchain.builder import UTable
+from boundchain.builder import FTable, UTable
 
 UPPER211 = {
     0: {2: 2.5}, 1: {-1: 2.5, 2: 3.5}, 2: {-1: 2.5, 2: 4.5},
@@ -148,6 +152,116 @@ def test_upper_225_fill_rows(network, part225):
     assert_rows(skel, UPPER225)
 
 
+# sha256 of U.minus and U.plus bytes, recorded from the memoized recursive
+# optimal_U before it became running extremes along the band diagonals
+U_SHA256 = {
+    ((2, 1, 1), "upper"): "7538cc90af608d75b402f2a856e7eabf449269460093229e4c1a6bad627c6b5a",
+    ((2, 1, 1), "lower"): "2ab021fc6c01b982967bd006c3b234eb1fc144ad12899f4239e8afbe72153a91",
+    ((1, 1, 1), "upper"): "9734c21b71e254d7f43ccf6b5fec4da969b3c0b0e457d56d185f05b5fdcef853",
+    ((1, 1, 1), "lower"): "51ec94230f5a0d1ec23cdbaf761adde1d2a7a5105ae0e195fe02baf0701683ed",
+    ((2, 2, 5), "upper"): "69459d4136daac2c5ebc345efa812b8cba96b515595115c1a33562c7df841bb8",
+    ((2, 2, 5), "lower"): "0c0a5ce4552a8d58b6c003835f11f85a937581b5f3f61ba424e080215baadc28",
+    # classes 1 and 2 are empty under (4, 3, 5)
+    ((4, 3, 5), "upper"): "fbccf75da56cda59f7d4c2db3221fdab65c10b5b7f85227955eccb6e02e27be8",
+    ((4, 3, 5), "lower"): "a975eb8eea4843e70ff0a2fa936821aa2d116bcc6c8a821b5e77e2b46a75f0f2",
+}
+
+
+@pytest.mark.parametrize("weights, direction", sorted(U_SHA256))
+def test_optimal_U_tables_are_unchanged(network, weights, direction):
+    part = ClassPartition(weights)
+    f = compute_f(network, part, direction, 40 + j_max(network, part))
+    U = optimal_U(f)
+    got = hashlib.sha256(U.minus.tobytes() + U.plus.tobytes()).hexdigest()
+    assert got == U_SHA256[weights, direction]
+
+
+def _reference_U(f):
+    """optimal_U entry by entry, straight from the range definitions."""
+    J, L, upper = f.j_max, f.l_max, f.direction == "upper"
+
+    @functools.lru_cache(maxsize=None)
+    def u(below, ell, m):
+        if below and m < 0:
+            return 0.0
+        if ell > L:
+            raise ResourceLimitError("fill climbs past the f-table")
+        if below:
+            lo, hi = (m + 1, ell) if upper else (ell, m + J)
+        else:
+            lo, hi = (0, ell) if upper else (ell, m - 1)
+        side = f.minus if below else f.plus
+        vals = [0.0 if abs(lp - m) > J else float(side[abs(lp - m), lp])
+                for lp in range(max(lo, 0), min(hi, L) + 1) if not f.empty[lp]]
+        if upper != below:  # max-type
+            return max(vals) if vals else 0.0
+        if vals:
+            return min(vals)
+        if below:
+            return max(u(True, ell, m - 1), u(True, ell + 1, m))
+        return max(u(False, ell, m + 1), u(False, ell - 1, m) if ell > 0 else 0.0)
+
+    minus = np.zeros((J + 2, L - J + 1))
+    plus = np.zeros((J + 2, L - J + 1))
+    for ell in range(L - J + 1):
+        for j in range(1, J + 2):
+            if ell - j >= 0:
+                minus[j, ell] = u(True, ell, ell - j)
+            plus[j, ell] = u(False, ell, ell + j)
+    return minus, plus
+
+
+def test_optimal_U_matches_reference_on_random_tables():
+    # random f-values and empty classes, runs longer than the band included;
+    # the reference recurses forever on a lower table whose top class is
+    # empty, so those are left out
+    rng = np.random.default_rng(3)
+    raised = 0
+    for _ in range(150):
+        J = int(rng.integers(1, 6))
+        L = int(rng.integers(2 * J + 2, 50))
+        empty = rng.random(L + 1) < rng.choice([0.0, 0.3, 0.6, 0.9])
+        empty[0] = False
+        minus, plus = rng.choice([0.0, 0.5, 1.0, 3.5, 7.25], size=(2, J + 1, L + 1))
+        minus[0] = plus[0] = np.nan
+        minus[:, empty] = plus[:, empty] = np.nan
+        for j in range(1, J + 1):
+            minus[j, :j] = np.nan
+        for direction in ("upper",) if empty[L] else ("upper", "lower"):
+            f = FTable(direction, J, L, minus, plus, empty)
+            try:
+                want = _reference_U(f)
+            except ResourceLimitError:
+                raised += 1
+                with pytest.raises(ResourceLimitError):
+                    optimal_U(f)
+                continue
+            U = optimal_U(f)
+            assert U.minus.tobytes() == want[0].tobytes()
+            assert U.plus.tobytes() == want[1].tobytes()
+    assert 0 < raised < 150
+
+
+def test_band_matches_rate(upper211, lower225, naive111):
+    for chain in (upper211, lower225, naive111):
+        J, hi = chain.j_max, chain.l_exact + 40
+        want = [[chain.rate(ell, k) for k in range(-J, J + 1)]
+                for ell in range(hi + 1)]
+        assert np.array_equal(chain.band(hi), want)
+
+
+def test_constructor_rejects_negative_rates():
+    # the tail 70 - ell goes negative at level 71, inside [0, l_total]
+    tail = TailModel(1, 6, 1, (70.0,), -1.0)
+    exact = {1: np.ones(7), -1: np.arange(7.0)}
+    with pytest.raises(ValidationError, match="level 71, offset 1"):
+        BoundingChain("upper", 1, 6, 2000, exact, {1: tail}, (1,))
+    assert BoundingChain("upper", 1, 6, 70, exact, {1: tail}, (1,)).rate(70, 1) == 0.0
+    exact[-1][3] = np.nan
+    with pytest.raises(ValidationError, match="level 3, offset -1"):
+        BoundingChain("upper", 1, 6, 70, exact, {1: tail}, (1,))
+
+
 def test_f_values(network, part211):
     f = compute_f(network, part211, "upper", l_exact=110)
     # up-tail from one step above the class: b1*l + b2
@@ -282,6 +396,8 @@ def test_verify_lower(network, part225, lower225):
 def test_verify_horizon_precondition(network, part211, upper211):
     with pytest.raises(ValidationError):
         verify_assumptions(network, part211, upper211, l_check=5000)
+    with pytest.raises(ValidationError):
+        verify_assumptions(network, part211, upper211, l_check=-3)
 
 
 def _feasible_perturbation(U, rng):
@@ -346,7 +462,17 @@ def _add_row(row):
     _add_row("71,-1,9.0"),  # past l_exact = 70
     _add_row("1,-1,2.5"),  # repeats (1, -1)
     lambda lines: [lines[0].replace(" l_total=3000", "")] + lines[1:],
-], ids=["negative-ell", "ell-past-l-exact", "duplicate-row", "missing-key"])
+    lambda lines: [line.replace("1,-1,2.5", "1,-1,-2.5") for line in lines],
+    _add_row("1," + "9" * 200_000 + ",2.5"),  # past the csv field limit
+    lambda lines: [lines[0].replace("l_exact=70", "l_exact=" + "9" * 30)]
+    + lines[1:],
+    lambda lines: [lines[0].replace("j_max=2", "j_max=" + "9" * 30)]
+    + lines[1:],
+    lambda lines: lines[:-2] + ["-1,2.5,0.0,7," + "9" * 30 + ",0,0.0,0.0"]
+    + lines[-1:],
+], ids=["negative-ell", "ell-past-l-exact", "duplicate-row", "missing-key",
+        "negative-rate", "huge-field", "huge-l-exact", "huge-j-max",
+        "huge-period"])
 def test_from_csv_rejects_corrupt_files(tmp_path, upper211, edit):
     path = tmp_path / "chain.csv"
     upper211.to_csv(path)

@@ -106,6 +106,56 @@ def test_build_rejects_bad_input(tmp_path):
     assert code == 2
 
 
+def _bad(name, *argv):
+    return pytest.param(list(argv), id=name)
+
+
+CHAIN_RUN = ("--network", NET, "--chain", "{chain}", "--x0", "3,2,1",
+             "--y0", "12", "--out", "{tmp}/p.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    _bad("build-weight-count", "build", "--weights", "2,1", "--network", NET,
+         "--direction", "upper", "--out", "{tmp}/c.csv"),
+    _bad("analyze-weight-count", "analyze", "--lower-weights", "2,2",
+         "--upper-weights", "2,1,1", "--network", NET, "--l-exact", "30",
+         "--out-dir", "{tmp}/r"),
+    _bad("p0-not-an-int", "truncate", "--p0", "delta:x", "--chain", "{chain}",
+         "--M", "100", "--tf", "1", "--N", "50"),
+    _bad("couple-negative-seed", "couple", "--seed", "-2", "--tf", "1",
+         *CHAIN_RUN),
+    _bad("simulate-negative-seed", "simulate", "--seed", "-1", "--network",
+         NET, "--x0", "3,2,1", "--tf", "1", "--out", "{tmp}/t.csv"),
+    _bad("build-out-missing-dir", "build", "--out", "{tmp}/missing/c.csv",
+         "--network", NET, "--weights", "2,1,1", "--direction", "upper",
+         "--l-exact", "30"),
+    _bad("classify-out-missing-dir", "classify", "--out",
+         "{tmp}/missing/c.json", "--chain", "{chain}"),
+    _bad("combine-missing-report", "combine", "--lower", "{tmp}/missing.json",
+         "--upper", "{chain}"),
+    _bad("combine-not-json", "combine", "--lower", "{chain}", "--upper",
+         "{chain}"),
+    _bad("verify-negative-l-check", "verify", "--l-check", "-3", "--network",
+         NET, "--chain", "{chain}"),
+    _bad("couple-no-seeds", "couple", "--seeds", "-2", "--tf", "1",
+         *CHAIN_RUN),
+    _bad("couple-negative-tf", "couple", "--tf", "-1", *CHAIN_RUN),
+    _bad("simulate-negative-tf", "simulate", "--tf", "-1", "--network", NET,
+         "--x0", "3,2,1", "--out", "{tmp}/t.csv"),
+    _bad("simulate-exit-negative-tf", "simulate", "--tf", "-1", "--network",
+         NET, "--x0", "3,2,1", "--stop", "class>40", "--weights", "2,1,1"),
+    _bad("simulate-exit-negative-samples", "simulate", "--samples", "-5",
+         "--network", NET, "--x0", "3,2,1", "--tf", "1", "--stop", "class>40",
+         "--weights", "2,1,1"),
+])
+def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
+    argv = [a.format(tmp=tmp_path, chain=chain_csv) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    # analyze reports a failed stage in its JSON report instead of stderr
+    assert "error:" in err or '"error":' in out
+
+
 def test_verify_pass_and_fail(tmp_path, chain_csv, upper211, capsys):
     assert main(["verify", "--network", NET, "--chain", chain_csv,
                  "--l-check", "50"]) == 0
@@ -202,7 +252,7 @@ def test_simulate_cli(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert rows[0] == {"t": "0.0", "x1": "3", "x2": "2", "x3": "1"}
     assert float(rows[-1]["t"]) <= 1.0
-    capsys.readouterr()
+    assert f"({len(rows) - 1} jumps," in capsys.readouterr().out
 
     est_out = tmp_path / "exit.json"
     assert main(["simulate", "--network", NET, "--x0", "3,2,1",

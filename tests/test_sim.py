@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from boundchain import (BoundingChain, ClassPartition, TailModel,
-                        ValidationError, delta_p0, estimate_exit, make_rng,
-                        network_from_dict, solve_chain_cme, ssa,
+                        ValidationError, coupled_ssa, delta_p0, estimate_exit,
+                        make_rng, network_from_dict, solve_chain_cme, ssa,
                         wilson_interval)
 
 PURE_BIRTH = {
@@ -26,6 +26,18 @@ def test_rng_is_reproducible():
     b = make_rng(42).uniform(size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, make_rng(43).uniform(size=5))
+    with pytest.raises(ValidationError):
+        make_rng(-1)
+
+
+@pytest.mark.parametrize("t_final", [-1.0, np.inf, np.nan])
+def test_simulators_reject_bad_horizons(network, part211, upper211, t_final):
+    with pytest.raises(ValidationError):
+        ssa(network, (3, 2, 1), t_final)
+    with pytest.raises(ValidationError):
+        estimate_exit(network, part211, 40, t_final, (3, 2, 1), samples=10)
+    with pytest.raises(ValidationError):
+        coupled_ssa(network, part211, upper211, (3, 2, 1), 12, t_final)
 
 
 def test_ssa_reproducible(network):
