@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every run that produces an artifact also writes a manifest next to it with
-the resolved configuration, a hash of that configuration, package versions,
-and the seeds used, so a result can be traced back to its inputs.
+the resolved configuration, a hash of that configuration, a sha256 of every
+input file, package versions, and the seeds used, so a result can be traced
+back to its inputs.
 """
 
 from __future__ import annotations
@@ -82,6 +83,10 @@ def _versions() -> dict:
     }
 
 
+# arguments that name an input file; the manifest records each one's sha256
+INPUT_FILES = ("network", "chain", "lower", "upper")
+
+
 def write_manifest(out_path: Path, command: str, config: dict,
                    seeds=(), counters: dict | None = None) -> Path:
     # callables (the subcommand handler) carry a memory address, not data
@@ -91,6 +96,8 @@ def write_manifest(out_path: Path, command: str, config: dict,
         "command": command,
         "config": config,
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "inputs": {k: hashlib.sha256(Path(config[k]).read_bytes()).hexdigest()
+                   for k in INPUT_FILES if config.get(k)},
         "versions": _versions(),
         "seeds": [int(s) for s in seeds],
     }
@@ -232,6 +239,7 @@ def cmd_couple(args) -> int:
         raise ValidationError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = [args.seed + i for i in range(args.seeds)]
     sim = CoupledSimulator(network, partition, chain)
+    jumps = band_exits = 0
     out = Path(args.out)
     d = network.d
     with out.open("w", newline="") as fh:
@@ -241,12 +249,16 @@ def cmd_couple(args) -> int:
         for seed in seeds:
             traj = coupled_ssa(network, partition, chain, x0, args.y0,
                                args.tf, seed=seed, simulator=sim)
+            jumps += len(traj) - 1
+            band_exits += traj.reason == "band"
             cls = traj.states @ np.asarray(partition.weights, dtype=np.int64)
             for i in range(len(traj)):
                 writer.writerow([seed, repr(float(traj.times[i]))]
                                 + [int(v) for v in traj.states[i]]
                                 + [int(cls[i]), int(traj.levels[i])])
-    write_manifest(out, "couple", vars(args), seeds=seeds)
+    write_manifest(out, "couple", vars(args), seeds=seeds,
+                   counters={"paths": len(seeds), "jumps": jumps,
+                             "band_exits": band_exits, **sim.counters})
     print(f"wrote {args.seeds} coupled paths to {out}")
     return 0
 

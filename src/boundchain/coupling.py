@@ -1,15 +1,25 @@
 """Joint construction that runs the network and its 1-D bound in lockstep.
 
-Each joint state (x, ell) gets a transition row built from an optimal
-transport plan between the class-aggregated network row and the chain row,
-both padded with a self-loop so they carry the same total mass.  The plan
-is triangular, so an ordered pair stays ordered after every jump.
+Each joint state (x, ell) gets a transition row built from two rate
+vectors: the network's propensities at x, one row of
+``ReactionNetwork.rates`` with a zero-change self-loop appended, and the
+chain's rates at ell, one row of its band.  The self-loops make both sides
+carry the same total mass M.  While the pair is ordered, the class masses
+of the network row and the chain row are coupled by the north-west-corner
+plan ``pi_bar`` (the comonotone coupling), and each class splits its plan
+row among its destinations by rate share; the plan is triangular, so an
+ordered pair stays ordered after every jump.  A disordered pair moves by
+the product coupling until order is restored.  Every built row is checked
+against both marginals.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from operator import mul
 
 import numpy as np
 
@@ -17,7 +27,7 @@ from .chain import BoundingChain
 from .errors import ConsistencyError, ValidationError
 from .network import ClassPartition, ReactionNetwork, class_of
 from .simulate import check_t_final, make_rng
-from .transport import pi_bar
+from .transport import TransportError, pi_bar
 
 ROW_CACHE = 100_000
 MARGINAL_RTOL = 1e-10
@@ -36,150 +46,123 @@ class CouplingRow:
         """Destination for u uniform on [0, exit_rate)."""
         if self.cum is None:
             self.cum = np.cumsum(self.rates)
-        i = int(np.searchsorted(self.cum, u, side="right"))
-        return self.pairs[min(i, len(self.pairs) - 1)]
+        return self.pairs[min(bisect_right(self.cum, u), len(self.pairs) - 1)]
 
 
 class CoupledSimulator:
     """Builds and caches joint rows for (network, chain) pairs."""
 
     def __init__(self, network: ReactionNetwork, partition: ClassPartition,
-                 chain: BoundingChain, cache_size: int = ROW_CACHE):
+                 chain: BoundingChain):
         if tuple(chain.weights or ()) not in ((), tuple(partition.weights)):
             raise ValidationError("chain weights do not match the partition")
         self.network = network
         self.partition = partition
         self.chain = chain
         self.upper = chain.direction == "upper"
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_size = cache_size
-
-    def _network_moves(self, x: np.ndarray) -> dict:
-        moves: dict[tuple, float] = {}
-        for r in self.network.reactions:
-            rate = r.propensity.evaluate(x)
-            if rate < 0:
-                raise ValidationError(
-                    f"negative propensity at {tuple(int(v) for v in x)}"
-                )
-            if rate == 0.0:
-                continue
-            dest = x + r.change
-            if (dest < 0).any():
-                raise ValidationError(
-                    f"reaction leaves the orthant from {tuple(int(v) for v in x)}"
-                )
-            key = tuple(int(v) for v in dest)
-            moves[key] = moves.get(key, 0.0) + float(rate)
-        return moves
+        self._nu = network.change_matrix().reshape(-1, network.d)
+        # one destination per distinct change vector, the self-loop's zero
+        # vector included, sorted so a row's pairs come out in sorted order
+        moves, first, group = np.unique(
+            np.vstack([self._nu, np.zeros((1, network.d), dtype=np.int64)]),
+            axis=0, return_index=True, return_inverse=True)
+        self._moves = moves
+        self._group = group.reshape(-1)
+        self._self = int(self._group[-1])
+        # class masses add up in reaction order, the self-loop last
+        self._by_reaction = np.argsort(first)
+        self._shift = moves @ np.asarray(partition.weights, dtype=np.int64)
+        self._band = chain.band(chain.l_total)
+        # exit rate per level, added one offset at a time in offset order
+        # (np.sum would group the terms differently)
+        self._exit = np.cumsum(self._band, axis=1)[:, -1]
+        # the cache reaches the simulator through a weak proxy: a bound
+        # method would close a reference cycle that keeps every cached row
+        # alive after the simulator is dropped, until the cyclic GC runs
+        self._row = lru_cache(maxsize=ROW_CACHE)(
+            partial(CoupledSimulator._build_row, weakref.proxy(self)))
 
     def row(self, x, ell: int) -> CouplingRow:
-        key = (tuple(int(v) for v in x), int(ell))
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-            return hit
-        row = self._build_row(np.asarray(x, dtype=np.int64), int(ell))
-        self._cache[key] = row
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return row
+        """Joint row at (x, ell); the ROW_CACHE most recently used are kept."""
+        return self._row(tuple(int(v) for v in x), int(ell))
 
-    def _build_row(self, x: np.ndarray, ell: int) -> CouplingRow:
+    @property
+    def counters(self) -> dict:
+        """Rows built and rows served from the per-pair cache."""
+        info = self._row.cache_info()
+        return {"rows_built": info.misses, "row_hits": info.hits}
+
+    def _build_row(self, state: tuple, ell: int) -> CouplingRow:
+        x = np.asarray(state, dtype=np.int64)
         c = class_of(x, self.partition)
-        source = (tuple(int(v) for v in x), ell)
-        moves = self._network_moves(x)
-        q_x = sum(moves.values())
-        chain_row = self.chain.row(ell)
-        chain_moves = {ell + k: rate for k, rate in chain_row.items()}
-        q_y = sum(chain_moves.values())
+        if not 0 <= ell <= self.chain.l_total:
+            raise ValidationError(
+                f"level {ell} outside the chain's range [0, {self.chain.l_total}]")
+        source = (state, ell)
+        # network side: propensities at x, then the self-loop at mass q_y
+        flow = np.append(self.network.rates(x[None])[0], 0.0)
+        if (flow < 0).any():
+            bad = int(np.flatnonzero(flow < 0)[0])
+            raise ValidationError(
+                f"negative propensity {flow[bad]} for reaction {bad} at {state}")
+        leaves = (flow[:-1] > 0) & (x + self._nu < 0).any(axis=1)
+        if leaves.any():
+            raise ValidationError(
+                f"reaction {int(np.flatnonzero(leaves)[0])} leaves the orthant "
+                f"from {state}")
+        q_x = float(np.cumsum(flow)[-1])  # one reaction at a time, in order
+        q_y = float(self._exit[ell])
         M = q_x + q_y
         if M <= 0.0:
-            return CouplingRow(source=source, pairs=[],
-                               rates=np.zeros(0), exit_rate=0.0, M=0.0)
-        ordered = (c <= ell) if self.upper else (c >= ell)
-        if ordered:
-            joint = self._ordered_row(x, c, ell, moves, chain_moves, q_x, q_y, M)
-        else:
-            joint = self._product_row(x, c, ell, moves, chain_moves, q_x, q_y, M)
-        self._verify_marginals(x, c, ell, moves, chain_moves, q_x, q_y, joint)
-        self_mass = joint.pop(source, 0.0)
-        pairs = sorted(joint)
-        rates = np.array([joint[p] for p in pairs])
-        return CouplingRow(source=source, pairs=pairs, rates=rates,
-                           exit_rate=M - self_mass, M=M)
-
-    def _ordered_row(self, x, c, ell, moves, chain_moves, q_x, q_y, M) -> dict:
-        class_mass: dict[int, float] = {}
-        by_class: dict[int, list] = {}
-        for dest, rate in moves.items():
-            k = class_of(np.asarray(dest), self.partition)
-            class_mass[k] = class_mass.get(k, 0.0) + rate
-            by_class.setdefault(k, []).append((dest, rate))
-        # self-loops make both rows carry mass M
-        class_mass[c] = class_mass.get(c, 0.0) + q_y
-        by_class.setdefault(c, []).append((tuple(int(v) for v in x), q_y))
-        b_moves = dict(chain_moves)
-        b_moves[ell] = b_moves.get(ell, 0.0) + q_x
-        lo = min(min(class_mass), min(b_moves))
-        hi = max(max(class_mass), max(b_moves))
-        a = np.zeros(hi - lo + 1)
+            return CouplingRow(source=source, pairs=[], rates=np.zeros(0),
+                               exit_rate=0.0, M=0.0)
+        flow[-1] = q_y
+        rate = np.bincount(self._group, weights=flow,
+                           minlength=len(self._moves))
+        cls = c + self._shift
+        live = rate > 0
+        # chain side: the band row at ell, then the self-loop at mass q_x
+        J = self.chain.j_max
+        ks = np.flatnonzero(self._band[ell]) - J
+        lo = min(int(cls[live].min()), ell + int(ks.min(initial=0)))
+        hi = max(int(cls[live].max()), ell + int(ks.max(initial=0)))
         b = np.zeros(hi - lo + 1)
-        for k, m in class_mass.items():
-            a[k - lo] = m
-        for k, m in b_moves.items():
-            b[k - lo] = m
-        if self.upper:
-            plan = pi_bar(a, b)  # class index x chain index
+        b[ell + ks - lo] = self._band[ell, ks + J]
+        b[ell - lo] = q_x
+        rows = np.flatnonzero(live)
+        if (c <= ell) if self.upper else (c >= ell):
+            order = self._by_reaction[live[self._by_reaction]]
+            a = np.bincount(cls[order] - lo, weights=rate[order],
+                            minlength=len(b))
+            try:
+                plan = pi_bar(a, b) if self.upper else pi_bar(b, a).T
+            except TransportError as exc:
+                if exc.index is None:
+                    raise
+                raise TransportError(
+                    f"no order-preserving coupling at {source}, class "
+                    f"{lo + exc.index}: {exc}", index=lo + exc.index) from exc
+            at = cls[rows] - lo
+            joint = (rate[rows] / a[at])[:, None] * plan[at]
         else:
-            plan = pi_bar(b, a).T
-        joint: dict[tuple, float] = {}
-        for k, members in by_class.items():
-            total = class_mass[k]
-            row = plan[k - lo]
-            targets = np.flatnonzero(row)
-            for dest, rate in members:
-                share = rate / total
-                for m_idx in targets:
-                    pair = (dest, int(m_idx + lo))
-                    joint[pair] = joint.get(pair, 0.0) + share * row[m_idx]
-        return joint
-
-    def _product_row(self, x, c, ell, moves, chain_moves, q_x, q_y, M) -> dict:
-        # disordered pairs evolve independently until order is restored
-        net = dict(moves)
-        net[tuple(int(v) for v in x)] = net.get(tuple(int(v) for v in x), 0.0) + q_y
-        cha = dict(chain_moves)
-        cha[ell] = cha.get(ell, 0.0) + q_x
-        joint: dict[tuple, float] = {}
-        for dest, r1 in net.items():
-            for m, r2 in cha.items():
-                joint[(dest, m)] = joint.get((dest, m), 0.0) + r1 * r2 / M
-        return joint
-
-    def _verify_marginals(self, x, c, ell, moves, chain_moves, q_x, q_y,
-                          joint) -> None:
-        self_key = tuple(int(v) for v in x)
-        want_net = dict(moves)
-        want_net[self_key] = want_net.get(self_key, 0.0) + q_y
-        want_chain = dict(chain_moves)
-        want_chain[ell] = want_chain.get(ell, 0.0) + q_x
-        got_net: dict[tuple, float] = {}
-        got_chain: dict[int, float] = {}
-        for (dest, m), rate in joint.items():
-            got_net[dest] = got_net.get(dest, 0.0) + rate
-            got_chain[m] = got_chain.get(m, 0.0) + rate
-        scale = max(1.0, q_x + q_y)
-        for want, got, side in ((want_net, got_net, "network"),
-                                (want_chain, got_chain, "chain")):
-            keys = set(want) | set(got)
-            for k in keys:
-                a, b = want.get(k, 0.0), got.get(k, 0.0)
-                if abs(a - b) > MARGINAL_RTOL * scale:
-                    raise ConsistencyError(
-                        f"joint row at ({tuple(int(v) for v in x)}, {ell}) "
-                        f"breaks the {side} marginal at {k}: {b} != {a}"
-                    )
+            joint = np.outer(rate[rows], b) / M
+        dests = x + self._moves[rows]
+        tol = MARGINAL_RTOL * max(1.0, M)
+        net_bad = np.abs(joint.sum(axis=1) - rate[rows]) > tol
+        chain_bad = np.abs(joint.sum(axis=0) - b) > tol
+        if net_bad.any() or chain_bad.any():
+            raise ConsistencyError(
+                f"joint row at {source} breaks its marginals at network "
+                f"states {list(map(tuple, dests[net_bad].tolist()))} and "
+                f"chain levels {(lo + np.flatnonzero(chain_bad)).tolist()}")
+        # the source pair is the diagonal self-loop, not a jump
+        at_self = rows == self._self
+        self_mass = float(joint[at_self, ell - lo].sum())
+        joint[at_self, ell - lo] = 0.0
+        i, j = np.nonzero(joint)
+        pairs = list(zip(map(tuple, dests[i].tolist()), (lo + j).tolist()))
+        return CouplingRow(source=source, pairs=pairs, rates=joint[i, j],
+                           exit_rate=M - self_mass, M=M)
 
     def marginals(self, row: CouplingRow):
         """Reconstructed (network, chain) marginal rates of a joint row."""
@@ -204,7 +187,7 @@ class CoupledTrajectory:
     times: np.ndarray
     states: np.ndarray  # (n, d) network path
     levels: np.ndarray  # (n,) chain path
-    reason: str  # horizon | absorbed | band
+    reason: str  # horizon | absorbed | band | cap
 
     def __len__(self) -> int:
         return len(self.times)
@@ -230,23 +213,24 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
     check_t_final(t_final)
     sim = simulator or CoupledSimulator(network, partition, chain)
     rng = make_rng(seed)
-    x = np.asarray(x0, dtype=np.int64).copy()
+    x = tuple(int(v) for v in x0)
     y = int(y0)
     c = class_of(x, partition)
+    w = partition.weights
     if sim.upper and c > y:
         raise ValidationError(f"start is not ordered: class {c} > level {y}")
     if not sim.upper and c < y:
         raise ValidationError(f"start is not ordered: class {c} < level {y}")
     t = 0.0
     times = [0.0]
-    xs = [x.copy()]
+    xs = [x]
     ys = [y]
     reason = "horizon"
     for _ in range(jump_cap):
         if y > chain.l_total - chain.j_max:
             reason = "band"
             break
-        row = sim.row(x, y)
+        row = sim._row(x, y)
         if row.exit_rate <= 0.0:
             reason = "absorbed"
             break
@@ -255,20 +239,18 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
             reason = "horizon"
             break
         t += dt
-        dest, m = row.sample(rng.uniform(0.0, row.exit_rate))
-        x = np.asarray(dest, dtype=np.int64)
-        y = m
-        c = class_of(x, partition)
+        x, y = row.sample(rng.uniform(0.0, row.exit_rate))
+        c = sum(map(mul, w, x))
         if (sim.upper and c > y) or (not sim.upper and c < y):
             raise ConsistencyError(
                 f"order broke at t={t}: class {c} vs level {y} "
                 f"(seed {seed})"
             )
         times.append(t)
-        xs.append(x.copy())
+        xs.append(x)
         ys.append(y)
     else:
         reason = "cap"
     return CoupledTrajectory(seed=seed, times=np.asarray(times),
-                             states=np.asarray(xs),
+                             states=np.asarray(xs, dtype=np.int64),
                              levels=np.asarray(ys), reason=reason)

@@ -49,16 +49,6 @@ class Trajectory:
         return len(self.times)
 
 
-def _network_step_rates(network: ReactionNetwork, x: np.ndarray):
-    rates = np.array([r.propensity.evaluate(x) for r in network.reactions])
-    if (rates < 0).any():
-        bad = int(np.argmin(rates))
-        raise ValidationError(
-            f"negative propensity {rates[bad]} for reaction {bad} at {tuple(x)}"
-        )
-    return rates
-
-
 def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
         jump_cap: int = DEFAULT_JUMP_CAP) -> Trajectory:
     """Exact jump-by-jump simulation up to t_final.
@@ -92,7 +82,12 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
             offsets = list(row)
             rates = np.array([row[k] for k in offsets])
         else:
-            rates = _network_step_rates(model, x)
+            rates = model.rates(x[None])[0]
+            if (rates < 0).any():
+                bad = int(np.argmin(rates))
+                raise ValidationError(
+                    f"negative propensity {rates[bad]} for reaction {bad} at "
+                    f"{tuple(x)}")
         total = float(rates.sum())
         if total <= 0.0:
             reason = "absorbed"

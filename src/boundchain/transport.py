@@ -21,15 +21,21 @@ class TransportError(ValidationError):
         self.index = index
 
 
-def pi(x: float, u) -> np.ndarray:
-    """Greedy fill of mass ``x`` into slots ``u``: min(max(x - u_{0:k-1}, 0), u_k)."""
+def pi(x, u) -> np.ndarray:
+    """Greedy fill of mass ``x`` into slots ``u``: min(max(x - u_{0:k-1}, 0), u_k).
+
+    ``x`` may be an array of masses; the result then holds one fill per mass,
+    with shape ``x.shape + u.shape``.
+    """
     u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
     total = float(u.sum())
     scale = max(1.0, total)
-    if x < -1e-12 * scale or x > total + 1e-12 * scale:
-        raise TransportError(f"mass {x} outside [0, {total}]")
+    bad = (x < -1e-12 * scale) | (x > total + 1e-12 * scale)
+    if bad.any():
+        raise TransportError(f"mass {x[bad].flat[0]} outside [0, {total}]")
     prev = np.concatenate(([0.0], np.cumsum(u)[:-1]))
-    return np.clip(x - prev, 0.0, u)
+    return np.clip(x[..., None] - prev, 0.0, u)
 
 
 def pi_bar(a, b, rtol: float = 1e-12) -> np.ndarray:
@@ -37,10 +43,11 @@ def pi_bar(a, b, rtol: float = 1e-12) -> np.ndarray:
 
     Requires equal totals and prefix domination a_{0:k} >= b_{0:k}; both are
     checked with relative slack ``rtol``.  Row k of the result is
-    Pi[a_{0:k}, b] - Pi[a_{0:k-1}, b].  Under domination the plan is zero
-    strictly below the diagonal, which is what the coupling construction
-    needs; a violated prefix therefore doubles as a runtime check that the
-    candidate chain really bounds the network.
+    Pi[a_{0:k}, b] - Pi[a_{0:k-1}, b], every row from one broadcast fill.
+    Under domination the plan is zero strictly below the diagonal, which is
+    what the coupling construction needs; a violated prefix therefore
+    doubles as a runtime check that the candidate chain really bounds the
+    network.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -63,14 +70,15 @@ def pi_bar(a, b, rtol: float = 1e-12) -> np.ndarray:
             f"a[0:{k}] = {cum_a[k]} < b[0:{k}] = {cum_b[k]}",
             index=k,
         )
-    prev_fill = np.zeros_like(b)
-    plan = np.zeros((len(a), len(b)))
-    for k in range(len(a)):
-        fill = pi(min(cum_a[k], float(b.sum())), b)
-        plan[k] = fill - prev_fill
-        prev_fill = fill
+    # a row with a_k = 0 is Pi[A_k] - Pi[A_k] = 0, so fill only where a_k != 0
+    k = np.flatnonzero(a)
+    mass = np.minimum(np.concatenate(([0.0], cum_a)), float(b.sum()))
+    fill = pi(np.stack([mass[k + 1], mass[k]]), b)
+    rows = fill[0] - fill[1]
     # greedy differences can leave -1e-17 noise; genuine negatives cannot occur
-    plan[np.abs(plan) < 1e-15 * scale] = 0.0
-    if (plan < 0).any():
+    rows[np.abs(rows) < 1e-15 * scale] = 0.0
+    if (rows < 0).any():
         raise TransportError("plan has a negative entry", index=None)
+    plan = np.zeros((len(a), len(b)))
+    plan[k] = rows
     return plan

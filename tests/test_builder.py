@@ -481,3 +481,14 @@ def test_from_csv_rejects_corrupt_files(tmp_path, upper211, edit):
     path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(ValidationError):
         BoundingChain.from_csv(path)
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="optimal_U keeps in-band f-values in the lower plus "
+                   "table's j_max+1 column at the empty class 1, so phi_inverse "
+                   "rejects the table: U beyond the band does not vanish")
+def test_lower_chain_over_empty_classes_builds(network):
+    part = ClassPartition((4, 3, 5))  # classes 1 and 2 hold no state
+    chain = build_bounding_chain(network, part, "lower", l_exact=90)
+    assert verify_assumptions(network, part, chain,
+                              chain.l_total - chain.j_max)

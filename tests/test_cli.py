@@ -244,6 +244,73 @@ def test_couple_cli(tmp_path, chain_csv):
     assert man["seeds"] == [0, 1, 2]
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_couple_csv_is_byte_identical(tmp_path, chain_csv):
+    # recorded with the coupling rows built one dict entry at a time
+    out = tmp_path / "paths.csv"
+    assert main(["couple", "--network", NET, "--chain", chain_csv,
+                 "--x0", "15,5,5", "--y0", "40", "--tf", "20",
+                 "--seeds", "12", "--seed", "100", "--out", str(out)]) == 0
+    assert sha256(out) == (
+        "adfb977f26ce1f6959c5f0e636cd103b5bf1faf0a891bced1c61be9f90bc3ab0")
+
+
+# recorded with the propensities evaluated one reaction at a time
+@pytest.mark.parametrize("seed, digest", [
+    (0, "b996bc3854275bf673476d1904c2b19d84c45344d949a733c035d040456b6931"),
+    (4, "37c7af2d8b6f60e7bf5d6463301a96d4c54d86b38cf382d272ea1d19efcbca9b"),
+    (7, "58c0652fed61ccbe77a8db59ade4ec971e82f8a454045df1faf8d6d58bbd03e0"),
+])
+def test_simulate_csv_is_byte_identical(tmp_path, seed, digest):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--network", NET, "--x0", "3,2,1",
+                 "--tf", "2.0", "--seed", str(seed), "--out", str(out)]) == 0
+    assert sha256(out) == digest
+
+
+def test_manifest_records_inputs_and_couple_counters(tmp_path, chain_csv,
+                                                    capsys):
+    net = tmp_path / "net.json"
+    net.write_bytes(Path(NET).read_bytes())
+    out = tmp_path / "paths.csv"
+    argv = ["couple", "--network", str(net), "--chain", chain_csv,
+            "--x0", "3,2,1", "--y0", "12", "--tf", "1.5", "--seeds", "3",
+            "--out", str(out)]
+    manifest = tmp_path / "paths.csv.manifest.json"
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append((json.loads(manifest.read_text()),
+                     capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    man = runs[0][0]
+    assert man["inputs"] == {"network": sha256(net), "chain": sha256(chain_csv)}
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    counters = man["counters"]
+    assert counters["paths"] == 3
+    assert counters["jumps"] == len(rows) - 3
+    # every horizon-ended path asks for one more row than it jumps
+    assert (counters["rows_built"] + counters["row_hits"]
+            == counters["jumps"] + 3 - counters["band_exits"])
+
+    # one byte of whitespace: same network, same config, another input hash
+    doc = bytearray(net.read_bytes())
+    doc[doc.index(b" ")] = ord("\t")
+    net.write_bytes(bytes(doc))
+    assert main(argv) == 0
+    edited = json.loads(manifest.read_text())
+    assert capsys.readouterr().out == runs[0][1]
+    assert edited["config_sha256"] == man["config_sha256"]
+    assert edited["inputs"]["network"] != man["inputs"]["network"]
+    assert edited["inputs"]["chain"] == man["inputs"]["chain"]
+    assert {k: v for k, v in edited.items() if k != "inputs"} == {
+        k: v for k, v in man.items() if k != "inputs"}
+
+
 def test_simulate_cli(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert main(["simulate", "--network", NET, "--x0", "3,2,1",

@@ -1,23 +1,31 @@
 """Joint (network, chain) transition rows and the coupled simulation."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from boundchain import (ClassPartition, CoupledSimulator, ValidationError,
-                        build_bounding_chain, coupled_ssa, coupling_row)
+from boundchain import (BoundingChain, ClassPartition, CoupledSimulator,
+                        TransportError, ValidationError, build_bounding_chain,
+                        coupled_ssa, coupling_row, network_from_dict)
 from boundchain.network import class_of
+from conftest import NETWORK_DOC
 
 
 def marginal_tols(sim, x, ell):
     """Expected marginal rates of the joint row at (x, ell), self-loops in."""
-    moves = sim._network_moves(np.asarray(x, dtype=np.int64))
-    q_x = sum(moves.values())
-    chain_moves = {ell + k: r for k, r in sim.chain.row(ell).items()}
-    q_y = sum(chain_moves.values())
-    want_net = dict(moves)
     key = tuple(int(v) for v in x)
+    want_net = {}
+    for r in sim.network.reactions:
+        rate = r.propensity.evaluate(key)
+        if rate > 0.0:
+            dest = tuple(v + dv for v, dv in zip(key, r.change))
+            want_net[dest] = want_net.get(dest, 0.0) + rate
+    q_x = sum(want_net.values())
+    want_chain = {ell + k: r for k, r in sim.chain.row(ell).items()}
+    q_y = sum(want_chain.values())
     want_net[key] = want_net.get(key, 0.0) + q_y
-    want_chain = dict(chain_moves)
     want_chain[ell] = want_chain.get(ell, 0.0) + q_x
     return want_net, want_chain
 
@@ -134,3 +142,122 @@ def test_coupled_start_anywhere_ordered(network, part211, upper211):
     assert traj.ordered_throughout(part211, upper=True)
     x0class = class_of(np.array([0, 0, 0]), part211)
     assert traj.levels[0] == 0 and x0class == 0
+
+
+# two reactions share the change (1, 0) and one has the zero change
+SHARED_DOC = {
+    "species": ["A", "B"],
+    "reactions": [
+        {"change": [1, 0], "propensity": [{"coeff": 1.0}]},
+        {"change": [0, -1],
+         "propensity": [{"coeff": 2.0, "factors": [{"species": "B"}]}]},
+        {"change": [1, 0],
+         "propensity": [{"coeff": 0.5, "factors": [{"species": "B"}]}]},
+        {"change": [0, 0],
+         "propensity": [{"coeff": 0.7, "factors": [{"species": "A"}]}]},
+        {"change": [-1, 1],
+         "propensity": [{"coeff": 1.0, "factors": [{"species": "A"}]}]},
+        {"change": [-1, 0],
+         "propensity": [{"coeff": 1.5, "factors": [{"species": "A"}]}]},
+    ],
+}
+
+
+def test_shared_changes_give_one_pair_per_destination():
+    net = network_from_dict(SHARED_DOC)
+    part = ClassPartition((2, 1))
+    chain = build_bounding_chain(net, part, "upper", l_exact=30, l_total=60)
+    sim = CoupledSimulator(net, part, chain)
+    # ordered rows, the origin, and a disordered row (class 18 > 12)
+    for x, ell in [((2, 3), 7), ((2, 3), 20), ((0, 4), 4), ((0, 0), 0),
+                   ((5, 0), 10), ((6, 6), 12)]:
+        row = sim.row(x, ell)
+        assert row.pairs == sorted(set(row.pairs))
+        assert row.source not in row.pairs
+        assert_marginals(sim, x, ell)
+    traj = coupled_ssa(net, part, chain, (2, 3), 7, t_final=5.0, seed=1,
+                       simulator=sim)
+    assert traj.ordered_throughout(part, upper=True)
+
+
+def row_digest(sim, pairs):
+    """sha256 over (pairs, rates, exit_rate, M) of the rows at ``pairs``."""
+    h = hashlib.sha256()
+    for x, ell in sorted(pairs):
+        row = sim.row(x, ell)
+        h.update(repr([(tuple(int(v) for v in dest), int(m))
+                       for dest, m in row.pairs]).encode())
+        h.update(np.asarray(row.rates, dtype=float).tobytes())
+        h.update(repr((float(row.exit_rate), float(row.M))).encode())
+    return h.hexdigest()
+
+
+def visited_pairs(network, part, chain, sim, seeds, t_final):
+    visited = set()
+    for seed in seeds:
+        traj = coupled_ssa(network, part, chain, (15, 5, 5), 40, t_final,
+                           seed=seed, simulator=sim)
+        visited.update(zip(map(tuple, traj.states.tolist()),
+                           traj.levels.tolist()))
+    return visited
+
+
+def test_visited_rows_are_unchanged(network, part211, upper211):
+    # the rows seeds 0-9 of acceptance criterion 5 visit, as the dict-built
+    # rows gave them: every float must be the same
+    sim = CoupledSimulator(network, part211, upper211)
+    visited = visited_pairs(network, part211, upper211, sim, range(10), 20.0)
+    assert len(visited) == 2423
+    assert row_digest(sim, visited) == (
+        "2c6df5589c302f2af8c6de8dfefb986b6efdc57cfb5f80d9ee1ec780c9620f07")
+
+
+def test_rows_keep_their_summation_order(part211):
+    # rates that binary floating point cannot hold exactly, so the order in
+    # which a row adds them up shows in its last bits
+    doc = dict(NETWORK_DOC, parameters={
+        "b1": 1.1, "b2": 2.3, "alpha": 2.3, "beta": 1.7, "d1": 2.1,
+        "d2": 2.9, "d3": 3.3})
+    network = network_from_dict(doc)
+    chain = build_bounding_chain(network, part211, "upper", l_exact=70,
+                                 l_total=3000)
+    sim = CoupledSimulator(network, part211, chain)
+    visited = visited_pairs(network, part211, chain, sim, range(5), 5.0)
+    assert len(visited) == 1005
+    assert row_digest(sim, visited) == (
+        "d20bb0a879a0efc98d2476be5938e7527687791ec79992fe2ca6ce5ef223d8a6")
+
+
+def test_row_counters(network, part211, upper211):
+    sim = CoupledSimulator(network, part211, upper211)
+    sim.row((3, 2, 1), 9)
+    sim.row(np.array([3, 2, 1]), 9)
+    sim.row((3, 2, 1), 10)
+    assert sim.counters == {"rows_built": 2, "row_hits": 1}
+
+
+def test_row_rejects_levels_off_the_band(network, part211, upper211):
+    sim = CoupledSimulator(network, part211, upper211)
+    for ell in (-1, upper211.l_total + 1):
+        with pytest.raises(ValidationError):
+            sim.row((0, 0, 0), ell)
+
+
+def test_undominated_chain_raises_transport_error(network, part211,
+                                                  upper211):
+    # with its up-rates halved the chain no longer bounds the network, and
+    # the first row that needs the missing up-mass must refuse to couple
+    def halve(tm):
+        return replace(tm, intercepts=tuple(0.5 * v for v in tm.intercepts),
+                       slope=0.5 * tm.slope, c2=0.5 * tm.c2, c3=0.5 * tm.c3)
+
+    chain = BoundingChain(
+        "upper", upper211.j_max, upper211.l_exact, upper211.l_total,
+        {k: 0.5 * v if k > 0 else v for k, v in upper211.exact.items()},
+        {k: halve(tm) if k > 0 else tm for k, tm in upper211.tails.items()},
+        weights=upper211.weights)
+    with pytest.raises(TransportError) as err:
+        coupled_ssa(network, part211, chain, (15, 5, 5), 40, 20.0, seed=0)
+    k = err.value.index
+    assert isinstance(k, int) and 0 <= k <= upper211.l_total
+    assert f"class {k}" in str(err.value)
