@@ -110,7 +110,7 @@ def _shift(row: np.ndarray, step: int, edge: float) -> np.ndarray:
     return out
 
 
-def optimal_U(f: FTable, direction: str | None = None) -> UTable:
+def optimal_U(f: FTable) -> UTable:
     """Running min/max aggregation of the f-table over class ranges.
 
     In band coordinates (j = |ell - m|) an aggregation range gains one class
@@ -122,12 +122,9 @@ def optimal_U(f: FTable, direction: str | None = None) -> UTable:
     requirements (max of the two already-forced neighbors one offset
     further out), which keeps the table inside the admissible set.
     """
-    direction = direction or f.direction
-    if direction != f.direction:
-        raise ValidationError("f-table direction does not match the requested one")
     J = f.j_max
     L = f.l_max
-    upper = direction == "upper"
+    upper = f.direction == "upper"
     # a run of r empty classes empties ranges of up to r classes, and their
     # fill reads offset r + 1
     padded = np.concatenate(([False], f.empty, [False]))
@@ -170,7 +167,7 @@ def optimal_U(f: FTable, direction: str | None = None) -> UTable:
             "empty-class fill needs f-values beyond the computed range; "
             "raise l_exact"
         )
-    return UTable(direction, J, l_out, minus, plus)
+    return UTable(f.direction, J, l_out, minus, plus)
 
 
 def check_u_membership(U: UTable, rtol: float = RTOL) -> list:
@@ -269,13 +266,16 @@ def _fit_window(values: np.ndarray, start: int, offset: int,
             continue  # need at least three points per residue
         diffs = (values[p:] - values[:-p]) / p
         slope = float(np.mean(diffs))
-        intercepts = []
-        for residue in range(p):
-            idx = np.flatnonzero(ells % p == residue)
-            beta = values[idx[-1]] - slope * ells[idx[-1]]
-            intercepts.append(float(beta))
-        candidates.append(TailModel(offset=offset, onset=start, period=p,
-                                    intercepts=tuple(intercepts), slope=slope))
+        # a flat tail first: on constant rates the mean difference can be
+        # rounding noise, and a noise slope turns exact zeros negative
+        for s in (0.0, slope) if slope else (0.0,):
+            intercepts = []
+            for residue in range(p):
+                idx = np.flatnonzero(ells % p == residue)
+                beta = values[idx[-1]] - s * ells[idx[-1]]
+                intercepts.append(float(beta))
+            candidates.append(TailModel(offset=offset, onset=start, period=p,
+                                        intercepts=tuple(intercepts), slope=s))
     for deg in (2, 3):
         if deg > degree_max or n < deg + 2:
             continue

@@ -21,9 +21,10 @@ import numpy as np
 from . import __version__
 from .builder import build_bounding_chain, verify_assumptions
 from .chain import BoundingChain
-from .classifier import (check_irreducible, classify, combine, drift_stats)
-from .cme import (TruncatedCME, _crossing_rates, _initial_tail, delta_p0,
-                  min_truncation, solve_chain_cme, truncation_certificate)
+from .classifier import (ChainClass, check_irreducible, classify, combine,
+                         drift_stats)
+from .cme import (TruncatedCME, _initial_tail, delta_p0, min_truncation,
+                  solve_chain_cme, truncation_certificate)
 from .coupling import CoupledSimulator, coupled_ssa
 from .errors import ConsistencyError, InfeasibleError, ToolError, ValidationError
 from .network import ClassPartition, load_network
@@ -115,8 +116,14 @@ def _solver_counters(cme: TruncatedCME) -> dict:
             "solver_term": cme.solver_term}
 
 
-def _load_chain(path: str) -> BoundingChain:
-    return BoundingChain.from_csv(path)
+def _emit(args, command: str, doc: dict, **manifest) -> int:
+    """Print a JSON result; with --out also write it and its manifest."""
+    text = json.dumps(doc, indent=2)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+        write_manifest(Path(args.out), command, vars(args), **manifest)
+    print(text)
+    return 0
 
 
 def _partition_for(chain: BoundingChain | None, weights: str | None) -> ClassPartition:
@@ -150,7 +157,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     network = load_network(args.network)
-    chain = _load_chain(args.chain)
+    chain = BoundingChain.from_csv(args.chain)
     partition = _partition_for(chain, args.weights)
     report = verify_assumptions(network, partition, chain, args.l_check)
     if report.ok:
@@ -164,12 +171,12 @@ def cmd_verify(args) -> int:
     return 2
 
 
-def cmd_classify(args) -> int:
-    chain = _load_chain(args.chain)
+def _classify_doc(chain: BoundingChain) -> dict:
+    """Drift statistics, class and irreducibility of one chain."""
     stats = drift_stats(chain)
     label = classify(stats)
     attestation = check_irreducible(chain)
-    doc = {
+    return {
         "direction": chain.direction,
         "B1": stats.b1,
         "B2": stats.b2,
@@ -182,12 +189,11 @@ def cmd_classify(args) -> int:
         "irreducible": attestation.attested,
         "irreducibility_detail": attestation.detail,
     }
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        write_manifest(Path(args.out), "classify", vars(args))
-    print(text)
-    return 0
+
+
+def cmd_classify(args) -> int:
+    return _emit(args, "classify",
+                 _classify_doc(BoundingChain.from_csv(args.chain)))
 
 
 def _read_report(path: str) -> dict:
@@ -200,6 +206,18 @@ def _read_report(path: str) -> dict:
     return doc
 
 
+def _verdict_doc(lower: dict, upper: dict,
+                 assume_irreducible: bool = False) -> dict:
+    """The network's verdict from the lower and upper classify documents."""
+    z = ChainClass(lower.get("class"), lower.get("provenance") or "external report")
+    y = ChainClass(upper.get("class"), upper.get("provenance") or "external report")
+    z_irr = bool(lower.get("irreducible", False)) or assume_irreducible
+    y_irr = bool(upper.get("irreducible", False)) or assume_irreducible
+    verdict = combine(z, y, z_irreducible=z_irr, y_irreducible=y_irr)
+    return {"x_behavior": verdict.label, "detail": verdict.detail,
+            "lower_class": z.label, "upper_class": y.label}
+
+
 def cmd_combine(args) -> int:
     lower = _read_report(args.lower)
     upper = _read_report(args.upper)
@@ -207,26 +225,14 @@ def cmd_combine(args) -> int:
         if doc.get("direction") not in (want, None):
             raise ValidationError(f"{src} is a {doc.get('direction')} chain, "
                                   f"expected {want}")
-    from .classifier import ChainClass
-    z = ChainClass(lower.get("class"), lower.get("provenance") or "external report")
-    y = ChainClass(upper.get("class"), upper.get("provenance") or "external report")
-    z_irr = bool(lower.get("irreducible", False)) or args.assume_irreducible
-    y_irr = bool(upper.get("irreducible", False)) or args.assume_irreducible
-    verdict = combine(z, y, z_irreducible=z_irr, y_irreducible=y_irr)
-    doc = {"x_behavior": verdict.label, "detail": verdict.detail,
-           "lower_class": z.label, "upper_class": y.label}
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        write_manifest(Path(args.out), "combine", vars(args))
-    print(text)
-    return 0
+    return _emit(args, "combine",
+                 _verdict_doc(lower, upper, args.assume_irreducible))
 
 
 def cmd_couple(args) -> int:
     network = load_network(args.network)
     if args.chain:
-        chain = _load_chain(args.chain)
+        chain = BoundingChain.from_csv(args.chain)
         partition = _partition_for(chain, args.weights)
     else:
         if not args.weights:
@@ -280,13 +286,7 @@ def cmd_simulate(args) -> int:
         doc = {"estimate": est.estimate, "lo": est.lo, "hi": est.hi,
                "exits": est.exits, "samples": est.samples, "N": est.N,
                "t_final": est.t_final, "seed": est.seed}
-        text = json.dumps(doc, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-            write_manifest(Path(args.out), "simulate", vars(args),
-                           seeds=[args.seed])
-        print(text)
-        return 0
+        return _emit(args, "simulate", doc, seeds=[args.seed])
     traj = ssa(network, x0, args.tf, seed=args.seed)
     out = Path(args.out or "trajectory.csv")
     with out.open("w", newline="") as fh:
@@ -301,7 +301,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    chain = _load_chain(args.chain)
+    chain = BoundingChain.from_csv(args.chain)
     p0 = parse_p0(args.p0, args.M)
     cme = solve_chain_cme(chain, args.M, p0, args.tf, budget=args.budget)
     if args.N is not None:
@@ -318,35 +318,24 @@ def cmd_truncate(args) -> int:
         "flux": cert.flux, "solver_term": cert.solver_term,
         "bound": cert.bound, "bound_clipped": cert.bound_clipped,
     }
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        write_manifest(Path(args.out), "truncate", vars(args),
-                       counters=_solver_counters(cme))
-    print(text)
-    return 0
+    return _emit(args, "truncate", doc, counters=_solver_counters(cme))
 
 
 def cmd_plan_truncation(args) -> int:
-    chain = _load_chain(args.chain)
+    chain = BoundingChain.from_csv(args.chain)
     p0 = parse_p0(args.p0, args.M)
     cme = solve_chain_cme(chain, args.M, p0, args.tf, budget=args.budget)
     plan = {}
     for eps in parse_floats(args.epsilons):
         plan[str(eps)] = min_truncation(chain, p0, args.M, args.tf, eps,
                                         cme=cme)
-    text = json.dumps({"M": args.M, "t_final": args.tf, "plan": plan},
-                      indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        write_manifest(Path(args.out), "plan-truncation", vars(args),
-                       counters=_solver_counters(cme))
-    print(text)
-    return 0
+    return _emit(args, "plan-truncation",
+                 {"M": args.M, "t_final": args.tf, "plan": plan},
+                 counters=_solver_counters(cme))
 
 
 def cmd_heatmap(args) -> int:
-    chain = _load_chain(args.chain)
+    chain = BoundingChain.from_csv(args.chain)
     n_grid = parse_grid(args.n_grid, integer=True)
     t_grid = parse_grid(args.t_grid)
     M = int(n_grid.max())
@@ -355,8 +344,8 @@ def cmd_heatmap(args) -> int:
     cme = solve_chain_cme(chain, M, p0, t_max or 1.0, budget=args.budget)
     fine = np.linspace(0.0, t_max, max(2, 16 * len(t_grid)))
     # the fine grid and the requested times in one uniformization pass
-    P = cme.p_report(np.concatenate([fine, t_grid]))
-    table = _crossing_rates(cme) @ P[:, :len(fine)]  # flux_N on the fine grid
+    P = cme.p(np.concatenate([fine, t_grid]))
+    table = cme.crossing_rates @ P[:, :len(fine)]  # flux_N on the fine grid
     # running integral of the flux (trapezoid), read off at the requested
     # times; it undershoots the exact integral by up to ~5e-5 on the README
     # grid, so cells can sit below certificate_table's E_T
@@ -419,29 +408,18 @@ def cmd_analyze(args) -> int:
         report[f"{direction}_chain"] = str(path)
 
         def classify_stage(c=chain):
-            stats = drift_stats(c)
-            label = classify(stats)
-            att = check_irreducible(c)
-            return {"class": label.label, "provenance": label.provenance,
-                    "B1": stats.b1, "B2": stats.b2, "B3": stats.b3,
-                    "valid": stats.valid, "irreducible": att.attested}
+            doc = _classify_doc(c)  # analysis.json keeps seven of its keys
+            return {k: doc[k] for k in ("class", "provenance", "B1", "B2",
+                                        "B3", "valid", "irreducible")}
         info = stage(f"classify-{direction}", classify_stage)
         if info is not None:
             labels[direction] = info
             report[f"{direction}_class"] = info
 
     if "lower" in labels and "upper" in labels:
-        from .classifier import ChainClass
-
         def combine_stage():
-            z = ChainClass(labels["lower"]["class"],
-                           labels["lower"]["provenance"])
-            y = ChainClass(labels["upper"]["class"],
-                           labels["upper"]["provenance"])
-            v = combine(z, y,
-                        z_irreducible=labels["lower"]["irreducible"],
-                        y_irreducible=labels["upper"]["irreducible"])
-            return {"x_behavior": v.label, "detail": v.detail}
+            doc = _verdict_doc(labels["lower"], labels["upper"])
+            return {k: doc[k] for k in ("x_behavior", "detail")}
         verdict = stage("combine", combine_stage)
         if verdict is not None:
             report["verdict"] = verdict

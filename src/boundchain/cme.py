@@ -22,6 +22,7 @@ term.  The cost is about Lambda * t_final sparse mat-vecs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -238,9 +239,6 @@ class TruncatedCME:
     def p(self, t):
         return self.sol(t)
 
-    def p_report(self, t):
-        return np.clip(self.sol(t), 0.0, None)
-
     def mass(self, t) -> float:
         return float(np.sum(self.sol(t)))
 
@@ -248,7 +246,27 @@ class TruncatedCME:
         """P(class <= level) for each requested level, at one time, or one
         column per time for an array of times."""
         below = self.classes <= np.asarray(levels)[:, None]
-        return below.astype(float) @ self.p_report(t)
+        return below.astype(float) @ self.p(t)
+
+    @cached_property
+    def crossing_rates(self) -> sp.csr_matrix:
+        """C[N, i] = sum of q_ij over jumps i -> j with class(i) <= N < class(j).
+
+        C @ w is then, for every window [0, N] at once, the rate of jumps out
+        of the window weighted by w: with w = p(t) the exit flux at t, with
+        w = z its integral over [0, t_final].  All entries are positive, so
+        the reduction has no cancellation.
+        """
+        coo = self.Q.tocoo()
+        ci, cj = self.classes[coo.row], self.classes[coo.col]
+        up = cj > ci
+        span = (cj - ci)[up]
+        first = np.repeat(ci[up], span)
+        offset = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+        return sp.csr_matrix(
+            (np.repeat(coo.data[up], span),
+             (first + offset, np.repeat(coo.row[up], span))),
+            shape=(int(self.classes.max()) + 1, len(self.classes)))
 
 
 def solve_cme(Q: sp.spmatrix, p0, t_final: float,
@@ -322,26 +340,6 @@ def delta_p0(M: int, at: int) -> np.ndarray:
     return p0
 
 
-def _crossing_rates(cme: TruncatedCME) -> sp.csr_matrix:
-    """C[N, i] = sum of q_ij over jumps i -> j with class(i) <= N < class(j).
-
-    C @ w is then, for every window [0, N] at once, the rate of jumps out of
-    the window weighted by w: with w = p(t) the exit flux at t, with w = z
-    its integral over [0, t_final].  All entries are positive, so the
-    reduction has no cancellation.
-    """
-    coo = cme.Q.tocoo()
-    ci, cj = cme.classes[coo.row], cme.classes[coo.col]
-    up = cj > ci
-    span = (cj - ci)[up]
-    first = np.repeat(ci[up], span)
-    offset = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
-    return sp.csr_matrix(
-        (np.repeat(coo.data[up], span),
-         (first + offset, np.repeat(coo.row[up], span))),
-        shape=(int(cme.classes.max()) + 1, len(cme.classes)))
-
-
 def _initial_tail(cme: TruncatedCME) -> np.ndarray:
     """p0 mass strictly above class N, for every N."""
     mass = np.bincount(cme.classes, weights=cme.p0)
@@ -355,11 +353,11 @@ def exit_flux(cme: TruncatedCME, N: int):
     the rate into states of class > N; its integral is the same sum over
     the occupation time z, short of the true one by at most the solver term.
     """
-    C = _crossing_rates(cme)
+    C = cme.crossing_rates
     u = C[N] if 0 <= N < C.shape[0] else sp.csr_matrix((1, C.shape[1]))
 
     def flux(t):
-        vals = (u @ cme.p_report(t))[0]
+        vals = (u @ cme.p(t))[0]
         return float(vals) if np.ndim(t) == 0 else vals
 
     return flux, float((u @ cme.occupation)[0])
@@ -385,15 +383,14 @@ class TruncationCertificate:
 
 
 def _certificate(cme: TruncatedCME, N: int) -> TruncationCertificate:
-    mass_deficit = max(0.0, 1.0 - cme.mass(cme.t_final))
-    initial_tail = float(cme.p0[cme.classes > N].sum())
-    _, F = exit_flux(cme, N)
-    bound = mass_deficit + initial_tail + F + cme.solver_term
+    bounds, parts = certificate_table(cme)
+    bound = float(bounds[N])
     return TruncationCertificate(
         N=N, M=int(cme.classes.max()), t_final=cme.t_final,
-        mass_deficit=mass_deficit, initial_tail=initial_tail, flux=F,
-        solver_term=cme.solver_term, bound=bound,
-        bound_clipped=min(1.0, max(0.0, bound)),
+        mass_deficit=parts["mass_deficit"],
+        initial_tail=float(parts["initial_tail"][N]),
+        flux=float(parts["flux"][N]), solver_term=parts["solver_term"],
+        bound=bound, bound_clipped=min(1.0, max(0.0, bound)),
     )
 
 
@@ -419,7 +416,7 @@ def certificate_table(cme: TruncatedCME):
     """
     mass_deficit = max(0.0, 1.0 - cme.mass(cme.t_final))
     initial_tail = _initial_tail(cme)
-    F = _crossing_rates(cme) @ cme.occupation
+    F = cme.crossing_rates @ cme.occupation
     bounds = mass_deficit + initial_tail + F + cme.solver_term
     return bounds, {
         "mass_deficit": mass_deficit,

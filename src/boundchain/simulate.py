@@ -1,7 +1,11 @@
 """Stochastic simulation for reaction networks and 1-D chains.
 
-All randomness flows through a counter-based Philox generator seeded
-explicitly, so trajectories are reproducible across runs and platforms.
+Plain SSA (Gillespie's direct method) has one kernel, ``_lockstep``: a
+batch of paths advanced in sweeps of one jump per live path.  ``ssa`` is a
+one-path run on a network's propensities or on the rows of a chain's band,
+``estimate_exit`` a many-path run on a network.  All randomness flows
+through a counter-based Philox generator seeded explicitly, so trajectories
+are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class Trajectory:
     seed: int
     times: np.ndarray
     states: np.ndarray
-    reason: str  # horizon | exit | cap | absorbed
+    reason: str  # horizon | exit | cap | absorbed | band
 
     @property
     def final_state(self):
@@ -49,69 +53,103 @@ class Trajectory:
         return len(self.times)
 
 
+def _lockstep(rates, changes, X, t_final, rng, jump_cap, after):
+    """Gillespie's direct method on every row of ``X`` at once, in place.
+
+    Each sweep gives every live path one jump: ``rates(X[live])`` is a
+    (k, r) matrix whose column i (reaction i of a network) moves a path by
+    ``changes[i]``; a negative entry raises, naming the reaction and the
+    state.  A path whose row total is 0 is absorbed.  The others draw a clock
+    ``exponential(1 / total)``; a jump that would land past ``t_final`` is
+    discarded and the path ends at the horizon.  The rest pick a column by
+    ``uniform(0, total)`` against the row's cumulative sum (clamped to the
+    last column), move, and go to ``after(moved, t)`` with their new times,
+    which returns a mask of the moved paths that stop.  Returns each path's
+    end: "absorbed", "horizon", "stop", or "cap" for a path still live
+    after ``jump_cap`` jumps.
+    """
+    end = np.full(len(X), "cap", dtype=object)
+    t = np.zeros(len(X))
+    live = np.arange(len(X))
+    for _ in range(jump_cap):
+        if not live.size:
+            break
+        R = rates(X[live])
+        if (R < 0).any():
+            i, j = np.argwhere(R < 0)[0]
+            raise ValidationError(
+                f"negative propensity {R[i, j]} for reaction {j} at "
+                f"{tuple(X[live[i]].tolist())}")
+        total = R.sum(axis=1)
+        dead = total <= 0.0
+        if dead.any():
+            end[live[dead]] = "absorbed"
+            live, R, total = live[~dead], R[~dead], total[~dead]
+        t_new = t[live] + rng.exponential(1.0 / total)
+        over = t_new > t_final
+        if over.any():
+            end[live[over]] = "horizon"
+            keep = ~over
+            live, R, total, t_new = live[keep], R[keep], total[keep], t_new[keep]
+        if not live.size:
+            continue
+        u = rng.uniform(0.0, total)
+        pick = (np.cumsum(R, axis=1) <= u[:, None]).sum(axis=1)
+        np.minimum(pick, R.shape[1] - 1, out=pick)
+        X[live] += changes[pick]
+        t[live] = t_new
+        stop = after(live, t_new)
+        end[live[stop]] = "stop"
+        live = live[~stop]
+    return end
+
+
 def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
         jump_cap: int = DEFAULT_JUMP_CAP) -> Trajectory:
     """Exact jump-by-jump simulation up to t_final.
 
     ``model`` is a ReactionNetwork (vector states) or a BoundingChain
-    (integer states).  The waiting time is drawn before the horizon check:
-    a jump that would land past t_final is discarded and the path is
-    reported at the horizon.  ``stop`` is evaluated on each newly entered
-    state and ends the path with reason "exit".
+    (integer states, with rates from its band on [0, l_total]).  The
+    waiting time is drawn before the horizon check: a jump that would land
+    past t_final is discarded and the path is reported at the horizon.
+    ``stop`` is evaluated on each newly entered state and ends the path
+    with reason "exit".  A chain path above ``l_total - j_max``, where the
+    next jump could leave the band, ends with reason "band".
     """
     check_t_final(t_final)
     rng = make_rng(seed)
-    is_chain = isinstance(model, BoundingChain)
-    if is_chain:
-        x = int(x0)
-        if x < 0:
-            raise ValidationError("chain state must be nonnegative")
+    if isinstance(model, BoundingChain):
+        J = model.j_max
+        band = model.band(model.l_total)
+        X = np.array([[int(x0)]], dtype=np.int64)
+        rates, changes = lambda Y: band[Y[:, 0]], np.arange(-J, J + 1)[:, None]
+        top, state = model.l_total - J, X[0].item  # reads the moving level
     else:
-        x = np.asarray(x0, dtype=np.int64).copy()
-        if x.shape != (model.d,):
+        X = np.array([x0], dtype=np.int64)
+        if X.shape != (1, model.d):
             raise ValidationError(f"x0 must have {model.d} components")
-        if (x < 0).any():
-            raise ValidationError("states must be nonnegative")
-    t = 0.0
-    times = [0.0]
-    path = [x if is_chain else x.copy()]
-    reason = "cap"
-    for _ in range(jump_cap):
-        if is_chain:
-            row = model.row(x)
-            offsets = list(row)
-            rates = np.array([row[k] for k in offsets])
-        else:
-            rates = model.rates(x[None])[0]
-            if (rates < 0).any():
-                bad = int(np.argmin(rates))
-                raise ValidationError(
-                    f"negative propensity {rates[bad]} for reaction {bad} at "
-                    f"{tuple(x)}")
-        total = float(rates.sum())
-        if total <= 0.0:
-            reason = "absorbed"
-            break
-        dt = rng.exponential(1.0 / total)
-        if t + dt > t_final:
-            reason = "horizon"
-            break
-        t += dt
-        pick = int(np.searchsorted(np.cumsum(rates), rng.uniform(0, total),
-                                   side="right"))
-        pick = min(pick, len(rates) - 1)
-        if is_chain:
-            x = x + offsets[pick]
-        else:
-            x = x + model.reactions[pick].change
-        times.append(t)
-        path.append(x if is_chain else x.copy())
-        if stop is not None and stop(x):
+        rates, changes = model.rates, model.change_matrix().reshape(-1, model.d)
+        top, state = None, X[0].copy
+    if (X < 0).any():
+        raise ValidationError("states must be nonnegative")
+    times, path = [0.0], [state()]
+    reason = "band" if top is not None and path[0] > top else None
+
+    def after(moved, t):
+        nonlocal reason
+        times.append(float(t[0]))
+        path.append(state())
+        if stop is not None and stop(path[-1]):
             reason = "exit"
-            break
-    states = np.asarray(path)
-    return Trajectory(seed=seed, times=np.asarray(times), states=states,
-                      reason=reason)
+        elif top is not None and path[-1] > top:
+            reason = "band"
+        return np.array([reason is not None])
+
+    if reason is None:
+        end = _lockstep(rates, changes, X, t_final, rng, jump_cap, after)[0]
+        reason = reason or end
+    return Trajectory(seed=seed, times=np.asarray(times),
+                      states=np.asarray(path), reason=reason)
 
 
 @dataclass
@@ -152,9 +190,8 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
                   jump_cap: int = DEFAULT_JUMP_CAP) -> ExitEstimate:
     """Monte Carlo estimate of P(class exceeds N by t_final) from x0.
 
-    Runs all paths in lockstep: one exponential clock per active path per
-    sweep, vectorized over the batch.  A path exits when its class label
-    moves above N; paths are frozen at the horizon or on absorption.
+    Runs all paths in lockstep; a path exits when its class label moves
+    above N and is frozen at the horizon or on absorption.
     """
     check_t_final(t_final)
     if samples < 1:
@@ -163,56 +200,15 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
     if class_of(x0, partition) > N:
         return ExitEstimate(exits=samples, samples=samples, estimate=1.0,
                             lo=1.0, hi=1.0, seed=seed, t_final=t_final, N=N)
-    rng = make_rng(seed)
     X = np.tile(x0, (samples, 1))
-    t = np.zeros(samples)
-    active = np.ones(samples, dtype=bool)
-    exited = np.zeros(samples, dtype=bool)
     w = np.asarray(partition.weights, dtype=np.int64)
-    changes = np.array([r.change for r in network.reactions], dtype=np.int64)
-    class_jump = changes @ w
-    sweeps = 0
-    while active.any():
-        sweeps += 1
-        if sweeps > jump_cap:
-            raise ValidationError(
-                f"exceeded {jump_cap} jumps per path before t={t_final}"
-            )
-        idx = np.flatnonzero(active)
-        Xa = X[idx]
-        R = network.rates(Xa)
-        if (R < 0).any():
-            raise ValidationError("negative propensity during simulation")
-        total = R.sum(axis=1)
-        dead = total <= 0.0
-        if dead.any():
-            active[idx[dead]] = False
-            idx = idx[~dead]
-            if idx.size == 0:
-                continue
-            Xa, R, total = Xa[~dead], R[~dead], total[~dead]
-        dt = rng.exponential(1.0, size=idx.size) / total
-        t_new = t[idx] + dt
-        over = t_new > t_final
-        if over.any():
-            active[idx[over]] = False
-            keep = ~over
-            idx, Xa, R, total, t_new = (idx[keep], Xa[keep], R[keep],
-                                        total[keep], t_new[keep])
-            if idx.size == 0:
-                continue
-        t[idx] = t_new
-        cum = np.cumsum(R, axis=1)
-        u = rng.uniform(0.0, total)
-        pick = (u[:, None] >= cum).sum(axis=1)
-        np.minimum(pick, R.shape[1] - 1, out=pick)
-        X[idx] += changes[pick]
-        crossed = (X[idx] @ w) > N
-        if crossed.any():
-            hit = idx[crossed]
-            exited[hit] = True
-            active[hit] = False
-    k = int(exited.sum())
+    end = _lockstep(network.rates, network.change_matrix(), X,
+                    t_final, make_rng(seed), jump_cap,
+                    lambda moved, t: X[moved] @ w > N)
+    if (end == "cap").any():
+        raise ValidationError(
+            f"exceeded {jump_cap} jumps per path before t={t_final}")
+    k = int((end == "stop").sum())
     lo, hi = wilson_interval(k, samples)
     return ExitEstimate(exits=k, samples=samples, estimate=k / samples,
                         lo=lo, hi=hi, seed=seed, t_final=t_final, N=N)

@@ -14,8 +14,9 @@ from boundchain import (BoundingChain, ClassPartition, ResourceLimitError,
                         StabilizationError, TailModel, ValidationError,
                         build_bounding_chain, check_optimality,
                         check_u_membership, compute_f, j_max, optimal_U, phi,
-                        phi_inverse, verify_assumptions)
+                        network_from_dict, phi_inverse, verify_assumptions)
 from boundchain.builder import FTable, UTable
+from conftest import NETWORK_DOC
 
 UPPER211 = {
     0: {2: 2.5}, 1: {-1: 2.5, 2: 3.5}, 2: {-1: 2.5, 2: 4.5},
@@ -492,3 +493,18 @@ def test_lower_chain_over_empty_classes_builds(network):
     chain = build_bounding_chain(network, part, "lower", l_exact=90)
     assert verify_assumptions(network, part, chain,
                               chain.l_total - chain.j_max)
+
+
+def test_flat_tail_is_fitted_without_rounding_noise():
+    # the period-5 window of offset -3 holds 3.3 up to an ulp and exact
+    # zeros; a mean-difference slope of -3.55e-17 made the zeros negative
+    doc = dict(NETWORK_DOC, parameters={
+        "b1": 1.1, "b2": 2.3, "alpha": 2.3, "beta": 1.7, "d1": 2.1,
+        "d2": 2.9, "d3": 3.3})
+    net = network_from_dict(doc)
+    part = ClassPartition((2, 2, 5))
+    chain = build_bounding_chain(net, part, "lower", l_exact=70,
+                                 l_total=3000)
+    assert chain.tails[-3].slope == 0.0
+    long = build_bounding_chain(net, part, "lower", l_exact=90)
+    assert np.allclose(chain.band(90), long.band(90), rtol=1e-10, atol=1e-10)

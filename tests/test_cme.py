@@ -303,6 +303,7 @@ def test_certificate_table_equals_single_certificates(upper211, M, t_final,
     for N in range(M + 1):
         single = truncation_certificate(chain, p0, N, M, t_final, cme=cme)
         assert abs(bounds[N] - single.bound) <= 1e-12
+        assert single.flux == exit_flux(cme, N)[1]
         assert single.solver_term == cme.solver_term
 
 

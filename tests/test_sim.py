@@ -93,6 +93,41 @@ def test_ssa_on_chain():
     assert np.all(np.abs(np.diff(traj.states)) == 1)
 
 
+def test_ssa_on_chain_ends_at_the_band_edge():
+    # upward drift and tails that keep going: past l_total - j_max the next
+    # jump could leave the band, as in coupled_ssa
+    up = np.full(21, 5.0)
+    down = 0.1 * np.arange(21, dtype=float)
+    chain = BoundingChain("upper", 1, 20, 20, {1: up, -1: down},
+                          {1: TailModel(1, 0, intercepts=(5.0,)),
+                           -1: TailModel(-1, 1, slope=0.1)}, (1,))
+    traj = ssa(chain, 10, t_final=100.0, seed=0)
+    assert traj.reason == "band"
+    assert traj.final_state == 20
+    assert traj.states.max() <= chain.l_total
+    assert ssa(chain, 20, t_final=1.0).reason == "band"
+
+
+NEGATIVE_DEATH = {
+    "species": ["X"],
+    "reactions": [
+        {"change": [1], "propensity": [{"coeff": 1.0}]},
+        {"change": [-1], "propensity": [{"coeff": -0.5,
+                                         "factors": [{"species": "X"}]}]},
+    ],
+}
+
+
+def test_simulators_name_a_negative_propensity():
+    net = network_from_dict(NEGATIVE_DEATH)
+    message = r"negative propensity -1\.5 for reaction 1 at \(3,\)"
+    with pytest.raises(ValidationError, match=message):
+        ssa(net, (3,), t_final=1.0)
+    with pytest.raises(ValidationError, match=message):
+        estimate_exit(net, ClassPartition((1,)), N=10, t_final=1.0, x0=(3,),
+                      samples=5)
+
+
 def test_ssa_validation(network):
     with pytest.raises(ValidationError):
         ssa(network, (1, 1), t_final=1.0)
