@@ -80,6 +80,11 @@ UPPER225 = {
 }
 
 
+# digest of every verify_assumptions report in test_verify_reports_are_pinned
+VERIFY_PIN_SHA256 = (
+    "3f466abe76d10063420cd75cdca9941114932a36727d0c9b30c99138f300a1c5")
+
+
 def nz_row(chain, ell):
     return {k: r for k, r in ((k, chain.rate(ell, k)) for k in chain.offsets)
             if r != 0.0}
@@ -399,6 +404,64 @@ def test_verify_horizon_precondition(network, part211, upper211):
         verify_assumptions(network, part211, upper211, l_check=5000)
     with pytest.raises(ValidationError):
         verify_assumptions(network, part211, upper211, l_check=-3)
+
+
+def _verify_pin_cases(network, part211, part225, upper211, lower225):
+    """(partition, candidate, l_check) triples for the report pin."""
+    def variant(chain, j_max=None, **rates):
+        exact = {k: v.copy() for k, v in chain.exact.items()}
+        for key, (ell, delta) in rates.items():
+            k = int(key.replace("m", "-").lstrip("o"))
+            row = exact.setdefault(k, np.zeros(chain.l_exact + 1))
+            row[ell] = max(row[ell] + delta, 0.0)
+        return BoundingChain(chain.direction, j_max or chain.j_max,
+                             chain.l_exact, chain.l_total, exact, chain.tails,
+                             chain.weights)
+
+    cases = []
+    for chain, part in ((upper211, part211), (lower225, part225)):
+        J = chain.j_max
+        for l_check in (0, 1, 2 * J, 60):
+            cases.append((part, chain, l_check))
+        for k in [k for k in range(-J, J + 1) if k]:
+            key = f"o{k}".replace("-", "m")
+            for ell in (2, 7, 20, 33):
+                for delta in (1.0, -1.0, 1e-9):
+                    if delta < 0 and chain.rate(ell, k) == 0.0:
+                        continue
+                    cases.append((part, variant(chain, **{key: (ell, delta)}), 40))
+        # a prefix and a tail broken in the same class: the prefix is reported
+        cases.append((part, variant(chain, om1=(20, 1.0), o2=(20, -1.0)), 40))
+        cases.append((part, variant(chain, om1=(20, -1.0), o2=(20, 1.0)), 40))
+        # wider than the network: zero network mass on offsets past its j_max
+        cases.append((part, variant(chain, j_max=J + 1), 30))
+        cases.append((part, variant(chain, j_max=J + 1, **{f"o{J + 1}": (9, 2.0)}), 30))
+        cases.append((part, variant(chain, j_max=J + 1, **{f"om{J + 1}": (9, 2.0)}), 30))
+        for l_check in (0, 1, 20):
+            zero = BoundingChain(chain.direction, J, 50, 50, {}, {}, part.weights)
+            cases.append((part, zero, l_check))
+    # a candidate narrower than the network's band
+    cases.append((part225, upper211, 30))
+    cases.append((part211, lower225, 30))
+    return cases
+
+
+def test_verify_reports_are_pinned(network, part211, part225, upper211,
+                                   lower225):
+    # every report field, on passing chains, single-rate perturbations of
+    # both directions, zero chains and bands wider or narrower than the
+    # network's; the digest was recorded before verify_assumptions read the
+    # f-table
+    cases = _verify_pin_cases(network, part211, part225, upper211, lower225)
+    assert len(cases) >= 100
+    reports = []
+    for part, cand, l_check in cases:
+        rep = verify_assumptions(network, part, cand, l_check)
+        ce = rep.counterexample or {}
+        reports.append((rep.ok, ce.get("kind"), ce.get("ell"), ce.get("m"),
+                        ce.get("state"), rep.detail))
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == VERIFY_PIN_SHA256
 
 
 def _feasible_perturbation(U, rng):
