@@ -5,7 +5,8 @@ Pipeline: exact class enumeration gives the per-class extreme aggregates
 tables (U-tables), and differencing (the inverse of Phi) turns those into a
 banded transition-rate table.  Tails beyond the exact horizon are detected
 by fitting periodic-affine (or low-degree polynomial) models that must match
-the exact values bit-for-bit on a trailing window.
+the exact values bit-for-bit on a trailing window.  ``verify_assumptions``
+checks a chain against the same f-table pass.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .chain import BoundingChain, TailModel
 from .errors import (ConsistencyError, ResourceLimitError, StabilizationError,
                      ValidationError)
 from .network import (DEFAULT_CLASS_CAP, ClassPartition, ReactionNetwork,
-                      class_rates, class_shift, j_max)
+                      check_propensities, class_rates, class_shift,
+                      enumerate_class, j_max)
 
 RTOL = 1e-10
 
@@ -60,6 +62,35 @@ class FTable:
         return float(self.plus[j, ell])
 
 
+def _masks(network: ReactionNetwork, partition: ClassPartition, J: int):
+    """Reactions in the prefix (shift <= -j) and tail (shift >= j) masses."""
+    shifts = np.array([class_shift(r, partition) for r in network.reactions])
+    j = np.arange(1, J + 1)[:, None]
+    return shifts <= -j, shifts >= j
+
+
+def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
+                    direction: str, hi: int, cap: int = DEFAULT_CLASS_CAP) -> FTable:
+    """The f-table on classes [0, hi]: one pass over the enumerated classes."""
+    J = j_max(network, partition)
+    upper = direction == "upper"
+    below, above = _masks(network, partition, J)
+    minus, plus = np.full((2, J + 1, hi + 1), np.nan)
+    empty = np.zeros(hi + 1, dtype=bool)
+    for ell, X, rates in class_rates(network, partition, hi, cap=cap):
+        check_propensities(rates, X)
+        if X.shape[0] == 0:
+            empty[ell] = True
+            continue
+        for j in range(1, J + 1):
+            if ell - j >= 0:
+                pref = rates[:, below[j - 1]].sum(axis=1)
+                minus[j, ell] = pref.min() if upper else pref.max()
+            tail = rates[:, above[j - 1]].sum(axis=1)
+            plus[j, ell] = tail.max() if upper else tail.min()
+    return FTable(direction, J, hi, minus, plus, empty)
+
+
 def compute_f(network: ReactionNetwork, partition: ClassPartition,
               direction: str, l_exact: int,
               cap: int = DEFAULT_CLASS_CAP) -> FTable:
@@ -69,24 +100,7 @@ def compute_f(network: ReactionNetwork, partition: ClassPartition,
     J = j_max(network, partition)
     if l_exact < 2 * J + 2:
         raise ValidationError(f"l_exact must be at least 2*j_max+2 = {2 * J + 2}")
-    shifts = np.array([class_shift(r, partition) for r in network.reactions])
-    minus = np.full((J + 1, l_exact + 1), np.nan)
-    plus = np.full((J + 1, l_exact + 1), np.nan)
-    empty = np.zeros(l_exact + 1, dtype=bool)
-    # column masks: reactions counted in the prefix 0..ell-j / tail ell+j..
-    minus_masks = [shifts <= -j for j in range(1, J + 1)]
-    plus_masks = [shifts >= j for j in range(1, J + 1)]
-    for ell, X, rates in class_rates(network, partition, l_exact, cap=cap):
-        if X.shape[0] == 0:
-            empty[ell] = True
-            continue
-        for j in range(1, J + 1):
-            if ell - j >= 0:
-                pref = rates[:, minus_masks[j - 1]].sum(axis=1)
-                minus[j, ell] = pref.min() if direction == "upper" else pref.max()
-            tail = rates[:, plus_masks[j - 1]].sum(axis=1)
-            plus[j, ell] = tail.max() if direction == "upper" else tail.min()
-    return FTable(direction, J, l_exact, minus, plus, empty)
+    return _class_extremes(network, partition, direction, l_exact, cap=cap)
 
 
 @dataclass
@@ -377,9 +391,11 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
                        rtol: float = RTOL) -> AssumptionReport:
     """Check the domination and monotonicity assumptions on [0, l_check].
 
-    Upper direction: every row prefix of the candidate is at most the
-    smallest same-class prefix of the network, and tails dominate the
-    largest network tails; lower direction flips both.  Monotonicity in the
+    Domination reads the f-table the builder writes, from the same class
+    pass: in the upper direction every row prefix of the candidate is at
+    most the smallest same-class prefix of the network, and tails dominate
+    the largest network tails; lower direction flips both.  A failure there
+    names a state attaining the network extreme.  Monotonicity in the
     class index is the same condition for both directions: deeper rows push
     no more mass downward (prefixes nonincreasing in ell on m < ell, checked
     via tail sums on m > ell so the diagonal never enters).  Outside the
@@ -394,64 +410,47 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
         raise ValidationError(
             f"candidate must be defined on [0, {l_check + J}] for this window"
         )
-    shifts = np.array([class_shift(r, partition) for r in network.reactions])
-
-    def fail(kind, ell, m, lhs, rhs, state=None):
-        detail = (f"{kind} fails at (ell={ell}, m={m}): "
-                  f"candidate {lhs} vs network extreme {rhs}")
-        if state is not None:
-            detail += f" attained at state {state}"
-        return AssumptionReport(False, direction, l_check,
-                                {"kind": kind, "ell": ell, "m": m,
-                                 "state": state}, detail)
-
-    def extreme(X, agg, smallest):
-        # the class extreme of one aggregate and the state attaining it
-        idx = int(np.argmin(agg) if smallest else np.argmax(agg))
-        return float(agg[idx]), tuple(int(v) for v in X[idx])
-
     name1 = "A1" if upper else "B1"
     name2 = "A2" if upper else "B2"
     down, up = _cumulative(candidate, l_check + 1, J)
-    for ell, X, rates in class_rates(network, partition, l_check):
-        if X.shape[0] == 0:
-            continue
-        for j in range(1, min(J, ell) + 1):
-            m = ell - j
-            cand = float(down[j, ell])
-            ref, state = extreme(X, rates[:, shifts <= -j].sum(axis=1), upper)
-            tol = rtol * max(1.0, abs(ref))
-            if upper and cand > ref + tol:
-                return fail(name1, ell, m, cand, ref, state)
-            if not upper and cand < ref - tol:
-                return fail(name1, ell, m, cand, ref, state)
-        for j in range(1, J + 1):
-            m = ell + j
-            cand = float(up[j, ell])
-            ref, state = extreme(X, rates[:, shifts >= j].sum(axis=1), not upper)
-            tol = rtol * max(1.0, abs(ref))
-            if upper and cand < ref - tol:
-                return fail(name1, ell, m, cand, ref, state)
-            if not upper and cand > ref + tol:
-                return fail(name1, ell, m, cand, ref, state)
-    # monotonicity between consecutive rows (identical for both directions):
-    # row ell + 1 puts no more mass into 0..m than row ell for m = ell - j,
-    # and (tail form, so m = ell never enters) no less into m + 1.. for
-    # m = ell + j; scanned row by row, prefixes before tails
-    hi, lo = down[1:-1, :-1], down[2:, 1:]
-    bad_down = ((lo > hi + rtol * np.maximum(1.0, np.abs(hi)))
-                & (np.arange(1, J + 1)[:, None] <= np.arange(l_check + 1)))
-    lo_t, hi_t = up[2:, :-1], up[1:-1, 1:]
-    bad_up = hi_t < lo_t - rtol * np.maximum(1.0, np.abs(lo_t))
-    hits = np.argwhere(np.stack([bad_down.T, bad_up.T], axis=1))
-    if hits.size:
-        ell, tail, i = hits[0].tolist()
-        if tail:
-            return fail(name2, ell, ell + i + 1, float(hi_t[i, ell]),
-                        float(lo_t[i, ell]))
-        return fail(name2, ell, ell - i - 1, float(lo[i, ell]), float(hi[i, ell]))
-    return AssumptionReport(True, direction, l_check, None,
-                            f"{name1} and {name2} hold on [0, {l_check}]")
+    f = _class_extremes(network, partition, direction, l_check)
+    # four (j, ell) tables against references: the candidate's prefix and
+    # tail masses against the f-table (domination; no network mass past its
+    # band), then rows ell + 1 against rows ell (monotonicity; tails from
+    # m + 1, so m = ell never enters).  NaN (empty class, m < 0) never fails;
+    # past the f-table, prefixes into m < 0 are zero on both sides
+    lhs = np.stack([down[1:-1, :-1], up[1:-1, :-1],
+                    down[2:, 1:], up[1:-1, 1:]])
+    ref = np.zeros((4, J, l_check + 1))
+    ref[:2, :f.j_max] = f.minus[1:], f.plus[1:]
+    ref[:2, :, f.empty] = np.nan
+    ref[2:] = down[1:-1, :-1], up[2:, :-1]
+    tol = rtol * np.maximum(1.0, np.abs(ref))
+    high = np.array([upper, not upper, True, False])[:, None, None]
+    bad = np.where(high, lhs > ref + tol, lhs < ref - tol)
+    # domination first; then class by class, prefixes j = 1..J before tails
+    hits = np.argwhere(bad.reshape(2, 2, J, -1).transpose(0, 3, 1, 2))
+    if not hits.size:
+        return AssumptionReport(True, direction, l_check, None,
+                                f"{name1} and {name2} hold on [0, {l_check}]")
+    mono, ell, tail, i = hits[0].tolist()
+    name = name2 if mono else name1
+    m = ell + i + 1 if tail else ell - i - 1
+    k = 2 * mono + tail
+    detail = (f"{name} fails at (ell={ell}, m={m}): candidate "
+              f"{float(lhs[k, i, ell])} vs network extreme "
+              f"{float(ref[k, i, ell])}")
+    state = None
+    if not mono:
+        # the witness: the first state of the class attaining the extreme
+        X = enumerate_class(ell, partition)
+        mass = network.rates(X)[:, _masks(network, partition, J)[tail][i]].sum(axis=1)
+        state = tuple(int(v) for v in X[np.argmin(mass) if upper != tail
+                                        else np.argmax(mass)])
+        detail += f" attained at state {state}"
+    return AssumptionReport(False, direction, l_check,
+                            {"kind": name, "ell": ell, "m": m, "state": state},
+                            detail)
 
 
 @dataclass

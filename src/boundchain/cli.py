@@ -60,6 +60,8 @@ def parse_grid(text: str, integer: bool = False) -> np.ndarray:
     n = int(round((hi - lo) / step))
     grid = lo + step * np.arange(n + 1)
     grid = grid[grid <= hi + 1e-12]
+    if integer and (grid != np.round(grid)).any():
+        raise ValidationError(f"grid {text!r} has non-integer points")
     return grid.astype(int) if integer else grid
 
 
@@ -337,6 +339,9 @@ def cmd_plan_truncation(args) -> int:
 def cmd_heatmap(args) -> int:
     chain = BoundingChain.from_csv(args.chain)
     n_grid = parse_grid(args.n_grid, integer=True)
+    if n_grid.min() < 0:
+        raise ValidationError(f"window sizes N must be nonnegative, got "
+                              f"{args.n_grid!r}")
     t_grid = parse_grid(args.t_grid)
     M = int(n_grid.max())
     p0 = parse_p0(args.p0, M)

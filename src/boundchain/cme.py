@@ -30,7 +30,8 @@ from scipy import special
 
 from .chain import BoundingChain
 from .errors import InfeasibleError, ResourceLimitError, ValidationError
-from .network import ClassPartition, ReactionNetwork, class_rates
+from .network import (ClassPartition, ReactionNetwork, check_propensities,
+                      class_rates)
 
 DEFAULT_BUDGET = 1e-8
 MULTI_STATE_CAP = 1_000_000
@@ -74,13 +75,7 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
     states = np.vstack([X for _, X, _ in blocks])
     rates = np.vstack([R for _, _, R in blocks])
     classes = np.repeat(np.arange(n_max + 1), [len(X) for _, X, _ in blocks])
-    bad = np.argwhere(rates < 0)
-    if bad.size:
-        i, k = bad[0]
-        raise ValidationError(
-            f"negative propensity {rates[i, k]} for reaction {k} at "
-            f"{tuple(int(v) for v in states[i])}"
-        )
+    check_propensities(rates, states)
     # every count is at most n_max < base, so class-major lexicographic
     # order is ascending order of class * base^d + (x in base `base`)
     radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
@@ -394,15 +389,25 @@ def _certificate(cme: TruncatedCME, N: int) -> TruncationCertificate:
     )
 
 
+def _window_solve(chain, p0, M, t_final, budget, cme):
+    """The [0, M] solve to t_final: ``cme`` if given (it must be that
+    solve), else a new one."""
+    if cme is None:
+        return solve_chain_cme(chain, M, p0, t_final, budget=budget)
+    if M != cme.classes.max() or t_final != cme.t_final:
+        raise ValidationError(
+            f"the given solve is the box [0, {int(cme.classes.max())}] to "
+            f"t={cme.t_final}, not [0, {M}] to t={t_final}")
+    return cme
+
+
 def truncation_certificate(chain: BoundingChain, p0, N: int, M: int,
                            t_final: float, budget: float = DEFAULT_BUDGET,
                            cme: TruncatedCME | None = None) -> TruncationCertificate:
     """Exit-probability bound for the window [0, N] inside the [0, M] solve."""
     if not 0 <= N <= M:
         raise ValidationError(f"need 0 <= N <= M, got N={N}, M={M}")
-    if cme is None:
-        cme = solve_chain_cme(chain, M, p0, t_final, budget=budget)
-    return _certificate(cme, N)
+    return _certificate(_window_solve(chain, p0, M, t_final, budget, cme), N)
 
 
 def certificate_table(cme: TruncatedCME):
@@ -437,8 +442,7 @@ def min_truncation(chain: BoundingChain, p0, M: int, t_final: float,
     """
     if not 0 < epsilon:
         raise ValidationError("epsilon must be positive")
-    if cme is None:
-        cme = solve_chain_cme(chain, M, p0, t_final, budget=budget)
+    cme = _window_solve(chain, p0, M, t_final, budget, cme)
     deficit = max(0.0, 1.0 - cme.mass(t_final)) + cme.solver_term
     if deficit >= epsilon:
         raise InfeasibleError(

@@ -25,7 +25,8 @@ import numpy as np
 
 from .chain import BoundingChain
 from .errors import ConsistencyError, ValidationError
-from .network import ClassPartition, ReactionNetwork, class_of
+from .network import (ClassPartition, ReactionNetwork, check_propensities,
+                      class_of)
 from .simulate import check_t_final, make_rng
 from .transport import TransportError, pi_bar
 
@@ -100,11 +101,9 @@ class CoupledSimulator:
                 f"level {ell} outside the chain's range [0, {self.chain.l_total}]")
         source = (state, ell)
         # network side: propensities at x, then the self-loop at mass q_y
-        flow = np.append(self.network.rates(x[None])[0], 0.0)
-        if (flow < 0).any():
-            bad = int(np.flatnonzero(flow < 0)[0])
-            raise ValidationError(
-                f"negative propensity {flow[bad]} for reaction {bad} at {state}")
+        R = self.network.rates(x[None])
+        check_propensities(R, x[None])
+        flow = np.append(R[0], 0.0)
         leaves = (flow[:-1] > 0) & (x + self._nu < 0).any(axis=1)
         if leaves.any():
             raise ValidationError(

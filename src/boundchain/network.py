@@ -270,6 +270,20 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
         yield ell, X, network.rates(X)
 
 
+def check_propensities(rates: np.ndarray, states) -> None:
+    """Raise at the first negative entry of ``rates``, row by row.
+
+    ``rates`` is a (k, reactions) block of ``ReactionNetwork.rates`` on the
+    (k, d) ``states``; the message names the reaction and the state.
+    """
+    neg = rates < 0
+    if neg.any():
+        i, k = np.argwhere(neg)[0]
+        raise ValidationError(
+            f"negative propensity {rates[i, k]} for reaction {k} at "
+            f"{tuple(int(v) for v in states[i])}")
+
+
 def _check_dims(network: ReactionNetwork, partition: ClassPartition) -> None:
     if partition.d != network.d:
         raise ValidationError(

@@ -16,7 +16,8 @@ import numpy as np
 
 from .chain import BoundingChain
 from .errors import ValidationError
-from .network import ClassPartition, ReactionNetwork, class_of
+from .network import (ClassPartition, ReactionNetwork, check_propensities,
+                      class_of)
 
 DEFAULT_JUMP_CAP = 100_000_000
 Z_95 = 1.959963984540054
@@ -74,12 +75,9 @@ def _lockstep(rates, changes, X, t_final, rng, jump_cap, after):
     for _ in range(jump_cap):
         if not live.size:
             break
-        R = rates(X[live])
-        if (R < 0).any():
-            i, j = np.argwhere(R < 0)[0]
-            raise ValidationError(
-                f"negative propensity {R[i, j]} for reaction {j} at "
-                f"{tuple(X[live[i]].tolist())}")
+        states = X[live]
+        R = rates(states)
+        check_propensities(R, states)
         total = R.sum(axis=1)
         dead = total <= 0.0
         if dead.any():

@@ -82,7 +82,7 @@ UPPER225 = {
 
 # digest of every verify_assumptions report in test_verify_reports_are_pinned
 VERIFY_PIN_SHA256 = (
-    "3f466abe76d10063420cd75cdca9941114932a36727d0c9b30c99138f300a1c5")
+    "6c8daacd320be17b0d96af4b99fe18fb0116a91e807953ac55272ced10b52501")
 
 
 def nz_row(chain, ell):
@@ -406,12 +406,12 @@ def test_verify_horizon_precondition(network, part211, upper211):
         verify_assumptions(network, part211, upper211, l_check=-3)
 
 
-def _verify_pin_cases(network, part211, part225, upper211, lower225):
+def _verify_pin_cases(part211, part225, upper211, lower225):
     """(partition, candidate, l_check) triples for the report pin."""
-    def variant(chain, j_max=None, **rates):
+    def variant(chain, *edits, j_max=None):
+        # each edit (offset, level, delta) moves one rate, floored at zero
         exact = {k: v.copy() for k, v in chain.exact.items()}
-        for key, (ell, delta) in rates.items():
-            k = int(key.replace("m", "-").lstrip("o"))
+        for k, ell, delta in edits:
             row = exact.setdefault(k, np.zeros(chain.l_exact + 1))
             row[ell] = max(row[ell] + delta, 0.0)
         return BoundingChain(chain.direction, j_max or chain.j_max,
@@ -424,21 +424,23 @@ def _verify_pin_cases(network, part211, part225, upper211, lower225):
         for l_check in (0, 1, 2 * J, 60):
             cases.append((part, chain, l_check))
         for k in [k for k in range(-J, J + 1) if k]:
-            key = f"o{k}".replace("-", "m")
             for ell in (2, 7, 20, 33):
                 for delta in (1.0, -1.0, 1e-9):
                     if delta < 0 and chain.rate(ell, k) == 0.0:
                         continue
-                    cases.append((part, variant(chain, **{key: (ell, delta)}), 40))
+                    cases.append((part, variant(chain, (k, ell, delta)), 40))
         # a prefix and a tail broken in the same class: the prefix is reported
-        cases.append((part, variant(chain, om1=(20, 1.0), o2=(20, -1.0)), 40))
-        cases.append((part, variant(chain, om1=(20, -1.0), o2=(20, 1.0)), 40))
+        cases.append((part, variant(chain, (-1, 20, 1.0), (2, 20, -1.0)), 40))
+        cases.append((part, variant(chain, (-1, 20, -1.0), (2, 20, 1.0)), 40))
         # wider than the network: zero network mass on offsets past its j_max
         cases.append((part, variant(chain, j_max=J + 1), 30))
-        cases.append((part, variant(chain, j_max=J + 1, **{f"o{J + 1}": (9, 2.0)}), 30))
-        cases.append((part, variant(chain, j_max=J + 1, **{f"om{J + 1}": (9, 2.0)}), 30))
+        cases.append((part, variant(chain, (J + 1, 9, 2.0), j_max=J + 1), 30))
+        cases.append((part, variant(chain, (-J - 1, 9, 2.0), j_max=J + 1), 30))
+        # and at class 1, which is empty under (2, 2, 5)
+        cases.append((part, variant(chain, (J + 1, 1, 2.0), j_max=J + 1), 30))
         for l_check in (0, 1, 20):
-            zero = BoundingChain(chain.direction, J, 50, 50, {}, {}, part.weights)
+            zero = BoundingChain(chain.direction, J, 50, 50, {}, {},
+                                 part.weights)
             cases.append((part, zero, l_check))
     # a candidate narrower than the network's band
     cases.append((part225, upper211, 30))
@@ -452,7 +454,7 @@ def test_verify_reports_are_pinned(network, part211, part225, upper211,
     # both directions, zero chains and bands wider or narrower than the
     # network's; the digest was recorded before verify_assumptions read the
     # f-table
-    cases = _verify_pin_cases(network, part211, part225, upper211, lower225)
+    cases = _verify_pin_cases(part211, part225, upper211, lower225)
     assert len(cases) >= 100
     reports = []
     for part, cand, l_check in cases:

@@ -147,6 +147,12 @@ CHAIN_RUN = ("--network", NET, "--chain", "{chain}", "--x0", "3,2,1",
     _bad("simulate-exit-negative-samples", "simulate", "--samples", "-5",
          "--network", NET, "--x0", "3,2,1", "--tf", "1", "--stop", "class>40",
          "--weights", "2,1,1"),
+    _bad("heatmap-fractional-n", "heatmap", "--chain", "{chain}", "--p0",
+         "delta:5", "--n-grid", "0:20:2.5", "--t-grid", "0.5:1.0:0.5",
+         "--out", "{tmp}/h.csv"),
+    _bad("heatmap-negative-n", "heatmap", "--chain", "{chain}", "--p0",
+         "delta:5", "--n-grid=-4:20:4", "--t-grid", "0.5:1.0:0.5",
+         "--out", "{tmp}/h.csv"),
 ])
 def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
     argv = [a.format(tmp=tmp_path, chain=chain_csv) for a in argv]
@@ -173,6 +179,21 @@ def test_verify_pass_and_fail(tmp_path, chain_csv, upper211, capsys):
     err = capsys.readouterr().err
     assert "FAILED" in err and "kind=A1" in err and "ell=30" in err
 
+
+def test_build_and_verify_reject_a_negative_propensity(tmp_path, chain_csv,
+                                                        capsys):
+    doc = json.loads(Path(NET).read_text())
+    doc["reactions"][5]["propensity"][0]["coeff"] = -1.0
+    bad = tmp_path / "net.json"
+    bad.write_text(json.dumps(doc))
+    message = "negative propensity -1.0 for reaction 5 at (0, 0, 1)"
+    assert main(["build", "--network", str(bad), "--weights", "2,1,1",
+                 "--direction", "upper", "--l-exact", "30",
+                 "--out", str(tmp_path / "c.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["verify", "--network", str(bad), "--chain", chain_csv,
+                 "--l-check", "20"]) == 2
+    assert message in capsys.readouterr().err
 
 def test_verify_weight_mismatch(chain_csv):
     assert main(["verify", "--network", NET, "--chain", chain_csv,

@@ -150,6 +150,20 @@ def test_min_truncation():
         min_truncation(chain, delta_p0(60, 10), 60, 2.0, 0.0, cme=cme)
 
 
+def test_given_solve_must_match_the_window():
+    chain = mm1(1.5, 2.0)
+    p0 = delta_p0(60, 10)
+    cme = solve_chain_cme(chain, 60, p0, t_final=2.0)
+    # a larger box indexed past the solve, a later time read the t=2 solve
+    for M, t_final in ((80, 2.0), (60, 99.0), (40, 2.0)):
+        with pytest.raises(ValidationError, match=r"box \[0, 60\] to t=2\.0"):
+            truncation_certificate(chain, delta_p0(M, 10), 30, M, t_final,
+                                   cme=cme)
+        with pytest.raises(ValidationError, match=r"box \[0, 60\] to t=2\.0"):
+            min_truncation(chain, delta_p0(M, 10), M, t_final, 1e-2, cme=cme)
+    # the matching window passes, given as ints or floats
+    assert truncation_certificate(chain, p0, 30, 60, 2, cme=cme).M == 60
+
 def test_min_truncation_box_too_small():
     leaky = mm1(5.0, 0.05, l_exact=20, l_total=20)
     with pytest.raises(InfeasibleError) as err:

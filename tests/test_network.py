@@ -149,6 +149,22 @@ def test_validate_network_happy_and_leaky(network, part211):
     rep = validate_network(leaky, ClassPartition((1,)), window=5)
     assert not rep.ok
     assert any(v["kind"] == "boundary-leak" for v in rep.violations)
+    # a negative rate, and a reaction that fires without changing the state
+    odd = network_from_dict({
+        "species": ["A"],
+        "reactions": [
+            {"change": [1], "propensity": [{"coeff": 1.0}]},
+            {"change": [-1], "propensity": [{"coeff": -0.5,
+                                             "factors": [{"species": "A"}]}]},
+            {"change": [0], "propensity": [{"coeff": 2.0}]},
+        ],
+    })
+    rep = validate_network(odd, ClassPartition((1,)), window=5)
+    assert not rep.ok
+    kinds = {(v["kind"], v["reaction"]) for v in rep.violations}
+    assert kinds == {("negative-propensity", 1), ("null-change", 2)}
+    first = rep.violations[0]
+    assert first["kind"] == "negative-propensity" and first["state"] == (1,)
 
 
 def test_structural_zero_term():
