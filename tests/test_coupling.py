@@ -1,6 +1,7 @@
 """Joint (network, chain) transition rows and the coupled simulation."""
 
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +227,41 @@ def test_rows_keep_their_summation_order(part211):
     assert len(visited) == 1005
     assert row_digest(sim, visited) == (
         "d20bb0a879a0efc98d2476be5938e7527687791ec79992fe2ca6ce5ef223d8a6")
+
+
+def test_lower_rows_are_unchanged(network, part225, lower225):
+    # the rows of the lower coupled paths (the plan taken as pi_bar(b, a).T),
+    # as the array-built rows gave them
+    sim = CoupledSimulator(network, part225, lower225)
+    visited = set()
+    for seed in range(5):
+        traj = coupled_ssa(network, part225, lower225, (3, 2, 1), 3,
+                           t_final=3.0, seed=seed, simulator=sim)
+        visited.update(zip(map(tuple, traj.states.tolist()),
+                           traj.levels.tolist()))
+    assert len(visited) == 93
+    assert row_digest(sim, visited) == (
+        "227edc9a21e21ef8b436ab366f1e300a9a94f05b41165e435afd21a1cd559178")
+
+
+@pytest.mark.parametrize("chain_name, part_name, count, digest", [
+    ("upper211", "part211", 708,
+     "8bfd4d43aa3fbb1af1c9c74de11b714e59023600b22230972cd6900d30d37e68"),
+    ("lower225", "part225", 374,
+     "01c02c1c40f28725dce699d42356a22256e3833bd50543403afe6bc123dc8622"),
+])
+def test_disordered_rows_are_unchanged(request, network, chain_name,
+                                       part_name, count, digest):
+    # the product-coupling rows on a grid of pairs on the wrong side
+    chain = request.getfixturevalue(chain_name)
+    part = request.getfixturevalue(part_name)
+    upper = chain.direction == "upper"
+    pairs = [(x, ell) for x in itertools.product(range(0, 9, 2), repeat=3)
+             for ell in range(0, 40, 3)
+             if (class_of(x, part) > ell if upper
+                 else class_of(x, part) < ell)]
+    assert len(pairs) == count
+    assert row_digest(CoupledSimulator(network, part, chain), pairs) == digest
 
 
 def test_row_counters(network, part211, upper211):

@@ -49,6 +49,24 @@ def test_evaluate_many_matches_scalar(network):
         assert np.allclose(many, each, rtol=0, atol=0)
     assert np.array_equal(network.rates(states), np.column_stack(
         [r.propensity.evaluate_many(states) for r in network.reactions]))
+    # counts up to 10^6, where cubes and their products no longer fit in a
+    # double exactly, and exponents 1-3 of both factor kinds: every float of
+    # the scalar evaluation must be the vectorized one
+    rng = np.random.default_rng(3)
+    big = np.vstack([rng.integers(0, 10**6, size=(400, 2)),
+                     rng.integers(0, 300, size=(100, 2)), [[0, 0], [1, 1]],
+                     [[2, 10**6], [10**6, 999_999]]])
+    for kind in ("plain-power", "falling-factorial"):
+        poly = PropensityPolynomial([
+            Term(0.7, (Factor(0, 3, kind),)),
+            Term(1.3, (Factor(1, 2, kind), Factor(0, 1, kind))),
+            Term(2.9, (Factor(1, 3, kind), Factor(0, 3, kind))),
+            Term(0.1),
+        ])
+        many = poly.evaluate_many(big)
+        each = np.array([poly.evaluate(s) for s in big])
+        assert many.tobytes() == each.tobytes(), kind
+        assert all(type(poly.evaluate(s)) is float for s in big[:3])
 
 
 def test_malformed_documents_rejected():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundchain import TransportError, pi, pi_bar
+from boundchain import TransportError, ValidationError, pi, pi_bar
 
 mass_seq = st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1,
                     max_size=8)
@@ -152,3 +152,100 @@ def test_pi_takes_an_array_of_masses():
         assert np.array_equal(fills[idx], pi(float(x[idx]), u))
     with pytest.raises(TransportError):
         pi(np.array([1.0, 3.6]), u)
+
+
+def pi_bar_broadcast(a, b, rtol=1e-12):
+    """Pi-bar as the row difference of one broadcast fill: the reference."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if (a < -1e-15).any() or (b < -1e-15).any():
+        raise ValidationError("mass sequences must be nonnegative")
+    scale = max(1.0, float(a.sum()), float(b.sum()))
+    tol = rtol * scale
+    if abs(a.sum() - b.sum()) > tol:
+        raise TransportError(
+            f"total masses differ: {a.sum()} vs {b.sum()}", index=None
+        )
+    cum_a = np.cumsum(a)
+    cum_b = np.cumsum(b)
+    n = min(len(a), len(b))
+    bad = np.flatnonzero(cum_a[:n] < cum_b[:n] - tol)
+    if bad.size:
+        k = int(bad[0])
+        raise TransportError(
+            f"prefix domination fails at index {k}: "
+            f"a[0:{k}] = {cum_a[k]} < b[0:{k}] = {cum_b[k]}",
+            index=k,
+        )
+    k = np.flatnonzero(a)
+    mass = np.minimum(np.concatenate(([0.0], cum_a)), float(b.sum()))
+    fill = pi(np.stack([mass[k + 1], mass[k]]), b)
+    rows = fill[0] - fill[1]
+    rows[np.abs(rows) < 1e-15 * scale] = 0.0
+    if (rows < 0).any():
+        raise TransportError("plan has a negative entry", index=None)
+    plan = np.zeros((len(a), len(b)))
+    plan[k] = rows
+    return plan
+
+
+# masses that binary floating point cannot hold exactly, so prefix sums
+# round, and a few far apart in size
+awkward = st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 2 / 3, 1.1, 2.3, 7.0,
+                           1e-9, 1e3])
+mass = st.one_of(st.floats(1e-6, 50.0), awkward)
+
+
+@st.composite
+def sparse_plan_inputs(draw):
+    """(a, b) of up to 160 entries, few nonzero, with prefix near-ties.
+
+    b has at most 8 nonzero entries between runs of zeros, and now and then
+    a zero replaced by -5e-16 (inside the nonnegativity slack).  a's prefix
+    sums are b's pushed up by a random share of the remaining mass: a zero
+    share is a tie, a repeated prefix a run of zeros in a, and a few
+    prefixes are moved one ulp off b's.  Either sequence may carry trailing
+    zeros, so the plan need not be square.
+    """
+    n = draw(st.integers(1, 160))
+    k = draw(st.integers(1, min(n, 8)))
+    slots = sorted(draw(st.sets(st.integers(0, n - 1), min_size=k,
+                                max_size=k)))
+    b = np.zeros(n)
+    b[slots] = draw(st.lists(mass, min_size=k, max_size=k))
+    if draw(st.integers(0, 9)) == 0:
+        b[draw(st.integers(0, n - 1))] -= 5e-16
+    B = np.cumsum(b)
+    total = B[-1]
+    share = st.one_of(st.sampled_from([0.0, 0.0, 1.0]), st.floats(0.0, 1.0))
+    u = np.asarray(draw(st.lists(share, min_size=n, max_size=n)))
+    A = np.maximum.accumulate(np.minimum(B + (total - B) * u, total))
+    A[-1] = total
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        tie = np.nextafter(B[i], draw(st.sampled_from([-np.inf, np.inf])))
+        A[i] = min(max(tie, A[i - 1] if i else 0.0), A[min(i + 1, n - 1)])
+    a = np.diff(A, prepend=0.0)
+    pad = np.zeros(draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        return np.concatenate([a, pad]), b
+    return a, np.concatenate([b, pad])
+
+
+def outcome(fn, a, b):
+    """The plan's shape and bytes, or the exception's type, text and index."""
+    try:
+        plan = fn(a, b)
+    except TransportError as exc:
+        return "TransportError", str(exc), exc.index
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
+    return plan.shape, plan.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=sparse_plan_inputs())
+def test_pi_bar_matches_broadcast_fill_bit_for_bit(pair):
+    a, b = pair
+    # byte equality covers the sign of every zero
+    assert outcome(pi_bar, a, b) == outcome(pi_bar_broadcast, a, b)
+    assert outcome(pi_bar, b, a) == outcome(pi_bar_broadcast, b, a)
