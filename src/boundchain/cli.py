@@ -260,10 +260,9 @@ def cmd_couple(args) -> int:
             jumps += len(traj) - 1
             band_exits += traj.reason == "band"
             cls = traj.states @ np.asarray(partition.weights, dtype=np.int64)
-            for i in range(len(traj)):
-                writer.writerow([seed, repr(float(traj.times[i]))]
-                                + [int(v) for v in traj.states[i]]
-                                + [int(cls[i]), int(traj.levels[i])])
+            for t, x, c, y in zip(traj.times.tolist(), traj.states.tolist(),
+                                  cls.tolist(), traj.levels.tolist()):
+                writer.writerow([seed, repr(t)] + x + [c, y])
     write_manifest(out, "couple", vars(args), seeds=seeds,
                    counters={"paths": len(seeds), "jumps": jumps,
                              "band_exits": band_exits, **sim.counters})
@@ -288,7 +287,8 @@ def cmd_simulate(args) -> int:
         doc = {"estimate": est.estimate, "lo": est.lo, "hi": est.hi,
                "exits": est.exits, "samples": est.samples, "N": est.N,
                "t_final": est.t_final, "seed": est.seed}
-        return _emit(args, "simulate", doc, seeds=[args.seed])
+        return _emit(args, "simulate", doc, seeds=[args.seed],
+                     counters={"paths": est.samples, "exits": est.exits})
     traj = ssa(network, x0, args.tf, seed=args.seed)
     out = Path(args.out or "trajectory.csv")
     with out.open("w", newline="") as fh:
@@ -297,7 +297,8 @@ def cmd_simulate(args) -> int:
         for i in range(len(traj)):
             writer.writerow([repr(float(traj.times[i]))]
                             + [int(v) for v in traj.states[i]])
-    write_manifest(out, "simulate", vars(args), seeds=[args.seed])
+    write_manifest(out, "simulate", vars(args), seeds=[args.seed],
+                   counters={"jumps": len(traj) - 1})
     print(f"wrote one path ({len(traj) - 1} jumps, ended: {traj.reason}) to {out}")
     return 0
 

@@ -1,16 +1,21 @@
 """Joint construction that runs the network and its 1-D bound in lockstep.
 
 Each joint state (x, ell) gets a transition row built from two rate
-vectors: the network's propensities at x, one row of
-``ReactionNetwork.rates`` with a zero-change self-loop appended, and the
-chain's rates at ell, one row of its band.  The self-loops make both sides
-carry the same total mass M.  While the pair is ordered, the class masses
-of the network row and the chain row are coupled by the north-west-corner
-plan ``pi_bar`` (the comonotone coupling), and each class splits its plan
-row among its destinations by rate share; the plan is triangular, so an
-ordered pair stays ordered after every jump.  A disordered pair moves by
-the product coupling until order is restored.  Every built row is checked
-against both marginals.
+vectors: the network's propensities at x, one per reaction with a
+zero-change self-loop appended, and the chain's rates at ell, one row of
+its band.  The self-loops make both sides carry the same total mass M.
+While the pair is ordered, the class masses of the network row and the
+chain row are coupled by the north-west-corner plan (the comonotone
+coupling), and each class splits its plan row among its destinations by
+rate share; the plan is triangular, so an ordered pair stays ordered after
+every jump.  A disordered pair moves by the product coupling until order is
+restored.  Every built row is checked against both marginals.
+
+A row is built on Python floats over the supports of the two sides: at
+most a handful of classes and 2*j_max + 1 levels, however far apart the
+class and the level are.  The plan's nonzero entries come from the walk
+behind ``pi_bar``, and every sum is taken in the order the dense array
+computation used, so the rows are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import mul
+from itertools import accumulate
+from operator import add, mul
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from .errors import ConsistencyError, ValidationError
 from .network import (ClassPartition, ReactionNetwork, check_propensities,
                       class_of)
 from .simulate import check_t_final, make_rng
-from .transport import TransportError, pi_bar
+from .transport import TransportError, _numpy_sum, _walk
 
 ROW_CACHE = 100_000
 MARGINAL_RTOL = 1e-10
@@ -41,12 +47,12 @@ class CouplingRow:
     rates: np.ndarray
     exit_rate: float
     M: float
-    cum: np.ndarray | None = None
+    cum: list | None = None  # running sums of rates, in order
 
     def sample(self, u: float):
         """Destination for u uniform on [0, exit_rate)."""
         if self.cum is None:
-            self.cum = np.cumsum(self.rates)
+            self.cum = list(accumulate(self.rates.tolist()))
         return self.pairs[min(bisect_right(self.cum, u), len(self.pairs) - 1)]
 
 
@@ -61,22 +67,28 @@ class CoupledSimulator:
         self.partition = partition
         self.chain = chain
         self.upper = chain.direction == "upper"
-        self._nu = network.change_matrix().reshape(-1, network.d)
+        nu = network.change_matrix().reshape(-1, network.d)
         # one destination per distinct change vector, the self-loop's zero
         # vector included, sorted so a row's pairs come out in sorted order
         moves, first, group = np.unique(
-            np.vstack([self._nu, np.zeros((1, network.d), dtype=np.int64)]),
+            np.vstack([nu, np.zeros((1, network.d), dtype=np.int64)]),
             axis=0, return_index=True, return_inverse=True)
-        self._moves = moves
-        self._group = group.reshape(-1)
-        self._self = int(self._group[-1])
+        self._moves = [tuple(m) for m in moves.tolist()]
+        self._group = group.reshape(-1).tolist()
+        self._self = self._group.pop()
         # class masses add up in reaction order, the self-loop last
-        self._by_reaction = np.argsort(first)
-        self._shift = moves @ np.asarray(partition.weights, dtype=np.int64)
-        self._band = chain.band(chain.l_total)
+        self._by_reaction = np.argsort(first).tolist()
+        self._shift = (moves @ np.asarray(partition.weights,
+                                          dtype=np.int64)).tolist()
+        self._evaluate = [r.propensity.evaluate for r in network.reactions]
+        # the counts each reaction takes: (species, count) where nu < 0
+        self._takes = [[(i, -v) for i, v in enumerate(change) if v < 0]
+                       for change in nu.tolist()]
+        band = chain.band(chain.l_total)
         # exit rate per level, added one offset at a time in offset order
         # (np.sum would group the terms differently)
-        self._exit = np.cumsum(self._band, axis=1)[:, -1]
+        self._exit = np.cumsum(band, axis=1)[:, -1].tolist()
+        self._band = band.tolist()
         # the cache reaches the simulator through a weak proxy: a bound
         # method would close a reference cycle that keeps every cached row
         # alive after the simulator is dropped, until the cyclic GC runs
@@ -94,73 +106,101 @@ class CoupledSimulator:
         return {"rows_built": info.misses, "row_hits": info.hits}
 
     def _build_row(self, state: tuple, ell: int) -> CouplingRow:
-        x = np.asarray(state, dtype=np.int64)
-        c = class_of(x, self.partition)
+        c = class_of(state, self.partition)
         if not 0 <= ell <= self.chain.l_total:
             raise ValidationError(
                 f"level {ell} outside the chain's range [0, {self.chain.l_total}]")
         source = (state, ell)
         # network side: propensities at x, then the self-loop at mass q_y
-        R = self.network.rates(x[None])
-        check_propensities(R, x[None])
-        flow = np.append(R[0], 0.0)
-        leaves = (flow[:-1] > 0) & (x + self._nu < 0).any(axis=1)
-        if leaves.any():
-            raise ValidationError(
-                f"reaction {int(np.flatnonzero(leaves)[0])} leaves the orthant "
-                f"from {state}")
-        q_x = float(np.cumsum(flow)[-1])  # one reaction at a time, in order
-        q_y = float(self._exit[ell])
+        flow = [evaluate(state) for evaluate in self._evaluate]
+        if not all(f >= 0.0 for f in flow):
+            check_propensities(np.array([flow]), [state])
+        for r, (f, takes) in enumerate(zip(flow, self._takes)):
+            if f > 0.0 and any(state[i] < n for i, n in takes):
+                raise ValidationError(
+                    f"reaction {r} leaves the orthant from {state}")
+        q_x = 0.0
+        for f in flow:  # one reaction at a time, in order
+            q_x += f
+        q_y = self._exit[ell]
         M = q_x + q_y
         if M <= 0.0:
             return CouplingRow(source=source, pairs=[], rates=np.zeros(0),
                                exit_rate=0.0, M=0.0)
-        flow[-1] = q_y
-        rate = np.bincount(self._group, weights=flow,
-                           minlength=len(self._moves))
-        cls = c + self._shift
-        live = rate > 0
-        # chain side: the band row at ell, then the self-loop at mass q_x
+        rate = [0.0] * len(self._moves)
+        for g, f in zip(self._group, flow):
+            rate[g] += f
+        rate[self._self] += q_y
+        live = [g for g, r in enumerate(rate) if r > 0.0]
+        cls = {g: c + self._shift[g] for g in live}
+        # chain side: the band row at ell, the self-loop at mass q_x in its
+        # k = 0 slot; both sides index the classes lo..hi from 0
         J = self.chain.j_max
-        ks = np.flatnonzero(self._band[ell]) - J
-        lo = min(int(cls[live].min()), ell + int(ks.min(initial=0)))
-        hi = max(int(cls[live].max()), ell + int(ks.max(initial=0)))
-        b = np.zeros(hi - lo + 1)
-        b[ell + ks - lo] = self._band[ell, ks + J]
-        b[ell - lo] = q_x
-        rows = np.flatnonzero(live)
+        band = list(self._band[ell])
+        band[J] = q_x
+        levels = [(ell - J + k, r) for k, r in enumerate(band) if r != 0.0]
+        lo = min(min(cls.values()), levels[0][0], ell)
+        hi = max(max(cls.values()), levels[-1][0], ell)
+        b = [(m - lo, r) for m, r in levels]
         if (c <= ell) if self.upper else (c >= ell):
-            order = self._by_reaction[live[self._by_reaction]]
-            a = np.bincount(cls[order] - lo, weights=rate[order],
-                            minlength=len(b))
+            a = {}
+            for g in self._by_reaction:
+                if g in cls:
+                    a[cls[g] - lo] = a.get(cls[g] - lo, 0.0) + rate[g]
+            a_sparse = sorted(a.items())
+            width = hi - lo + 1
+            total_a = _numpy_sum(a_sparse, width)
+            total_b = _numpy_sum(b, width)
             try:
-                plan = pi_bar(a, b) if self.upper else pi_bar(b, a).T
+                entries = (
+                    _walk(a_sparse, b, total_a, total_b, width) if self.upper
+                    else [(k, j, v) for j, k, v in
+                          _walk(b, a_sparse, total_b, total_a, width)])
             except TransportError as exc:
                 if exc.index is None:
                     raise
                 raise TransportError(
                     f"no order-preserving coupling at {source}, class "
                     f"{lo + exc.index}: {exc}", index=lo + exc.index) from exc
-            at = cls[rows] - lo
-            joint = (rate[rows] / a[at])[:, None] * plan[at]
+            plan = {}
+            for k, j, v in entries:
+                plan.setdefault(k, []).append((j, v))
+            joint = []
+            for g in live:
+                share = rate[g] / a[cls[g] - lo]
+                joint.append([(j, share * v)
+                              for j, v in plan.get(cls[g] - lo, ())])
         else:
-            joint = np.outer(rate[rows], b) / M
-        dests = x + self._moves[rows]
+            joint = [[(j, rate[g] * r / M) for j, r in b] for g in live]
+        dests = [tuple(map(add, state, self._moves[g])) for g in live]
         tol = MARGINAL_RTOL * max(1.0, M)
-        net_bad = np.abs(joint.sum(axis=1) - rate[rows]) > tol
-        chain_bad = np.abs(joint.sum(axis=0) - b) > tol
-        if net_bad.any() or chain_bad.any():
+        net_bad = []
+        col = {}
+        for g, dest, entries in zip(live, dests, joint):
+            total = 0.0
+            for j, v in entries:
+                total += v
+                col[j] = col.get(j, 0.0) + v
+            if abs(total - rate[g]) > tol:
+                net_bad.append(dest)
+        chain_bad = [lo + j for j, r in b if abs(col.get(j, 0.0) - r) > tol]
+        if net_bad or chain_bad:
             raise ConsistencyError(
                 f"joint row at {source} breaks its marginals at network "
-                f"states {list(map(tuple, dests[net_bad].tolist()))} and "
-                f"chain levels {(lo + np.flatnonzero(chain_bad)).tolist()}")
+                f"states {net_bad} and chain levels {chain_bad}")
         # the source pair is the diagonal self-loop, not a jump
-        at_self = rows == self._self
-        self_mass = float(joint[at_self, ell - lo].sum())
-        joint[at_self, ell - lo] = 0.0
-        i, j = np.nonzero(joint)
-        pairs = list(zip(map(tuple, dests[i].tolist()), (lo + j).tolist()))
-        return CouplingRow(source=source, pairs=pairs, rates=joint[i, j],
+        pairs = []
+        rates = []
+        self_mass = 0.0
+        for g, dest, entries in zip(live, dests, joint):
+            for j, v in entries:
+                if g == self._self and j == ell - lo:
+                    self_mass = v
+                elif v != 0.0:
+                    pairs.append((dest, lo + j))
+                    rates.append(v)
+        return CouplingRow(source=source, pairs=pairs,
+                           rates=np.array(rates, dtype=float),
                            exit_rate=M - self_mass, M=M)
 
     def marginals(self, row: CouplingRow):

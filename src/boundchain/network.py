@@ -15,6 +15,7 @@ classes 0..hi under one cumulative state cap.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -51,6 +52,20 @@ class Factor:
             out = out * (x - r)
         return out
 
+    def _value(self, x: float) -> float:
+        """``evaluate`` at one count, with the same floating-point operations."""
+        if self.kind == "falling-factorial":
+            out = x
+            for r in range(1, self.exponent):
+                out = out * (x - r)
+            return out
+        if self.exponent <= 2:
+            # numpy squares for ** 2; x ** 1 is x under any pow
+            return x * x if self.exponent == 2 else x
+        # numpy's vectorized pow rounds differently from the C library's,
+        # which float ** calls, once the power no longer fits in a double
+        return float(np.power(np.array([x]), self.exponent)[0])
+
 
 @dataclass(frozen=True)
 class Term:
@@ -65,8 +80,19 @@ class PropensityPolynomial:
         self.terms = tuple(terms)
 
     def evaluate(self, state) -> float:
-        x = np.asarray(state, dtype=float).reshape(1, -1)
-        return float(self.evaluate_many(x)[0])
+        """Value at one state, on Python floats.
+
+        The operations are those of ``evaluate_many``: each term is its
+        coefficient times its factors in order, and the terms are added to
+        0.0 in order, so both give the same float.
+        """
+        out = 0.0
+        for term in self.terms:
+            val = float(term.coeff)
+            for f in term.factors:
+                val *= f._value(float(state[f.species]))
+            out += val
+        return out
 
     def evaluate_many(self, states) -> np.ndarray:
         """Vectorized evaluation on an (n, d) array of states."""
@@ -137,6 +163,9 @@ def network_from_dict(doc: dict) -> ReactionNetwork:
     try:
         species = [str(s) for s in doc["species"]]
         params = {str(k): float(v) for k, v in dict(doc.get("parameters", {})).items()}
+        for name, value in params.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"parameter {name!r} is {value}")
         reactions = []
         for rx in doc["reactions"]:
             change = tuple(int(c) for c in rx["change"])
@@ -158,6 +187,9 @@ def network_from_dict(doc: dict) -> ReactionNetwork:
                         Factor(int(sp), int(f.get("exponent", 1)),
                                str(f.get("kind", "plain-power")))
                     )
+                if not math.isfinite(float(coeff)):
+                    raise ValidationError(
+                        f"reaction {len(reactions)} has coefficient {coeff}")
                 terms.append(Term(float(coeff), tuple(factors)))
             reactions.append(Reaction(change, PropensityPolynomial(terms)))
     except ValidationError:
@@ -271,16 +303,17 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
 
 
 def check_propensities(rates: np.ndarray, states) -> None:
-    """Raise at the first negative entry of ``rates``, row by row.
+    """Raise at the first negative or NaN entry of ``rates``, row by row.
 
     ``rates`` is a (k, reactions) block of ``ReactionNetwork.rates`` on the
     (k, d) ``states``; the message names the reaction and the state.
     """
-    neg = rates < 0
+    neg = ~(rates >= 0)
     if neg.any():
         i, k = np.argwhere(neg)[0]
+        kind = "negative" if rates[i, k] < 0 else "undefined"
         raise ValidationError(
-            f"negative propensity {rates[i, k]} for reaction {k} at "
+            f"{kind} propensity {rates[i, k]} for reaction {k} at "
             f"{tuple(int(v) for v in states[i])}")
 
 

@@ -153,8 +153,21 @@ CHAIN_RUN = ("--network", NET, "--chain", "{chain}", "--x0", "3,2,1",
     _bad("heatmap-negative-n", "heatmap", "--chain", "{chain}", "--p0",
          "delta:5", "--n-grid=-4:20:4", "--t-grid", "0.5:1.0:0.5",
          "--out", "{tmp}/h.csv"),
+    _bad("build-nan-parameter", "build", "--network", "{tmp}/nan.json",
+         "--weights", "2,1,1", "--direction", "upper", "--l-exact", "30",
+         "--out", "{tmp}/c.csv"),
+    _bad("couple-infinite-coefficient", "couple", "--network",
+         "{tmp}/inf.json", "--chain", "{chain}", "--x0", "3,2,1", "--y0",
+         "12", "--tf", "1", "--out", "{tmp}/p.csv"),
 ])
 def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
+    # a NaN rate once passed every sign check and wrote a truncated chain
+    doc = json.loads(Path(NET).read_text())
+    doc["parameters"]["d3"] = "nan"
+    (tmp_path / "nan.json").write_text(json.dumps(doc))
+    doc["parameters"]["d3"] = 3.0
+    doc["reactions"][0]["propensity"][2]["coeff"] = float("inf")
+    (tmp_path / "inf.json").write_text(json.dumps(doc))
     argv = [a.format(tmp=tmp_path, chain=chain_csv) for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -193,6 +206,24 @@ def test_build_and_verify_reject_a_negative_propensity(tmp_path, chain_csv,
     assert message in capsys.readouterr().err
     assert main(["verify", "--network", str(bad), "--chain", chain_csv,
                  "--l-check", "20"]) == 2
+    assert message in capsys.readouterr().err
+    # finite coefficients whose product overflows to inf and then meets a
+    # zero count: the rate is NaN, which no sign check used to catch
+    doc["reactions"][5]["propensity"][0] = {
+        "coeff": 1e308, "factors": [{"species": "X3"}, {"species": "X1"}]}
+    bad.write_text(json.dumps(doc))
+    message = "undefined propensity nan for reaction 5 at (0, 0, 2)"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["build", "--network", str(bad), "--weights", "2,1,1",
+                     "--direction", "upper", "--l-exact", "30",
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["verify", "--network", str(bad), "--chain", chain_csv,
+                     "--l-check", "20"]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["couple", "--network", str(bad), "--chain", chain_csv,
+                 "--x0", "0,0,2", "--y0", "12", "--tf", "1",
+                 "--out", str(tmp_path / "p.csv")]) == 2
     assert message in capsys.readouterr().err
 
 def test_verify_weight_mismatch(chain_csv):
@@ -341,6 +372,8 @@ def test_simulate_cli(tmp_path, capsys):
     assert rows[0] == {"t": "0.0", "x1": "3", "x2": "2", "x3": "1"}
     assert float(rows[-1]["t"]) <= 1.0
     assert f"({len(rows) - 1} jumps," in capsys.readouterr().out
+    man = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
+    assert man["counters"] == {"jumps": len(rows) - 1}
 
     est_out = tmp_path / "exit.json"
     assert main(["simulate", "--network", NET, "--x0", "3,2,1",
@@ -349,7 +382,10 @@ def test_simulate_cli(tmp_path, capsys):
     doc = json.loads(est_out.read_text())
     assert doc["samples"] == 200 and doc["N"] == 60
     assert 0.0 <= doc["lo"] <= doc["hi"] <= 1.0
-    capsys.readouterr()
+    # the manifest counts the work; stdout stays the result document
+    man = json.loads((tmp_path / "exit.json.manifest.json").read_text())
+    assert man["counters"] == {"paths": 200, "exits": doc["exits"]}
+    assert json.loads(capsys.readouterr().out) == doc
 
     assert main(["simulate", "--network", NET, "--x0", "3,2,1",
                  "--tf", "0.5", "--stop", "class>60"]) == 2  # no weights

@@ -12,6 +12,7 @@ from boundchain import (BoundingChain, ClassPartition, CoupledSimulator,
                         coupled_ssa, coupling_row, network_from_dict)
 from boundchain.network import class_of
 from conftest import NETWORK_DOC
+from test_transport import pi_bar_broadcast
 
 
 def marginal_tols(sim, x, ell):
@@ -262,6 +263,97 @@ def test_disordered_rows_are_unchanged(request, network, chain_name,
                  else class_of(x, part) < ell)]
     assert len(pairs) == count
     assert row_digest(CoupledSimulator(network, part, chain), pairs) == digest
+
+
+def dense_row(sim, band, state, ell):
+    """A joint row built on arrays over the classes lo..hi: the reference.
+
+    Propensities from ``ReactionNetwork.rates``, class masses by
+    ``np.bincount``, the plan from the broadcast fill, the self-loop pair
+    zeroed in the dense joint array; ``band`` is ``chain.band(l_total)``.
+    """
+    network, chain = sim.network, sim.chain
+    x = np.asarray(state, dtype=np.int64)
+    c = class_of(x, sim.partition)
+    nu = network.change_matrix().reshape(-1, network.d)
+    moves, first, group = np.unique(
+        np.vstack([nu, np.zeros((1, network.d), dtype=np.int64)]),
+        axis=0, return_index=True, return_inverse=True)
+    group = group.reshape(-1)
+    shift = moves @ np.asarray(sim.partition.weights, dtype=np.int64)
+    flow = np.append(network.rates(x[None])[0], 0.0)
+    q_x = float(np.cumsum(flow)[-1])
+    q_y = float(np.cumsum(band[ell])[-1])
+    M = q_x + q_y
+    if M <= 0.0:
+        return [], np.zeros(0), 0.0, 0.0
+    flow[-1] = q_y
+    rate = np.bincount(group, weights=flow, minlength=len(moves))
+    cls = c + shift
+    live = rate > 0
+    J = chain.j_max
+    ks = np.flatnonzero(band[ell]) - J
+    lo = min(int(cls[live].min()), ell + int(ks.min(initial=0)))
+    hi = max(int(cls[live].max()), ell + int(ks.max(initial=0)))
+    b = np.zeros(hi - lo + 1)
+    b[ell + ks - lo] = band[ell, ks + J]
+    b[ell - lo] = q_x
+    rows = np.flatnonzero(live)
+    if (c <= ell) if sim.upper else (c >= ell):
+        by_reaction = np.argsort(first)
+        order = by_reaction[live[by_reaction]]
+        a = np.bincount(cls[order] - lo, weights=rate[order],
+                        minlength=len(b))
+        plan = (pi_bar_broadcast(a, b) if sim.upper
+                else pi_bar_broadcast(b, a).T)
+        at = cls[rows] - lo
+        joint = (rate[rows] / a[at])[:, None] * plan[at]
+    else:
+        joint = np.outer(rate[rows], b) / M
+    dests = x + moves[rows]
+    at_self = rows == group[-1]
+    self_mass = float(joint[at_self, ell - lo].sum())
+    joint[at_self, ell - lo] = 0.0
+    i, j = np.nonzero(joint)
+    pairs = list(zip(map(tuple, dests[i].tolist()), (lo + j).tolist()))
+    return pairs, joint[i, j], M - self_mass, M
+
+
+# awkward rates, whose sums show the order and grouping of their terms in
+# the last bits, and a zero-change reaction, whose mass the self-loop joins
+AWKWARD_DOC = dict(
+    NETWORK_DOC,
+    parameters={"b1": 1.1, "b2": 2.3, "alpha": 2.3, "beta": 1.7, "d1": 2.1,
+                "d2": 2.9, "d3": 3.3},
+    reactions=NETWORK_DOC["reactions"] + [
+        {"change": [0, 0, 0], "propensity": [
+            {"coeff": 0.7, "factors": [{"species": "X2"}]}]}])
+
+
+@pytest.mark.parametrize("weights, direction", [((2, 1, 1), "upper"),
+                                                ((2, 2, 5), "lower")])
+def test_rows_match_the_dense_construction(weights, direction):
+    network = network_from_dict(AWKWARD_DOC)
+    part = ClassPartition(weights)
+    chain = build_bounding_chain(network, part, direction, l_exact=70,
+                                 l_total=400)
+    sim = CoupledSimulator(network, part, chain)
+    band = chain.band(chain.l_total)
+    rng = np.random.default_rng(11)
+    sign = 1 if direction == "upper" else -1
+    ordered = 0
+    for x, gap in zip(rng.integers(0, 30, size=(500, 3)).tolist(),
+                      rng.integers(-20, 140, size=500).tolist()):
+        # gaps up to 140 classes: past 128 entries numpy adds in halves
+        ell = max(0, class_of(x, part) + sign * gap)
+        row = sim.row(x, ell)
+        pairs, rates, exit_rate, M = dense_row(sim, band, tuple(x), ell)
+        assert row.pairs == pairs, (x, ell)
+        assert row.rates.tobytes() == rates.tobytes(), (x, ell)
+        assert (repr(row.exit_rate), repr(row.M)) == (repr(exit_rate),
+                                                     repr(M))
+        ordered += gap >= 0
+    assert 300 < ordered < 480
 
 
 def test_row_counters(network, part211, upper211):
