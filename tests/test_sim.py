@@ -1,5 +1,7 @@
 """Stochastic simulation: exactness, reproducibility, exit estimates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,34 @@ def test_estimate_exit_absorbing_paths_do_not_exit():
                         samples=64, seed=1)
     assert est.exits == 0
     assert est.hi < 0.1
+
+
+# exit counts of the lockstep kernel from class 80: the +2 birth exits a
+# window of 81 directly, a window of 82 needs an odd class first
+@pytest.mark.parametrize("N, exits", [(81, [23, 28, 29]), (82, [1, 0, 0]),
+                                      (110, [0, 0, 0])])
+def test_estimate_exit_counts_are_pinned(network, part211, N, exits):
+    got = [estimate_exit(network, part211, N, 4.0, (30, 10, 10),
+                         samples=4000, seed=seed).exits for seed in range(3)]
+    assert got == exits
+
+
+def _ssa_digest(model, x0, t_final, seeds) -> str:
+    h = hashlib.sha256()
+    for seed in seeds:
+        traj = ssa(model, x0, t_final, seed=seed)
+        h.update(traj.reason.encode())
+        h.update(np.ascontiguousarray(traj.times).tobytes())
+        h.update(np.ascontiguousarray(traj.states, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def test_ssa_paths_are_pinned(network, upper211):
+    # sha256 over reason, times and states of 20 one-path runs each
+    assert _ssa_digest(network, (3, 2, 1), 4.0, range(20)) == (
+        "4a47b4c124e5d2388a0e313d32bdd10eb8ce967817f14bebbecd846b487eabea")
+    assert _ssa_digest(upper211, 40, 4.0, range(20)) == (
+        "49920fc724fae69cfc4ebe8a52f54d7f67b62b340971cef9c23792cc89672495")
+    assert _ssa_digest(network_from_dict(PURE_DEATH), (6,), 1e9,
+                       range(20)) == (
+        "2c066e7b5161d39c708d940f41cf3fd3b196dcacf5c65ed466439cf2b9360e43")
