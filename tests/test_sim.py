@@ -234,3 +234,39 @@ def test_ssa_paths_are_pinned(network, upper211):
     assert _ssa_digest(network_from_dict(PURE_DEATH), (6,), 1e9,
                        range(20)) == (
         "2c066e7b5161d39c708d940f41cf3fd3b196dcacf5c65ed466439cf2b9360e43")
+
+
+def test_wide_rate_rows_are_pinned(network):
+    # eight reactions, and a chain with nine offsets: numpy sums a row of
+    # eight or more entries pairwise, not left to right, so the clocks of
+    # these paths pin the row total's order of addition
+    doc = {"species": list(network.species), "parameters": {},
+           "reactions": [
+               {"change": list(r.change),
+                "propensity": [{"coeff": t.coeff,
+                                "factors": [{"species": f.species,
+                                             "exponent": f.exponent,
+                                             "kind": f.kind}
+                                            for f in t.factors]}
+                               for t in r.propensity.terms]}
+               for r in network.reactions]}
+    doc["reactions"] += [
+        {"change": [0, 1, 0], "propensity": [{"coeff": 0.7}]},
+        {"change": [0, 0, 1],
+         "propensity": [{"coeff": 0.3, "factors": [{"species": 0}]}]},
+    ]
+    wide = network_from_dict(doc)
+    assert [estimate_exit(wide, ClassPartition((2, 1, 1)), 81, 4.0,
+                          (30, 10, 10), samples=2000, seed=seed).exits
+            for seed in range(3)] == [18, 14, 17]
+    assert _ssa_digest(wide, (3, 2, 1), 4.0, range(10)) == (
+        "8fdaaf9271fac4f1f657365a4b6ae45279e5a52c9fb44b87ef744c9f35b029c9")
+    L = 60
+    up = np.full(L + 1, 0.37)
+    down = 0.91 * np.arange(L + 1, dtype=float)
+    chain = BoundingChain("upper", 4, L, L, {4: up, 1: up / 3, -1: down},
+                          {4: TailModel(4, 0, intercepts=(0.37,)),
+                           1: TailModel(1, 0, intercepts=(0.37 / 3,)),
+                           -1: TailModel(-1, 1, slope=0.91)}, (1,))
+    assert _ssa_digest(chain, 10, 6.0, range(10)) == (
+        "d4b0a0839c3d7950dcd7f5fcfb99d3e8a24e56465632f63768cecce91fb6d0b0")
