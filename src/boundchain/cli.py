@@ -288,15 +288,15 @@ def cmd_simulate(args) -> int:
                "exits": est.exits, "samples": est.samples, "N": est.N,
                "t_final": est.t_final, "seed": est.seed}
         return _emit(args, "simulate", doc, seeds=[args.seed],
-                     counters={"paths": est.samples, "exits": est.exits})
+                     counters={"paths": est.samples, "exits": est.exits,
+                               "jumps": est.jumps, "sweeps": est.sweeps})
     traj = ssa(network, x0, args.tf, seed=args.seed)
     out = Path(args.out or "trajectory.csv")
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x{i+1}" for i in range(network.d)])
-        for i in range(len(traj)):
-            writer.writerow([repr(float(traj.times[i]))]
-                            + [int(v) for v in traj.states[i]])
+        for t, x in zip(traj.times.tolist(), traj.states.tolist()):
+            writer.writerow([repr(t)] + x)
     write_manifest(out, "simulate", vars(args), seeds=[args.seed],
                    counters={"jumps": len(traj) - 1})
     print(f"wrote one path ({len(traj) - 1} jumps, ended: {traj.reason}) to {out}")

@@ -106,7 +106,10 @@ class CoupledSimulator:
         return {"rows_built": info.misses, "row_hits": info.hits}
 
     def _build_row(self, state: tuple, ell: int) -> CouplingRow:
-        c = class_of(state, self.partition)
+        w = self.partition.weights
+        if len(state) != len(w) or min(state) < 0:
+            class_of(state, self.partition)  # raises, naming the fault
+        c = sum(map(mul, w, state))
         if not 0 <= ell <= self.chain.l_total:
             raise ValidationError(
                 f"level {ell} outside the chain's range [0, {self.chain.l_total}]")

@@ -98,12 +98,20 @@ class PropensityPolynomial:
         """Vectorized evaluation on an (n, d) array of states."""
         X = np.asarray(states, dtype=float)
         out = np.zeros(X.shape[0])
-        for term in self.terms:
-            val = np.full(X.shape[0], float(term.coeff))
-            for f in term.factors:
-                val *= f.evaluate(X[:, f.species])
-            out += val
+        self._add_to(out, X.T)
         return out
+
+    def _add_to(self, out: np.ndarray, cols) -> None:
+        """Add the values on per-species float columns ``cols`` to ``out``.
+
+        Each term is its coefficient times its factors in order, and the
+        terms are added to ``out`` in order.
+        """
+        for term in self.terms:
+            val = float(term.coeff)
+            for f in term.factors:
+                val *= f.evaluate(cols[f.species])
+            out += val
 
     def is_structurally_zero(self) -> bool:
         return all(t.coeff == 0.0 for t in self.terms)
@@ -146,10 +154,18 @@ class ReactionNetwork:
 
     def rates(self, states) -> np.ndarray:
         """(n, reactions) propensity matrix on an (n, d) array of states."""
-        X = np.asarray(states, dtype=float)
-        out = np.empty((X.shape[0], len(self.reactions)))
-        for ridx, r in enumerate(self.reactions):
-            out[:, ridx] = r.propensity.evaluate_many(X)
+        cols = np.asarray(states).T.astype(float, order="C")
+        return np.ascontiguousarray(self._rate_block(cols).T)
+
+    def _rate_block(self, cols: np.ndarray) -> np.ndarray:
+        """(reactions, n) propensities on (d, n) per-species float columns.
+
+        The one evaluator behind ``rates`` and the SSA kernel; row i is
+        reaction i's ``evaluate_many``, bit for bit.
+        """
+        out = np.zeros((len(self.reactions), cols.shape[1]))
+        for row, r in zip(out, self.reactions):
+            r.propensity._add_to(row, cols)
         return out
 
 

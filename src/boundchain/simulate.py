@@ -54,52 +54,91 @@ class Trajectory:
         return len(self.times)
 
 
-def _lockstep(rates, changes, X, t_final, rng, jump_cap, after):
+def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
     """Gillespie's direct method on every row of ``X`` at once, in place.
 
-    Each sweep gives every live path one jump: ``rates(X[live])`` is a
-    (k, r) matrix whose column i (reaction i of a network) moves a path by
-    ``changes[i]``; a negative entry raises, naming the reaction and the
-    state.  A path whose row total is 0 is absorbed.  The others draw a clock
-    ``exponential(1 / total)``; a jump that would land past ``t_final`` is
-    discarded and the path ends at the horizon.  The rest pick a column by
-    ``uniform(0, total)`` against the row's cumulative sum (clamped to the
-    last column), move, and go to ``after(moved, t)`` with their new times,
-    which returns a mask of the moved paths that stop.  Returns each path's
-    end: "absorbed", "horizon", "stop", or "cap" for a path still live
-    after ``jump_cap`` jumps.
+    The live paths are kept packed, in ascending row order so the draws
+    come in the same order however many have ended: their states as a
+    (d, k) block ``S`` with one column per path, their times, their rows
+    of ``X`` and, given class weights ``w``, their integer class labels.
+    Each sweep gives every live path one jump.  ``rates(S)`` is a (r, k)
+    block whose row i (reaction i of a network) moves a path by
+    ``changes[i]``; a negative or NaN entry raises, naming the reaction
+    and the state.  A running sum down the reaction axis gives each path's
+    total and its pick.  A path whose total is 0 is absorbed.  The others
+    draw a clock ``exponential(1 / total)``; a jump that would land past
+    ``t_final`` is discarded and the path ends at the horizon.  The rest
+    pick a reaction by ``uniform(0, total)`` against the running sum
+    (clamped to the last reaction), move, add ``(changes @ w)[pick]`` to
+    their labels, and go to ``after(S, t, labels)`` with their new states,
+    times and labels (``None`` without ``w``), which returns a mask of the
+    paths that stop.  A path that ends leaves the packed set, and its final
+    state is written back to ``X``.
+
+    Returns each path's end: "absorbed", "horizon", "stop", or "cap" for a
+    path still live after ``jump_cap`` jumps; then the jumps made over all
+    paths and the sweeps taken.
     """
     end = np.full(len(X), "cap", dtype=object)
+    S = np.ascontiguousarray(X.T)
     t = np.zeros(len(X))
-    live = np.arange(len(X))
-    for _ in range(jump_cap):
-        if not live.size:
-            break
-        states = X[live]
-        R = rates(states)
-        check_propensities(R, states)
-        total = R.sum(axis=1)
-        dead = total <= 0.0
-        if dead.any():
-            end[live[dead]] = "absorbed"
-            live, R, total = live[~dead], R[~dead], total[~dead]
-        t_new = t[live] + rng.exponential(1.0 / total)
-        over = t_new > t_final
-        if over.any():
-            end[live[over]] = "horizon"
-            keep = ~over
-            live, R, total, t_new = live[keep], R[keep], total[keep], t_new[keep]
-        if not live.size:
-            continue
-        u = rng.uniform(0.0, total)
-        pick = (np.cumsum(R, axis=1) <= u[:, None]).sum(axis=1)
-        np.minimum(pick, R.shape[1] - 1, out=pick)
-        X[live] += changes[pick]
-        t[live] = t_new
-        stop = after(live, t_new)
-        end[live[stop]] = "stop"
-        live = live[~stop]
-    return end
+    rows = np.arange(len(X))
+    moves = np.ascontiguousarray(changes.T)
+    labels = shift = None
+    if w is not None:
+        labels, shift = X @ w, changes @ w
+    last = len(changes) - 1
+    jumps = sweeps = 0
+
+    def retire(gone, reason):
+        """End the masked paths; returns the mask of those that go on."""
+        nonlocal S, t, rows, labels
+        end[rows[gone]] = reason
+        X[rows[gone]] = S.compress(gone, axis=1).T
+        keep = ~gone
+        S, t, rows = S.compress(keep, axis=1), t[keep], rows[keep]
+        if labels is not None:
+            labels = labels[keep]
+        return keep
+
+    while rows.size and sweeps < jump_cap:
+        sweeps += 1
+        R = rates(S)
+        if not R.min() >= 0.0:
+            check_propensities(R.T, S.T)
+        # numpy sums a row of eight or more entries pairwise, not in order
+        total = np.ascontiguousarray(R.T).sum(axis=1) if last >= 7 else None
+        C = R  # the running sum, in place
+        for i in range(last):
+            np.add(C[i], C[i + 1], out=C[i + 1])
+        if total is None:
+            total = C[-1]
+        gone = total <= 0.0
+        if gone.any():
+            keep = retire(gone, "absorbed")
+            if not rows.size:
+                break
+            C, total = C.compress(keep, axis=1), total[keep]
+        t_new = t + rng.exponential(1.0 / total)
+        gone = t_new > t_final
+        if gone.any():
+            keep = retire(gone, "horizon")
+            if not rows.size:
+                break
+            C, total, t_new = C.compress(keep, axis=1), total[keep], t_new[keep]
+        # C is nondecreasing down each column, so counting the first r - 1
+        # entries at or below u is the count over all r clamped to r - 1
+        pick = (C[:last] <= rng.uniform(0.0, total)).sum(axis=0)
+        S += moves.take(pick, axis=1)
+        t = t_new
+        jumps += rows.size
+        if labels is not None:
+            labels += shift[pick]
+        gone = after(S, t, labels)
+        if gone.any():
+            retire(gone, "stop")
+    X[rows] = S.T
+    return end, jumps, sweeps
 
 
 def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
@@ -118,25 +157,26 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
     rng = make_rng(seed)
     if isinstance(model, BoundingChain):
         J = model.j_max
-        band = model.band(model.l_total)
+        band = np.ascontiguousarray(model.band(model.l_total).T)
         X = np.array([[int(x0)]], dtype=np.int64)
-        rates, changes = lambda Y: band[Y[:, 0]], np.arange(-J, J + 1)[:, None]
-        top, state = model.l_total - J, X[0].item  # reads the moving level
+        rates, changes = lambda S: band[:, S[0]], np.arange(-J, J + 1)[:, None]
+        top, state = model.l_total - J, lambda S: int(S[0, 0])
     else:
         X = np.array([x0], dtype=np.int64)
         if X.shape != (1, model.d):
             raise ValidationError(f"x0 must have {model.d} components")
-        rates, changes = model.rates, model.change_matrix().reshape(-1, model.d)
-        top, state = None, X[0].copy
+        rates = lambda S: model._rate_block(S.astype(float))  # noqa: E731
+        changes = model.change_matrix().reshape(-1, model.d)
+        top, state = None, lambda S: S[:, 0].copy()
     if (X < 0).any():
         raise ValidationError("states must be nonnegative")
-    times, path = [0.0], [state()]
+    times, path = [0.0], [state(X.T)]
     reason = "band" if top is not None and path[0] > top else None
 
-    def after(moved, t):
+    def after(S, t, labels):
         nonlocal reason
         times.append(float(t[0]))
-        path.append(state())
+        path.append(state(S))
         if stop is not None and stop(path[-1]):
             reason = "exit"
         elif top is not None and path[-1] > top:
@@ -145,7 +185,7 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
 
     if reason is None:
         end = _lockstep(rates, changes, X, t_final, rng, jump_cap, after)[0]
-        reason = reason or end
+        reason = reason or end[0]
     return Trajectory(seed=seed, times=np.asarray(times),
                       states=np.asarray(path), reason=reason)
 
@@ -160,6 +200,8 @@ class ExitEstimate:
     seed: int
     t_final: float
     N: int
+    jumps: int = 0  # over all paths
+    sweeps: int = 0  # of the lockstep kernel
 
     def summary(self) -> str:
         return (f"exit estimate {self.estimate:.4f} "
@@ -198,15 +240,16 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
     if class_of(x0, partition) > N:
         return ExitEstimate(exits=samples, samples=samples, estimate=1.0,
                             lo=1.0, hi=1.0, seed=seed, t_final=t_final, N=N)
-    X = np.tile(x0, (samples, 1))
-    w = np.asarray(partition.weights, dtype=np.int64)
-    end = _lockstep(network.rates, network.change_matrix(), X,
-                    t_final, make_rng(seed), jump_cap,
-                    lambda moved, t: X[moved] @ w > N)
+    end, jumps, sweeps = _lockstep(
+        lambda S: network._rate_block(S.astype(float)),
+        network.change_matrix(), np.tile(x0, (samples, 1)), t_final,
+        make_rng(seed), jump_cap, lambda S, t, labels: labels > N,
+        np.asarray(partition.weights, dtype=np.int64))
     if (end == "cap").any():
         raise ValidationError(
             f"exceeded {jump_cap} jumps per path before t={t_final}")
     k = int((end == "stop").sum())
     lo, hi = wilson_interval(k, samples)
     return ExitEstimate(exits=k, samples=samples, estimate=k / samples,
-                        lo=lo, hi=hi, seed=seed, t_final=t_final, N=N)
+                        lo=lo, hi=hi, seed=seed, t_final=t_final, N=N,
+                        jumps=jumps, sweeps=sweeps)

@@ -384,13 +384,34 @@ def test_simulate_cli(tmp_path, capsys):
     assert 0.0 <= doc["lo"] <= doc["hi"] <= 1.0
     # the manifest counts the work; stdout stays the result document
     man = json.loads((tmp_path / "exit.json.manifest.json").read_text())
-    assert man["counters"] == {"paths": 200, "exits": doc["exits"]}
+    counters = man["counters"]
+    assert set(counters) == {"paths", "exits", "jumps", "sweeps"}
+    assert (counters["paths"], counters["exits"]) == (200, doc["exits"])
+    assert counters["jumps"] >= counters["sweeps"] > 0
     assert json.loads(capsys.readouterr().out) == doc
 
     assert main(["simulate", "--network", NET, "--x0", "3,2,1",
                  "--tf", "0.5", "--stop", "class>60"]) == 2  # no weights
     assert main(["simulate", "--network", NET, "--x0", "3,2,1",
                  "--tf", "0.5", "--stop", "x1>3", "--weights", "2,1,1"]) == 2
+
+
+def test_simulate_counts_jumps_and_sweeps(tmp_path, capsys):
+    # pure death from 10: every path is absorbed after exactly ten jumps,
+    # and the sweep after the tenth finds every path absorbed
+    net = tmp_path / "death.json"
+    net.write_text(json.dumps({
+        "species": ["X"],
+        "reactions": [{"change": [-1], "propensity": [
+            {"coeff": 1.0, "factors": [{"species": "X"}]}]}]}))
+    out = tmp_path / "exit.json"
+    assert main(["simulate", "--network", str(net), "--x0", "10",
+                 "--tf", "100", "--stop", "class>20", "--weights", "1",
+                 "--samples", "64", "--out", str(out)]) == 0
+    man = json.loads((tmp_path / "exit.json.manifest.json").read_text())
+    assert man["counters"] == {"paths": 64, "exits": 0, "jumps": 640,
+                               "sweeps": 11}
+    assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
 
 
 def test_truncate_cli(tmp_path, chain_csv, capsys):
