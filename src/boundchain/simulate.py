@@ -1,9 +1,11 @@
 """Stochastic simulation for reaction networks and 1-D chains.
 
 Plain SSA (Gillespie's direct method) has one kernel, ``_lockstep``: a
-batch of paths advanced in sweeps of one jump per live path.  ``ssa`` is a
-one-path run on a network's propensities or on the rows of a chain's band,
-``estimate_exit`` a many-path run on a network.  All randomness flows
+batch of paths advanced in sweeps of one jump per live path, the live ones
+kept packed with their propensities as one (reactions, paths) block.
+``ssa`` is a one-path run on a network's propensities or on the rows of a
+chain's band, ``estimate_exit`` a many-path run on a network that carries
+each path's class label.  All randomness flows
 through a counter-based Philox generator seeded explicitly, so trajectories
 are reproducible across runs and platforms.
 """
@@ -61,11 +63,11 @@ def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
     come in the same order however many have ended: their states as a
     (d, k) block ``S`` with one column per path, their times, their rows
     of ``X`` and, given class weights ``w``, their integer class labels.
-    Each sweep gives every live path one jump.  ``rates(S)`` is a (r, k)
-    block whose row i (reaction i of a network) moves a path by
-    ``changes[i]``; a negative or NaN entry raises, naming the reaction
-    and the state.  A running sum down the reaction axis gives each path's
-    total and its pick.  A path whose total is 0 is absorbed.  The others
+    Each sweep gives every live path one jump.  ``rates(S)`` is a new
+    (r, k) block, which the kernel overwrites, whose row i (reaction i of
+    a network) moves a path by ``changes[i]``; a negative or NaN entry
+    raises, naming the reaction and the state.  A running sum down the
+    reaction axis gives each path's total and its pick.  A path whose total is 0 is absorbed.  The others
     draw a clock ``exponential(1 / total)``; a jump that would land past
     ``t_final`` is discarded and the path ends at the horizon.  The rest
     pick a reaction by ``uniform(0, total)`` against the running sum
@@ -103,16 +105,14 @@ def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
 
     while rows.size and sweeps < jump_cap:
         sweeps += 1
-        R = rates(S)
-        if not R.min() >= 0.0:
-            check_propensities(R.T, S.T)
-        # numpy sums a row of eight or more entries pairwise, not in order
-        total = np.ascontiguousarray(R.T).sum(axis=1) if last >= 7 else None
-        C = R  # the running sum, in place
+        C = rates(S)  # made the running sum in place
+        if not C.min() >= 0.0:
+            check_propensities(C.T, S.T)
+        # numpy sums a row of eight or more entries pairwise, not in order;
+        # otherwise the total is the view C[-1], the end of the running sum
+        total = np.ascontiguousarray(C.T).sum(axis=1) if last >= 7 else C[-1]
         for i in range(last):
             np.add(C[i], C[i + 1], out=C[i + 1])
-        if total is None:
-            total = C[-1]
         gone = total <= 0.0
         if gone.any():
             keep = retire(gone, "absorbed")
@@ -129,6 +129,7 @@ def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
         # C is nondecreasing down each column, so counting the first r - 1
         # entries at or below u is the count over all r clamped to r - 1
         pick = (C[:last] <= rng.uniform(0.0, total)).sum(axis=0)
+        del C, total  # not held while the next sweep's block is built
         S += moves.take(pick, axis=1)
         t = t_new
         jumps += rows.size
