@@ -155,15 +155,18 @@ class ReactionNetwork:
     def rates(self, states) -> np.ndarray:
         """(n, reactions) propensity matrix on an (n, d) array of states."""
         cols = np.asarray(states).T.astype(float, order="C")
-        return np.ascontiguousarray(self._rate_block(cols).T)
+        out = np.zeros((cols.shape[1], len(self.reactions)))
+        return self._rate_block(cols, out.T).T
 
-    def _rate_block(self, cols: np.ndarray) -> np.ndarray:
+    def _rate_block(self, cols: np.ndarray, out=None) -> np.ndarray:
         """(reactions, n) propensities on (d, n) per-species float columns.
 
         The one evaluator behind ``rates`` and the SSA kernel; row i is
-        reaction i's ``evaluate_many``, bit for bit.
+        reaction i's ``evaluate_many``, bit for bit.  ``out``, zeros of
+        that shape, may be a view of another layout.
         """
-        out = np.zeros((len(self.reactions), cols.shape[1]))
+        if out is None:
+            out = np.zeros((len(self.reactions), cols.shape[1]))
         for row, r in zip(out, self.reactions):
             r.propensity._add_to(row, cols)
         return out
