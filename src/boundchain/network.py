@@ -154,17 +154,19 @@ class ReactionNetwork:
 
     def rates(self, states) -> np.ndarray:
         """(n, reactions) propensity matrix on an (n, d) array of states."""
-        cols = np.asarray(states).T.astype(float, order="C")
-        out = np.zeros((cols.shape[1], len(self.reactions)))
-        return self._rate_block(cols, out.T).T
+        X = np.asarray(states)
+        out = np.zeros((X.shape[0], len(self.reactions)))
+        return self._rate_block(X.T, out.T).T
 
-    def _rate_block(self, cols: np.ndarray, out=None) -> np.ndarray:
-        """(reactions, n) propensities on (d, n) per-species float columns.
+    def _rate_block(self, states, out=None) -> np.ndarray:
+        """(reactions, n) propensities on a (d, n) block of states.
 
-        The one evaluator behind ``rates`` and the SSA kernel; row i is
-        reaction i's ``evaluate_many``, bit for bit.  ``out``, zeros of
-        that shape, may be a view of another layout.
+        The one evaluator behind ``rates`` and the SSA kernel: the states
+        become per-species float columns once, and row i is reaction i's
+        ``evaluate_many``, bit for bit.  ``out``, zeros of that shape, may
+        be a view of another layout.
         """
+        cols = np.ascontiguousarray(states, dtype=float)
         if out is None:
             out = np.zeros((len(self.reactions), cols.shape[1]))
         for row, r in zip(out, self.reactions):

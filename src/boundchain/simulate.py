@@ -5,9 +5,9 @@ batch of paths advanced in sweeps of one jump per live path, the live ones
 kept packed with their propensities as one (reactions, paths) block.
 ``ssa`` is a one-path run on a network's propensities or on the rows of a
 chain's band, ``estimate_exit`` a many-path run on a network that carries
-each path's class label.  All randomness flows
-through a counter-based Philox generator seeded explicitly, so trajectories
-are reproducible across runs and platforms.
+each path's class label.  All randomness flows through a counter-based
+Philox generator seeded explicitly, so trajectories are reproducible across
+runs and platforms.
 """
 
 from __future__ import annotations
@@ -67,15 +67,16 @@ def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
     (r, k) block, which the kernel overwrites, whose row i (reaction i of
     a network) moves a path by ``changes[i]``; a negative or NaN entry
     raises, naming the reaction and the state.  A running sum down the
-    reaction axis gives each path's total and its pick.  A path whose total is 0 is absorbed.  The others
-    draw a clock ``exponential(1 / total)``; a jump that would land past
-    ``t_final`` is discarded and the path ends at the horizon.  The rest
-    pick a reaction by ``uniform(0, total)`` against the running sum
-    (clamped to the last reaction), move, add ``(changes @ w)[pick]`` to
-    their labels, and go to ``after(S, t, labels)`` with their new states,
-    times and labels (``None`` without ``w``), which returns a mask of the
-    paths that stop.  A path that ends leaves the packed set, and its final
-    state is written back to ``X``.
+    reaction axis gives each path's total and its pick.  A path whose
+    total is 0 is absorbed.  The others draw a clock
+    ``exponential(1 / total)``; a jump that would land past ``t_final`` is
+    discarded and the path ends at the horizon.  The rest pick a reaction
+    by ``uniform(0, total)`` against the running sum (clamped to the last
+    reaction), move, add ``(changes @ w)[pick]`` to their labels, and go to
+    ``after(S, t, labels)`` with their new states, times and labels
+    (``None`` without ``w``), which returns a mask of the paths that stop.
+    A path that ends leaves the packed set, and its final state is written
+    back to ``X``.
 
     Returns each path's end: "absorbed", "horizon", "stop", or "cap" for a
     path still live after ``jump_cap`` jumps; then the jumps made over all
@@ -125,7 +126,8 @@ def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
             keep = retire(gone, "horizon")
             if not rows.size:
                 break
-            C, total, t_new = C.compress(keep, axis=1), total[keep], t_new[keep]
+            C, total = C.compress(keep, axis=1), total[keep]
+            t_new = t_new[keep]
         # C is nondecreasing down each column, so counting the first r - 1
         # entries at or below u is the count over all r clamped to r - 1
         pick = (C[:last] <= rng.uniform(0.0, total)).sum(axis=0)
@@ -166,7 +168,7 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
         X = np.array([x0], dtype=np.int64)
         if X.shape != (1, model.d):
             raise ValidationError(f"x0 must have {model.d} components")
-        rates = lambda S: model._rate_block(S.astype(float))  # noqa: E731
+        rates = model._rate_block
         changes = model.change_matrix().reshape(-1, model.d)
         top, state = None, lambda S: S[:, 0].copy()
     if (X < 0).any():
@@ -242,9 +244,9 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
         return ExitEstimate(exits=samples, samples=samples, estimate=1.0,
                             lo=1.0, hi=1.0, seed=seed, t_final=t_final, N=N)
     end, jumps, sweeps = _lockstep(
-        lambda S: network._rate_block(S.astype(float)),
-        network.change_matrix(), np.tile(x0, (samples, 1)), t_final,
-        make_rng(seed), jump_cap, lambda S, t, labels: labels > N,
+        network._rate_block, network.change_matrix(),
+        np.tile(x0, (samples, 1)), t_final, make_rng(seed), jump_cap,
+        lambda S, t, labels: labels > N,
         np.asarray(partition.weights, dtype=np.int64))
     if (end == "cap").any():
         raise ValidationError(
