@@ -9,6 +9,7 @@ from boundchain import (BoundingChain, ClassPartition, TailModel,
                         ValidationError, coupled_ssa, delta_p0, estimate_exit,
                         make_rng, network_from_dict, solve_chain_cme, ssa,
                         wilson_interval)
+from conftest import NETWORK_DOC
 
 PURE_BIRTH = {
     "species": ["X"],
@@ -236,26 +237,16 @@ def test_ssa_paths_are_pinned(network, upper211):
         "2c066e7b5161d39c708d940f41cf3fd3b196dcacf5c65ed466439cf2b9360e43")
 
 
-def test_wide_rate_rows_are_pinned(network):
+def test_wide_rate_rows_are_pinned():
     # eight reactions, and a chain with nine offsets: numpy sums a row of
     # eight or more entries pairwise, not left to right, so the clocks of
     # these paths pin the row total's order of addition
-    doc = {"species": list(network.species), "parameters": {},
-           "reactions": [
-               {"change": list(r.change),
-                "propensity": [{"coeff": t.coeff,
-                                "factors": [{"species": f.species,
-                                             "exponent": f.exponent,
-                                             "kind": f.kind}
-                                            for f in t.factors]}
-                               for t in r.propensity.terms]}
-               for r in network.reactions]}
-    doc["reactions"] += [
+    wide = network_from_dict(dict(NETWORK_DOC, reactions=[
+        *NETWORK_DOC["reactions"],
         {"change": [0, 1, 0], "propensity": [{"coeff": 0.7}]},
         {"change": [0, 0, 1],
          "propensity": [{"coeff": 0.3, "factors": [{"species": 0}]}]},
-    ]
-    wide = network_from_dict(doc)
+    ]))
     assert [estimate_exit(wide, ClassPartition((2, 1, 1)), 81, 4.0,
                           (30, 10, 10), samples=2000, seed=seed).exits
             for seed in range(3)] == [18, 14, 17]
