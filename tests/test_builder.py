@@ -4,6 +4,7 @@ Expected rate rows come from an independent brute-force enumeration oracle
 computed before this module existed; they are asserted exactly.
 """
 
+import copy
 import functools
 import hashlib
 
@@ -13,7 +14,8 @@ import pytest
 from boundchain import (BoundingChain, ClassPartition, ResourceLimitError,
                         StabilizationError, TailModel, ValidationError,
                         build_bounding_chain, check_optimality,
-                        check_u_membership, compute_f, j_max, optimal_U, phi,
+                        check_u_membership, class_shift, compute_f,
+                        enumerate_class, j_max, optimal_U, phi,
                         network_from_dict, phi_inverse, verify_assumptions)
 from boundchain.builder import FTable, UTable
 from conftest import NETWORK_DOC
@@ -181,6 +183,86 @@ def test_optimal_U_tables_are_unchanged(network, weights, direction):
     got = hashlib.sha256(U.minus.tobytes() + U.plus.tobytes()).hexdigest()
     assert got == U_SHA256[weights, direction]
 
+
+
+def f_digest(f):
+    """sha256 over the bytes of an f-table's minus, plus and empty arrays."""
+    return hashlib.sha256(f.minus.tobytes() + f.plus.tobytes()
+                          + f.empty.tobytes()).hexdigest()
+
+
+# recorded from the class-by-class pass, before the f-table read runs of
+# classes at once; classes 1 and 2 are empty under (4, 3, 5), and (2, 2, 5)
+# and (3, 1, 2) have empty classes too
+F_SHA256 = {
+    ((2, 1, 1), "upper"): "e8728f8be3803ee97991d5900b5db053c49d0b830e1f42d6e29d3e8ce6ae6550",
+    ((2, 1, 1), "lower"): "52ba27e9dd88c6d24071d70b4652b662c90bc1549887aafc194fe7d404178f06",
+    ((2, 2, 5), "upper"): "a12edb642e4c38325c6c0abf3fc9542b3f6362f2283024867f3085d4355bb23a",
+    ((2, 2, 5), "lower"): "76deb6cba0b7d3445e21cec8c1bfbb6819b44481ff98dc20b9fb2762fb370795",
+    ((1, 1, 1), "upper"): "5a15e4ecf1aaf34024e26b05e767c88a3784ff640c296c9cbe6b84f77181b4c2",
+    ((1, 1, 1), "lower"): "eb8b923e89478faf8c458a60d296a8f6bd6abd3910af0968e390d40140f02eb3",
+    ((4, 3, 5), "upper"): "dd01cc493b88fbf98c304ea33c83e4c3d276f4672842bae4d52c8e4a92877c61",
+    ((4, 3, 5), "lower"): "537f0066adeee7425d6e2d85deb41ec1d02af6ca15a15958def2db5160f166b0",
+    ((3, 1, 2), "upper"): "c005cd2a1f7a9e6521f45ec07a11469dd57c4e2e8df6b12a0d0a30b9d3c0c275",
+    ((3, 1, 2), "lower"): "9e4d262973011070558fcb69d4e05eaedf825e42239bab16eb4c24580747a90a",
+}
+
+
+@pytest.mark.parametrize("weights, direction", sorted(F_SHA256))
+def test_f_tables_are_unchanged(network, weights, direction):
+    f = compute_f(network, ClassPartition(weights), direction, 120)
+    assert f_digest(f) == F_SHA256[weights, direction]
+
+
+def split_network():
+    """The example network with one reaction per propensity term, and each
+    decay split three ways; under (2, 1, 1), 11 of its 14 reactions drop at
+    least one class."""
+    doc = copy.deepcopy(NETWORK_DOC)
+    doc["parameters"].update({
+        "d1a": 0.1, "d1b": 0.7, "d1c": 1.7, "d2a": 0.3, "d2b": 0.9,
+        "d2c": 1.3, "d3a": 0.2, "d3b": 1.1, "d3c": 1.7})
+    reactions = []
+    for rx in doc["reactions"]:
+        for term in rx["propensity"]:
+            coeff = term["coeff"]
+            parts = ([coeff + s for s in "abc"] if coeff in ("d1", "d2", "d3")
+                     else [coeff])
+            reactions += [{"change": rx["change"],
+                           "propensity": [dict(term, coeff=c)]} for c in parts]
+    doc["reactions"] = reactions
+    return network_from_dict(doc)
+
+
+@pytest.mark.parametrize("direction, digest", [
+    ("upper", "1492522f0b98e91cbdae5f50fcf552a58a0a183f9a108c07eee24ecfd59dc8e0"),
+    ("lower", "0f890d5cbca9cbc1aa0da71883ba3e9c4aa6b4519205c62240e101816141ed0f"),
+])
+def test_f_table_adds_masked_rates_in_reaction_order(direction, digest):
+    # numpy adds eight or more contiguous entries pairwise, not in order,
+    # and here 11 reactions are in the j = 1 prefix mask: summed pairwise,
+    # 8 upper and 29 lower prefix extremes come out different.  The f-table
+    # adds the masked rates in reaction order.  The class-by-class pass did
+    # too, because numpy returns its column gather rates[:, mask] F-ordered,
+    # so the row sums run across the columns one at a time (checked at 10
+    # reactions on numpy 2.4.6); the digest was recorded from that pass.
+    network, part = split_network(), ClassPartition((2, 1, 1))
+    f = compute_f(network, part, direction, 60)
+    assert f_digest(f) == digest
+    upper = direction == "upper"
+    shifts = np.array([class_shift(r, part) for r in network.reactions])
+    for ell in range(61):
+        rates = network.rates(enumerate_class(ell, part))
+        for j in range(1, f.j_max + 1):
+            for tail, mask in ((False, shifts <= -j), (True, shifts >= j)):
+                mass = np.zeros(len(rates))
+                for i in np.flatnonzero(mask):
+                    mass = mass + rates[:, i]
+                want = mass.max() if upper == tail else mass.min()
+                if tail:
+                    assert f.plus[j, ell] == want
+                elif ell >= j:
+                    assert f.minus[j, ell] == want
 
 def _reference_U(f):
     """optimal_U entry by entry, straight from the range definitions."""

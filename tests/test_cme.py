@@ -1,6 +1,7 @@
 """Truncated master equation solves and the truncation certificates."""
 
 import copy
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -205,6 +206,17 @@ def test_network_generator_matches_python_loop(network, part211):
     assert np.array_equal(classes, [np.dot(w, x) for x in states])
     assert np.array_equal(Q.toarray(), ref)
 
+
+
+def test_network_generator_is_pinned(network, part211):
+    # sha256 over Q's CSR arrays, then the states and class labels, recorded
+    # from the class-by-class pass
+    Q, states, classes = network_generator(network, part211, 16)
+    h = hashlib.sha256()
+    for a in (Q.data, Q.indices, Q.indptr, states, classes):
+        h.update(a.tobytes())
+    assert h.hexdigest() == (
+        "95a03b3981bf00cd0a1d0137b1458d03044a77fbf99a73f0f510c9a76d1fe99a")
 
 def test_network_generator_rejects_negative_propensity(part211):
     doc = copy.deepcopy(NETWORK_DOC)

@@ -156,33 +156,58 @@ def test_aggregate_rate(network, part211):
     assert aggregate_rate((1, 1, 1), (0, 2), network, part211) == 4.5
 
 
+# a death reaction with constant rate: it fires at x = 0 and leaves the
+# orthant
+LEAKY_DOC = {
+    "species": ["A"],
+    "reactions": [{"change": [-1], "propensity": [{"coeff": 1.0}]}],
+}
+
+# a negative rate, and a reaction that fires without changing the state
+ODD_DOC = {
+    "species": ["A"],
+    "reactions": [
+        {"change": [1], "propensity": [{"coeff": 1.0}]},
+        {"change": [-1], "propensity": [{"coeff": -0.5,
+                                         "factors": [{"species": "A"}]}]},
+        {"change": [0], "propensity": [{"coeff": 2.0}]},
+    ],
+}
+
+
 def test_validate_network_happy_and_leaky(network, part211):
     rep = validate_network(network, part211, window=12)
     assert rep.ok, rep.summary()
-    # a death reaction with constant rate fires at x = 0 and leaves the orthant
-    leaky = network_from_dict({
-        "species": ["A"],
-        "reactions": [{"change": [-1], "propensity": [{"coeff": 1.0}]}],
-    })
+    leaky = network_from_dict(LEAKY_DOC)
     rep = validate_network(leaky, ClassPartition((1,)), window=5)
     assert not rep.ok
     assert any(v["kind"] == "boundary-leak" for v in rep.violations)
-    # a negative rate, and a reaction that fires without changing the state
-    odd = network_from_dict({
-        "species": ["A"],
-        "reactions": [
-            {"change": [1], "propensity": [{"coeff": 1.0}]},
-            {"change": [-1], "propensity": [{"coeff": -0.5,
-                                             "factors": [{"species": "A"}]}]},
-            {"change": [0], "propensity": [{"coeff": 2.0}]},
-        ],
-    })
+    odd = network_from_dict(ODD_DOC)
     rep = validate_network(odd, ClassPartition((1,)), window=5)
     assert not rep.ok
     kinds = {(v["kind"], v["reaction"]) for v in rep.violations}
     assert kinds == {("negative-propensity", 1), ("null-change", 2)}
     first = rep.violations[0]
     assert first["kind"] == "negative-propensity" and first["state"] == (1,)
+
+
+def test_validate_network_reports_are_pinned():
+    # every field of every violation, in report order: class by class, and
+    # within a class reaction by reaction
+    rep = validate_network(network_from_dict(LEAKY_DOC), ClassPartition((1,)),
+                           window=5)
+    assert rep.violations == [{
+        "kind": "boundary-leak", "reaction": 0, "state": (0,),
+        "detail": ("reaction 0 fires at rate 1.0 from (0,) although the "
+                   "destination has a negative count")}]
+    rep = validate_network(network_from_dict(ODD_DOC), ClassPartition((1,)),
+                           window=5)
+    assert rep.violations == [
+        {"kind": "negative-propensity", "reaction": 1, "state": (x,),
+         "detail": f"reaction 1 has rate {-0.5 * x} at ({x},)"}
+        for x in range(1, 6)
+    ] + [{"kind": "null-change", "reaction": 2, "state": None,
+          "detail": "reaction 2 has zero change vector but nonzero rate"}]
 
 
 def test_structural_zero_term():
