@@ -69,25 +69,42 @@ def _masks(network: ReactionNetwork, partition: ClassPartition, J: int):
     return shifts <= -j, shifts >= j
 
 
+def _masses(rates: np.ndarray, masks) -> np.ndarray:
+    """Row k: the rows of the (reactions, n) ``rates`` in ``masks[k]``,
+    added in reaction order."""
+    out = np.zeros((len(masks), rates.shape[1]))
+    for row, mask in zip(out, masks):
+        for i in np.flatnonzero(mask):
+            row += rates[i]
+    return out
+
+
 def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
                     direction: str, hi: int, cap: int = DEFAULT_CLASS_CAP) -> FTable:
-    """The f-table on classes [0, hi]: one pass over the enumerated classes."""
+    """The f-table on classes [0, hi]: one pass over the runs of classes.
+
+    Each run's prefix and tail masses are its masked rate rows added in
+    reaction order, one (j_max, n) table per side; each class's extreme is
+    a ``reduceat`` over the starts of the run's non-empty classes.
+    """
     J = j_max(network, partition)
     upper = direction == "upper"
     below, above = _masks(network, partition, J)
+    low, high = (np.minimum, np.maximum) if upper else (np.maximum, np.minimum)
     minus, plus = np.full((2, J + 1, hi + 1), np.nan)
     empty = np.zeros(hi + 1, dtype=bool)
-    for ell, X, rates in class_rates(network, partition, hi, cap=cap):
-        check_propensities(rates, X)
-        if X.shape[0] == 0:
-            empty[ell] = True
+    for lo, sizes, X, rates in class_rates(network, partition, hi, cap=cap):
+        check_propensities(rates.T, X)
+        full = sizes > 0
+        empty[lo:lo + sizes.size] = ~full
+        if not full.any():
             continue
-        for j in range(1, J + 1):
-            if ell - j >= 0:
-                pref = rates[:, below[j - 1]].sum(axis=1)
-                minus[j, ell] = pref.min() if upper else pref.max()
-            tail = rates[:, above[j - 1]].sum(axis=1)
-            plus[j, ell] = tail.max() if upper else tail.min()
+        ells = lo + np.flatnonzero(full)
+        starts = (np.cumsum(sizes) - sizes)[full]
+        minus[1:, ells] = low.reduceat(_masses(rates, below), starts, axis=1)
+        plus[1:, ells] = high.reduceat(_masses(rates, above), starts, axis=1)
+    # no prefix mass where ell - j < 0
+    minus[np.arange(J + 1)[:, None] > np.arange(hi + 1)] = np.nan
     return FTable(direction, J, hi, minus, plus, empty)
 
 
@@ -444,7 +461,8 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
     if not mono:
         # the witness: the first state of the class attaining the extreme
         X = enumerate_class(ell, partition)
-        mass = network.rates(X)[:, _masks(network, partition, J)[tail][i]].sum(axis=1)
+        mass = _masses(network._rate_block(X.T),
+                       _masks(network, partition, J)[tail][i:i + 1])[0]
         state = tuple(int(v) for v in X[np.argmin(mass) if upper != tail
                                         else np.argmax(mass)])
         detail += f" attained at state {state}"

@@ -71,11 +71,12 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
         raise ResourceLimitError(
             f"state codes for n_max={n_max} in {d} species overflow int64"
         )
-    blocks = list(class_rates(network, partition, n_max, cap=cap))
-    states = np.vstack([X for _, X, _ in blocks])
-    rates = np.vstack([R for _, _, R in blocks])
-    classes = np.repeat(np.arange(n_max + 1), [len(X) for _, X, _ in blocks])
-    check_propensities(rates, states)
+    runs = list(class_rates(network, partition, n_max, cap=cap))
+    states = np.concatenate([X for _, _, X, _ in runs])
+    rates = np.concatenate([R for _, _, _, R in runs], axis=1)
+    classes = np.repeat(np.arange(n_max + 1),
+                        np.concatenate([sizes for _, sizes, _, _ in runs]))
+    check_propensities(rates.T, states)
     # every count is at most n_max < base, so class-major lexicographic
     # order is ascending order of class * base^d + (x in base `base`)
     radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
@@ -84,15 +85,15 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
     rows, cols, vals = [], [], []
     exit_rate = np.zeros(len(states))
     for k, nu in enumerate(network.change_matrix()):
-        fires = np.flatnonzero(rates[:, k] > 0)
-        exit_rate[fires] += rates[fires, k]
+        fires = np.flatnonzero(rates[k] > 0)
+        exit_rate[fires] += rates[k, fires]
         dests = states[fires] + nu
         dclass = classes[fires] + int(w @ nu)
         inside = (dests >= 0).all(axis=1) & (dclass <= n_max)
         rows.append(fires[inside])
         cols.append(np.searchsorted(
             codes, dclass[inside] * base ** d + dests[inside] @ radix))
-        vals.append(rates[fires[inside], k])
+        vals.append(rates[k, fires[inside]])
     diag = np.arange(len(states))
     Q = sp.csr_matrix(
         (np.concatenate(vals + [-exit_rate]),

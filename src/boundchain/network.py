@@ -6,10 +6,12 @@ S_l = {x : w.x = l} is a finite slice of the lattice.  That finiteness is
 what makes the min/max tables of the bound builder computable by exact
 enumeration.
 
-Every per-class computation goes through one layer: ``enumerate_class``
-lists a class in lexicographic order, ``ReactionNetwork.rates`` evaluates
-every reaction on a block of states, and ``class_rates`` yields both for
-classes 0..hi under one cumulative state cap.
+Every pass over the classes goes through one block layer: ``class_rates``
+cuts classes 0..hi into runs of consecutive classes, lists each run's
+states in class-major lexicographic order with one species-by-species
+expansion, and evaluates every reaction on the whole run at once, under
+one cumulative state cap.  ``enumerate_class`` is the one-class case of
+the same enumerator.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import numpy as np
 from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_CLASS_CAP = 10_000_000
+
+# states per run of classes in class_rates; a larger class is a run alone
+RUN_STATES = 1 << 14
 
 _FACTOR_KINDS = ("plain-power", "falling-factorial")
 
@@ -279,6 +284,38 @@ def class_size(ell: int, partition: ClassPartition) -> int:
     return _class_count(partition.weights, ell)
 
 
+def _enumerate(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
+    """The states of classes lo..hi as an (n, d) int64 array, class-major
+    and lexicographic within a class.
+
+    The expansion starts from the vector of class labels and goes species
+    by species: a partial row with remaining budget r takes every count v
+    in 0..r // w_k, in order, and the last count is fixed by r.  Each level
+    keeps only its counts and the index of each row's parent; the columns
+    are gathered once, from the last level back (through slices while the
+    last weight divides every budget).
+    """
+    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    levels = []
+    for wk in weights[:-1]:
+        counts = rem // wk + 1
+        parent = np.repeat(np.arange(rem.size), counts)
+        v = np.arange(parent.size, dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts)
+        rem = np.repeat(rem, counts) - wk * v
+        levels.append((parent, v))
+    ok = rem % weights[-1] == 0
+    idx = slice(None) if ok.all() else np.flatnonzero(ok)
+    last = rem[idx] // weights[-1]
+    X = np.empty((last.size, len(weights)), dtype=np.int64)
+    X[:, -1] = last
+    for k in range(len(levels) - 1, -1, -1):
+        parent, v = levels[k]
+        X[:, k] = v[idx]
+        idx = parent[idx]
+    return X
+
+
 def enumerate_class(ell: int, partition: ClassPartition,
                     cap: int = DEFAULT_CLASS_CAP) -> np.ndarray:
     """All states of class ``ell`` as an (n, d) array in lexicographic order."""
@@ -289,38 +326,42 @@ def enumerate_class(ell: int, partition: ClassPartition,
         raise ResourceLimitError(
             f"class {ell} holds {n} states, above the cap of {cap}"
         )
-    # expand species by species: each partial row with remaining budget r
-    # takes every count v in 0..r // w_k; the last count is fixed by r
-    w = partition.weights
-    X = np.zeros((1, 0), dtype=np.int64)
-    rem = np.array([ell], dtype=np.int64)
-    for wk in w[:-1]:
-        counts = rem // wk + 1
-        parent = np.repeat(np.arange(rem.size), counts)
-        starts = np.cumsum(counts) - counts
-        v = np.arange(parent.size, dtype=np.int64) - np.repeat(starts, counts)
-        X = np.column_stack([X[parent], v])
-        rem = rem[parent] - wk * v
-    ok = rem % w[-1] == 0
-    return np.column_stack([X[ok], rem[ok] // w[-1]])
+    return _enumerate(ell, ell, partition.weights)
 
 
 def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
                 cap: int = DEFAULT_CLASS_CAP):
-    """Yield (ell, enumerate_class(ell), network.rates of it) for ell in 0..hi.
+    """Yield runs of consecutive classes in 0..hi as (lo, sizes, X, R).
 
-    Raises ResourceLimitError once classes 0..ell hold more than ``cap`` states.
+    A run covers classes lo..lo + len(sizes) - 1, whose sizes are the int64
+    array ``sizes``; ``X`` is their (n, d) states, each class as
+    ``enumerate_class`` lists it, one after another, and ``R`` the
+    (reactions, n) block ``network._rate_block`` of them.  A run holds at
+    most RUN_STATES states, except a larger class, which is a run alone.
+    Once classes 0..ell hold more than ``cap`` states, the runs below ell
+    are yielded and ResourceLimitError is raised.
     """
     _check_dims(network, partition)
-    seen = 0
+    sizes, seen = [], 0
     for ell in range(hi + 1):
-        seen += class_size(ell, partition)
+        n = class_size(ell, partition)
+        seen += n
         if seen > cap:
-            raise ResourceLimitError(
-                f"classes 0..{ell} hold {seen} states, above the cap of {cap}"
-            )
-        X = enumerate_class(ell, partition, cap=cap)
-        yield ell, X, network.rates(X)
+            break
+        sizes.append(n)
+    sizes = np.array(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < sizes.size:
+        limit = ends[lo] - sizes[lo] + RUN_STATES
+        end = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        X = _enumerate(lo, end - 1, partition.weights)
+        yield lo, sizes[lo:end], X, network._rate_block(X.T)
+        lo = end
+    if seen > cap:
+        raise ResourceLimitError(
+            f"classes 0..{sizes.size} hold {seen} states, above the cap of {cap}"
+        )
 
 
 def check_propensities(rates: np.ndarray, states) -> None:
@@ -396,34 +437,38 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
     violations = []
     nu = network.change_matrix()
     null_change_active = [False] * len(network.reactions)
-    for _, X, R in class_rates(network, partition, window, cap=cap):
-        if X.shape[0] == 0:
-            continue
-        for ridx, vals in enumerate(R.T):
-            neg = np.flatnonzero(vals < -1e-12)
-            if neg.size:
-                x = tuple(int(v) for v in X[neg[0]])
-                violations.append({
-                    "kind": "negative-propensity",
-                    "reaction": ridx,
-                    "state": x,
-                    "detail": f"reaction {ridx} has rate {vals[neg[0]]} at {x}",
-                })
-            leaves = (X + nu[ridx] < 0).any(axis=1)
-            leak = np.flatnonzero(leaves & (np.abs(vals) > 1e-12))
-            if leak.size:
-                x = tuple(int(v) for v in X[leak[0]])
-                violations.append({
-                    "kind": "boundary-leak",
-                    "reaction": ridx,
-                    "state": x,
-                    "detail": (
-                        f"reaction {ridx} fires at rate {vals[leak[0]]} from {x} "
-                        "although the destination has a negative count"
-                    ),
-                })
-            if not nu[ridx].any() and np.abs(vals).max() > 1e-12:
-                null_change_active[ridx] = True
+    for _, sizes, states, block in class_rates(network, partition, window,
+                                               cap=cap):
+        ends = np.cumsum(sizes)
+        for a, b in zip(ends - sizes, ends):
+            if a == b:
+                continue
+            X = states[a:b]
+            for ridx, vals in enumerate(block[:, a:b]):
+                neg = np.flatnonzero(vals < -1e-12)
+                if neg.size:
+                    x = tuple(int(v) for v in X[neg[0]])
+                    violations.append({
+                        "kind": "negative-propensity",
+                        "reaction": ridx,
+                        "state": x,
+                        "detail": f"reaction {ridx} has rate {vals[neg[0]]} at {x}",
+                    })
+                leaves = (X + nu[ridx] < 0).any(axis=1)
+                leak = np.flatnonzero(leaves & (np.abs(vals) > 1e-12))
+                if leak.size:
+                    x = tuple(int(v) for v in X[leak[0]])
+                    violations.append({
+                        "kind": "boundary-leak",
+                        "reaction": ridx,
+                        "state": x,
+                        "detail": (
+                            f"reaction {ridx} fires at rate {vals[leak[0]]} from {x} "
+                            "although the destination has a negative count"
+                        ),
+                    })
+                if not nu[ridx].any() and np.abs(vals).max() > 1e-12:
+                    null_change_active[ridx] = True
     for ridx, active in enumerate(null_change_active):
         if active:
             violations.append({

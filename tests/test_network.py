@@ -1,5 +1,6 @@
 """Network parsing, class enumeration, and aggregation."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -13,7 +14,9 @@ from boundchain import (ClassPartition, Factor, PropensityPolynomial,
                         compute_f, enumerate_class, j_max, load_network,
                         network_from_dict, network_generator,
                         validate_network)
-from conftest import NETWORK_PATH
+from boundchain import network as network_module
+from boundchain.network import DEFAULT_CLASS_CAP, _enumerate
+from conftest import NETWORK_DOC, NETWORK_PATH
 
 
 def test_load_matches_dict(network):
@@ -141,6 +144,78 @@ def test_class_cap_is_checked_on_every_per_class_pass(network, part211):
         with pytest.raises(ResourceLimitError, match=f"cap of {total - 1}"):
             run(total - 1)
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       st.integers(0, 10), st.integers(0, 6))
+@example([2, 2, 5], 0, 6)  # classes 1 and 3 are empty
+@example([4, 3, 5], 1, 1)  # a run of empty classes only
+def test_block_enumerator_concatenates_classes(weights, lo, width):
+    hi = lo + width
+    lattice = itertools.product(*(range(hi // w + 1) for w in weights))
+    want = sorted(((sum(w * v for w, v in zip(weights, x)), x) for x in lattice
+                   if lo <= sum(w * v for w, v in zip(weights, x)) <= hi))
+    got = _enumerate(lo, hi, tuple(weights))
+    assert got.shape == (len(want), len(weights))
+    assert got.dtype == np.int64
+    assert [tuple(int(v) for v in row) for row in got] == [x for _, x in want]
+
+
+def negative_past_runs():
+    """The example network with d2 x2 - 0.03 x2 x3 as X2's decay: the first
+    negative propensity under (2, 1, 1) is at (0, 1, 84) in class 85, and
+    classes 0..84 hold 53,922 states."""
+    doc = copy.deepcopy(NETWORK_DOC)
+    doc["reactions"][4]["propensity"].append(
+        {"coeff": -0.03, "factors": [{"species": "X2"}, {"species": "X3"}]})
+    return network_from_dict(doc)
+
+
+@pytest.mark.parametrize("run_states", [1, 7, 64, None])
+def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
+                                    run_states):
+    # the default first, then runs of 1, 7 and 64 states: every class pass
+    # gives the same tables, generator, reports and errors
+    def results():
+        return ([compute_f(network, p, direction, 60)
+                 for p in (part211, part225, ClassPartition((4, 3, 5)))
+                 for direction in ("upper", "lower")],
+                network_generator(network, part211, 16),
+                validate_network(negative_past_runs(), part211, 90))
+
+    want = results()
+    if run_states is not None:
+        monkeypatch.setattr(network_module, "RUN_STATES", run_states)
+    got = results()
+    for a, b in zip(want[0], got[0]):
+        for name in ("minus", "plus", "empty"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    (Qa, sa, ca), (Qb, sb, cb) = want[1], got[1]
+    for x, y in ((Qa.data, Qb.data), (Qa.indices, Qb.indices),
+                 (Qa.indptr, Qb.indptr), (sa, sb), (ca, cb)):
+        assert x.tobytes() == y.tobytes()
+    assert got[2].violations == want[2].violations
+    assert got[2].violations[0]["state"] == (0, 1, 84)
+    # the first negative propensity past several runs, and the cap, are
+    # named as by the class-by-class pass
+    net = negative_past_runs()
+    assert sum(class_size(ell, part211) for ell in range(85)) > 3 * (1 << 14)
+    message = (r"negative propensity -0.020000000000000018 for reaction 4 at "
+               r"\(0, 1, 84\)")
+    for run in (lambda cap: compute_f(net, part211, "upper", 100, cap=cap),
+                lambda cap: network_generator(net, part211, 90, cap=cap)):
+        with pytest.raises(ValidationError, match=message):
+            run(DEFAULT_CLASS_CAP)
+        with pytest.raises(ResourceLimitError,
+                           match=r"classes 0\.\.84 hold 53922 states, above "
+                                 r"the cap of 53921"):
+            run(53921)
+    # compute_f checks each run as it comes: with classes 0..86 inside the
+    # cap, the class 85 error comes before the cap's
+    fits = sum(class_size(ell, part211) for ell in range(87))
+    with pytest.raises(ValidationError, match=message):
+        compute_f(net, part211, "upper", 100, cap=fits)
 
 def test_class_shift_and_j_max(network, part211, part225, part111):
     shifts211 = [class_shift(r, part211) for r in network.reactions]
