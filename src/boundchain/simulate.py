@@ -56,13 +56,15 @@ class Trajectory:
         return len(self.times)
 
 
-def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
-    """Gillespie's direct method on every row of ``X`` at once, in place.
+def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None):
+    """Gillespie's direct method on every column of ``S`` at once.
 
-    The live paths are kept packed, in ascending row order so the draws
-    come in the same order however many have ended: their states as a
-    (d, k) block ``S`` with one column per path, their times, their rows
-    of ``X`` and, given class weights ``w``, their integer class labels.
+    ``S`` is a (d, paths) int64 block of start states, one column per
+    path, which the kernel takes over.  The live paths are kept packed, in
+    ascending path order so the draws come in the same order however many
+    have ended: their states as the columns of ``S``, their times, their
+    path indices and, given class weights ``w``, their integer class
+    labels.
     Each sweep gives every live path one jump.  ``rates(S)`` is a new
     (r, k) block, which the kernel overwrites, whose row i (reaction i of
     a network) moves a path by ``changes[i]``; a negative or NaN entry
@@ -75,21 +77,19 @@ def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
     reaction), move, add ``(changes @ w)[pick]`` to their labels, and go to
     ``after(S, t, labels)`` with their new states, times and labels
     (``None`` without ``w``), which returns a mask of the paths that stop.
-    A path that ends leaves the packed set, and its final state is written
-    back to ``X``.
+    A path that ends leaves the packed set.
 
     Returns each path's end: "absorbed", "horizon", "stop", or "cap" for a
     path still live after ``jump_cap`` jumps; then the jumps made over all
     paths and the sweeps taken.
     """
-    end = np.full(len(X), "cap", dtype=object)
-    S = np.ascontiguousarray(X.T)
-    t = np.zeros(len(X))
-    rows = np.arange(len(X))
+    end = np.full(S.shape[1], "cap", dtype=object)
+    t = np.zeros(S.shape[1])
+    rows = np.arange(S.shape[1])
     moves = np.ascontiguousarray(changes.T)
     labels = shift = None
     if w is not None:
-        labels, shift = X @ w, changes @ w
+        labels, shift = w @ S, changes @ w
     last = len(changes) - 1
     jumps = sweeps = 0
 
@@ -97,7 +97,6 @@ def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
         """End the masked paths; returns the mask of those that go on."""
         nonlocal S, t, rows, labels
         end[rows[gone]] = reason
-        X[rows[gone]] = S.compress(gone, axis=1).T
         keep = ~gone
         S, t, rows = S.compress(keep, axis=1), t[keep], rows[keep]
         if labels is not None:
@@ -140,7 +139,6 @@ def _lockstep(rates, changes, X, t_final, rng, jump_cap, after, w=None):
         gone = after(S, t, labels)
         if gone.any():
             retire(gone, "stop")
-    X[rows] = S.T
     return end, jumps, sweeps
 
 
@@ -187,7 +185,8 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
         return np.array([reason is not None])
 
     if reason is None:
-        end = _lockstep(rates, changes, X, t_final, rng, jump_cap, after)[0]
+        end = _lockstep(rates, changes, X.T.copy(), t_final, rng, jump_cap,
+                        after)[0]
         reason = reason or end[0]
     return Trajectory(seed=seed, times=np.asarray(times),
                       states=np.asarray(path), reason=reason)
@@ -245,7 +244,8 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
                             lo=1.0, hi=1.0, seed=seed, t_final=t_final, N=N)
     end, jumps, sweeps = _lockstep(
         network._rate_block, network.change_matrix(),
-        np.tile(x0, (samples, 1)), t_final, make_rng(seed), jump_cap,
+        np.repeat(x0[:, None], samples, axis=1), t_final, make_rng(seed),
+        jump_cap,
         lambda S, t, labels: labels > N,
         np.asarray(partition.weights, dtype=np.int64))
     if (end == "cap").any():
