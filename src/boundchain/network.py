@@ -291,9 +291,9 @@ def _enumerate(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
     The expansion starts from the vector of class labels and goes species
     by species: a partial row with remaining budget r takes every count v
     in 0..r // w_k, in order, and the last count is fixed by r.  Each level
-    keeps only its counts and the index of each row's parent; the columns
-    are gathered once, from the last level back (through slices while the
-    last weight divides every budget).
+    keeps only its counts and each row's parent index; the columns are
+    gathered once, from the last level back, and where the last weight
+    divides every remaining budget a slice stands in for the index.
     """
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     levels = []
