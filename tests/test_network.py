@@ -141,7 +141,9 @@ def test_class_cap_is_checked_on_every_per_class_pass(network, part211):
             lambda cap: network_generator(network, part211, 12, cap=cap)]
     for run in runs:
         run(total)
-        with pytest.raises(ResourceLimitError, match=f"cap of {total - 1}"):
+        with pytest.raises(ResourceLimitError,
+                           match=rf"^classes 0\.\.12 hold {total} states, "
+                                 rf"above the cap of {total - 1}$"):
             run(total - 1)
 
 
