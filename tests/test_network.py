@@ -147,7 +147,6 @@ def test_class_cap_is_checked_on_every_per_class_pass(network, part211):
             run(total - 1)
 
 
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
        st.integers(0, 10), st.integers(0, 6))
@@ -177,8 +176,11 @@ def negative_past_runs():
 @pytest.mark.parametrize("run_states", [1, 7, 64, None])
 def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
                                     run_states):
-    # the default first, then runs of 1, 7 and 64 states: every class pass
-    # gives the same tables, generator, reports and errors
+    # every class pass gives the same tables, generator, reports and errors
+    # under runs of 1, 7 and 64 states as under the default; None keeps the
+    # default, so the error checks below run under it too
+    default = network_module.RUN_STATES
+
     def results():
         return ([compute_f(network, p, direction, 60)
                  for p in (part211, part225, ClassPartition((4, 3, 5)))
@@ -202,7 +204,7 @@ def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
     # the first negative propensity past several runs, and the cap, are
     # named as by the class-by-class pass
     net = negative_past_runs()
-    assert sum(class_size(ell, part211) for ell in range(85)) > 3 * (1 << 14)
+    assert sum(class_size(ell, part211) for ell in range(85)) > 3 * default
     message = (r"negative propensity -0.020000000000000018 for reaction 4 at "
                r"\(0, 1, 84\)")
     for run in (lambda cap: compute_f(net, part211, "upper", 100, cap=cap),
@@ -218,6 +220,7 @@ def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
     fits = sum(class_size(ell, part211) for ell in range(87))
     with pytest.raises(ValidationError, match=message):
         compute_f(net, part211, "upper", 100, cap=fits)
+
 
 def test_class_shift_and_j_max(network, part211, part225, part111):
     shifts211 = [class_shift(r, part211) for r in network.reactions]
