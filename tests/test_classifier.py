@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundchain import (BoundingChain, ClassPartition, ConsistencyError,
                         TailModel, ValidationError, build_bounding_chain,
@@ -186,36 +188,195 @@ def test_birth_death_pipeline(birth_death):
         assert check_irreducible(chain)
 
 
-def test_irreducible_pure_birth():
+def pure_birth():
     up = np.full(31, 2.0)
-    chain = BoundingChain("upper", 1, 30, 300, {1: up},
-                          {1: TailModel(1, 0, intercepts=(2.0,))}, (1,))
-    att = check_irreducible(chain)
+    return BoundingChain("upper", 1, 30, 300, {1: up},
+                         {1: TailModel(1, 0, intercepts=(2.0,))}, (1,))
+
+
+def absorbing_origin():
+    # up-rate vanishes at 0, so nothing is reachable and the witness says so
+    grid = np.arange(31, dtype=float)
+    return BoundingChain("upper", 1, 30, 300,
+                         {1: 2.0 * grid, -1: grid},
+                         {1: TailModel(1, 0, slope=2.0),
+                          -1: TailModel(-1, 1, slope=1.0)}, (1,))
+
+
+def dead_tail_row():
+    # connected window but the up-rate dies exactly at the horizon
+    up = np.full(31, 2.0)
+    up[30] = 0.0
+    down = np.full(31, 1.0)
+    down[0] = 0.0
+    return BoundingChain("upper", 1, 30, 30, {1: up, -1: down}, {}, (1,))
+
+
+def trapped():
+    # no up-rate at class 10: classes 0..10 are all that class 0 reaches
+    up = np.full(31, 2.0)
+    up[10] = 0.0
+    down = np.full(31, 1.0)
+    down[0] = 0.0
+    return BoundingChain("upper", 1, 30, 300, {1: up, -1: down},
+                         {1: TailModel(1, 0, intercepts=(2.0,)),
+                          -1: TailModel(-1, 1, intercepts=(1.0,))}, (1,))
+
+
+def one_way():
+    # +2 reaches every class, but no down-rate at 12 and 13 keeps 12 and up
+    # from coming back below 12
+    up = np.full(41, 1.5)
+    down = np.full(41, 0.5)
+    down[0] = 0.0
+    down[12:14] = 0.0
+    return BoundingChain("lower", 2, 40, 300, {2: up, -1: down},
+                         {2: TailModel(2, 0, intercepts=(1.5,)),
+                          -1: TailModel(-1, 1, slope=0.5)}, (1,))
+
+
+def test_irreducible_pure_birth():
+    att = check_irreducible(pure_birth())
     assert not att
     assert "return" in att.detail
     assert att.witness  # the classes that cannot come back to 0
 
 
 def test_irreducible_absorbing_origin():
-    # up-rate vanishes at 0, so nothing is reachable and the witness says so
-    grid = np.arange(31, dtype=float)
-    chain = BoundingChain("upper", 1, 30, 300,
-                          {1: 2.0 * grid, -1: grid},
-                          {1: TailModel(1, 0, slope=2.0),
-                           -1: TailModel(-1, 1, slope=1.0)}, (1,))
-    att = check_irreducible(chain)
+    att = check_irreducible(absorbing_origin())
     assert not att
     assert att.witness == [0]
 
 
 def test_irreducible_dead_tail_row():
-    # connected window but the up-rate dies exactly at the horizon
-    up = np.full(31, 2.0)
-    up[30] = 0.0
-    down = np.full(31, 1.0)
-    down[0] = 0.0
-    chain = BoundingChain("upper", 1, 30, 30, {1: up, -1: down}, {}, (1,))
-    att = check_irreducible(chain)
+    att = check_irreducible(dead_tail_row())
     assert not att
     assert att.witness == [30]
     assert "up-rate" in att.detail
+
+
+CONNECTED = ("form one strongly connected component with persistently "
+             "positive tail rates both ways")
+
+# (chain, horizon) -> (attested, witness, detail), as the strongly connected
+# components search over the reachable window gave them
+ATTESTATIONS = [
+    ("upper211", 200, (True, None,
+                       f"reachable classes in [0, 200] {CONNECTED}")),
+    ("lower225", 200, (True, None,
+                       f"reachable classes in [0, 200] {CONNECTED}")),
+    ("naive111", 200, (True, None,
+                       f"reachable classes in [0, 200] {CONNECTED}")),
+    ("upper211", 0, (True, None, f"reachable classes in [0, 0] {CONNECTED}")),
+    ("pure_birth", 200, (False, list(range(1, 51)),
+                         "200 reachable classes cannot return to class 0, "
+                         "e.g. [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]")),
+    ("pure_birth", 37, (False, list(range(1, 38)),
+                        "37 reachable classes cannot return to class 0, "
+                        "e.g. [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]")),
+    ("absorbing_origin", 200, (False, [0],
+                               "classes reachable from 0 stop at 0 inside "
+                               "[0, 200]; the chain is trapped in [0]")),
+    ("dead_tail_row", 200, (False, [30], "no positive up-rate at class 30")),
+    ("trapped", 200, (False, list(range(11)),
+                      "classes reachable from 0 stop at 10 inside [0, 200]; "
+                      "the chain is trapped in "
+                      "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]")),
+    ("trapped", 37, (False, list(range(11)),
+                     "classes reachable from 0 stop at 10 inside [0, 37]; "
+                     "the chain is trapped in "
+                     "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]")),
+    ("one_way", 200, (False, list(range(12, 62)),
+                      "189 reachable classes cannot return to class 0, "
+                      "e.g. [12, 13, 14, 15, 16, 17, 18, 19, 20, 21]")),
+    ("one_way", 37, (False, list(range(12, 38)),
+                     "26 reachable classes cannot return to class 0, "
+                     "e.g. [12, 13, 14, 15, 16, 17, 18, 19, 20, 21]")),
+]
+
+
+@pytest.mark.parametrize("name,horizon,want", ATTESTATIONS,
+                         ids=[f"{n}-{h}" for n, h, _ in ATTESTATIONS])
+def test_attestations_are_pinned(request, name, horizon, want):
+    builder = globals().get(name)
+    chain = builder() if builder else request.getfixturevalue(name)
+    att = check_irreducible(chain, horizon)
+    assert (att.attested, att.witness, att.detail) == want
+
+
+def csgraph_reference(chain, horizon=200):
+    """check_irreducible as a BFS and a strong-components search in csgraph."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    horizon = min(horizon, chain.l_total)
+    J = chain.j_max
+    rates = chain.band(max(horizon, chain.l_exact))
+    ell, col = np.nonzero(rates[:horizon + 1] > 0)
+    m = ell + col - J
+    inside = m <= horizon
+    graph = sp.coo_matrix((np.ones(inside.sum()), (ell[inside], m[inside])),
+                          shape=(horizon + 1, horizon + 1)).tocsr()
+    reach = breadth_first_order(graph, 0, directed=True,
+                                return_predecessors=False)
+    if reach.max(initial=0) < horizon - chain.j_max:
+        witness = sorted(int(i) for i in reach)
+        return (False, witness,
+                f"classes reachable from 0 stop at {max(witness)} inside "
+                f"[0, {horizon}]; the chain is trapped in {witness[:20]}")
+    sub = graph[reach][:, reach]
+    n_comp, labels = connected_components(sub, directed=True,
+                                          connection="strong")
+    if n_comp > 1:
+        stuck = [int(reach[i]) for i in np.flatnonzero(labels != labels[0])]
+        return (False, sorted(stuck)[:50],
+                f"{len(stuck)} reachable classes cannot return to class 0, "
+                f"e.g. {sorted(stuck)[:10]}")
+    period = 1
+    for tm in chain.tails.values():
+        period = int(np.lcm(period, tm.period))
+    lo = max(1, chain.l_exact - period + 1)
+    tail = rates[lo:chain.l_exact + 1] > 0
+    up, down = tail[:, J + 1:].any(axis=1), tail[:, :J].any(axis=1)
+    miss = np.flatnonzero(~(up & down))
+    if miss.size:
+        i = int(miss[0])
+        return (False, [lo + i],
+                f"no positive {'down' if up[i] else 'up'}-rate at class "
+                f"{lo + i}")
+    return (True, None, f"reachable classes in [0, {horizon}] {CONNECTED}")
+
+
+RATES = st.sampled_from([0.0, 0.0, 0.5, 2.0])
+
+
+@st.composite
+def banded_chains(draw):
+    """Banded chains with random zero patterns, with and without tails."""
+    J = draw(st.integers(1, 3))
+    l_exact = draw(st.integers(0, 60))
+    l_total = l_exact + draw(st.integers(0, 250))
+    offsets = [k for k in range(-J, J + 1)
+               if k and draw(st.booleans())] or [J]
+    exact, tails = {}, {}
+    for k in offsets:
+        dense = draw(st.booleans())
+        exact[k] = np.array(draw(st.lists(
+            st.just(1.0) if dense else RATES,
+            min_size=l_exact + 1, max_size=l_exact + 1)))
+        if draw(st.booleans()):
+            period = draw(st.integers(1, 3))
+            tails[k] = TailModel(
+                k, l_exact + 1, period,
+                tuple(draw(st.lists(RATES, min_size=period,
+                                    max_size=period))),
+                draw(st.sampled_from([0.0, 0.5])))
+    return BoundingChain("upper", J, l_exact, l_total, exact, tails, (1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=banded_chains(), horizon=st.integers(0, 200))
+def test_irreducible_matches_csgraph_reference(chain, horizon):
+    att = check_irreducible(chain, horizon)
+    assert (att.attested, att.witness, att.detail) == \
+        csgraph_reference(chain, horizon)
