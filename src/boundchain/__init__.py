@@ -22,10 +22,6 @@ from .builder import (build_bounding_chain, check_optimality,
                       phi, phi_inverse, verify_assumptions)
 from .classifier import (Attestation, ChainClass, DriftStats, XBehavior,
                          check_irreducible, classify, combine, drift_stats)
-from .cme import (TruncatedCME, TruncationCertificate, cdf_dominance,
-                  certificate_table, chain_generator, delta_p0, exit_flux,
-                  min_truncation, network_generator, solve_chain_cme,
-                  solve_cme, solve_network_cme, truncation_certificate)
 from .simulate import (ExitEstimate, Trajectory, estimate_exit, make_rng,
                        ssa, wilson_interval)
 from .coupling import (CoupledSimulator, CoupledTrajectory, coupled_ssa,
@@ -54,3 +50,12 @@ __all__ = [
     "make_rng",
     "CoupledSimulator", "CoupledTrajectory", "coupled_ssa", "coupling_row",
 ]
+
+
+def __getattr__(name):
+    # the names of __all__ not imported above are cme's: cme loads the sparse
+    # solver stack, so it is imported on first use (PEP 562), not at start-up
+    if name in __all__:
+        from . import cme
+        return getattr(cme, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -133,12 +133,6 @@ class BoundingChain:
                 out[k] = r
         return out
 
-    def exit_rate(self, ell: int) -> float:
-        return float(sum(self.row(ell).values()))
-
-    def diagonal(self, ell: int) -> float:
-        return -self.exit_rate(ell)
-
     def band(self, hi: int) -> np.ndarray:
         """Rates on levels 0..hi as one (hi + 1, 2*j_max + 1) array.
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .chain import BoundingChain
 from .errors import ConsistencyError, ValidationError
@@ -214,42 +212,58 @@ class Attestation:
         return self.attested
 
 
+def _reach(steps: list, start: int) -> np.ndarray:
+    """Mask of the classes reachable from ``start``; class i steps to steps[i]."""
+    seen = [False] * len(steps)
+    seen[start] = True
+    todo = [start]
+    while todo:
+        for m in steps[todo.pop()]:
+            if not seen[m]:
+                seen[m] = True
+                todo.append(m)
+    return np.array(seen)
+
+
 def check_irreducible(chain: BoundingChain, horizon: int = 200) -> Attestation:
     """Strong connectivity of the reachable window plus tail positivity.
 
-    The graph is restricted to states reachable from class 0: when some
+    The window is restricted to classes reachable from class 0: when some
     class labels are unachievable under the weights, their rows exist only
     to complete the rate table and nothing ever enters them, so they do not
     belong to the state space the chain actually moves on.  The reachable
-    set must span the window and form one strongly connected component.
+    set must span the window, and every class in it must lead back to
+    class 0 (a reach along the band's positive rates, then one against
+    them), which makes it one strongly connected component.
     Sound for banded chains whose tail rates are eventually positive: rates
     are polynomial with nonnegative leading behavior, so positivity on one
     full period of the tail models persists for all larger classes.
     """
+    if horizon < 0:
+        raise ValidationError(f"horizon must be nonnegative, got {horizon}")
     horizon = min(horizon, chain.l_total)
     J = chain.j_max
     rates = chain.band(max(horizon, chain.l_exact))
     ell, col = np.nonzero(rates[:horizon + 1] > 0)
     m = ell + col - J
     inside = m <= horizon
-    graph = sp.coo_matrix((np.ones(inside.sum()), (ell[inside], m[inside])),
-                          shape=(horizon + 1, horizon + 1)).tocsr()
-    reach = breadth_first_order(graph, 0, directed=True,
-                                return_predecessors=False)
-    if reach.max(initial=0) < horizon - chain.j_max:
-        witness = sorted(int(i) for i in reach)
+    out = [[] for _ in range(horizon + 1)]
+    into = [[] for _ in range(horizon + 1)]
+    for a, b in zip(ell[inside].tolist(), m[inside].tolist()):
+        out[a].append(b)
+        into[b].append(a)
+    reach = _reach(out, 0)
+    witness = np.flatnonzero(reach).tolist()
+    if witness[-1] < horizon - J:
         return Attestation(False, witness,
                            f"classes reachable from 0 stop at "
-                           f"{max(witness)} inside [0, {horizon}]; the chain "
+                           f"{witness[-1]} inside [0, {horizon}]; the chain "
                            f"is trapped in {witness[:20]}")
-    sub = graph[reach][:, reach]
-    n_comp, labels = connected_components(sub, directed=True,
-                                          connection="strong")
-    if n_comp > 1:
-        stuck = [int(reach[i]) for i in np.flatnonzero(labels != labels[0])]
-        return Attestation(False, sorted(stuck)[:50],
+    stuck = np.flatnonzero(reach & ~_reach(into, 0)).tolist()
+    if stuck:
+        return Attestation(False, stuck[:50],
                            f"{len(stuck)} reachable classes cannot return to "
-                           f"class 0, e.g. {sorted(stuck)[:10]}")
+                           f"class 0, e.g. {stuck[:10]}")
     period = 1
     for tm in chain.tails.values():
         period = int(np.lcm(period, tm.period))

@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -23,10 +24,9 @@ from .builder import build_bounding_chain, verify_assumptions
 from .chain import BoundingChain
 from .classifier import (ChainClass, check_irreducible, classify, combine,
                          drift_stats)
-from .cme import (TruncatedCME, _initial_tail, delta_p0, min_truncation,
-                  solve_chain_cme, truncation_certificate)
 from .coupling import CoupledSimulator, coupled_ssa
-from .errors import ConsistencyError, InfeasibleError, ToolError, ValidationError
+from .errors import (ConsistencyError, InfeasibleError, ResourceLimitError,
+                     ToolError, ValidationError)
 from .network import ClassPartition, load_network
 from .simulate import estimate_exit, ssa
 
@@ -45,6 +45,10 @@ def parse_floats(text: str) -> tuple[float, ...]:
         raise ValidationError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+# points in one parse_grid grid, checked before the grid is allocated
+GRID_CAP = 1 << 16
+
+
 def parse_grid(text: str, integer: bool = False) -> np.ndarray:
     """start:stop[:step] inclusive grid."""
     parts = text.split(":")
@@ -55,9 +59,13 @@ def parse_grid(text: str, integer: bool = False) -> np.ndarray:
         step = float(parts[2]) if len(parts) == 3 else 1.0
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}") from exc
-    if step <= 0 or hi < lo:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValidationError(f"bad grid {text!r}")
-    n = int(round((hi - lo) / step))
+    span = (hi - lo) / step  # inf when the division overflows
+    if not span <= GRID_CAP - 1:
+        raise ResourceLimitError(f"grid {text!r} exceeds the cap of "
+                                 f"{GRID_CAP} points")
+    n = int(round(span))
     grid = lo + step * np.arange(n + 1)
     grid = grid[grid <= hi + 1e-12]
     if integer and (grid != np.round(grid)).any():
@@ -66,6 +74,8 @@ def parse_grid(text: str, integer: bool = False) -> np.ndarray:
 
 
 def parse_p0(text: str, M: int) -> np.ndarray:
+    from .cme import delta_p0
+
     if text.startswith("delta:"):
         try:
             at = int(text.split(":", 1)[1])
@@ -111,7 +121,20 @@ def write_manifest(out_path: Path, command: str, config: dict,
     return path
 
 
-def _solver_counters(cme: TruncatedCME) -> dict:
+def _solve(args, M: int, t_final: float):
+    """The chain, its initial law and one master-equation solve on [0, M].
+
+    Only the commands that solve one import ``cme`` and its sparse stack.
+    """
+    from .cme import solve_chain_cme
+
+    chain = BoundingChain.from_csv(args.chain)
+    p0 = parse_p0(args.p0, M)
+    return chain, p0, solve_chain_cme(chain, M, p0, t_final,
+                                      budget=args.budget)
+
+
+def _solver_counters(cme) -> dict:
     """Uniformization work and its error bound, for the manifest."""
     return {"uniform_rate": cme.uniform_rate,
             "poisson_terms": cme.poisson_terms,
@@ -304,9 +327,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    chain = BoundingChain.from_csv(args.chain)
-    p0 = parse_p0(args.p0, args.M)
-    cme = solve_chain_cme(chain, args.M, p0, args.tf, budget=args.budget)
+    from .cme import min_truncation, truncation_certificate
+
+    chain, p0, cme = _solve(args, args.M, args.tf)
     if args.N is not None:
         N = args.N
     elif args.epsilon is not None:
@@ -325,9 +348,9 @@ def cmd_truncate(args) -> int:
 
 
 def cmd_plan_truncation(args) -> int:
-    chain = BoundingChain.from_csv(args.chain)
-    p0 = parse_p0(args.p0, args.M)
-    cme = solve_chain_cme(chain, args.M, p0, args.tf, budget=args.budget)
+    from .cme import min_truncation
+
+    chain, p0, cme = _solve(args, args.M, args.tf)
     plan = {}
     for eps in parse_floats(args.epsilons):
         plan[str(eps)] = min_truncation(chain, p0, args.M, args.tf, eps,
@@ -338,16 +361,15 @@ def cmd_plan_truncation(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    chain = BoundingChain.from_csv(args.chain)
+    from .cme import _initial_tail
+
     n_grid = parse_grid(args.n_grid, integer=True)
     if n_grid.min() < 0:
         raise ValidationError(f"window sizes N must be nonnegative, got "
                               f"{args.n_grid!r}")
     t_grid = parse_grid(args.t_grid)
-    M = int(n_grid.max())
-    p0 = parse_p0(args.p0, M)
     t_max = float(t_grid.max()) if len(t_grid) else 0.0
-    cme = solve_chain_cme(chain, M, p0, t_max or 1.0, budget=args.budget)
+    _, _, cme = _solve(args, int(n_grid.max()), t_max or 1.0)
     fine = np.linspace(0.0, t_max, max(2, 16 * len(t_grid)))
     # the fine grid and the requested times in one uniformization pass
     P = cme.p(np.concatenate([fine, t_grid]))

@@ -115,7 +115,8 @@ def test_upper_211_tails(upper211):
     assert (up.period, up.slope, up.intercepts) == (1, 1.0, (2.5,))
     assert upper211.rate(157, -1) == pytest.approx(392.5, rel=1e-12)
     assert upper211.rate(157, 2) == pytest.approx(159.5, rel=1e-12)
-    assert upper211.diagonal(157) == pytest.approx(-552.0, rel=1e-12)
+    # the generator's diagonal is minus the band's row sum
+    assert -upper211.band(157)[157].sum() == pytest.approx(-552.0, rel=1e-12)
 
 
 def test_lower_225_rows(lower225):
@@ -394,7 +395,7 @@ def test_phi_inverse_toy_row():
     plus[1, 2], plus[2, 2] = 4.0, 1.0
     chain = phi_inverse(UTable("upper", 2, 2, minus, plus))
     assert nz_row(chain, 2) == {-2: 1.0, -1: 2.0, 1: 3.0, 2: 1.0}
-    assert chain.diagonal(2) == -7.0
+    assert -chain.band(2)[2].sum() == -7.0
 
 
 def test_phi_inverse_zero_table():
@@ -422,12 +423,15 @@ def test_phi_roundtrip(upper211, lower225, network, part211):
 
 def test_rows_sum_to_zero_and_band(upper211, lower225):
     for chain in (upper211, lower225):
-        for ell in range(0, chain.l_exact + 1):
-            row = chain.row(ell)
-            assert all(abs(k) <= chain.j_max for k in row)
-            assert all(r >= 0 for r in row.values())
-            total = sum(row.values()) + chain.diagonal(ell)
-            assert abs(total) <= 1e-10 * max(1.0, abs(chain.diagonal(ell)))
+        J = chain.j_max
+        rates = chain.band(chain.l_exact)
+        assert rates.shape == (chain.l_exact + 1, 2 * J + 1)
+        assert (rates >= 0).all() and (rates[:, J] == 0).all()
+        # the generator row: the band with minus its row sum on the diagonal
+        gen = rates.copy()
+        gen[:, J] = -rates.sum(axis=1)
+        total = gen.sum(axis=1)
+        assert (np.abs(total) <= 1e-10 * np.maximum(1.0, -gen[:, J])).all()
 
 
 def test_tail_matches_held_out_window(network, part211, part225):

@@ -248,6 +248,13 @@ def test_irreducible_absorbing_origin():
     assert att.witness == [0]
 
 
+def test_irreducible_rejects_negative_horizon(upper211):
+    # a horizon of -1 once reached a BFS that failed inside scipy, and the
+    # chain came back attested irreducible on [0, -1]
+    with pytest.raises(ValidationError, match="horizon must be nonnegative"):
+        check_irreducible(upper211, -1)
+
+
 def test_irreducible_dead_tail_row():
     att = check_irreducible(dead_tail_row())
     assert not att

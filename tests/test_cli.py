@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 
 from boundchain import (BoundingChain, certificate_table, delta_p0,
                         solve_chain_cme)
-from boundchain.cli import main, parse_grid, parse_ints, parse_p0
-from boundchain.errors import ValidationError
+from boundchain.cli import GRID_CAP, main, parse_grid, parse_ints, parse_p0
+from boundchain.errors import ResourceLimitError, ValidationError
 
 NET = str(Path(__file__).resolve().parents[1] / "docs" / "examples"
           / "network.json")
@@ -153,6 +155,18 @@ CHAIN_RUN = ("--network", NET, "--chain", "{chain}", "--x0", "3,2,1",
     _bad("heatmap-negative-n", "heatmap", "--chain", "{chain}", "--p0",
          "delta:5", "--n-grid=-4:20:4", "--t-grid", "0.5:1.0:0.5",
          "--out", "{tmp}/h.csv"),
+    _bad("heatmap-grid-past-numpy", "heatmap", "--chain", "{chain}", "--p0",
+         "delta:5", "--n-grid", "0:20:4", "--t-grid", "0:1e30:1",
+         "--out", "{tmp}/h.csv"),
+    _bad("heatmap-nan-stop", "heatmap", "--chain", "{chain}", "--p0",
+         "delta:5", "--n-grid", "0:20:4", "--t-grid", "0.5:nan:0.5",
+         "--out", "{tmp}/h.csv"),
+    _bad("heatmap-infinite-stop", "heatmap", "--chain", "{chain}", "--p0",
+         "delta:5", "--n-grid", "0:20:4", "--t-grid", "0.5:inf:0.5",
+         "--out", "{tmp}/h.csv"),
+    _bad("heatmap-infinite-step", "heatmap", "--chain", "{chain}", "--p0",
+         "delta:5", "--n-grid", "0:20:inf", "--t-grid", "0.5:1.0:0.5",
+         "--out", "{tmp}/h.csv"),
     _bad("build-nan-parameter", "build", "--network", "{tmp}/nan.json",
          "--weights", "2,1,1", "--direction", "upper", "--l-exact", "30",
          "--out", "{tmp}/c.csv"),
@@ -173,6 +187,80 @@ def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
     out, err = capsys.readouterr()
     # analyze reports a failed stage in its JSON report instead of stderr
     assert "error:" in err or '"error":' in out
+
+
+def test_large_grid_exits_2_before_allocating(tmp_path, chain_csv, capsys,
+                                              monkeypatch):
+    # 0:1e9:1 is a billion points, an 8 GB array: no grid may get that far
+    arange = np.arange
+
+    def short_arange(n, *args, **kwargs):
+        assert n <= GRID_CAP, f"an arange of {n} points"
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", short_arange)
+    with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+        parse_grid("0:1e9:1")
+    assert len(parse_grid(f"1:{GRID_CAP}")) == GRID_CAP
+    assert main(["heatmap", "--chain", chain_csv, "--p0", "delta:5",
+                 "--n-grid", "0:20:4", "--t-grid", "0:1e9:1",
+                 "--out", str(tmp_path / "h.csv")]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+# every command but the three that solve a master equation, in one process;
+# scipy.sparse must still be unloaded after all of them, and loaded by truncate
+NO_SPARSE_RUNS = """
+import json, sys
+from boundchain.cli import main
+net, tmp = sys.argv[1:]
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+    return 'scipy.sparse' in sys.modules
+loaded = {'import': 'scipy.sparse' in sys.modules}
+loaded['build'] = run('build', '--network', net, '--weights', '2,1,1',
+                      '--direction', 'upper', '--l-exact', '30',
+                      '--l-total', '300', '--out', tmp + '/upper.csv')
+run('build', '--network', net, '--weights', '2,2,5', '--direction', 'lower',
+    '--l-exact', '70', '--l-total', '300', '--out', tmp + '/lower.csv')
+loaded['verify'] = run('verify', '--network', net, '--chain',
+                       tmp + '/upper.csv', '--l-check', '20')
+loaded['classify'] = run('classify', '--chain', tmp + '/upper.csv',
+                         '--out', tmp + '/upper.json')
+run('classify', '--chain', tmp + '/lower.csv', '--out', tmp + '/lower.json')
+loaded['combine'] = run('combine', '--lower', tmp + '/lower.json',
+                        '--upper', tmp + '/upper.json')
+loaded['couple'] = run('couple', '--network', net, '--chain',
+                       tmp + '/upper.csv', '--x0', '3,2,1', '--y0', '12',
+                       '--tf', '0.5', '--seeds', '2', '--out', tmp + '/p.csv')
+loaded['simulate'] = run('simulate', '--network', net, '--x0', '3,2,1',
+                         '--tf', '0.5', '--stop', 'class>40', '--weights',
+                         '2,1,1', '--samples', '50')
+loaded['analyze'] = run('analyze', '--network', net, '--lower-weights',
+                        '2,2,5', '--upper-weights', '2,1,1', '--l-exact',
+                        '70', '--out-dir', tmp + '/analysis')
+loaded['truncate'] = run('truncate', '--chain', tmp + '/upper.csv', '--p0',
+                         'delta:5', '--M', '100', '--tf', '1', '--N', '50')
+import boundchain
+names = {}
+exec('from boundchain import *', names)
+loaded['star'] = sorted(set(boundchain.__all__) - set(names))
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_master_equation_commands_load_scipy_sparse(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", NO_SPARSE_RUNS, NET,
+                           str(tmp_path)], capture_output=True, text=True,
+                          timeout=300, env={"PYTHONPATH": str(src), "PATH": ""})
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert loaded.pop("truncate") is True
+    assert loaded.pop("star") == []
+    assert loaded == {cmd: False for cmd in (
+        "import", "build", "verify", "classify", "combine", "couple",
+        "simulate", "analyze")}
 
 
 def test_verify_pass_and_fail(tmp_path, chain_csv, upper211, capsys):
