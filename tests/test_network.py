@@ -1,6 +1,7 @@
 """Network parsing, class enumeration, and aggregation."""
 
 import copy
+import hashlib
 import itertools
 
 import numpy as np
@@ -70,6 +71,58 @@ def test_evaluate_many_matches_scalar(network):
         each = np.array([poly.evaluate(s) for s in big])
         assert many.tobytes() == each.tobytes(), kind
         assert all(type(poly.evaluate(s)) is float for s in big[:3])
+
+
+def _term(coeff, *factors):
+    """A document term; a factor is (species, exponent, kind initial)."""
+    kinds = {"p": "plain-power", "f": "falling-factorial"}
+    return {"coeff": coeff, "factors": [
+        {"species": s, "exponent": e, "kind": kinds[k]} for s, e, k in factors]}
+
+
+# plain and falling powers of exponents 1-4 on two species; under weights
+# (150, 1) classes 0..9740 hold B <= 64 and A <= 9740, where every power
+# is below 2^53
+POWERS_DOC = {
+    "species": ["B", "A"],
+    "reactions": [
+        {"change": [0, 1], "propensity": [
+            _term(0.3, ("A", 4, "p")), _term(0.5, ("B", 1, "p")),
+            _term(0.25)]},
+        {"change": [0, -1], "propensity": [
+            _term(1.7, ("A", 4, "f"), ("B", 1, "p")),
+            _term(0.9, ("A", 3, "p"), ("B", 2, "f"))]},
+        {"change": [1, 0], "propensity": [
+            _term(2.1, ("A", 3, "f"), ("B", 2, "p")),
+            _term(1.1, ("A", 1, "f"))]},
+        {"change": [-1, 0], "propensity": [
+            _term(0.7, ("A", 2, "p"), ("B", 3, "p")),
+            _term(1.3, ("B", 3, "f"), ("A", 1, "p")),
+            _term(0.1, ("A", 2, "f"), ("B", 4, "p"))]},
+        {"change": [-1, 1], "propensity": [
+            _term(0.01, ("A", 4, "p"), ("B", 4, "f"))]},
+    ],
+}
+
+
+# recorded before single states and blocks shared one evaluator
+@pytest.mark.parametrize("doc, weights, hi, digest", [
+    (POWERS_DOC, (150, 1), 9740,
+     "d101c90af5581de71a7794b5d68d814a9332b4e3774d6c931882510e6271c796"),
+    (NETWORK_DOC, (2, 1, 1), 200,
+     "54a0dd70c013159cb4044f9dfee35ddf1275c370433633506ce0c6b25b19f0ef"),
+])
+def test_rate_blocks_are_pinned(doc, weights, hi, digest):
+    R = network_from_dict(doc)._rate_block(_enumerate(0, hi, weights).T)
+    assert hashlib.sha256(R.tobytes()).hexdigest() == digest
+
+
+def test_single_state_rates_are_pinned(network):
+    states = np.random.default_rng(13).integers(0, 5000, size=(500, 3))
+    vals = [[r.propensity.evaluate(s) for r in network.reactions]
+            for s in states.tolist()]
+    assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == (
+        "b492c28d3b069f54bf6b0435f4010747b0828b869f21cebe48be092fa25bdcaa")
 
 
 def test_malformed_documents_rejected():
