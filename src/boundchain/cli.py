@@ -151,16 +151,16 @@ def _emit(args, command: str, doc: dict, **manifest) -> int:
     return 0
 
 
-def _partition_for(chain: BoundingChain | None, weights: str | None) -> ClassPartition:
+def _partition_for(chain: BoundingChain, weights: str | None) -> ClassPartition:
     if weights is not None:
         part = ClassPartition(parse_ints(weights))
-        if chain is not None and chain.weights and tuple(chain.weights) != part.weights:
+        if chain.weights and tuple(chain.weights) != part.weights:
             raise ValidationError(
                 f"--weights {part.weights} disagrees with the chain file "
                 f"{tuple(chain.weights)}"
             )
         return part
-    if chain is not None and chain.weights:
+    if chain.weights:
         return ClassPartition(tuple(chain.weights))
     raise ValidationError("no weights given and the chain file carries none")
 
@@ -256,15 +256,8 @@ def cmd_combine(args) -> int:
 
 def cmd_couple(args) -> int:
     network = load_network(args.network)
-    if args.chain:
-        chain = BoundingChain.from_csv(args.chain)
-        partition = _partition_for(chain, args.weights)
-    else:
-        if not args.weights:
-            raise ValidationError("need --weights when no --chain is given")
-        partition = ClassPartition(parse_ints(args.weights))
-        chain = build_bounding_chain(network, partition, args.direction,
-                                     l_exact=300, l_total=2000)
+    chain = BoundingChain.from_csv(args.chain)
+    partition = _partition_for(chain, args.weights)
     x0 = parse_ints(args.x0)
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be at least 1, got {args.seeds}")
@@ -497,9 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("couple", help="simulate network and bound jointly")
     p.add_argument("--network", required=True)
-    p.add_argument("--chain", default=None)
+    p.add_argument("--chain", required=True)
     p.add_argument("--weights", default=None)
-    p.add_argument("--direction", choices=("upper", "lower"), default="upper")
     p.add_argument("--x0", required=True)
     p.add_argument("--y0", type=int, required=True)
     p.add_argument("--tf", type=float, required=True)

@@ -80,7 +80,7 @@ class CoupledSimulator:
         self._by_reaction = np.argsort(first).tolist()
         self._shift = (moves @ np.asarray(partition.weights,
                                           dtype=np.int64)).tolist()
-        self._evaluate = [r.propensity.evaluate for r in network.reactions]
+        self._add_to = [r.propensity._add_to for r in network.reactions]
         # the counts each reaction takes: (species, count) where nu < 0
         self._takes = [[(i, -v) for i, v in enumerate(change) if v < 0]
                        for change in nu.tolist()]
@@ -115,7 +115,8 @@ class CoupledSimulator:
                 f"level {ell} outside the chain's range [0, {self.chain.l_total}]")
         source = (state, ell)
         # network side: propensities at x, then the self-loop at mass q_y
-        flow = [evaluate(state) for evaluate in self._evaluate]
+        x = [float(v) for v in state]
+        flow = [add_to(0.0, x) for add_to in self._add_to]
         if not all(f >= 0.0 for f in flow):
             check_propensities(np.array([flow]), [state])
         for r, (f, takes) in enumerate(zip(flow, self._takes)):

@@ -48,28 +48,22 @@ class Factor:
             raise ValidationError(f"unknown factor kind {self.kind!r}")
 
     def evaluate(self, counts: np.ndarray) -> np.ndarray:
-        x = np.asarray(counts, dtype=float)
-        if self.kind == "plain-power":
-            return x ** self.exponent
-        # falling factorial x(x-1)...(x-r+1)
-        out = x.copy()
-        for r in range(1, self.exponent):
-            out = out * (x - r)
-        return out
+        return self._at(np.array(counts, dtype=float))
 
-    def _value(self, x: float) -> float:
-        """``evaluate`` at one count, with the same floating-point operations."""
-        if self.kind == "falling-factorial":
-            out = x
-            for r in range(1, self.exponent):
-                out = out * (x - r)
-            return out
-        if self.exponent <= 2:
-            # numpy squares for ** 2; x ** 1 is x under any pow
-            return x * x if self.exponent == 2 else x
-        # numpy's vectorized pow rounds differently from the C library's,
-        # which float ** calls, once the power no longer fits in a double
-        return float(np.power(np.array([x]), self.exponent)[0])
+    def _at(self, x):
+        """The factor at ``x``, a float or a float array, as a product
+        taken left to right: x x ... x, or x (x-1) ... (x-r+1).
+
+        Exponent 1 returns ``x`` itself.  IEEE products give the same float
+        on either kind of input, and a plain cube is correctly rounded
+        while x*x is exact, that is for counts up to 94,906,265.
+        """
+        if self.exponent == 1:  # most factors; skips the loop's set-up
+            return x
+        out = x
+        for r in range(1, self.exponent):
+            out = out * (x if self.kind == "plain-power" else x - r)
+        return out
 
 
 @dataclass(frozen=True)
@@ -85,38 +79,28 @@ class PropensityPolynomial:
         self.terms = tuple(terms)
 
     def evaluate(self, state) -> float:
-        """Value at one state, on Python floats.
-
-        The operations are those of ``evaluate_many``: each term is its
-        coefficient times its factors in order, and the terms are added to
-        0.0 in order, so both give the same float.
-        """
-        out = 0.0
-        for term in self.terms:
-            val = float(term.coeff)
-            for f in term.factors:
-                val *= f._value(float(state[f.species]))
-            out += val
-        return out
+        """Value at one state, on Python floats."""
+        return self._add_to(0.0, [float(v) for v in state])
 
     def evaluate_many(self, states) -> np.ndarray:
         """Vectorized evaluation on an (n, d) array of states."""
         X = np.asarray(states, dtype=float)
-        out = np.zeros(X.shape[0])
-        self._add_to(out, X.T)
-        return out
+        return self._add_to(np.zeros(X.shape[0]), X.T)
 
-    def _add_to(self, out: np.ndarray, cols) -> None:
-        """Add the values on per-species float columns ``cols`` to ``out``.
+    def _add_to(self, out, counts):
+        """``out`` plus the value on per-species ``counts``: floats, with
+        ``out`` a float, or float columns, with ``out`` an array.
 
-        Each term is its coefficient times its factors in order, and the
-        terms are added to ``out`` in order.
+        The one evaluator of the package.  Each term is its coefficient
+        times its factors in order, and the terms are added to ``out`` in
+        order, in place for an array, so both kinds give the same floats.
         """
         for term in self.terms:
             val = float(term.coeff)
             for f in term.factors:
-                val *= f.evaluate(cols[f.species])
+                val *= f._at(counts[f.species])
             out += val
+        return out
 
     def is_structurally_zero(self) -> bool:
         return all(t.coeff == 0.0 for t in self.terms)
@@ -166,10 +150,10 @@ class ReactionNetwork:
     def _rate_block(self, states, out=None) -> np.ndarray:
         """(reactions, n) propensities on a (d, n) block of states.
 
-        The one evaluator behind ``rates`` and the SSA kernel: the states
-        become per-species float columns once, and row i is reaction i's
-        ``evaluate_many``, bit for bit.  ``out``, zeros of that shape, may
-        be a view of another layout.
+        The block behind ``rates``, the class passes and the SSA kernel:
+        the states become per-species float columns once, and row i is
+        reaction i's ``evaluate_many``, bit for bit.  ``out``, zeros of that
+        shape, may be a view of another layout.
         """
         cols = np.ascontiguousarray(states, dtype=float)
         if out is None:
@@ -177,6 +161,17 @@ class ReactionNetwork:
         for row, r in zip(out, self.reactions):
             r.propensity._add_to(row, cols)
         return out
+
+
+def _integer(value, reaction: int, name: str) -> int:
+    """An integer field of reaction ``reaction``; a bool or a non-integral
+    number is rejected, not truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValidationError(
+            f"reaction {reaction} has {name} {value!r}, not an integer")
+    return int(value)
 
 
 def network_from_dict(doc: dict) -> ReactionNetwork:
@@ -194,7 +189,8 @@ def network_from_dict(doc: dict) -> ReactionNetwork:
                 raise ValidationError(f"parameter {name!r} is {value}")
         reactions = []
         for rx in doc["reactions"]:
-            change = tuple(int(c) for c in rx["change"])
+            ridx = len(reactions)
+            change = tuple(_integer(c, ridx, "change") for c in rx["change"])
             terms = []
             for t in rx["propensity"]:
                 coeff = t["coeff"]
@@ -210,12 +206,13 @@ def network_from_dict(doc: dict) -> ReactionNetwork:
                             raise ValidationError(f"unknown species {sp!r}")
                         sp = species.index(sp)
                     factors.append(
-                        Factor(int(sp), int(f.get("exponent", 1)),
+                        Factor(_integer(sp, ridx, "species"),
+                               _integer(f.get("exponent", 1), ridx, "exponent"),
                                str(f.get("kind", "plain-power")))
                     )
                 if not math.isfinite(float(coeff)):
                     raise ValidationError(
-                        f"reaction {len(reactions)} has coefficient {coeff}")
+                        f"reaction {ridx} has coefficient {coeff}")
                 terms.append(Term(float(coeff), tuple(factors)))
             reactions.append(Reaction(change, PropensityPolynomial(terms)))
     except ValidationError:
@@ -410,8 +407,7 @@ def aggregate_rate(state, interval, network: ReactionNetwork,
     """
     lo, hi = interval
     ell = partition.class_of(state)
-    rates = network.rates(np.reshape(state, (1, -1)))[0]
-    return float(sum(rate for r, rate in zip(network.reactions, rates)
+    return float(sum(r.propensity.evaluate(state) for r in network.reactions
                      if lo <= ell + class_shift(r, partition) <= hi))
 
 

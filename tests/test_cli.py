@@ -173,6 +173,14 @@ CHAIN_RUN = ("--network", NET, "--chain", "{chain}", "--x0", "3,2,1",
     _bad("couple-infinite-coefficient", "couple", "--network",
          "{tmp}/inf.json", "--chain", "{chain}", "--x0", "3,2,1", "--y0",
          "12", "--tf", "1", "--out", "{tmp}/p.csv"),
+    _bad("build-fractional-exponent", "build", "--network",
+         "{tmp}/exponent.json", "--weights", "2,1,1", "--direction", "upper",
+         "--l-exact", "30", "--out", "{tmp}/c.csv"),
+    _bad("verify-fractional-change", "verify", "--network",
+         "{tmp}/change.json", "--chain", "{chain}"),
+    _bad("couple-fractional-species", "couple", "--network",
+         "{tmp}/species.json", "--chain", "{chain}", "--x0", "3,2,1", "--y0",
+         "12", "--tf", "1", "--out", "{tmp}/p.csv"),
 ])
 def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
     # a NaN rate once passed every sign check and wrote a truncated chain
@@ -182,6 +190,17 @@ def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
     doc["parameters"]["d3"] = 3.0
     doc["reactions"][0]["propensity"][2]["coeff"] = float("inf")
     (tmp_path / "inf.json").write_text(json.dumps(doc))
+    # a fractional exponent, change or species was once truncated: an
+    # exponent of 2.5 built a chain for exponent 2
+    for name, value in (("exponent", 2.5), ("change", 1.5),
+                        ("species", 0.9)):
+        doc = json.loads(Path(NET).read_text())
+        rx = doc["reactions"][1]
+        if name == "change":
+            rx["change"][0] = value
+        else:
+            rx["propensity"][0]["factors"][0][name] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [a.format(tmp=tmp_path, chain=chain_csv) for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -382,6 +401,17 @@ def test_couple_cli(tmp_path, chain_csv):
                2 * int(r["x1"]) + int(r["x2"]) + int(r["x3"]) for r in rows)
     man = json.loads((tmp_path / "paths.csv.manifest.json").read_text())
     assert man["seeds"] == [0, 1, 2]
+
+
+def test_couple_needs_a_chain(tmp_path, capsys):
+    # couple once built its own chain, with an l_exact and l_total that
+    # build does not default to; a chain now comes from build
+    with pytest.raises(SystemExit) as exc:
+        main(["couple", "--network", NET, "--weights", "2,1,1", "--x0",
+              "3,2,1", "--y0", "12", "--tf", "1", "--out",
+              str(tmp_path / "p.csv")])
+    assert exc.value.code == 2
+    assert "--chain" in capsys.readouterr().err
 
 
 def sha256(path) -> str:

@@ -3,10 +3,11 @@
 import copy
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boundchain import (ClassPartition, Factor, PropensityPolynomial,
@@ -73,6 +74,31 @@ def test_evaluate_many_matches_scalar(network):
         assert all(type(poly.evaluate(s)) is float for s in big[:3])
 
 
+def test_plain_cubes_are_correctly_rounded():
+    # x*x is exact below 94,906,266, so x*x*x rounds once; numpy's
+    # vectorized power gives 9007610865436762.0 for 208067 ** 3, one ulp low
+    xs = [208_067, 208_064, 94_906_265, *np.random.default_rng(7).integers(
+        0, 94_906_266, size=400).tolist()]
+    want = [float(x ** 3) for x in xs]
+    cube = Factor(0, 3)
+    assert cube.evaluate(xs).tolist() == want
+    poly = PropensityPolynomial([Term(1.0, (cube,))])
+    assert [poly.evaluate((x,)) for x in xs] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["plain-power", "falling-factorial"]),
+       st.integers(1, 4), st.data())
+def test_factor_values_below_2_53_are_exact(kind, exponent, data):
+    x = data.draw(st.integers(0, int(2 ** (53 / exponent)) + exponent))
+    exact = math.prod(x if kind == "plain-power" else x - r
+                      for r in range(exponent))
+    assume(exact < 2 ** 53)
+    f = Factor(0, exponent, kind)
+    assert f.evaluate([x])[0] == exact
+    assert PropensityPolynomial([Term(1.0, (f,))]).evaluate((x,)) == exact
+
+
 def _term(coeff, *factors):
     """A document term; a factor is (species, exponent, kind initial)."""
     kinds = {"p": "plain-power", "f": "falling-factorial"}
@@ -136,6 +162,27 @@ def test_malformed_documents_rejected():
     with pytest.raises(ValidationError):
         network_from_dict({"species": ["A"], "reactions": [
             {"change": [1, 2], "propensity": [{"coeff": 1.0}]}]})
+    # integer fields are not truncated; the error names reaction and field
+    for change, factor, bad in [
+            ([1], {"species": "A", "exponent": 2.5}, "exponent 2.5"),
+            ([1], {"species": "A", "exponent": True}, "exponent True"),
+            ([1], {"species": "A", "exponent": float("inf")}, "exponent inf"),
+            ([1], {"species": 0.9}, "species 0.9"),
+            ([1], {"species": True}, "species True"),
+            ([1.5], {"species": "A"}, "change 1.5"),
+            ([True], {"species": "A"}, "change True")]:
+        with pytest.raises(ValidationError,
+                           match=f"reaction 1 has {bad}, not an integer"):
+            network_from_dict({"species": ["A"], "reactions": [
+                {"change": [-1], "propensity": [{"coeff": 1.0}]},
+                {"change": change, "propensity": [
+                    {"coeff": 1.0, "factors": [factor]}]}]})
+    # an integral float is an integer
+    net = network_from_dict({"species": ["A"], "reactions": [
+        {"change": [1.0], "propensity": [
+            {"coeff": 1.0, "factors": [{"species": 0.0, "exponent": 2.0}]}]}]})
+    assert net.reactions[0].change == (1,)
+    assert net.reactions[0].propensity.terms[0].factors == (Factor(0, 2),)
 
 
 @pytest.mark.parametrize("species", [7, -1])
