@@ -654,3 +654,23 @@ def test_analyze_reports_stage_failure(tmp_path, capsys):
     assert doc["stages"]["build-lower"]["ok"] is True
     assert "verdict" not in doc
     capsys.readouterr()
+
+
+# sha256 of the outputs on the U70 chain from delta:80, recorded while every
+# solve ran its t_final pass at construction and one more pass per query at
+# new times
+@pytest.mark.parametrize("argv, digest", [
+    (["plan-truncation", "--M", "500", "--tf", "4", "--epsilons", "0.1,0.01"],
+     "bd73b395e4092b15b55365a23633ef78b5ef7cbd94cf9e50359f54da30dd34df"),
+    (["truncate", "--M", "500", "--tf", "4", "--N", "110"],
+     "b3c08b37671d4310aaae84f4b0bf7814dcdd91c0d17fafff185a52d70437633e"),
+    (["heatmap", "--n-grid", "80:160:10", "--t-grid", "0.5:4:0.5"],
+     "a6e40941a5dc70d6f0313f6bf737818adf1e0abacbd07e13613b9b6c30550ce4"),
+], ids=["plan-truncation", "truncate", "heatmap"])
+def test_master_equation_outputs_are_byte_identical(tmp_path, chain_csv,
+                                                    capsys, argv, digest):
+    out = tmp_path / "out"
+    assert main([*argv, "--chain", chain_csv, "--p0", "delta:80",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sha256(out) == digest

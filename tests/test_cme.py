@@ -354,3 +354,56 @@ def test_import_loads_neither_integrate_nor_stats():
                           text=True, check=True, timeout=120,
                           env={"PYTHONPATH": str(src), "PATH": ""})
     assert done.stdout.strip() == "[]"
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for a in parts:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _network_solve(network, part211):
+    return solve_network_cme(network, part211, 24, (5, 2, 2), 1.0)
+
+
+def _chain_solve(upper211):
+    return solve_chain_cme(upper211, 24, delta_p0(24, 14), 1.0)
+
+
+def _solve_digest(cme) -> str:
+    P = cme.p([0.3, cme.t_final])  # the first query of the solve
+    bounds, parts = certificate_table(cme)
+    return _digest(P, cme.occupation, bounds, parts["initial_tail"],
+                   parts["flux"], [parts["mass_deficit"], parts["solver_term"]])
+
+
+# sha256 of the floats each solve returns, recorded while every solve ran
+# its t_final pass at construction and one more pass per query at new times
+SOLVE_DIGESTS = {
+    "network":
+        "5ab051b778b0649ce8b4efcb37f70f3e6dccc2e1b262f509e53cd566967de700",
+    "chain":
+        "2860389de072a69e116fddfd840e3c81fc2abb35038bb1a0b815f88db2be8340",
+    "dominance":
+        "b2ef35bdb26430cf34d2c1ed1d67724d2f5b71318953638fb77550ac25614a81",
+    "past_t_final":
+        "45ec7240f18c0ca59c39b9fbb2661cce04269eda33dac8703816f55cace2bccc",
+}
+
+
+def test_solves_are_pinned(network, part211, upper211):
+    rep = cdf_dominance(_chain_solve(upper211),
+                        [_network_solve(network, part211)],
+                        np.linspace(0.05, 1.0, 20))
+    past = solve_chain_cme(upper211, 300, delta_p0(300, 80), 4.0)
+    got = {
+        "network": _solve_digest(_network_solve(network, part211)),
+        "chain": _solve_digest(_chain_solve(upper211)),
+        "dominance": hashlib.sha256(repr(
+            (rep.ok, rep.max_violation, rep.worst, rep.checked)
+        ).encode()).hexdigest(),
+        # a first query past t_final: the t_final pass, then one longer pass
+        "past_t_final": _digest(past.p([5.0, 1.0, 4.0])),
+    }
+    assert got == SOLVE_DIGESTS
