@@ -138,7 +138,9 @@ def _solver_counters(cme) -> dict:
     """Uniformization work and its error bound, for the manifest."""
     return {"uniform_rate": cme.uniform_rate,
             "poisson_terms": cme.poisson_terms,
-            "solver_term": cme.solver_term}
+            "solver_term": cme.solver_term,
+            "passes": cme.sol.passes,
+            "matvecs": cme.sol.matvecs}
 
 
 def _emit(args, command: str, doc: dict, **manifest) -> int:

@@ -16,7 +16,9 @@ quadrature.  The pass stops at the smallest K whose Poisson stop-loss
 E[(N_{Lambda T} - K)^+] is within a tenth of the error budget (tails as in
 Fox & Glynn 1988).  That stop-loss bounds both the mass and the flux the
 truncated sums leave out, and the certificates carry it as their solver
-term.  The cost is about Lambda * t_final sparse mat-vecs.
+term.  The pass runs at a solve's first query, for p(t_final), z and every
+time of that query up to t_final at once; it costs K, about Lambda *
+t_final, sparse mat-vecs.
 """
 
 from __future__ import annotations
@@ -142,10 +144,16 @@ class UniformizedSolution:
     """p(t) = sum_{k <= K} Poisson(k; Lambda t) p0 P^k with P = I + Q/Lambda.
 
     Called with a time it returns the state vector, with an array of times
-    one column per time, as a dense ODE solution does.  All times of a call
-    that were not evaluated before share one forward pass.  K is fixed by
-    t_final (or by a later time asked for), so every result is a pointwise
-    lower bound that drops at most ``TAIL_SHARE * budget`` of mass.
+    one column per time, as a dense ODE solution does.  Construction fixes
+    Lambda, P and K (so ResourceLimitError raises at solve time) but runs no
+    mat-vec.  The first query (a call or ``occupation``) runs the pass: one
+    sweep of K mat-vecs that yields p(t_final), the occupation time z and p
+    at every time of that query up to t_final.  A first query past t_final
+    runs that pass for t_final and z alone, then one pass with the larger K
+    for its other times; every later query at new times runs one pass.  K is
+    fixed by t_final (or by a later time asked for), so every result is a
+    pointwise lower bound that drops at most ``TAIL_SHARE * budget`` of mass.
+    ``passes`` and ``matvecs`` count the work done so far.
     """
 
     def __init__(self, Q: sp.csr_matrix, p0: np.ndarray, t_final: float,
@@ -163,9 +171,17 @@ class UniformizedSolution:
         self.terms, self.solver_term, sf = _poisson_stop(
             self.rate * t_final, TAIL_SHARE * budget)
         # z = int_0^T p = sum_k P(N_T > k) / Lambda * p0 P^k
-        P, self.occupation = self._pass(np.array([t_final]), self.terms,
-                                        sf / self.rate)
-        self._cache = {float(t_final): P[:, 0]}
+        self._z_weights = sf / self.rate
+        self._z = None
+        self._cache = {}
+        self.passes = 0
+        self.matvecs = 0
+
+    @property
+    def occupation(self) -> np.ndarray:
+        if self._z is None:
+            self._pass([], self.terms, final=True)
+        return self._z
 
     def __call__(self, t):
         times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -173,35 +189,56 @@ class UniformizedSolution:
                 or np.any(times < 0):
             raise ValidationError("times must be finite and nonnegative")
         new = sorted({float(s) for s in times} - self._cache.keys())
+        if self._z is None:
+            # the t_final pass takes the query's other times along unless
+            # one of them needs a larger K
+            along = [s for s in new if s != self.t_final]
+            if along and along[-1] > self.t_final:
+                along = []
+            self._pass(along, self.terms, final=True)
+            new = [s for s in new if s not in self._cache]
         if new:
             K = self.terms
             if new[-1] > self.t_final:
                 K = _poisson_stop(self.rate * new[-1],
                                   TAIL_SHARE * self.budget)[0]
-            P, _ = self._pass(np.array(new), K)
-            self._cache.update(zip(new, P.T))
+            self._pass(new, K)
         P = np.column_stack([self._cache[float(s)] for s in times])
         return P[:, 0] if np.ndim(t) == 0 else P
 
-    def _pass(self, times: np.ndarray, K: int, occupation=None):
+    def _pass(self, times: list, K: int, final: bool = False) -> None:
         """Sum p0 P^k over k = 0..K with Poisson(k; Lambda t) weights, one
-        column per time, and with the ``occupation`` weights if given."""
+        row per time, into the cache; with ``final`` also p(t_final) and z.
+
+        Each 256-term block is weighted by one product per group of times:
+        t_final alone, and the other times together.
+        """
         n = len(self.p0)
-        means = self.rate * times
-        out = np.zeros((len(times), n))
-        z = None if occupation is None else np.zeros(n)
+        groups = [(times, np.zeros((len(times), n)))]
+        if final:
+            groups.append(([self.t_final], np.zeros((1, n))))
+            z = np.zeros(n)
+        groups = [(ts, self.rate * np.array(ts), out)
+                  for ts, out in groups if ts]
         block = np.empty((min(_BLOCK, K + 1), n))
         v = self.p0
         for start in range(0, K + 1, _BLOCK):
             ks = np.arange(start, min(start + _BLOCK, K + 1))
-            for r in range(len(ks)):
+            for r, k in enumerate(ks):
+                if k:
+                    v = self._PT @ v
                 block[r] = v
-                v = self._PT @ v
             terms = block[:len(ks)]
-            out += _poisson_pmf(ks, means) @ terms
-            if z is not None:
-                z += occupation[ks] @ terms
-        return out.T, z
+            for _, means, out in groups:
+                out += _poisson_pmf(ks, means) @ terms
+            if final:
+                z += self._z_weights[ks] @ terms
+        self.passes += 1
+        self.matvecs += K
+        for ts, _, out in groups:
+            self._cache.update(zip(ts, out))
+        if final:
+            self._z = z
 
 
 @dataclass
@@ -279,9 +316,12 @@ def solve_cme(Q: sp.spmatrix, p0, t_final: float,
     mass they drop is at most P(N > K), and the flux they miss at most
     E[(N - K - 1)^+] because every rate is at most Lambda.  That stop-loss is
     the certificates' solver term, a proven bound up to floating-point
-    rounding (of order K machine epsilons).  The cost is K + 1 mat-vecs,
-    about Lambda * t_final; each later call of ``p`` at new times runs one
-    more pass.
+    rounding (of order K machine epsilons).  K and the solver term are fixed
+    here, and a solve needing too many terms raises ResourceLimitError here;
+    the pass itself runs at the first query (``p``, ``mass``,
+    ``cdf_by_class`` or ``occupation``), for p(t_final), z and every time of
+    that query up to t_final at once.  It costs K mat-vecs, about
+    Lambda * t_final; each later query at new times runs one more pass.
     """
     p0 = np.asarray(p0, dtype=float)
     n = Q.shape[0]

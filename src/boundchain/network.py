@@ -16,10 +16,11 @@ the same enumerator.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -264,21 +265,29 @@ def class_of(state, partition: ClassPartition) -> int:
     return partition.class_of(state)
 
 
-@lru_cache(maxsize=None)
-def _class_count(weights: tuple[int, ...], ell: int) -> int:
-    if ell < 0:
-        return 0
-    if not weights:
-        return 1 if ell == 0 else 0
-    head, rest = weights[0], weights[1:]
-    return sum(_class_count(rest, ell - head * v) for v in range(ell // head + 1))
+def _class_sizes(weights: tuple[int, ...]):
+    """Yield the sizes of classes 0, 1, 2, ... under ``weights``, on ints.
+
+    With s_k(ell) the number of states of the first k species in class ell,
+    s_k(ell) = s_{k-1}(ell) + s_k(ell - w_k): the k-th count is 0, or it is
+    at least 1 and one w_k comes off.  Each class costs one step per weight;
+    table k keeps the last w_k values of s_k, its oldest being s_k(ell - w_k).
+    """
+    tables = [deque(maxlen=w) for w in weights]
+    for ell in itertools.count():
+        n = int(ell == 0)
+        for table in tables:
+            if len(table) == table.maxlen:
+                n += table[0]
+            table.append(n)
+        yield n
 
 
 def class_size(ell: int, partition: ClassPartition) -> int:
     """Number of states in class ``ell``, without materializing them."""
     if ell < 0:
         raise ValidationError("class index must be nonnegative")
-    return _class_count(partition.weights, ell)
+    return next(itertools.islice(_class_sizes(partition.weights), ell, None))
 
 
 def _enumerate(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
@@ -340,8 +349,7 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
     """
     _check_dims(network, partition)
     sizes, seen = [], 0
-    for ell in range(hi + 1):
-        n = class_size(ell, partition)
+    for n in itertools.islice(_class_sizes(partition.weights), hi + 1):
         seen += n
         if seen > cap:
             break

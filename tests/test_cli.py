@@ -544,6 +544,7 @@ def test_truncate_cli(tmp_path, chain_csv, capsys):
     assert man["counters"]["solver_term"] == doc["solver_term"]
     assert man["counters"]["poisson_terms"] >= (
         man["counters"]["uniform_rate"] * 1.0)
+    assert man["counters"]["passes"] == 1
     capsys.readouterr()
 
     assert main(["truncate", "--chain", chain_csv, "--p0", "delta:20",
@@ -567,6 +568,7 @@ def test_plan_truncation_cli(tmp_path, chain_csv, capsys):
     assert doc["plan"]["0.01"] >= doc["plan"]["0.1"] > 0
     man = json.loads((tmp_path / "plan.json.manifest.json").read_text())
     assert man["counters"]["poisson_terms"] > 0
+    assert man["counters"]["passes"] == 1
     capsys.readouterr()
 
 
@@ -590,8 +592,11 @@ def test_heatmap_cli(tmp_path, chain_csv):
         assert all(y <= x + 1e-12 for x, y in zip(ordered, ordered[1:]))
     man = json.loads((tmp_path / "heat.csv.manifest.json").read_text())
     assert set(man["counters"]) == {"uniform_rate", "poisson_terms",
-                                    "solver_term"}
+                                    "solver_term", "passes", "matvecs"}
     assert 0.0 < man["counters"]["solver_term"] <= 1e-8
+    # the requested times ride along the t_final pass: K + 1 terms, K mat-vecs
+    assert man["counters"]["passes"] == 1
+    assert man["counters"]["matvecs"] == man["counters"]["poisson_terms"]
 
 
 @pytest.mark.xfail(strict=True, reason="heatmap integrates the flux by "

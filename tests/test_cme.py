@@ -307,6 +307,50 @@ def test_p_evaluates_many_times_in_one_call():
         cme.p(-1.0)
 
 
+def test_the_first_query_runs_one_pass_for_all_its_times():
+    cme = solve_cme(chain_generator(mm1(1.5, 2.0), 30), delta_p0(30, 12),
+                    t_final=3.0)
+    sol = cme.sol
+    assert (sol.passes, sol.matvecs) == (0, 0)  # set-up runs no mat-vec
+    cme.p([0.5, 3.0, 1.0])
+    # K + 1 terms take K mat-vecs; z rides along
+    assert (sol.passes, sol.matvecs) == (1, cme.poisson_terms)
+    cme.occupation
+    cme.p([1.0, 0.5])
+    assert sol.passes == 1  # cached times add no pass
+    cme.p([0.25, 3.0, 2.0])
+    assert (sol.passes, sol.matvecs) == (2, 2 * cme.poisson_terms)
+    cme.p(6.0)  # past t_final: one pass with a larger K
+    assert sol.passes == 3
+    assert sol.matvecs > 3 * cme.poisson_terms
+
+
+def test_occupation_first_runs_one_pass():
+    cme = solve_cme(two_state(), [1.0, 0.0], t_final=2.0)
+    cme.occupation
+    cme.mass(2.0)
+    assert cme.sol.passes == 1
+
+
+def test_a_first_query_past_t_final_runs_the_t_final_pass_first():
+    cme = solve_cme(two_state(), [1.0, 0.0], t_final=2.0)
+    cme.p([5.0, 1.0, 2.0])
+    # the t_final pass for p(t_final) and z, then one longer pass for 1 and 5
+    assert cme.sol.passes == 2
+    cme.occupation
+    assert cme.sol.passes == 2
+
+
+def test_cdf_dominance_runs_one_pass_per_fresh_solve(network, part211,
+                                                     upper211):
+    net = solve_network_cme(network, part211, 16, (5, 2, 2), 1.0)
+    chain = solve_chain_cme(upper211, 16, delta_p0(16, 14), 1.0)
+    assert cdf_dominance(chain, [net], np.linspace(0.05, 1.0, 20)).ok
+    assert (net.sol.passes, chain.sol.passes) == (1, 1)
+    assert net.sol.matvecs == net.poisson_terms
+    assert chain.sol.matvecs == chain.poisson_terms
+
+
 def test_occupation_time_two_state():
     T = 2.0
     cme = solve_cme(two_state(), [1.0, 0.0], t_final=T)

@@ -17,7 +17,7 @@ from boundchain import (ClassPartition, Factor, PropensityPolynomial,
                         network_from_dict, network_generator,
                         validate_network)
 from boundchain import network as network_module
-from boundchain.network import DEFAULT_CLASS_CAP, _enumerate
+from boundchain.network import DEFAULT_CLASS_CAP, _enumerate, class_rates
 from conftest import NETWORK_DOC, NETWORK_PATH
 
 
@@ -218,6 +218,41 @@ def test_enumerate_class_order_and_content(weights, ell):
     assert got.dtype == np.int64
     assert [tuple(int(v) for v in row) for row in got] == want
     assert class_size(ell, p) == len(want)
+
+
+def _class_count_by_recursion(weights, ell):
+    """The recursion class_size used before the linear pass: every count of
+    the first species, then the rest on what is left."""
+    if ell < 0:
+        return 0
+    if not weights:
+        return 1 if ell == 0 else 0
+    head, rest = weights[0], weights[1:]
+    return sum(_class_count_by_recursion(rest, ell - head * v)
+               for v in range(ell // head + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       st.integers(0, 60))
+def test_class_size_matches_the_recursion(weights, ell):
+    assert class_size(ell, ClassPartition(tuple(weights))) == \
+        _class_count_by_recursion(tuple(weights), ell)
+
+
+def test_class_rates_counts_a_heavy_first_weight_in_linear_time():
+    # the recursion looped over every count of the last species, so classes
+    # 0..9740 under (150, 1) took seconds before any state was listed
+    net = network_from_dict({
+        "species": ["A", "B"],
+        "reactions": [{"change": [0, 1], "propensity": [{"coeff": 1.0}]}]})
+    part = ClassPartition((150, 1))
+    runs = list(class_rates(net, part, 9740))
+    sizes = np.concatenate([s for _, s, _, _ in runs])
+    X = np.concatenate([X for _, _, X, _ in runs])
+    assert np.array_equal(sizes, np.bincount(X @ np.array([150, 1]),
+                                             minlength=9741))
+    assert sizes.sum() == sum(ell // 150 + 1 for ell in range(9741))
 
 
 def test_enumerate_class_matches_count():
