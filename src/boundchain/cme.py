@@ -214,12 +214,10 @@ class UniformizedSolution:
         t_final alone, and the other times together.
         """
         n = len(self.p0)
-        groups = [(times, np.zeros((len(times), n)))]
-        if final:
-            groups.append(([self.t_final], np.zeros((1, n))))
-            z = np.zeros(n)
-        groups = [(ts, self.rate * np.array(ts), out)
-                  for ts, out in groups if ts]
+        groups = [times] + ([[self.t_final]] if final else [])
+        groups = [(ts, self.rate * np.array(ts), np.zeros((len(ts), n)))
+                  for ts in groups if ts]
+        z = np.zeros(n) if final else None
         block = np.empty((min(_BLOCK, K + 1), n))
         v = self.p0
         for start in range(0, K + 1, _BLOCK):
@@ -231,13 +229,13 @@ class UniformizedSolution:
             terms = block[:len(ks)]
             for _, means, out in groups:
                 out += _poisson_pmf(ks, means) @ terms
-            if final:
+            if z is not None:
                 z += self._z_weights[ks] @ terms
         self.passes += 1
         self.matvecs += K
         for ts, _, out in groups:
             self._cache.update(zip(ts, out))
-        if final:
+        if z is not None:
             self._z = z
 
 

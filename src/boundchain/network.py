@@ -266,7 +266,8 @@ def class_of(state, partition: ClassPartition) -> int:
 
 
 def _class_sizes(weights: tuple[int, ...]):
-    """Yield the sizes of classes 0, 1, 2, ... under ``weights``, on ints.
+    """Yield the sizes of classes 0, 1, 2, ... under ``weights``, as Python
+    ints, which do not overflow.
 
     With s_k(ell) the number of states of the first k species in class ell,
     s_k(ell) = s_{k-1}(ell) + s_k(ell - w_k): the k-th count is 0, or it is
