@@ -221,11 +221,12 @@ class UniformizedSolution:
         block = np.empty((min(_BLOCK, K + 1), n))
         v = self.p0
         for start in range(0, K + 1, _BLOCK):
-            ks = np.arange(start, min(start + _BLOCK, K + 1))
-            for r, k in enumerate(ks):
+            stop = min(start + _BLOCK, K + 1)
+            for r, k in enumerate(range(start, stop)):
                 if k:
                     v = self._PT @ v
                 block[r] = v
+            ks = np.arange(start, stop)
             terms = block[:len(ks)]
             for _, means, out in groups:
                 out += _poisson_pmf(ks, means) @ terms
