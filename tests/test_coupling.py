@@ -245,6 +245,17 @@ def test_lower_rows_are_unchanged(network, part225, lower225):
         "227edc9a21e21ef8b436ab366f1e300a9a94f05b41165e435afd21a1cd559178")
 
 
+def test_wide_rows_are_unchanged(network, part211, upper211):
+    # ordered rows whose class and level lie up to about 400 classes apart:
+    # past 128 entries numpy adds a row's totals as two halves
+    sim = CoupledSimulator(network, part211, upper211)
+    pairs = [(x, ell) for x in itertools.product(range(6), repeat=3)
+             for ell in range(150, 400, 7)]
+    assert len(pairs) == 7776
+    assert row_digest(sim, pairs) == (
+        "709cbf1d623437c4c3afe6ffc7573e614770372c40a393d35e0b4833bbe34d12")
+
+
 @pytest.mark.parametrize("chain_name, part_name, count, digest", [
     ("upper211", "part211", 708,
      "8bfd4d43aa3fbb1af1c9c74de11b714e59023600b22230972cd6900d30d37e68"),
