@@ -201,11 +201,11 @@ def optimal_U(f: FTable) -> UTable:
     return UTable(f.direction, J, l_out, minus, plus)
 
 
-def check_u_membership(U: UTable, rtol: float = RTOL) -> list:
+def check_u_membership(U: UTable) -> list:
     """Violations of the admissibility conditions (monotonicity, boundary)."""
     J, L = U.j_max, U.l_exact
     scale = max(1.0, np.nanmax(np.abs(U.minus)), np.nanmax(np.abs(U.plus)))
-    tol = rtol * scale
+    tol = RTOL * scale
     # nondecreasing in m on the minus side: U(ell, m-1) <= U(ell, m)
     down = ((U.minus[2:] > U.minus[1:-1] + tol)
             & (np.arange(1, J + 1)[:, None] <= np.arange(L + 1)))
@@ -279,11 +279,10 @@ def _divisors(n: int) -> list[int]:
     return [p for p in range(1, n + 1) if n % p == 0]
 
 
-def _misfit(values: np.ndarray, start: int, model: TailModel,
-            rtol: float = RTOL) -> np.ndarray:
+def _misfit(values: np.ndarray, start: int, model: TailModel) -> np.ndarray:
     """Where the model misses ``values``, the rates on levels start, start+1, ..."""
     pred = model(np.arange(start, start + len(values)))
-    return ~(np.abs(pred - values) <= rtol * np.maximum(1.0, np.abs(values)))
+    return ~(np.abs(pred - values) <= RTOL * np.maximum(1.0, np.abs(values)))
 
 
 def _fit_window(values: np.ndarray, start: int, offset: int,
@@ -404,8 +403,8 @@ class AssumptionReport:
 
 
 def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
-                       candidate: BoundingChain, l_check: int,
-                       rtol: float = RTOL) -> AssumptionReport:
+                       candidate: BoundingChain,
+                       l_check: int) -> AssumptionReport:
     """Check the domination and monotonicity assumptions on [0, l_check].
 
     Domination reads the f-table the builder writes, from the same class
@@ -442,7 +441,7 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
     ref[:2, :f.j_max] = f.minus[1:], f.plus[1:]
     ref[:2, :, f.empty] = np.nan
     ref[2:] = down[1:-1, :-1], up[2:, :-1]
-    tol = rtol * np.maximum(1.0, np.abs(ref))
+    tol = RTOL * np.maximum(1.0, np.abs(ref))
     high = np.array([upper, not upper, True, False])[:, None, None]
     bad = np.where(high, lhs > ref + tol, lhs < ref - tol)
     # domination first; then class by class, prefixes j = 1..J before tails
@@ -483,7 +482,7 @@ class OptimalityReport:
 
 
 def check_optimality(candidate: BoundingChain, optimal: BoundingChain,
-                     window: int, rtol: float = RTOL) -> OptimalityReport:
+                     window: int) -> OptimalityReport:
     """Domination of row prefixes on [0, window]^2.
 
     Upper direction: every feasible candidate satisfies
@@ -508,7 +507,7 @@ def check_optimality(candidate: BoundingChain, optimal: BoundingChain,
     worst = float(margin[ell, col])
     worst_at = (int(ell), int(ms[ell, col]))
     scale = max(1.0, abs(worst))
-    ok = worst <= rtol * scale
+    ok = worst <= RTOL * scale
     return OptimalityReport(ok, worst, worst_at,
                             "dominated" if ok else
                             f"candidate exceeds the optimal bound at {worst_at}")

@@ -86,13 +86,13 @@ def drift_stats(chain: BoundingChain) -> DriftStats:
                       direction=chain.direction, notes=notes)
 
 
-def _sign(value: float, scale: float, tol: float) -> int:
-    if abs(value) <= tol * scale:
+def _sign(value: float, scale: float) -> int:
+    if abs(value) <= ZERO_TOL * scale:
         return 0
     return 1 if value > 0 else -1
 
 
-def classify(stats: DriftStats, tol: float = ZERO_TOL) -> ChainClass:
+def classify(stats: DriftStats) -> ChainClass:
     """Decision rules on the drift statistics.
 
     Affine tails: B1 > 0, or B1 = 0 with B3 > 0, is transient (and
@@ -116,9 +116,9 @@ def classify(stats: DriftStats, tol: float = ZERO_TOL) -> ChainClass:
             "outside the sufficient explosion rule",
         )
     scale = max(1.0, abs(stats.b1), abs(stats.b2), abs(stats.b3))
-    s1 = _sign(stats.b1, scale, tol)
-    s2 = _sign(stats.b2, scale, tol)
-    s3 = _sign(stats.b3, scale, tol)
+    s1 = _sign(stats.b1, scale)
+    s2 = _sign(stats.b2, scale)
+    s3 = _sign(stats.b3, scale)
     coarse = " (coarse column label: recurrent)" if stats.direction == "upper" else ""
     if s1 > 0:
         return ChainClass("transient-nonexplosive", "B1 > 0")

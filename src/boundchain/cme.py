@@ -65,7 +65,9 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
     """Generator on all states of class <= n_max, class-major lexicographic.
 
     Returns (Q, states, classes) with ``states`` the (n, d) state array and
-    ``classes`` the class label per index.
+    ``classes`` the class label per index.  Mass leaves the box only
+    through classes above n_max; a reaction that fires out of the orthant
+    is a ValidationError.
     """
     d = partition.d
     base = n_max + 1
@@ -90,8 +92,13 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
         fires = np.flatnonzero(rates[k] > 0)
         exit_rate[fires] += rates[k, fires]
         dests = states[fires] + nu
+        leaves = (dests < 0).any(axis=1)
+        if leaves.any():
+            state = tuple(int(v) for v in states[fires[np.argmax(leaves)]])
+            raise ValidationError(
+                f"reaction {k} leaves the orthant from {state}")
         dclass = classes[fires] + int(w @ nu)
-        inside = (dests >= 0).all(axis=1) & (dclass <= n_max)
+        inside = dclass <= n_max
         rows.append(fires[inside])
         cols.append(np.searchsorted(
             codes, dclass[inside] * base ** d + dests[inside] @ radix))
@@ -510,19 +517,17 @@ class DominanceReport:
         return self.ok
 
 
-def cdf_dominance(chain_cme: TruncatedCME, family, times,
-                  levels=None) -> DominanceReport:
-    """Check chain CDF <= network CDF + slack over times, levels, family.
+def cdf_dominance(chain_cme: TruncatedCME, family, times) -> DominanceReport:
+    """Check chain CDF <= network CDF + slack over times, classes, family.
 
     Both solves are pointwise lower bounds on the true laws, so the chain
     side needs no slack; each family member contributes its own mass
     deficit at time t (absorbed mass plus the solver's dropped mass), and
     both solver budgets are added as a margin for rounding.  Each solve is
-    evaluated at all times (and at t = 0) in one pass.
+    evaluated at all times (and at t = 0) in one pass.  Every class of the
+    chain's window is checked.
     """
-    if levels is None:
-        levels = np.arange(int(chain_cme.classes.max()) + 1)
-    levels = np.asarray(levels)
+    levels = np.arange(int(chain_cme.classes.max()) + 1)
     times = np.asarray(times, dtype=float)
     grid = np.concatenate([[0.0], times])
     lhs = chain_cme.cdf_by_class(grid, levels)

@@ -34,10 +34,18 @@ from .errors import ConsistencyError, ValidationError
 from .network import (ClassPartition, ReactionNetwork, check_propensities,
                       class_of)
 from .simulate import check_t_final, make_rng
-from .transport import TransportError, _numpy_sum, _walk
+from .transport import TransportError, _walk
 
 ROW_CACHE = 100_000
 MARGINAL_RTOL = 1e-10
+
+
+def _total(entries, width: int) -> float:
+    """numpy's sum of the ``width``-long row with these (index, mass) entries."""
+    row = np.zeros(width)
+    for k, m in entries:
+        row[k] = m
+    return float(row.sum())
 
 
 @dataclass
@@ -153,8 +161,8 @@ class CoupledSimulator:
                     a[cls[g] - lo] = a.get(cls[g] - lo, 0.0) + rate[g]
             a_sparse = sorted(a.items())
             width = hi - lo + 1
-            total_a = _numpy_sum(a_sparse, width)
-            total_b = _numpy_sum(b, width)
+            total_a = _total(a_sparse, width)
+            total_b = _total(b, width)
             try:
                 entries = (
                     _walk(a_sparse, b, total_a, total_b, width) if self.upper

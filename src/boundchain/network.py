@@ -438,7 +438,11 @@ class ValidationReport:
 
 def validate_network(network: ReactionNetwork, partition: ClassPartition,
                      window: int, cap: int = DEFAULT_CLASS_CAP) -> ValidationReport:
-    """Check propensity sign and boundary-leak freedom on classes <= window."""
+    """Check propensity sign and boundary-leak freedom on classes <= window.
+
+    ``check_propensities``' rule: a rate is bad unless it is >= 0 (NaN
+    included), and a reaction fires where its rate is > 0.
+    """
     violations = []
     nu = network.change_matrix()
     null_change_active = [False] * len(network.reactions)
@@ -450,7 +454,7 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
                 continue
             X = states[a:b]
             for ridx, vals in enumerate(block[:, a:b]):
-                neg = np.flatnonzero(vals < -1e-12)
+                neg = np.flatnonzero(~(vals >= 0))
                 if neg.size:
                     x = tuple(int(v) for v in X[neg[0]])
                     violations.append({
@@ -460,7 +464,7 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
                         "detail": f"reaction {ridx} has rate {vals[neg[0]]} at {x}",
                     })
                 leaves = (X + nu[ridx] < 0).any(axis=1)
-                leak = np.flatnonzero(leaves & (np.abs(vals) > 1e-12))
+                leak = np.flatnonzero(leaves & (vals > 0))
                 if leak.size:
                     x = tuple(int(v) for v in X[leak[0]])
                     violations.append({
@@ -472,7 +476,7 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
                             "although the destination has a negative count"
                         ),
                     })
-                if not nu[ridx].any() and np.abs(vals).max() > 1e-12:
+                if not nu[ridx].any() and (vals > 0).any():
                     null_change_active[ridx] = True
     for ridx, active in enumerate(null_change_active):
         if active:

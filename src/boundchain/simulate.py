@@ -212,10 +212,12 @@ class ExitEstimate:
                 f"by t={self.t_final})")
 
 
-def wilson_interval(k: int, n: int, z: float = Z_95) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for k successes in n trials."""
     if n <= 0:
         raise ValidationError("need at least one sample")
     phat = k / n
+    z = Z_95
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom

@@ -9,8 +9,8 @@ Pi-bar is the north-west-corner rule: row k is nonzero only on the slots of
 b that the prefix masses A_{k-1} and A_k fall between.  One private walk
 yields just those entries, on Python floats, from the nonzero entries of a
 and b.  ``pi_bar`` fills its dense plan from it and the coupling row builder
-reads it directly; every sum is taken in numpy's order, so both give the
-floats of the dense formula.
+reads it directly; the running sums are taken in np.cumsum's order and the
+totals are numpy's sums, so both give the floats of the dense formula.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ValidationError
+
+RTOL = 1e-12  # relative slack on mass balance and prefix domination
 
 
 class TransportError(ValidationError):
@@ -48,11 +50,11 @@ def pi(x, u) -> np.ndarray:
     return np.clip(x[..., None] - prev, 0.0, u)
 
 
-def pi_bar(a, b, rtol: float = 1e-12) -> np.ndarray:
+def pi_bar(a, b) -> np.ndarray:
     """Transport plan with row sums ``a`` and column sums ``b``.
 
     Requires equal totals and prefix domination a_{0:k} >= b_{0:k}; both are
-    checked with relative slack ``rtol``.  Row k of the result is
+    checked with relative slack ``RTOL``.  Row k of the result is
     Pi[a_{0:k}, b] - Pi[a_{0:k-1}, b]; only its nonzero entries are
     computed.  Under domination the plan is zero strictly below the
     diagonal, which is what the coupling construction needs; a violated
@@ -65,7 +67,7 @@ def pi_bar(a, b, rtol: float = 1e-12) -> np.ndarray:
     ib = np.flatnonzero(b)
     entries = _walk(list(zip(ia.tolist(), a[ia].tolist())),
                     list(zip(ib.tolist(), b[ib].tolist())),
-                    float(a.sum()), float(b.sum()), min(len(a), len(b)), rtol)
+                    float(a.sum()), float(b.sum()), min(len(a), len(b)))
     plan = np.zeros((len(a), len(b)))
     if entries:
         k, j, value = zip(*entries)
@@ -73,8 +75,7 @@ def pi_bar(a, b, rtol: float = 1e-12) -> np.ndarray:
     return plan
 
 
-def _walk(a, b, total_a: float, total_b: float, n: int,
-          rtol: float = 1e-12) -> list:
+def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
     """Nonzero entries (k, j, value) of Pi-bar[a, b], row by row.
 
     ``a`` and ``b`` list the nonzero (index, mass) pairs of two sequences in
@@ -89,7 +90,7 @@ def _walk(a, b, total_a: float, total_b: float, n: int,
             or any(not m >= -1e-15 for _, m in b)):
         raise ValidationError("mass sequences must be nonnegative")
     scale = max(1.0, total_a, total_b)
-    tol = rtol * scale
+    tol = RTOL * scale
     if abs(total_a - total_b) > tol:
         raise TransportError(
             f"total masses differ: {total_a} vs {total_b}", index=None
@@ -137,39 +138,3 @@ def _walk(a, b, total_a: float, total_b: float, n: int,
         m0 = m1
     return out
 
-
-def _numpy_sum(entries, n: int) -> float:
-    """numpy's sum of the length-``n`` array whose nonzero ``entries`` are given.
-
-    numpy adds a float array pairwise: fewer than 8 terms in order, up to
-    128 in 8 interleaved partial sums, a longer one as two halves.  The
-    partial sum a term joins depends on its index, so each entry is added
-    at its dense position; the zeros between them change nothing.
-    """
-    return 0.0 + _pairwise(entries, 0, n)
-
-
-def _pairwise(entries, start: int, n: int) -> float:
-    if n < 8:
-        total = 0.0
-        for _, m in entries:
-            total += m
-        return total
-    if n <= 128:
-        r = [0.0] * 8
-        rest = []
-        cut = start + n - n % 8
-        for k, m in entries:
-            if k < cut:
-                r[(k - start) % 8] += m
-            else:
-                rest.append(m)
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for m in rest:
-            total += m
-        return total
-    half = n // 2
-    half -= half % 8
-    cut = bisect_left(entries, (start + half,))
-    return (_pairwise(entries[:cut], start, half)
-            + _pairwise(entries[cut:], start + half, n - half))

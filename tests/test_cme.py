@@ -226,6 +226,18 @@ def test_network_generator_rejects_negative_propensity(part211):
         network_generator(network_from_dict(doc), part211, 12)
 
 
+def test_network_cme_rejects_jumps_out_of_the_orthant(part211):
+    # X3 decays at a constant rate, so it fires from X3 = 0; that mass used
+    # to leave the index set as if it had left the box
+    doc = copy.deepcopy(NETWORK_DOC)
+    doc["reactions"][5]["propensity"] = [{"coeff": 1.0}]
+    with pytest.raises(ValidationError,
+                       match=r"reaction 5 leaves the orthant from "
+                             r"\(0, 0, 0\)"):
+        solve_network_cme(network_from_dict(doc), part211, 16, (5, 2, 2),
+                          1.0)
+
+
 def test_solve_network_cme(network, part211):
     cme = solve_network_cme(network, part211, 14, (1, 1, 1), t_final=0.3)
     assert cme.mass(0.0) == pytest.approx(1.0, abs=1e-12)

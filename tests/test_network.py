@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -423,6 +424,53 @@ def test_validate_network_reports_are_pinned():
         for x in range(1, 6)
     ] + [{"kind": "null-change", "reaction": 2, "state": None,
           "detail": "reaction 2 has zero change vector but nonzero rate"}]
+
+
+# X dies at 1e308 X^2 Y: at Y = 0 and X >= 2 the factors overflow to inf,
+# and inf times 0 is NaN
+NAN_DOC = {
+    "species": ["X", "Y"],
+    "reactions": [
+        {"change": [1, 0], "propensity": [{"coeff": 1.0}]},
+        {"change": [-1, 0], "propensity": [{"coeff": 1e308, "factors": [
+            {"species": "X", "exponent": 2}, {"species": "Y"}]}]},
+        {"change": [0, 1], "propensity": [{"coeff": 1.0}]},
+        {"change": [0, -1],
+         "propensity": [{"coeff": 1.0, "factors": [{"species": "Y"}]}]},
+    ],
+}
+
+# X dies at X - 1e-13, a negative rate far smaller than any rate in use
+TINY_NEGATIVE_DOC = {
+    "species": ["X"],
+    "reactions": [
+        {"change": [1], "propensity": [{"coeff": 1.0}]},
+        {"change": [-1], "propensity": [
+            {"coeff": 1.0, "factors": [{"species": "X"}]},
+            {"coeff": -1e-13}]},
+    ],
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("doc, weights, window, state, message", [
+    (NAN_DOC, (1, 1), 12, (2, 0), "undefined propensity nan"),
+    (TINY_NEGATIVE_DOC, (1,), 5, (0,), "negative propensity -1e-13"),
+], ids=["nan", "tiny-negative"])
+def test_validate_network_rejects_what_build_rejects(doc, weights, window,
+                                                     state, message):
+    # validate_network flags a rate unless it is >= 0, as compute_f does
+    network = network_from_dict(doc)
+    partition = ClassPartition(weights)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{message} for reaction 1 at {state}")):
+        compute_f(network, partition, "upper", window)
+    rep = validate_network(network, partition, window)
+    assert not rep.ok
+    first = rep.violations[0]
+    assert (first["kind"], first["reaction"], first["state"]) == (
+        "negative-propensity", 1, state)
 
 
 def test_structural_zero_term():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundchain import TransportError, ValidationError, pi, pi_bar
-from boundchain.transport import _numpy_sum
 
 mass_seq = st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1,
                     max_size=8)
@@ -250,18 +249,3 @@ def test_pi_bar_matches_broadcast_fill_bit_for_bit(pair):
     # byte equality covers the sign of every zero
     assert outcome(pi_bar, a, b) == outcome(pi_bar_broadcast, a, b)
     assert outcome(pi_bar, b, a) == outcome(pi_bar_broadcast, b, a)
-
-
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 700), data=st.data())
-def test_numpy_sum_matches_numpy(n, data):
-    # the coupling rows take the totals of arrays they never build; the
-    # sum over the nonzero entries must be numpy's to the last bit
-    slots = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
-                                     max_size=40)))
-    x = np.zeros(n)
-    x[slots] = data.draw(st.lists(
-        st.one_of(awkward, st.floats(1e-9, 1e9)), min_size=len(slots),
-        max_size=len(slots)))
-    entries = list(zip(slots, x[slots].tolist()))
-    assert _numpy_sum(entries, n) == float(x.sum())
