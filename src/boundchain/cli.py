@@ -139,8 +139,8 @@ def _solver_counters(cme) -> dict:
     return {"uniform_rate": cme.uniform_rate,
             "poisson_terms": cme.poisson_terms,
             "solver_term": cme.solver_term,
-            "passes": cme.sol.passes,
-            "matvecs": cme.sol.matvecs}
+            "passes": cme.passes,
+            "matvecs": cme.matvecs}
 
 
 def _emit(args, command: str, doc: dict, **manifest) -> int:

@@ -16,9 +16,10 @@ quadrature.  The pass stops at the smallest K whose Poisson stop-loss
 E[(N_{Lambda T} - K)^+] is within a tenth of the error budget (tails as in
 Fox & Glynn 1988).  That stop-loss bounds both the mass and the flux the
 truncated sums leave out, and the certificates carry it as their solver
-term.  The pass runs at a solve's first query, for p(t_final), z and every
-time of that query up to t_final at once; it costs K, about Lambda *
-t_final, sparse mat-vecs.
+term.  A solve answers queries at times in [0, t_final] only.  Its first
+query runs the pass, for p(t_final), z and every time of that query at
+once; it costs K, about Lambda * t_final, sparse mat-vecs, and a later
+query at new times runs one more pass of the same K.
 """
 
 from __future__ import annotations
@@ -147,84 +148,90 @@ def _poisson_pmf(k: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.exp(special.xlogy(k, m) - m - special.gammaln(k + 1.0))
 
 
-class UniformizedSolution:
-    """p(t) = sum_{k <= K} Poisson(k; Lambda t) p0 P^k with P = I + Q/Lambda.
+class TruncatedCME:
+    """One uniformization solve of p' = p Q on [0, t_final].
 
-    Called with a time it returns the state vector, with an array of times
-    one column per time, as a dense ODE solution does.  Construction fixes
-    Lambda, P and K (so ResourceLimitError raises at solve time) but runs no
-    mat-vec.  The first query (a call or ``occupation``) runs the pass: one
-    sweep of K mat-vecs that yields p(t_final), the occupation time z and p
-    at every time of that query up to t_final.  A first query past t_final
-    runs that pass for t_final and z alone, then one pass with the larger K
-    for its other times; every later query at new times runs one pass.  K is
-    fixed by t_final (or by a later time asked for), so every result is a
-    pointwise lower bound that drops at most ``TAIL_SHARE * budget`` of mass.
+    p(t) = sum_{k <= K} Poisson(k; Lambda t) p0 P^k with P = I + Q/Lambda.
+    Construction fixes Lambda (``uniform_rate``), P, K (``poisson_terms``)
+    and the solver term, so ResourceLimitError raises at solve time, but
+    runs no mat-vec.  Every query (``p``, ``mass``, ``cdf_by_class`` or
+    ``occupation``) accepts only times in [0, t_final], and runs a pass
+    only if it has uncached times or z is still missing.  A pass is one
+    sweep of K mat-vecs that yields p at those times together with
+    p(t_final) and the occupation time z.  Every result is a pointwise
+    lower bound that drops at most ``TAIL_SHARE * budget`` of mass.
     ``passes`` and ``matvecs`` count the work done so far.
     """
 
-    def __init__(self, Q: sp.csr_matrix, p0: np.ndarray, t_final: float,
-                 budget: float):
-        exit_rate = -Q.diagonal()
-        # with no transitions any positive rate works: P is the identity
-        self.rate = float(exit_rate.max()) if exit_rate.size else 0.0
-        if self.rate <= 0.0:
-            self.rate = 1.0
-        n = Q.shape[0]
-        self._PT = (sp.identity(n, format="csr") + Q / self.rate).T.tocsr()
+    def __init__(self, Q: sp.csr_matrix, classes: np.ndarray, p0: np.ndarray,
+                 t_final: float, budget: float, states=None):
+        self.Q = Q
+        self.classes = classes
         self.p0 = p0
         self.t_final = t_final
         self.budget = budget
-        self.terms, self.solver_term, sf = _poisson_stop(
-            self.rate * t_final, TAIL_SHARE * budget)
+        self.states = states
+        # with no transitions any positive rate works: P is the identity
+        rate = float((-Q.diagonal()).max(initial=0.0))
+        self.uniform_rate = rate if rate > 0.0 else 1.0
+        self._PT = (sp.identity(Q.shape[0], format="csr")
+                    + Q / self.uniform_rate).T.tocsr()
+        # solver_term, the Poisson stop-loss, bounds the mass and flux the
+        # solve leaves out
+        self.poisson_terms, self.solver_term, sf = _poisson_stop(
+            self.uniform_rate * t_final, TAIL_SHARE * budget)
         # z = int_0^T p = sum_k P(N_T > k) / Lambda * p0 P^k
-        self._z_weights = sf / self.rate
+        self._z_weights = sf / self.uniform_rate
         self._z = None
         self._cache = {}
         self.passes = 0
         self.matvecs = 0
 
     @property
+    def sol(self) -> TruncatedCME:  # the benchmark's tracer reads cme.sol
+        return self
+
+    @property
     def occupation(self) -> np.ndarray:
+        """Time each state is occupied on [0, t_final], in expectation."""
         if self._z is None:
-            self._pass([], self.terms, final=True)
+            self._pass([])
         return self._z
 
-    def __call__(self, t):
+    def p(self, t):
+        """The state vector at time t, or one column per time for an
+        array of times."""
         times = np.atleast_1d(np.asarray(t, dtype=float))
-        if times.ndim != 1 or not np.all(np.isfinite(times)) \
-                or np.any(times < 0):
-            raise ValidationError("times must be finite and nonnegative")
+        if times.ndim != 1 or not np.all((times >= 0)
+                                         & (times <= self.t_final)):
+            raise ValidationError(f"times must lie in [0, {self.t_final}]")
         new = sorted({float(s) for s in times} - self._cache.keys())
-        if self._z is None:
-            # the t_final pass takes the query's other times along unless
-            # one of them needs a larger K
-            along = [s for s in new if s != self.t_final]
-            if along and along[-1] > self.t_final:
-                along = []
-            self._pass(along, self.terms, final=True)
-            new = [s for s in new if s not in self._cache]
-        if new:
-            K = self.terms
-            if new[-1] > self.t_final:
-                K = _poisson_stop(self.rate * new[-1],
-                                  TAIL_SHARE * self.budget)[0]
-            self._pass(new, K)
+        if new or self._z is None:
+            self._pass([s for s in new if s != self.t_final])
         P = np.column_stack([self._cache[float(s)] for s in times])
         return P[:, 0] if np.ndim(t) == 0 else P
 
-    def _pass(self, times: list, K: int, final: bool = False) -> None:
-        """Sum p0 P^k over k = 0..K with Poisson(k; Lambda t) weights, one
-        row per time, into the cache; with ``final`` also p(t_final) and z.
+    def mass(self, t) -> float:
+        return float(np.sum(self.p(t)))
 
-        Each 256-term block is weighted by one product per group of times:
-        t_final alone, and the other times together.
+    def cdf_by_class(self, t, levels) -> np.ndarray:
+        """P(class <= level) for each requested level, at one time, or one
+        column per time for an array of times."""
+        below = self.classes <= np.asarray(levels)[:, None]
+        return below.astype(float) @ self.p(t)
+
+    def _pass(self, times: list) -> None:
+        """Sum p0 P^k over k = 0..K with Poisson(k; Lambda t) weights, one
+        row per time and one for t_final, into the cache, and z with it.
+
+        Each 256-term block is weighted by one product for the times
+        together and one for t_final alone.
         """
-        n = len(self.p0)
-        groups = [times] + ([[self.t_final]] if final else [])
-        groups = [(ts, self.rate * np.array(ts), np.zeros((len(ts), n)))
-                  for ts in groups if ts]
-        z = np.zeros(n) if final else None
+        n, K = len(self.p0), self.poisson_terms
+        means = self.uniform_rate * np.array(times)
+        final_mean = self.uniform_rate * np.array([self.t_final])
+        out = np.zeros((len(times), n))
+        final, z = np.zeros((1, n)), np.zeros(n)
         block = np.empty((min(_BLOCK, K + 1), n))
         v = self.p0
         for start in range(0, K + 1, _BLOCK):
@@ -235,57 +242,14 @@ class UniformizedSolution:
                 block[r] = v
             ks = np.arange(start, stop)
             terms = block[:len(ks)]
-            for _, means, out in groups:
-                out += _poisson_pmf(ks, means) @ terms
-            if z is not None:
-                z += self._z_weights[ks] @ terms
+            out += _poisson_pmf(ks, means) @ terms
+            final += _poisson_pmf(ks, final_mean) @ terms
+            z += self._z_weights[ks] @ terms
         self.passes += 1
         self.matvecs += K
-        for ts, _, out in groups:
-            self._cache.update(zip(ts, out))
-        if z is not None:
-            self._z = z
-
-
-@dataclass
-class TruncatedCME:
-    Q: sp.csr_matrix
-    classes: np.ndarray
-    p0: np.ndarray
-    t_final: float
-    budget: float
-    sol: UniformizedSolution
-    states: np.ndarray | None = None
-
-    @property
-    def occupation(self) -> np.ndarray:
-        """Time each state is occupied on [0, t_final], in expectation."""
-        return self.sol.occupation
-
-    @property
-    def uniform_rate(self) -> float:
-        return self.sol.rate
-
-    @property
-    def poisson_terms(self) -> int:
-        return self.sol.terms
-
-    @property
-    def solver_term(self) -> float:
-        """Poisson stop-loss: bounds the mass and flux the solve leaves out."""
-        return self.sol.solver_term
-
-    def p(self, t):
-        return self.sol(t)
-
-    def mass(self, t) -> float:
-        return float(np.sum(self.sol(t)))
-
-    def cdf_by_class(self, t, levels) -> np.ndarray:
-        """P(class <= level) for each requested level, at one time, or one
-        column per time for an array of times."""
-        below = self.classes <= np.asarray(levels)[:, None]
-        return below.astype(float) @ self.p(t)
+        self._cache.update(zip(times, out))
+        self._cache[self.t_final] = final[0]
+        self._z = z
 
     @cached_property
     def crossing_rates(self) -> sp.csr_matrix:
@@ -323,11 +287,8 @@ def solve_cme(Q: sp.spmatrix, p0, t_final: float,
     E[(N - K - 1)^+] because every rate is at most Lambda.  That stop-loss is
     the certificates' solver term, a proven bound up to floating-point
     rounding (of order K machine epsilons).  K and the solver term are fixed
-    here, and a solve needing too many terms raises ResourceLimitError here;
-    the pass itself runs at the first query (``p``, ``mass``,
-    ``cdf_by_class`` or ``occupation``), for p(t_final), z and every time of
-    that query up to t_final at once.  It costs K mat-vecs, about
-    Lambda * t_final; each later query at new times runs one more pass.
+    here, so a solve needing too many terms raises ResourceLimitError here;
+    the pass runs at the first query of the returned ``TruncatedCME``.
     """
     p0 = np.asarray(p0, dtype=float)
     n = Q.shape[0]
@@ -346,12 +307,8 @@ def solve_cme(Q: sp.spmatrix, p0, t_final: float,
     if (off.data < 0).any() or (row_sums > 1e-12 * scale).any():
         raise ValidationError("Q is not a generator of an absorbing "
                               "truncation: need rates >= 0, row sums <= 0")
-    if classes is None:
-        classes = np.arange(n)
-    return TruncatedCME(Q=Q, classes=np.asarray(classes), p0=p0,
-                        t_final=float(t_final), budget=budget,
-                        sol=UniformizedSolution(Q, p0, float(t_final), budget),
-                        states=states)
+    classes = np.arange(n) if classes is None else np.asarray(classes)
+    return TruncatedCME(Q, classes, p0, float(t_final), budget, states=states)
 
 
 def solve_chain_cme(chain: BoundingChain, M: int, p0, t_final: float,
@@ -395,8 +352,10 @@ def exit_flux(cme: TruncatedCME, N: int):
     the rate into states of class > N; its integral is the same sum over
     the occupation time z, short of the true one by at most the solver term.
     """
-    C = cme.crossing_rates
-    u = C[N] if 0 <= N < C.shape[0] else sp.csr_matrix((1, C.shape[1]))
+    M = int(cme.classes.max())
+    if not 0 <= N <= M:
+        raise ValidationError(f"need 0 <= N <= M, got N={N}, M={M}")
+    u = cme.crossing_rates[N]
 
     def flux(t):
         vals = (u @ cme.p(t))[0]
@@ -424,18 +383,6 @@ class TruncationCertificate:
                 f"{self.solver_term:.3g})")
 
 
-def _certificate(cme: TruncatedCME, N: int) -> TruncationCertificate:
-    bounds, parts = certificate_table(cme)
-    bound = float(bounds[N])
-    return TruncationCertificate(
-        N=N, M=int(cme.classes.max()), t_final=cme.t_final,
-        mass_deficit=parts["mass_deficit"],
-        initial_tail=float(parts["initial_tail"][N]),
-        flux=float(parts["flux"][N]), solver_term=parts["solver_term"],
-        bound=bound, bound_clipped=min(1.0, max(0.0, bound)),
-    )
-
-
 def _window_solve(chain, p0, M, t_final, budget, cme):
     """The [0, M] solve to t_final: ``cme`` if given (it must be that
     solve), else a new one."""
@@ -454,7 +401,16 @@ def truncation_certificate(chain: BoundingChain, p0, N: int, M: int,
     """Exit-probability bound for the window [0, N] inside the [0, M] solve."""
     if not 0 <= N <= M:
         raise ValidationError(f"need 0 <= N <= M, got N={N}, M={M}")
-    return _certificate(_window_solve(chain, p0, M, t_final, budget, cme), N)
+    cme = _window_solve(chain, p0, M, t_final, budget, cme)
+    bounds, parts = certificate_table(cme)
+    bound = float(bounds[N])
+    return TruncationCertificate(
+        N=N, M=int(cme.classes.max()), t_final=cme.t_final,
+        mass_deficit=parts["mass_deficit"],
+        initial_tail=float(parts["initial_tail"][N]),
+        flux=float(parts["flux"][N]), solver_term=parts["solver_term"],
+        bound=bound, bound_clipped=min(1.0, max(0.0, bound)),
+    )
 
 
 def certificate_table(cme: TruncatedCME):
@@ -527,8 +483,11 @@ def cdf_dominance(chain_cme: TruncatedCME, family, times) -> DominanceReport:
     evaluated at all times (and at t = 0) in one pass.  Every class of the
     chain's window is checked.
     """
-    levels = np.arange(int(chain_cme.classes.max()) + 1)
+    family = list(family)
     times = np.asarray(times, dtype=float)
+    if not family or not times.size:
+        raise ValidationError("cdf_dominance needs a family member and a time")
+    levels = np.arange(int(chain_cme.classes.max()) + 1)
     grid = np.concatenate([[0.0], times])
     lhs = chain_cme.cdf_by_class(grid, levels)
     rhs, slack = [], []

@@ -86,7 +86,10 @@ class PropensityPolynomial:
     def evaluate_many(self, states) -> np.ndarray:
         """Vectorized evaluation on an (n, d) array of states."""
         X = np.asarray(states, dtype=float)
-        return self._add_to(np.zeros(X.shape[0]), X.T)
+        # an overflow is inf or NaN in the result, which the propensity
+        # checks report; numpy's warnings would only precede that error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._add_to(np.zeros(X.shape[0]), X.T)
 
     def _add_to(self, out, counts):
         """``out`` plus the value on per-species ``counts``: floats, with
@@ -159,8 +162,9 @@ class ReactionNetwork:
         cols = np.ascontiguousarray(states, dtype=float)
         if out is None:
             out = np.zeros((len(self.reactions), cols.shape[1]))
-        for row, r in zip(out, self.reactions):
-            r.propensity._add_to(row, cols)
+        with np.errstate(over="ignore", invalid="ignore"):  # as evaluate_many
+            for row, r in zip(out, self.reactions):
+                r.propensity._add_to(row, cols)
         return out
 
 

@@ -49,6 +49,20 @@ BIRTH_DEATH_DOC = {
     ],
 }
 
+# X dies at 1e308 X^2 Y: at Y = 0 and X >= 2 the factors overflow to inf,
+# and inf times 0 is NaN
+NAN_DOC = {
+    "species": ["X", "Y"],
+    "reactions": [
+        {"change": [1, 0], "propensity": [{"coeff": 1.0}]},
+        {"change": [-1, 0], "propensity": [{"coeff": 1e308, "factors": [
+            {"species": "X", "exponent": 2}, {"species": "Y"}]}]},
+        {"change": [0, 1], "propensity": [{"coeff": 1.0}]},
+        {"change": [0, -1],
+         "propensity": [{"coeff": 1.0, "factors": [{"species": "Y"}]}]},
+    ],
+}
+
 
 @pytest.fixture(scope="session")
 def network():

@@ -14,6 +14,7 @@ from boundchain import (BoundingChain, certificate_table, delta_p0,
                         solve_chain_cme)
 from boundchain.cli import GRID_CAP, main, parse_grid, parse_ints, parse_p0
 from boundchain.errors import ResourceLimitError, ValidationError
+from conftest import NAN_DOC
 
 NET = str(Path(__file__).resolve().parents[1] / "docs" / "examples"
           / "network.json")
@@ -320,18 +321,34 @@ def test_build_and_verify_reject_a_negative_propensity(tmp_path, chain_csv,
         "coeff": 1e308, "factors": [{"species": "X3"}, {"species": "X1"}]}
     bad.write_text(json.dumps(doc))
     message = "undefined propensity nan for reaction 5 at (0, 0, 2)"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["build", "--network", str(bad), "--weights", "2,1,1",
-                     "--direction", "upper", "--l-exact", "30",
-                     "--out", str(tmp_path / "c.csv")]) == 2
-        assert message in capsys.readouterr().err
-        assert main(["verify", "--network", str(bad), "--chain", chain_csv,
-                     "--l-check", "20"]) == 2
-        assert message in capsys.readouterr().err
+    assert main(["build", "--network", str(bad), "--weights", "2,1,1",
+                 "--direction", "upper", "--l-exact", "30",
+                 "--out", str(tmp_path / "c.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["verify", "--network", str(bad), "--chain", chain_csv,
+                 "--l-check", "20"]) == 2
+    assert message in capsys.readouterr().err
     assert main(["couple", "--network", str(bad), "--chain", chain_csv,
                  "--x0", "0,0,2", "--y0", "12", "--tf", "1",
                  "--out", str(tmp_path / "p.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_an_overflowing_propensity_prints_only_the_error(tmp_path):
+    # numpy warns on inf and NaN; the user should see the error line alone
+    net = tmp_path / "nan.json"
+    net.write_text(json.dumps(NAN_DOC))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "boundchain.cli", "build", "--network",
+         str(net), "--weights", "1,1", "--direction", "upper", "--l-exact",
+         "12", "--out", str(tmp_path / "c.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""})
+    assert done.returncode == 2
+    assert done.stderr == ("error: undefined propensity nan for reaction 1 "
+                           "at (2, 0)\n")
+
 
 def test_verify_weight_mismatch(chain_csv):
     assert main(["verify", "--network", NET, "--chain", chain_csv,

@@ -136,6 +136,13 @@ def test_certificate_table_matches_single_solves():
     assert F == 0.0 and flux_fn(1.0) == 0.0
 
 
+def test_exit_flux_rejects_windows_outside_the_box():
+    cme = solve_chain_cme(mm1(1.5, 2.0), 60, delta_p0(60, 30), t_final=2.0)
+    for N in (-1, 61):
+        with pytest.raises(ValidationError, match="0 <= N <= M"):
+            exit_flux(cme, N)
+
+
 def test_min_truncation():
     chain = mm1(1.5, 2.0)
     cme = solve_chain_cme(chain, 60, delta_p0(60, 10), t_final=2.0)
@@ -278,6 +285,14 @@ def test_cdf_dominance_initial_order_precondition():
         cdf_dominance(a, [b], [0.5])
 
 
+def test_cdf_dominance_rejects_an_empty_check():
+    a = solve_chain_cme(mm1(1.0, 2.0, 40, 40), 40, delta_p0(40, 10), 1.0)
+    with pytest.raises(ValidationError):
+        cdf_dominance(a, [], [0.5, 1.0])
+    with pytest.raises(ValidationError):
+        cdf_dominance(a, [a], [])
+
+
 def _truth(Q, p0, t):
     """p0 exp(Q t) by dense matrix exponential."""
     return np.asarray(p0, dtype=float) @ expm(Q.toarray() * t)
@@ -322,35 +337,37 @@ def test_p_evaluates_many_times_in_one_call():
 def test_the_first_query_runs_one_pass_for_all_its_times():
     cme = solve_cme(chain_generator(mm1(1.5, 2.0), 30), delta_p0(30, 12),
                     t_final=3.0)
-    sol = cme.sol
-    assert (sol.passes, sol.matvecs) == (0, 0)  # set-up runs no mat-vec
+    assert (cme.passes, cme.matvecs) == (0, 0)  # set-up runs no mat-vec
     cme.p([0.5, 3.0, 1.0])
     # K + 1 terms take K mat-vecs; z rides along
-    assert (sol.passes, sol.matvecs) == (1, cme.poisson_terms)
+    assert (cme.passes, cme.matvecs) == (1, cme.poisson_terms)
     cme.occupation
     cme.p([1.0, 0.5])
-    assert sol.passes == 1  # cached times add no pass
+    assert cme.passes == 1  # cached times add no pass
     cme.p([0.25, 3.0, 2.0])
-    assert (sol.passes, sol.matvecs) == (2, 2 * cme.poisson_terms)
-    cme.p(6.0)  # past t_final: one pass with a larger K
-    assert sol.passes == 3
-    assert sol.matvecs > 3 * cme.poisson_terms
+    assert (cme.passes, cme.matvecs) == (2, 2 * cme.poisson_terms)
+    for t in (6.0, [1.0, 3.0 + 1e-12], -0.5, float("nan")):
+        with pytest.raises(ValidationError, match=r"\[0, 3\.0\]"):
+            cme.p(t)
+    assert cme.passes == 2  # a rejected query runs no pass
 
 
 def test_occupation_first_runs_one_pass():
     cme = solve_cme(two_state(), [1.0, 0.0], t_final=2.0)
     cme.occupation
     cme.mass(2.0)
-    assert cme.sol.passes == 1
+    assert cme.passes == 1
 
 
-def test_a_first_query_past_t_final_runs_the_t_final_pass_first():
-    cme = solve_cme(two_state(), [1.0, 0.0], t_final=2.0)
-    cme.p([5.0, 1.0, 2.0])
-    # the t_final pass for p(t_final) and z, then one longer pass for 1 and 5
-    assert cme.sol.passes == 2
-    cme.occupation
-    assert cme.sol.passes == 2
+def test_a_later_pass_leaves_p_t_final_and_z_unchanged():
+    cme = solve_chain_cme(mm1(1.5, 2.0), 30, delta_p0(30, 12), 3.0)
+    first = cme.p(1.0)
+    final, z = cme.p(3.0).tobytes(), cme.occupation.tobytes()
+    cme.p([0.5, 2.0])  # new times: a second pass, which redoes p(3) and z
+    assert cme.passes == 2
+    assert cme.p(3.0).tobytes() == final
+    assert cme.occupation.tobytes() == z
+    assert cme.p(1.0).tobytes() == first.tobytes()
 
 
 def test_cdf_dominance_runs_one_pass_per_fresh_solve(network, part211,
@@ -358,9 +375,9 @@ def test_cdf_dominance_runs_one_pass_per_fresh_solve(network, part211,
     net = solve_network_cme(network, part211, 16, (5, 2, 2), 1.0)
     chain = solve_chain_cme(upper211, 16, delta_p0(16, 14), 1.0)
     assert cdf_dominance(chain, [net], np.linspace(0.05, 1.0, 20)).ok
-    assert (net.sol.passes, chain.sol.passes) == (1, 1)
-    assert net.sol.matvecs == net.poisson_terms
-    assert chain.sol.matvecs == chain.poisson_terms
+    assert (net.passes, chain.passes) == (1, 1)
+    assert net.matvecs == net.poisson_terms
+    assert chain.matvecs == chain.poisson_terms
 
 
 def test_occupation_time_two_state():
@@ -387,6 +404,22 @@ def test_certificate_table_equals_single_certificates(upper211, M, t_final,
         assert abs(bounds[N] - single.bound) <= 1e-12
         assert single.flux == exit_flux(cme, N)[1]
         assert single.solver_term == cme.solver_term
+
+
+def test_the_certificate_bounds_the_network_exit_probability(
+        network, part211, upper211):
+    # finite state projection (Munsky & Khammash 2006): the network solved on
+    # the window [0, N] loses 1 - mass(T), at least its probability of
+    # leaving the window by T, and that must not exceed E_T(N); x0 = (5, 2, 2)
+    # is class 14 under weights (2, 1, 1)
+    bounds, _ = certificate_table(
+        solve_chain_cme(upper211, 400, delta_p0(400, 14), 1.0))
+    for N in range(16, 41):
+        window = solve_network_cme(network, part211, N, (5, 2, 2), 1.0)
+        lost, bound = 1.0 - window.mass(1.0), min(1.0, bounds[N])
+        print(f"N={N}: 1 - mass {lost:.3g} <= E_T {bound:.3g}, "
+              f"ratio {lost / bound:.3g}")
+        assert lost <= bound
 
 
 def test_solver_rejects_bad_generators_and_budgets():
@@ -443,8 +476,6 @@ SOLVE_DIGESTS = {
         "2860389de072a69e116fddfd840e3c81fc2abb35038bb1a0b815f88db2be8340",
     "dominance":
         "b2ef35bdb26430cf34d2c1ed1d67724d2f5b71318953638fb77550ac25614a81",
-    "past_t_final":
-        "45ec7240f18c0ca59c39b9fbb2661cce04269eda33dac8703816f55cace2bccc",
 }
 
 
@@ -452,14 +483,11 @@ def test_solves_are_pinned(network, part211, upper211):
     rep = cdf_dominance(_chain_solve(upper211),
                         [_network_solve(network, part211)],
                         np.linspace(0.05, 1.0, 20))
-    past = solve_chain_cme(upper211, 300, delta_p0(300, 80), 4.0)
     got = {
         "network": _solve_digest(_network_solve(network, part211)),
         "chain": _solve_digest(_chain_solve(upper211)),
         "dominance": hashlib.sha256(repr(
             (rep.ok, rep.max_violation, rep.worst, rep.checked)
         ).encode()).hexdigest(),
-        # a first query past t_final: the t_final pass, then one longer pass
-        "past_t_final": _digest(past.p([5.0, 1.0, 4.0])),
     }
     assert got == SOLVE_DIGESTS

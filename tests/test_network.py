@@ -19,7 +19,7 @@ from boundchain import (ClassPartition, Factor, PropensityPolynomial,
                         validate_network)
 from boundchain import network as network_module
 from boundchain.network import DEFAULT_CLASS_CAP, _enumerate, class_rates
-from conftest import NETWORK_DOC, NETWORK_PATH
+from conftest import NAN_DOC, NETWORK_DOC, NETWORK_PATH
 
 
 def test_load_matches_dict(network):
@@ -426,20 +426,6 @@ def test_validate_network_reports_are_pinned():
           "detail": "reaction 2 has zero change vector but nonzero rate"}]
 
 
-# X dies at 1e308 X^2 Y: at Y = 0 and X >= 2 the factors overflow to inf,
-# and inf times 0 is NaN
-NAN_DOC = {
-    "species": ["X", "Y"],
-    "reactions": [
-        {"change": [1, 0], "propensity": [{"coeff": 1.0}]},
-        {"change": [-1, 0], "propensity": [{"coeff": 1e308, "factors": [
-            {"species": "X", "exponent": 2}, {"species": "Y"}]}]},
-        {"change": [0, 1], "propensity": [{"coeff": 1.0}]},
-        {"change": [0, -1],
-         "propensity": [{"coeff": 1.0, "factors": [{"species": "Y"}]}]},
-    ],
-}
-
 # X dies at X - 1e-13, a negative rate far smaller than any rate in use
 TINY_NEGATIVE_DOC = {
     "species": ["X"],
@@ -452,8 +438,6 @@ TINY_NEGATIVE_DOC = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("doc, weights, window, state, message", [
     (NAN_DOC, (1, 1), 12, (2, 0), "undefined propensity nan"),
     (TINY_NEGATIVE_DOC, (1,), 5, (0,), "negative propensity -1e-13"),
