@@ -94,7 +94,7 @@ def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
     minus, plus = np.full((2, J + 1, hi + 1), np.nan)
     empty = np.zeros(hi + 1, dtype=bool)
     for lo, sizes, X, rates in class_rates(network, partition, hi, cap=cap):
-        check_propensities(rates.T, X)
+        check_propensities(network, rates.T, X)
         full = sizes > 0
         empty[lo:lo + sizes.size] = ~full
         if not full.any():

@@ -81,7 +81,7 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
     rates = np.concatenate([R for _, _, _, R in runs], axis=1)
     classes = np.repeat(np.arange(n_max + 1),
                         np.concatenate([sizes for _, sizes, _, _ in runs]))
-    check_propensities(rates.T, states)
+    check_propensities(network, rates.T, states)
     # every count is at most n_max < base, so class-major lexicographic
     # order is ascending order of class * base^d + (x in base `base`)
     radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)
@@ -93,11 +93,6 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
         fires = np.flatnonzero(rates[k] > 0)
         exit_rate[fires] += rates[k, fires]
         dests = states[fires] + nu
-        leaves = (dests < 0).any(axis=1)
-        if leaves.any():
-            state = tuple(int(v) for v in states[fires[np.argmax(leaves)]])
-            raise ValidationError(
-                f"reaction {k} leaves the orthant from {state}")
         dclass = classes[fires] + int(w @ nu)
         inside = dclass <= n_max
         rows.append(fires[inside])
@@ -320,13 +315,12 @@ def solve_chain_cme(chain: BoundingChain, M: int, p0, t_final: float,
 def solve_network_cme(network: ReactionNetwork, partition: ClassPartition,
                       n_max: int, x0, t_final: float,
                       budget: float = DEFAULT_BUDGET) -> TruncatedCME:
-    Q, states, classes = network_generator(network, partition, n_max)
-    p0 = np.zeros(len(classes))
     key = tuple(int(v) for v in x0)
-    hits = np.flatnonzero((states == np.asarray(key)).all(axis=1))
-    if hits.size != 1:
+    # class_of raises on a wrong length or a negative count
+    if partition.class_of(key) > n_max:
         raise ValidationError(f"initial state {key} is outside the index set")
-    p0[hits[0]] = 1.0
+    Q, states, classes = network_generator(network, partition, n_max)
+    p0 = (states == np.asarray(key)).all(axis=1).astype(float)
     return solve_cme(Q, p0, t_final, budget=budget, classes=classes,
                      states=states)
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from .chain import BoundingChain
 from .errors import ConsistencyError, ValidationError
-from .network import (ClassPartition, ReactionNetwork, check_propensities,
-                      class_of)
+from .network import (ClassPartition, ReactionNetwork, _check_dims,
+                      check_propensities, class_of)
 from .simulate import check_t_final, make_rng
 from .transport import TransportError, _walk
 
@@ -71,6 +71,7 @@ class CoupledSimulator:
                  chain: BoundingChain):
         if tuple(chain.weights or ()) not in ((), tuple(partition.weights)):
             raise ValidationError("chain weights do not match the partition")
+        _check_dims(network, partition)
         self.network = network
         self.partition = partition
         self.chain = chain
@@ -89,9 +90,6 @@ class CoupledSimulator:
         self._shift = (moves @ np.asarray(partition.weights,
                                           dtype=np.int64)).tolist()
         self._add_to = [r.propensity._add_to for r in network.reactions]
-        # the counts each reaction takes: (species, count) where nu < 0
-        self._takes = [[(i, -v) for i, v in enumerate(change) if v < 0]
-                       for change in nu.tolist()]
         band = chain.band(chain.l_total)
         # exit rate per level, added one offset at a time in offset order
         # (np.sum would group the terms differently)
@@ -125,12 +123,8 @@ class CoupledSimulator:
         # network side: propensities at x, then the self-loop at mass q_y
         x = [float(v) for v in state]
         flow = [add_to(0.0, x) for add_to in self._add_to]
-        if not all(f >= 0.0 for f in flow):
-            check_propensities(np.array([flow]), [state])
-        for r, (f, takes) in enumerate(zip(flow, self._takes)):
-            if f > 0.0 and any(state[i] < n for i, n in takes):
-                raise ValidationError(
-                    f"reaction {r} leaves the orthant from {state}")
+        if self.network._faces or not all(f >= 0.0 for f in flow):
+            check_propensities(self.network, np.array([flow]), [state])
         q_x = 0.0
         for f in flow:  # one reaction at a time, in order
             q_x += f

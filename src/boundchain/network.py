@@ -137,6 +137,7 @@ class ReactionNetwork:
                     raise ValidationError(
                         f"reaction {ridx} has a factor on species {f.species}, "
                         f"outside 0..{self.d - 1}")
+        self._faces = _orthant_faces(self.reactions)
 
     @property
     def d(self) -> int:
@@ -220,8 +221,6 @@ def network_from_dict(doc: dict) -> ReactionNetwork:
                         f"reaction {ridx} has coefficient {coeff}")
                 terms.append(Term(float(coeff), tuple(factors)))
             reactions.append(Reaction(change, PropensityPolynomial(terms)))
-    except ValidationError:
-        raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed network document: {exc}") from exc
     return ReactionNetwork(species, reactions, params)
@@ -374,19 +373,51 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
         )
 
 
-def check_propensities(rates: np.ndarray, states) -> None:
-    """Raise at the first negative or NaN entry of ``rates``, row by row.
+def _orthant_faces(reactions) -> tuple:
+    """(r, i, n) for each face reaction r may fire across: r takes n > 0 of
+    species i, and a term with a nonzero coefficient has species-i factors
+    that ``Factor._at`` finds nonzero at an integer count below n.  A factor
+    vanishes only below its exponent, so each search ends by the largest."""
+    faces = []
+    for r, rx in enumerate(reactions):
+        for i, c in enumerate(rx.change):
+            own = [[f for f in t.factors if f.species == i]
+                   for t in rx.propensity.terms if t.coeff != 0.0]
+            if c < 0 and any(any(math.prod(f._at(x) for f in fs)
+                                 for x in range(-c)) for fs in own):
+                faces.append((r, i, -c))
+    return tuple(faces)
 
-    ``rates`` is a (k, reactions) block of ``ReactionNetwork.rates`` on the
-    (k, d) ``states``; the message names the reaction and the state.
+
+def _on_faces(network: ReactionNetwork, states) -> dict:
+    """Reaction -> mask of the (k, d) ``states`` on one of its faces."""
+    on = {}
+    for r, i, n in network._faces:
+        on[r] = on.get(r, False) | (states[:, i] < n)
+    return on
+
+
+def check_propensities(network: ReactionNetwork, rates: np.ndarray,
+                       states) -> None:
+    """Raise at the first negative or NaN entry of ``rates``, row by row,
+    then at the first reaction that fires from a state on one of its faces.
+
+    ``rates`` is a (k, reactions) block of ``network.rates`` on the (k, d)
+    ``states``; the message names the reaction and the state.
     """
-    neg = ~(rates >= 0)
-    if neg.any():
-        i, k = np.argwhere(neg)[0]
+    states = np.asarray(states)
+    if not rates.min(initial=np.inf) >= 0.0:  # NaN included
+        i, k = np.argwhere(~(rates >= 0))[0]
         kind = "negative" if rates[i, k] < 0 else "undefined"
         raise ValidationError(
             f"{kind} propensity {rates[i, k]} for reaction {k} at "
             f"{tuple(int(v) for v in states[i])}")
+    for r, on in _on_faces(network, states).items():
+        fires = np.flatnonzero(on & (rates[:, r] > 0))
+        if fires.size:
+            raise ValidationError(
+                f"reaction {r} leaves the orthant from "
+                f"{tuple(int(v) for v in states[fires[0]])}")
 
 
 def _check_dims(network: ReactionNetwork, partition: ClassPartition) -> None:
@@ -445,49 +476,38 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
     """Check propensity sign and boundary-leak freedom on classes <= window.
 
     ``check_propensities``' rule: a rate is bad unless it is >= 0 (NaN
-    included), and a reaction fires where its rate is > 0.
+    included), and a reaction leaks where its rate is > 0 on one of its
+    faces.
     """
     violations = []
-    nu = network.change_matrix()
-    null_change_active = [False] * len(network.reactions)
+    null_change = set()
+
+    def flag(kind, ridx, x, detail):
+        violations.append({"kind": kind, "reaction": ridx, "state": x,
+                           "detail": detail})
+
     for _, sizes, states, block in class_rates(network, partition, window,
                                                cap=cap):
         ends = np.cumsum(sizes)
         for a, b in zip(ends - sizes, ends):
-            if a == b:
-                continue
             X = states[a:b]
+            on = _on_faces(network, X)
             for ridx, vals in enumerate(block[:, a:b]):
                 neg = np.flatnonzero(~(vals >= 0))
                 if neg.size:
                     x = tuple(int(v) for v in X[neg[0]])
-                    violations.append({
-                        "kind": "negative-propensity",
-                        "reaction": ridx,
-                        "state": x,
-                        "detail": f"reaction {ridx} has rate {vals[neg[0]]} at {x}",
-                    })
-                leaves = (X + nu[ridx] < 0).any(axis=1)
-                leak = np.flatnonzero(leaves & (vals > 0))
+                    flag("negative-propensity", ridx, x,
+                         f"reaction {ridx} has rate {vals[neg[0]]} at {x}")
+                leak = np.flatnonzero(on.get(ridx, False) & (vals > 0))
                 if leak.size:
                     x = tuple(int(v) for v in X[leak[0]])
-                    violations.append({
-                        "kind": "boundary-leak",
-                        "reaction": ridx,
-                        "state": x,
-                        "detail": (
-                            f"reaction {ridx} fires at rate {vals[leak[0]]} from {x} "
-                            "although the destination has a negative count"
-                        ),
-                    })
-                if not nu[ridx].any() and (vals > 0).any():
-                    null_change_active[ridx] = True
-    for ridx, active in enumerate(null_change_active):
-        if active:
-            violations.append({
-                "kind": "null-change",
-                "reaction": ridx,
-                "state": None,
-                "detail": f"reaction {ridx} has zero change vector but nonzero rate",
-            })
+                    flag("boundary-leak", ridx, x,
+                         f"reaction {ridx} fires at rate {vals[leak[0]]} "
+                         f"from {x} although the destination has a negative "
+                         "count")
+                if not any(network.reactions[ridx].change) and (vals > 0).any():
+                    null_change.add(ridx)
+    for ridx in sorted(null_change):
+        flag("null-change", ridx, None,
+             f"reaction {ridx} has zero change vector but nonzero rate")
     return ValidationReport(ok=not violations, violations=violations)

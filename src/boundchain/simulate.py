@@ -18,8 +18,8 @@ import numpy as np
 
 from .chain import BoundingChain
 from .errors import ValidationError
-from .network import (ClassPartition, ReactionNetwork, check_propensities,
-                      class_of)
+from .network import (ClassPartition, ReactionNetwork, _check_dims,
+                      check_propensities, class_of)
 
 DEFAULT_JUMP_CAP = 100_000_000
 Z_95 = 1.959963984540054
@@ -56,7 +56,8 @@ class Trajectory:
         return len(self.times)
 
 
-def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None):
+def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None,
+              network=None):
     """Gillespie's direct method on every column of ``S`` at once.
 
     ``S`` is a (d, paths) int64 block of start states, one column per
@@ -67,10 +68,10 @@ def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None):
     labels.
     Each sweep gives every live path one jump.  ``rates(S)`` is a new
     (r, k) block, which the kernel overwrites, whose row i (reaction i of
-    a network) moves a path by ``changes[i]``; a negative or NaN entry
-    raises, naming the reaction and the state.  A running sum down the
-    reaction axis gives each path's total and its pick.  A path whose
-    total is 0 is absorbed.  The others draw a clock
+    ``network``) moves a path by ``changes[i]``; a network's block must
+    pass ``check_propensities``, so no path takes a negative count.  A
+    running sum down the reaction axis gives each path's total and its
+    pick.  A path whose total is 0 is absorbed.  The others draw a clock
     ``exponential(1 / total)``; a jump that would land past ``t_final`` is
     discarded and the path ends at the horizon.  The rest pick a reaction
     by ``uniform(0, total)`` against the running sum (clamped to the last
@@ -106,8 +107,8 @@ def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None):
     while rows.size and sweeps < jump_cap:
         sweeps += 1
         C = rates(S)  # made the running sum in place
-        if not C.min() >= 0.0:
-            check_propensities(C.T, S.T)
+        if network is not None:
+            check_propensities(network, C.T, S.T)
         # numpy sums a row of eight or more entries pairwise, not in order;
         # otherwise the total is the view C[-1], the end of the running sum
         total = np.ascontiguousarray(C.T).sum(axis=1) if last >= 7 else C[-1]
@@ -162,11 +163,12 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
         X = np.array([[int(x0)]], dtype=np.int64)
         rates, changes = lambda S: band[:, S[0]], np.arange(-J, J + 1)[:, None]
         top, state = model.l_total - J, lambda S: int(S[0, 0])
+        network = None
     else:
         X = np.array([x0], dtype=np.int64)
         if X.shape != (1, model.d):
             raise ValidationError(f"x0 must have {model.d} components")
-        rates = model._rate_block
+        rates, network = model._rate_block, model
         changes = model.change_matrix().reshape(-1, model.d)
         top, state = None, lambda S: S[:, 0].copy()
     if (X < 0).any():
@@ -186,7 +188,7 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
 
     if reason is None:
         end = _lockstep(rates, changes, X.T.copy(), t_final, rng, jump_cap,
-                        after)[0]
+                        after, network=network)[0]
         reason = reason or end[0]
     return Trajectory(seed=seed, times=np.asarray(times),
                       states=np.asarray(path), reason=reason)
@@ -238,6 +240,7 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
     above N and is frozen at the horizon or on absorption.
     """
     check_t_final(t_final)
+    _check_dims(network, partition)
     if samples < 1:
         raise ValidationError("need at least one sample")
     x0 = np.asarray(x0, dtype=np.int64)
@@ -247,9 +250,8 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
     end, jumps, sweeps = _lockstep(
         network._rate_block, network.change_matrix(),
         np.repeat(x0[:, None], samples, axis=1), t_final, make_rng(seed),
-        jump_cap,
-        lambda S, t, labels: labels > N,
-        np.asarray(partition.weights, dtype=np.int64))
+        jump_cap, lambda S, t, labels: labels > N,
+        np.asarray(partition.weights, dtype=np.int64), network)
     if (end == "cap").any():
         raise ValidationError(
             f"exceeded {jump_cap} jumps per path before t={t_final}")

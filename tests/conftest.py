@@ -1,5 +1,6 @@
 """Shared fixtures: the three-species autocatalytic network and its chains."""
 
+import copy
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,11 @@ NETWORK_DOC = {
          "propensity": [{"coeff": "d3", "factors": [{"species": "X3"}]}]},
     ],
 }
+
+# X3 decays at rate 1 whatever its count, so reaction 5 fires from X3 = 0
+# and would leave the orthant
+LEAKY_NETWORK_DOC = copy.deepcopy(NETWORK_DOC)
+LEAKY_NETWORK_DOC["reactions"][5]["propensity"] = [{"coeff": 1.0}]
 
 BIRTH_DEATH_DOC = {
     "species": ["X"],

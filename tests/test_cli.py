@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from boundchain import (BoundingChain, certificate_table, delta_p0,
                         solve_chain_cme)
 from boundchain.cli import GRID_CAP, main, parse_grid, parse_ints, parse_p0
 from boundchain.errors import ResourceLimitError, ValidationError
-from conftest import NAN_DOC
+from conftest import LEAKY_NETWORK_DOC, NAN_DOC
 
 NET = str(Path(__file__).resolve().parents[1] / "docs" / "examples"
           / "network.json")
@@ -332,6 +333,75 @@ def test_build_and_verify_reject_a_negative_propensity(tmp_path, chain_csv,
                  "--x0", "0,0,2", "--y0", "12", "--tf", "1",
                  "--out", str(tmp_path / "p.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+LEAK = re.compile(r"reaction 5 leaves the orthant from \(\d+, \d+, 0\)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--network", "{net}", "--weights", "2,1,1", "--direction",
+     "upper", "--l-exact", "30", "--out", "{tmp}/c.csv"],
+    ["verify", "--network", "{net}", "--chain", "{chain}", "--l-check", "20"],
+    ["simulate", "--network", "{net}", "--x0", "0,0,1", "--tf", "5",
+     "--out", "{tmp}/traj.csv"],
+    ["simulate", "--network", "{net}", "--x0", "0,0,1", "--tf", "5",
+     "--stop", "class>40", "--weights", "2,1,1", "--samples", "50"],
+    ["couple", "--network", "{net}", "--chain", "{chain}", "--x0", "3,2,0",
+     "--y0", "12", "--tf", "5", "--seeds", "3", "--out", "{tmp}/p.csv"],
+], ids=["build", "verify", "simulate-path", "simulate-stop", "couple"])
+def test_a_jump_out_of_the_orthant_exits_2(tmp_path, chain_csv, capsys,
+                                           argv):
+    # every command that fires reactions stops at the first state from
+    # which one would take a count below 0; simulate once wrote this path
+    # with X3 down to -3 and exited 0
+    net = tmp_path / "leaky.json"
+    net.write_text(json.dumps(LEAKY_NETWORK_DOC))
+    assert main([a.format(net=net, tmp=tmp_path, chain=chain_csv)
+                 for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and LEAK.search(err), err
+    # no written path holds a negative count
+    for name, first in (("traj.csv", 1), ("p.csv", 2)):
+        if (tmp_path / name).exists():
+            with (tmp_path / name).open() as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert all(int(v) >= 0 for row in rows for v in row[first:])
+
+
+def test_analyze_records_a_jump_out_of_the_orthant(tmp_path, capsys):
+    net = tmp_path / "leaky.json"
+    net.write_text(json.dumps(LEAKY_NETWORK_DOC))
+    out_dir = tmp_path / "report"
+    assert main(["analyze", "--network", str(net), "--lower-weights",
+                 "2,2,5", "--upper-weights", "2,1,1", "--l-exact", "60",
+                 "--out-dir", str(out_dir)]) == 2
+    capsys.readouterr()
+    stages = json.loads((out_dir / "analysis.json").read_text())["stages"]
+    for direction in ("lower", "upper"):
+        stage = stages[f"build-{direction}"]
+        assert stage["ok"] is False and stage["exit_code"] == 2
+        assert LEAK.search(stage["error"])
+
+
+def test_weights_for_another_species_count_exit_2(tmp_path, chain_csv,
+                                                  capsys):
+    # both once ended in a numpy ValueError from a product with the weights
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({"species": ["A", "B"], "reactions": [
+        {"change": [1, 0], "propensity": [{"coeff": 1.0}]},
+        {"change": [0, 1], "propensity": [{"coeff": 1.0}]}]}))
+    for argv, message in (
+            (["simulate", "--network", NET, "--x0", "5,2", "--tf", "1",
+              "--stop", "class>40", "--weights", "2,1"],
+             "2 class weights for a network of 3 species"),
+            (["couple", "--network", str(two), "--chain", chain_csv,
+              "--x0", "3,2", "--y0", "12", "--tf", "1",
+              "--out", str(tmp_path / "p.csv")],
+             "3 class weights for a network of 2 species")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message}"]
+        assert "Traceback" not in err
 
 
 def test_an_overflowing_propensity_prints_only_the_error(tmp_path):

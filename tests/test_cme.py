@@ -245,6 +245,14 @@ def test_network_cme_rejects_jumps_out_of_the_orthant(part211):
                           1.0)
 
 
+def test_network_cme_rejects_an_initial_state_of_the_wrong_length(network,
+                                                                  part211):
+    # (5, 2) once reached the state lookup and failed there as a numpy
+    # broadcast error
+    with pytest.raises(ValidationError, match=r"does not match 3 weights"):
+        solve_network_cme(network, part211, 14, (5, 2), 1.0)
+
+
 def test_solve_network_cme(network, part211):
     cme = solve_network_cme(network, part211, 14, (1, 1, 1), t_final=0.3)
     assert cme.mass(0.0) == pytest.approx(1.0, abs=1e-12)

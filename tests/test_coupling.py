@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from boundchain import (BoundingChain, ClassPartition, CoupledSimulator,
                         TransportError, ValidationError, build_bounding_chain,
                         coupled_ssa, coupling_row, network_from_dict)
 from boundchain.network import class_of
-from conftest import NETWORK_DOC
+from conftest import LEAKY_NETWORK_DOC, NETWORK_DOC
 from test_transport import pi_bar_broadcast
 
 
@@ -380,6 +381,16 @@ def test_row_rejects_levels_off_the_band(network, part211, upper211):
     for ell in (-1, upper211.l_total + 1):
         with pytest.raises(ValidationError):
             sim.row((0, 0, 0), ell)
+
+
+def test_row_rejects_a_jump_out_of_the_orthant(part211, upper211):
+    # X3 decays at rate 1 at X3 = 0 too; the row check names the first
+    # reaction that would take a count below 0
+    sim = CoupledSimulator(network_from_dict(LEAKY_NETWORK_DOC), part211,
+                           upper211)
+    with pytest.raises(ValidationError, match=re.escape(
+            "reaction 5 leaves the orthant from (3, 2, 0)")):
+        sim.row((3, 2, 0), 12)
 
 
 def test_undominated_chain_raises_transport_error(network, part211,

@@ -19,7 +19,7 @@ from boundchain import (ClassPartition, Factor, PropensityPolynomial,
                         validate_network)
 from boundchain import network as network_module
 from boundchain.network import DEFAULT_CLASS_CAP, _enumerate, class_rates
-from conftest import NAN_DOC, NETWORK_DOC, NETWORK_PATH
+from conftest import LEAKY_NETWORK_DOC, NAN_DOC, NETWORK_DOC, NETWORK_PATH
 
 
 def test_load_matches_dict(network):
@@ -424,6 +424,35 @@ def test_validate_network_reports_are_pinned():
         for x in range(1, 6)
     ] + [{"kind": "null-change", "reaction": 2, "state": None,
           "detail": "reaction 2 has zero change vector but nonzero rate"}]
+
+
+def _death(change, *factors, coeff=1.0):
+    """One species that dies by ``change`` at rate coeff times ``factors``."""
+    return network_from_dict({"species": ["A"], "reactions": [{
+        "change": [change], "propensity": [{"coeff": coeff, "factors": [
+            {"species": "A", "exponent": e, "kind": kind}
+            for e, kind in factors]}]}]})
+
+
+def test_orthant_faces(network, part211):
+    # (reaction, species, count taken) for each face a reaction may fire
+    # across; the example network fires across none
+    assert network._faces == ()
+    leaky = network_from_dict(LEAKY_NETWORK_DOC)
+    assert leaky._faces == ((5, 2, 1),)
+    # x(x-1) vanishes at 0 and 1, so taking two is safe; x^2 is 1 at 1
+    assert _death(-2, (2, "falling-factorial"))._faces == ()
+    assert _death(-2, (2, "plain-power"))._faces == ((0, 0, 2),)
+    assert _death(-3, (2, "falling-factorial"))._faces == ((0, 0, 3),)
+    assert _death(-1, (1, "plain-power"), coeff=0.0)._faces == ()
+    # the search stops at the first nonzero count, however large the change
+    assert _death(-10**12, (3, "falling-factorial"))._faces == (
+        (0, 0, 10**12),)
+    # validate_network reports a leak on the face, and only there
+    leaks = validate_network(leaky, part211, 6).violations
+    assert leaks and all(v["kind"] == "boundary-leak" and v["reaction"] == 5
+                         and v["state"][2] == 0 for v in leaks)
+    assert leaks[0]["state"] == (0, 0, 0)
 
 
 # X dies at X - 1e-13, a negative rate far smaller than any rate in use
