@@ -265,18 +265,19 @@ def cmd_couple(args) -> int:
         raise ValidationError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = [args.seed + i for i in range(args.seeds)]
     sim = CoupledSimulator(network, partition, chain)
-    jumps = band_exits = 0
+    # every path runs before --out is opened, so a path that fails leaves
+    # no partial CSV and no manifest
+    trajs = [coupled_ssa(network, partition, chain, x0, args.y0, args.tf,
+                         seed=seed, simulator=sim) for seed in seeds]
+    jumps = sum(len(traj) - 1 for traj in trajs)
+    band_exits = sum(traj.reason == "band" for traj in trajs)
     out = Path(args.out)
     d = network.d
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "t"] + [f"x{i+1}" for i in range(d)]
                         + ["class_x", "y"])
-        for seed in seeds:
-            traj = coupled_ssa(network, partition, chain, x0, args.y0,
-                               args.tf, seed=seed, simulator=sim)
-            jumps += len(traj) - 1
-            band_exits += traj.reason == "band"
+        for seed, traj in zip(seeds, trajs):
             cls = traj.states @ np.asarray(partition.weights, dtype=np.int64)
             for t, x, c, y in zip(traj.times.tolist(), traj.states.tolist(),
                                   cls.tolist(), traj.levels.tolist()):

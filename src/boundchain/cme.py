@@ -19,7 +19,10 @@ truncated sums leave out, and the certificates carry it as their solver
 term.  A solve answers queries at times in [0, t_final] only.  Its first
 query runs the pass, for p(t_final), z and every time of that query at
 once; it costs K, about Lambda * t_final, sparse mat-vecs, and a later
-query at new times runs one more pass of the same K.
+query at new times runs one more pass of the same K.  Each mat-vec is
+scipy's ``csr_matvec`` kernel called straight into its row of the term
+block, without the per-call dispatch of ``@``; the public ``@`` is the
+route only where the installed scipy lacks that private kernel.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy import special
+
+try:
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # a scipy without the private kernel: `_pass` takes `@`
+    _csr_matvec = None
 
 from .chain import BoundingChain
 from .errors import InfeasibleError, ResourceLimitError, ValidationError
@@ -219,8 +227,12 @@ class TruncatedCME:
         """Sum p0 P^k over k = 0..K with Poisson(k; Lambda t) weights, one
         row per time and one for t_final, into the cache, and z with it.
 
-        Each 256-term block is weighted by one product for the times
-        together and one for t_final alone.
+        Each term k >= 1 is one ``csr_matvec`` of P^T into its row of a
+        256-term block, which is weighted by one product for the times
+        together and one for t_final alone.  The kernel adds into its
+        output, so each block is zeroed once before it is filled; on a
+        zeroed row it gives the bytes of ``P^T @ v``, the fallback route,
+        and so the same p, z and certificates.
         """
         n, K = len(self.p0), self.poisson_terms
         means = self.uniform_rate * np.array(times)
@@ -228,18 +240,28 @@ class TruncatedCME:
         out = np.zeros((len(times), n))
         final, z = np.zeros((1, n)), np.zeros(n)
         block = np.empty((min(_BLOCK, K + 1), n))
+        PT, matvec = self._PT, _csr_matvec
+        indptr, indices, data = PT.indptr, PT.indices, PT.data
         v = self.p0
         for start in range(0, K + 1, _BLOCK):
             stop = min(start + _BLOCK, K + 1)
+            block.fill(0.0)
             for r, k in enumerate(range(start, stop)):
-                if k:
-                    v = self._PT @ v
-                block[r] = v
+                row = block[r]
+                if not k:
+                    row[:] = v
+                elif matvec is None:
+                    row[:] = PT @ v
+                else:
+                    matvec(n, n, indptr, indices, data, v, row)
+                v = row
             ks = np.arange(start, stop)
             terms = block[:len(ks)]
             out += _poisson_pmf(ks, means) @ terms
             final += _poisson_pmf(ks, final_mean) @ terms
             z += self._z_weights[ks] @ terms
+            # v, the last term, is a row of the block the next one zeroes
+            v = v.copy()
         self.passes += 1
         self.matvecs += K
         self._cache.update(zip(times, out))
@@ -289,13 +311,17 @@ def solve_cme(Q: sp.spmatrix, p0, t_final: float,
     n = Q.shape[0]
     if p0.shape != (n,):
         raise ValidationError("p0 length does not match the index set")
-    if abs(p0.sum() - 1.0) > 1e-9 or (p0 < 0).any():
+    # every comparison with NaN is False, so the sum and sign tests pass it
+    if (not np.isfinite(p0).all() or abs(p0.sum() - 1.0) > 1e-9
+            or (p0 < 0).any()):
         raise ValidationError("p0 must be a probability vector")
     if not (np.isfinite(t_final) and t_final >= 0):
         raise ValidationError(f"t_final must be finite and >= 0, got {t_final}")
     if not (np.isfinite(budget) and budget > 0):
         raise ValidationError(f"budget must be finite and > 0, got {budget}")
     Q = sp.csr_matrix(Q, dtype=float)
+    if not np.isfinite(Q.data).all():
+        raise ValidationError("Q has a non-finite rate")
     off = Q - sp.diags(Q.diagonal())
     row_sums = np.asarray(Q.sum(axis=1)).ravel()
     scale = max(1.0, float(np.abs(Q.diagonal()).max(initial=0.0)))

@@ -360,6 +360,10 @@ def test_a_jump_out_of_the_orthant_exits_2(tmp_path, chain_csv, capsys,
                  for a in argv]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and LEAK.search(err), err
+    if argv[0] == "couple":
+        # couple once wrote its CSV header before the first path ran
+        assert not (tmp_path / "p.csv").exists()
+        assert not (tmp_path / "p.csv.manifest.json").exists()
     # no written path holds a negative count
     for name, first in (("traj.csv", 1), ("p.csv", 2)):
         if (tmp_path / name).exists():

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
+from boundchain import cme as cme_module
 from boundchain import (BoundingChain, InfeasibleError, TailModel,
                         ValidationError, cdf_dominance, certificate_table,
                         chain_generator, delta_p0, exit_flux, min_truncation,
@@ -51,6 +52,11 @@ def test_p0_validation():
         solve_cme(Q, [1.5, -0.5], 1.0)
     with pytest.raises(ValidationError):
         solve_cme(Q, [1.0, 0.0, 0.0], 1.0)
+    # every comparison with NaN is False, so NaN passed the sum and sign tests
+    three = sp.csr_matrix(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0],
+                                    [1.0, 0.0, -1.0]]))
+    with pytest.raises(ValidationError, match="probability vector"):
+        solve_cme(three, [np.nan, 0.5, 0.5], 1.0)
     with pytest.raises(ValidationError):
         delta_p0(10, 11)
     assert delta_p0(10, 3)[3] == 1.0
@@ -440,6 +446,13 @@ def test_solver_rejects_bad_generators_and_budgets():
     for budget in (0.0, -1e-8, float("nan")):
         with pytest.raises(ValidationError):
             solve_cme(two_state(), [1.0, 0.0], 1.0, budget=budget)
+    # a NaN rate passes the sign and row-sum checks; an infinite exit rate
+    # once ended in the Poisson-term cap
+    for i, j, rate in ((0, 1, np.nan), (0, 0, np.nan), (1, 1, -np.inf)):
+        Q = two_state().toarray()
+        Q[i, j] = rate
+        with pytest.raises(ValidationError, match="non-finite rate"):
+            solve_cme(sp.csr_matrix(Q), [1.0, 0.0], 1.0)
 
 
 def test_import_loads_neither_integrate_nor_stats():
@@ -468,8 +481,8 @@ def _chain_solve(upper211):
     return solve_chain_cme(upper211, 24, delta_p0(24, 14), 1.0)
 
 
-def _solve_digest(cme) -> str:
-    P = cme.p([0.3, cme.t_final])  # the first query of the solve
+def _solve_digest(cme, t=0.3) -> str:
+    P = cme.p([t, cme.t_final])  # the first query of the solve
     bounds, parts = certificate_table(cme)
     return _digest(P, cme.occupation, bounds, parts["initial_tail"],
                    parts["flux"], [parts["mass_deficit"], parts["solver_term"]])
@@ -499,3 +512,58 @@ def test_solves_are_pinned(network, part211, upper211):
         ).encode()).hexdigest(),
     }
     assert got == SOLVE_DIGESTS
+
+
+@pytest.mark.parametrize("block", [cme_module._BLOCK, 1, 3])
+def test_direct_kernel_and_fallback_give_identical_bytes(
+        monkeypatch, network, part211, upper211, block):
+    # the direct route writes each term into its block row with csr_matvec;
+    # the fallback takes P^T @ v.  Block sizes 1 and 3 put a block boundary
+    # after every term or between any two, where the last term must survive
+    # the next block's zeroing.  The chain solve makes 30 blocks of 256.
+    assert cme_module._csr_matvec is not None
+    monkeypatch.setattr(cme_module, "_BLOCK", block)
+    solves = {  # name: (solve, query time, K)
+        "chain": (lambda: solve_chain_cme(upper211, 500, delta_p0(500, 80),
+                                          4.0), 0.3, 7553),
+        "network": (lambda: _network_solve(network, part211), 0.3, 487),
+        "t_final=0": (lambda: solve_chain_cme(upper211, 24, delta_p0(24, 14),
+                                              0.0), 0.0, 0),
+    }
+    products = []
+    real_matmul = sp.csr_matrix.__matmul__
+
+    def counted(self, other):
+        products.append(self)
+        return real_matmul(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
+    for name, (solve, t, K) in solves.items():
+        digests = []
+        for kernel in (cme_module._csr_matvec, None):
+            monkeypatch.setattr(cme_module, "_csr_matvec", kernel)
+            products.clear()
+            cme = solve()
+            digests.append(_solve_digest(cme, t))
+            assert cme.poisson_terms == K, name
+            assert cme.passes == 1 and cme.matvecs == K, name
+            # the direct route takes no product with P^T, the fallback one
+            # a term
+            steps = sum(A is cme._PT for A in products)
+            assert steps == (0 if kernel else K), name
+        assert digests[0] == digests[1], name
+
+
+def test_a_scipy_without_the_private_kernel_takes_the_fallback():
+    # the kernel is resolved once, at import of cme.py
+    code = ("import sys, scipy.sparse; "
+            "sys.modules['scipy.sparse._sparsetools'] = None; "
+            "import scipy.sparse as sp; from boundchain import cme; "
+            "s = cme.solve_cme(sp.csr_matrix([[-1.0, 1.0], [1.0, -1.0]]), "
+            "[1.0, 0.0], 2.0); s.p(2.0); "
+            "print(cme._csr_matvec is None, s.matvecs == s.poisson_terms)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={"PYTHONPATH": str(src), "PATH": ""})
+    assert done.stdout.split() == ["True", "True"]
