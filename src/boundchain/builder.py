@@ -11,6 +11,7 @@ checks a chain against the same f-table pass.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +21,8 @@ from .chain import BoundingChain, TailModel
 from .errors import (ConsistencyError, ResourceLimitError, StabilizationError,
                      ValidationError)
 from .network import (DEFAULT_CLASS_CAP, ClassPartition, ReactionNetwork,
-                      check_propensities, class_rates, class_shift,
-                      enumerate_class, j_max)
+                      _class_sizes, check_propensities, class_rates,
+                      class_shift, enumerate_class, j_max)
 
 RTOL = 1e-10
 
@@ -94,7 +95,7 @@ def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
     minus, plus = np.full((2, J + 1, hi + 1), np.nan)
     empty = np.zeros(hi + 1, dtype=bool)
     for lo, sizes, X, rates in class_rates(network, partition, hi, cap=cap):
-        check_propensities(network, rates.T, X)
+        check_propensities(network, rates.T, X.T)
         full = sizes > 0
         empty[lo:lo + sizes.size] = ~full
         if not full.any():
@@ -385,6 +386,18 @@ def build_bounding_chain(network: ReactionNetwork, partition: ClassPartition,
     tails = detect_tails(skeleton, partition, degree_max=tail_degree)
     return BoundingChain(direction, J, skeleton.l_exact, l_total,
                          skeleton.exact, tails, weights=partition.weights)
+
+
+def build_counters(chain: BoundingChain, partition: ClassPartition) -> dict:
+    """The work behind a ``build_bounding_chain`` result, for a manifest:
+    the classes and states its f-table pass enumerated, classes
+    0..l_exact + j_max, and each offset's tail period and onset."""
+    classes = chain.l_exact + chain.j_max + 1
+    return {"classes": classes,
+            "states": sum(itertools.islice(_class_sizes(partition.weights),
+                                           classes)),
+            "tails": {str(k): {"period": m.period, "onset": m.onset}
+                      for k, m in sorted(chain.tails.items())}}
 
 
 # -- assumption verification -------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .builder import build_bounding_chain, verify_assumptions
+from .builder import build_bounding_chain, build_counters, verify_assumptions
 from .chain import BoundingChain
 from .classifier import (ChainClass, check_irreducible, classify, combine,
                          drift_stats)
@@ -176,7 +176,8 @@ def cmd_build(args) -> int:
     )
     out = Path(args.out)
     chain.to_csv(out)
-    write_manifest(out, "build", vars(args))
+    write_manifest(out, "build", vars(args),
+                   counters=build_counters(chain, partition))
     print(f"wrote {args.direction} chain for weights {partition.weights} "
           f"to {out} (exact to {chain.l_exact}, trusted to {chain.l_total})")
     return 0
@@ -415,8 +416,8 @@ def cmd_analyze(args) -> int:
                 status = exc.exit_code
             return None
 
-    chains = {}
     labels = {}
+    counters = {}
     for direction, weights in (("lower", args.lower_weights),
                                ("upper", args.upper_weights)):
         partition = ClassPartition(parse_ints(weights))
@@ -428,7 +429,7 @@ def cmd_analyze(args) -> int:
             continue
         path = out_dir / f"{direction}.csv"
         chain.to_csv(path)
-        chains[direction] = chain
+        counters[direction] = build_counters(chain, partition)
         report[f"{direction}_chain"] = str(path)
 
         def classify_stage(c=chain):
@@ -450,7 +451,7 @@ def cmd_analyze(args) -> int:
 
     path = out_dir / "analysis.json"
     path.write_text(json.dumps(report, indent=2, default=str) + "\n")
-    write_manifest(path, "analyze", vars(args))
+    write_manifest(path, "analyze", vars(args), counters=counters)
     print(json.dumps(report, indent=2, default=str))
     return status
 

@@ -85,7 +85,8 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
             f"state codes for n_max={n_max} in {d} species overflow int64"
         )
     runs = list(class_rates(network, partition, n_max, cap=cap))
-    states = np.concatenate([X for _, _, X, _ in runs])
+    states = np.ascontiguousarray(
+        np.concatenate([X for _, _, X, _ in runs], axis=1).T, dtype=np.int64)
     rates = np.concatenate([R for _, _, _, R in runs], axis=1)
     classes = np.repeat(np.arange(n_max + 1),
                         np.concatenate([sizes for _, sizes, _, _ in runs]))

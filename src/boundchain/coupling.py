@@ -25,6 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
+from math import inf
 from operator import add, mul
 
 import numpy as np
@@ -123,7 +124,7 @@ class CoupledSimulator:
         # network side: propensities at x, then the self-loop at mass q_y
         x = [float(v) for v in state]
         flow = [add_to(0.0, x) for add_to in self._add_to]
-        if self.network._faces or not all(f >= 0.0 for f in flow):
+        if self.network._faces or not all(0.0 <= f < inf for f in flow):
             check_propensities(self.network, np.array([flow]), [state])
         q_x = 0.0
         for f in flow:  # one reaction at a time, in order
@@ -279,12 +280,15 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
         if row.exit_rate <= 0.0:
             reason = "absorbed"
             break
-        dt = rng.exponential(1.0 / row.exit_rate)
+        # the same draws and products as exponential(1 / rate) and
+        # uniform(0, rate), at a third of their call cost; the row's
+        # propensity check keeps the rate finite
+        dt = rng.standard_exponential() * (1.0 / row.exit_rate)
         if t + dt > t_final:
             reason = "horizon"
             break
         t += dt
-        x, y = row.sample(rng.uniform(0.0, row.exit_rate))
+        x, y = row.sample(rng.random() * row.exit_rate)
         c = sum(map(mul, w, x))
         if (sim.upper and c > y) or (not sim.upper and c < y):
             raise ConsistencyError(

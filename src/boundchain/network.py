@@ -10,8 +10,10 @@ Every pass over the classes goes through one block layer: ``class_rates``
 cuts classes 0..hi into runs of consecutive classes, lists each run's
 states in class-major lexicographic order with one species-by-species
 expansion, and evaluates every reaction on the whole run at once, under
-one cumulative state cap.  ``enumerate_class`` is the one-class case of
-the same enumerator.
+one cumulative state cap.  A run's states are a (d, n) float64 block of
+per-species columns, the layout the rate block reads; the last two counts
+of each partial row come as arithmetic progressions.  ``enumerate_class``
+is the one-class case of the same enumerator, as an (n, d) int64 array.
 """
 
 from __future__ import annotations
@@ -295,34 +297,43 @@ def class_size(ell: int, partition: ClassPartition) -> int:
 
 
 def _enumerate(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
-    """The states of classes lo..hi as an (n, d) int64 array, class-major
-    and lexicographic within a class.
+    """The states of classes lo..hi as a (d, n) float64 block of
+    per-species columns, class-major and lexicographic within a class.
 
     The expansion starts from the vector of class labels and goes species
     by species: a partial row with remaining budget r takes every count v
-    in 0..r // w_k, in order, and the last count is fixed by r.  Each level
-    keeps only its counts and each row's parent index; the columns are
-    gathered once, from the last level back, and where the last weight
-    divides every remaining budget a slice stands in for the index.
+    in 0..r // w_k, in order, and each level repeats the columns built so
+    far.  The last two counts come as arithmetic progressions.  With a, b
+    the last two weights and g = gcd(a, b), a count v of species d - 1
+    leaves a budget that b divides exactly when g divides r and
+    v = (r/g) (a/g)^-1 mod b/g; from the least such v0, each step adds b/g
+    to it and takes a/g from the last count.  No partial row is built that
+    has no state.  Counts are exact as floats, far below 2^53.
     """
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    levels = []
-    for wk in weights[:-1]:
+    if len(weights) == 1:
+        return (rem[rem % weights[0] == 0] // weights[0]).astype(float)[None]
+    *head, a, b = weights
+    cols = np.empty((0, rem.size))
+    for wk in head:
         counts = rem // wk + 1
-        parent = np.repeat(np.arange(rem.size), counts)
-        v = np.arange(parent.size, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts)
+        v = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+        cols = np.vstack([np.repeat(cols, counts, axis=1), v])
         rem = np.repeat(rem, counts) - wk * v
-        levels.append((parent, v))
-    ok = rem % weights[-1] == 0
-    idx = slice(None) if ok.all() else np.flatnonzero(ok)
-    last = rem[idx] // weights[-1]
-    X = np.empty((last.size, len(weights)), dtype=np.int64)
-    X[:, -1] = last
-    for k in range(len(levels) - 1, -1, -1):
-        parent, v = levels[k]
-        X[:, k] = v[idx]
-        idx = parent[idx]
+    g = math.gcd(a, b)
+    step_a, step_b = a // g, b // g
+    v0 = rem // g * pow(step_a, -1, step_b) % step_b
+    # v0 < b/g, so a row with no valid v counts (r // a - v0) // (b/g) + 1 = 0
+    counts = np.where(rem % g == 0, (rem // a - v0) // step_b + 1, 0)
+    # state i of the block is step i - start of its row's progression
+    start = np.cumsum(counts) - counts
+    X = np.repeat(np.vstack([cols, v0 - step_b * start,
+                             (rem - a * v0) // b + step_a * start]),
+                  counts, axis=1)
+    steps = np.arange(X.shape[1], dtype=float)
+    X[-2] += step_b * steps
+    X[-1] -= step_a * steps
     return X
 
 
@@ -336,7 +347,9 @@ def enumerate_class(ell: int, partition: ClassPartition,
         raise ResourceLimitError(
             f"class {ell} holds {n} states, above the cap of {cap}"
         )
-    return _enumerate(ell, ell, partition.weights)
+    # a cast of the transposed block, column-major: a transposing copy of a
+    # block of a few rows is several times slower
+    return _enumerate(ell, ell, partition.weights).T.astype(np.int64)
 
 
 def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
@@ -344,9 +357,10 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
     """Yield runs of consecutive classes in 0..hi as (lo, sizes, X, R).
 
     A run covers classes lo..lo + len(sizes) - 1, whose sizes are the int64
-    array ``sizes``; ``X`` is their (n, d) states, each class as
-    ``enumerate_class`` lists it, one after another, and ``R`` the
-    (reactions, n) block ``network._rate_block`` of them.  A run holds at
+    array ``sizes``; ``X`` is their states as a (d, n) float64 block of
+    per-species columns, each class in ``enumerate_class``'s order, one
+    after another, and ``R`` the (reactions, n) block
+    ``network._rate_block`` of them.  A run holds at
     most RUN_STATES states, except a larger class, which is a run alone.
     Once classes 0..ell hold more than ``cap`` states, the runs below ell
     are yielded and ResourceLimitError is raised.
@@ -365,7 +379,7 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
         limit = ends[lo] - sizes[lo] + RUN_STATES
         end = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
         X = _enumerate(lo, end - 1, partition.weights)
-        yield lo, sizes[lo:end], X, network._rate_block(X.T)
+        yield lo, sizes[lo:end], X, network._rate_block(X)
         lo = end
     if seen > cap:
         raise ResourceLimitError(
@@ -399,16 +413,19 @@ def _on_faces(network: ReactionNetwork, states) -> dict:
 
 def check_propensities(network: ReactionNetwork, rates: np.ndarray,
                        states) -> None:
-    """Raise at the first negative or NaN entry of ``rates``, row by row,
-    then at the first reaction that fires from a state on one of its faces.
+    """Raise at the first entry of ``rates`` that is not in [0, inf), row
+    by row, then at the first reaction that fires from a state on one of
+    its faces.
 
     ``rates`` is a (k, reactions) block of ``network.rates`` on the (k, d)
     ``states``; the message names the reaction and the state.
     """
     states = np.asarray(states)
-    if not rates.min(initial=np.inf) >= 0.0:  # NaN included
-        i, k = np.argwhere(~(rates >= 0))[0]
-        kind = "negative" if rates[i, k] < 0 else "undefined"
+    # NaN fails both comparisons
+    if not (rates.min(initial=0.0) >= 0.0 and rates.max(initial=0.0) < np.inf):
+        i, k = np.argwhere(~((rates >= 0) & (rates < np.inf)))[0]
+        kind = ("negative" if rates[i, k] < 0 else
+                "infinite" if rates[i, k] > 0 else "undefined")
         raise ValidationError(
             f"{kind} propensity {rates[i, k]} for reaction {k} at "
             f"{tuple(int(v) for v in states[i])}")
@@ -475,7 +492,7 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
                      window: int, cap: int = DEFAULT_CLASS_CAP) -> ValidationReport:
     """Check propensity sign and boundary-leak freedom on classes <= window.
 
-    ``check_propensities``' rule: a rate is bad unless it is >= 0 (NaN
+    ``check_propensities``' rule: a rate is bad unless 0 <= rate < inf (NaN
     included), and a reaction leaks where its rate is > 0 on one of its
     faces.
     """
@@ -486,18 +503,20 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
         violations.append({"kind": kind, "reaction": ridx, "state": x,
                            "detail": detail})
 
-    for _, sizes, states, block in class_rates(network, partition, window,
-                                               cap=cap):
+    for _, sizes, cols, block in class_rates(network, partition, window,
+                                             cap=cap):
         ends = np.cumsum(sizes)
         for a, b in zip(ends - sizes, ends):
-            X = states[a:b]
+            X = cols[:, a:b].T
             on = _on_faces(network, X)
             for ridx, vals in enumerate(block[:, a:b]):
-                neg = np.flatnonzero(~(vals >= 0))
-                if neg.size:
-                    x = tuple(int(v) for v in X[neg[0]])
-                    flag("negative-propensity", ridx, x,
-                         f"reaction {ridx} has rate {vals[neg[0]]} at {x}")
+                bad = np.flatnonzero(~((vals >= 0) & (vals < np.inf)))
+                if bad.size:
+                    x = tuple(int(v) for v in X[bad[0]])
+                    kind = ("infinite-propensity" if vals[bad[0]] == np.inf
+                            else "negative-propensity")
+                    flag(kind, ridx, x,
+                         f"reaction {ridx} has rate {vals[bad[0]]} at {x}")
                 leak = np.flatnonzero(on.get(ridx, False) & (vals > 0))
                 if leak.size:
                     x = tuple(int(v) for v in X[leak[0]])

@@ -72,12 +72,13 @@ def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None,
     pass ``check_propensities``, so no path takes a negative count.  A
     running sum down the reaction axis gives each path's total and its
     pick.  A path whose total is 0 is absorbed.  The others draw a clock
-    ``exponential(1 / total)``; a jump that would land past ``t_final`` is
-    discarded and the path ends at the horizon.  The rest pick a reaction
-    by ``uniform(0, total)`` against the running sum (clamped to the last
-    reaction), move, add ``(changes @ w)[pick]`` to their labels, and go to
-    ``after(S, t, labels)`` with their new states, times and labels
-    (``None`` without ``w``), which returns a mask of the paths that stop.
+    ``standard_exponential() * (1 / total)``; a jump that would land past
+    ``t_final`` is discarded and the path ends at the horizon.  The rest
+    pick a reaction by ``random() * total`` against the running sum
+    (clamped to the last reaction), move, add ``(changes @ w)[pick]`` to
+    their labels, and go to ``after(S, t, labels)`` with their new states,
+    times and labels (``None`` without ``w``), which returns a mask of the
+    paths that stop.
     A path that ends leaves the packed set.
 
     Returns each path's end: "absorbed", "horizon", "stop", or "cap" for a
@@ -120,7 +121,9 @@ def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None,
             if not rows.size:
                 break
             C, total = C.compress(keep, axis=1), total[keep]
-        t_new = t + rng.exponential(1.0 / total)
+        # the same draws and products as exponential(1 / total) and
+        # uniform(0, total), without their per-element argument handling
+        t_new = t + rng.standard_exponential(total.size) * (1.0 / total)
         gone = t_new > t_final
         if gone.any():
             keep = retire(gone, "horizon")
@@ -130,7 +133,7 @@ def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None,
             t_new = t_new[keep]
         # C is nondecreasing down each column, so counting the first r - 1
         # entries at or below u is the count over all r clamped to r - 1
-        pick = (C[:last] <= rng.uniform(0.0, total)).sum(axis=0)
+        pick = (C[:last] <= rng.random(total.size) * total).sum(axis=0)
         del C, total  # not held while the next sweep's block is built
         S += moves.take(pick, axis=1)
         t = t_new

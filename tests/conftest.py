@@ -69,6 +69,21 @@ NAN_DOC = {
     ],
 }
 
+# A is born at 1e306 A^3 + 1: from A = 6 the cube's term overflows to +inf
+INF_DOC = {
+    "species": ["A", "B"],
+    "reactions": [
+        {"change": [1, 0], "propensity": [
+            {"coeff": 1e306, "factors": [{"species": "A", "exponent": 3}]},
+            {"coeff": 1.0}]},
+        {"change": [-1, 0],
+         "propensity": [{"coeff": 1.0, "factors": [{"species": "A"}]}]},
+        {"change": [0, 1], "propensity": [{"coeff": 1.0}]},
+        {"change": [0, -1],
+         "propensity": [{"coeff": 1.0, "factors": [{"species": "B"}]}]},
+    ],
+}
+
 
 @pytest.fixture(scope="session")
 def network():

@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boundchain import (BoundingChain, certificate_table, delta_p0,
-                        solve_chain_cme)
+from boundchain import (BoundingChain, ClassPartition, certificate_table,
+                        class_size, delta_p0, solve_chain_cme)
 from boundchain.cli import GRID_CAP, main, parse_grid, parse_ints, parse_p0
 from boundchain.errors import ResourceLimitError, ValidationError
-from conftest import LEAKY_NETWORK_DOC, NAN_DOC
+from conftest import INF_DOC, LEAKY_NETWORK_DOC, NAN_DOC
 
 NET = str(Path(__file__).resolve().parents[1] / "docs" / "examples"
           / "network.json")
@@ -70,6 +70,16 @@ def test_identical_builds_hash_equal(tmp_path):
             (tmp_path / "chain.csv.manifest.json").read_text()))
     assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
     assert "fn" not in manifests[0]["config"]
+    assert manifests[0] == manifests[1]
+    # the f-table pass enumerated classes 0..l_exact + j_max
+    chain = BoundingChain.from_csv(tmp_path / "chain.csv")
+    assert manifests[0]["counters"] == {
+        "classes": 33,
+        "states": sum(class_size(ell, ClassPartition((2, 1, 1)))
+                      for ell in range(33)),
+        "tails": {str(k): {"period": m.period, "onset": m.onset}
+                  for k, m in sorted(chain.tails.items())}}
+    assert set(manifests[0]["counters"]["tails"]) == {"-1", "2"}
 
 
 # sha256 of the chain CSVs as built before the shared class layer existed
@@ -370,6 +380,32 @@ def test_a_jump_out_of_the_orthant_exits_2(tmp_path, chain_csv, capsys,
             with (tmp_path / name).open() as fh:
                 rows = list(csv.reader(fh))[1:]
             assert all(int(v) >= 0 for row in rows for v in row[first:])
+
+
+@pytest.mark.parametrize("argv, state", [
+    (["build", "--network", "{net}", "--weights", "1,1", "--direction",
+      "upper", "--l-exact", "30", "--out", "{tmp}/c.csv"], (6, 0)),
+    (["simulate", "--network", "{net}", "--x0", "30,0", "--tf", "1",
+      "--out", "{tmp}/traj.csv"], (30, 0)),
+    (["simulate", "--network", "{net}", "--x0", "30,0", "--tf", "1",
+      "--stop", "class>4000", "--weights", "1,1"], (30, 0)),
+    (["couple", "--network", "{net}", "--chain", "{chain}", "--x0", "30,0",
+      "--y0", "40", "--tf", "1", "--out", "{tmp}/p.csv"], (30, 0)),
+], ids=["build", "simulate-path", "simulate-stop", "couple"])
+def test_an_infinite_propensity_exits_2(tmp_path, capsys, argv, state):
+    # inf passed the sign check: simulate ended in numpy's OverflowError
+    # from uniform(0, inf), build in the chain constructor's rate check
+    net = tmp_path / "inf.json"
+    net.write_text(json.dumps(INF_DOC))
+    L = 60
+    chain = tmp_path / "chain.csv"
+    BoundingChain("upper", 1, L, L, {1: np.full(L + 1, 2.0),
+                                     -1: np.arange(L + 1.0)},
+                  weights=(1, 1)).to_csv(chain)
+    assert main([a.format(net=net, tmp=tmp_path, chain=chain)
+                 for a in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: infinite propensity inf for reaction 0 at {state}"]
 
 
 def test_analyze_records_a_jump_out_of_the_orthant(tmp_path, capsys):
@@ -711,10 +747,25 @@ def test_heatmap_cells_are_certified_bounds(tmp_path, chain_csv, upper211):
 
 def test_analyze_good_pair(tmp_path, capsys):
     out_dir = tmp_path / "report"
-    code = main(["analyze", "--network", NET, "--lower-weights", "2,2,5",
-                 "--upper-weights", "2,1,1", "--l-exact", "60",
-                 "--out-dir", str(out_dir)])
-    assert code == 0
+    argv = ["analyze", "--network", NET, "--lower-weights", "2,2,5",
+            "--upper-weights", "2,1,1", "--l-exact", "60",
+            "--out-dir", str(out_dir)]
+    manifest = out_dir / "analysis.json.manifest.json"
+    manifests = []
+    for _ in range(2):
+        assert main(argv) == 0
+        manifests.append(json.loads(manifest.read_text()))
+    assert manifests[0] == manifests[1]
+    counters = manifests[0]["counters"]
+    for direction, weights, J in (("lower", (2, 2, 5), 5),
+                                  ("upper", (2, 1, 1), 2)):
+        chain = BoundingChain.from_csv(out_dir / f"{direction}.csv")
+        assert counters[direction] == {
+            "classes": 61 + J,
+            "states": sum(class_size(ell, ClassPartition(weights))
+                          for ell in range(61 + J)),
+            "tails": {str(k): {"period": m.period, "onset": m.onset}
+                      for k, m in sorted(chain.tails.items())}}
     doc = json.loads((out_dir / "analysis.json").read_text())
     assert doc["verdict"]["x_behavior"] == "positive-recurrent"
     assert doc["lower_class"]["class"] == "positive-recurrent"

@@ -19,7 +19,8 @@ from boundchain import (ClassPartition, Factor, PropensityPolynomial,
                         validate_network)
 from boundchain import network as network_module
 from boundchain.network import DEFAULT_CLASS_CAP, _enumerate, class_rates
-from conftest import LEAKY_NETWORK_DOC, NAN_DOC, NETWORK_DOC, NETWORK_PATH
+from conftest import (INF_DOC, LEAKY_NETWORK_DOC, NAN_DOC, NETWORK_DOC,
+                      NETWORK_PATH)
 
 
 def test_load_matches_dict(network):
@@ -140,7 +141,7 @@ POWERS_DOC = {
      "54a0dd70c013159cb4044f9dfee35ddf1275c370433633506ce0c6b25b19f0ef"),
 ])
 def test_rate_blocks_are_pinned(doc, weights, hi, digest):
-    R = network_from_dict(doc)._rate_block(_enumerate(0, hi, weights).T)
+    R = network_from_dict(doc)._rate_block(_enumerate(0, hi, weights))
     assert hashlib.sha256(R.tobytes()).hexdigest() == digest
 
 
@@ -250,7 +251,7 @@ def test_class_rates_counts_a_heavy_first_weight_in_linear_time():
     part = ClassPartition((150, 1))
     runs = list(class_rates(net, part, 9740))
     sizes = np.concatenate([s for _, s, _, _ in runs])
-    X = np.concatenate([X for _, _, X, _ in runs])
+    X = np.concatenate([X for _, _, X, _ in runs], axis=1).T.astype(np.int64)
     assert np.array_equal(sizes, np.bincount(X @ np.array([150, 1]),
                                              minlength=9741))
     assert sizes.sum() == sum(ell // 150 + 1 for ell in range(9741))
@@ -288,12 +289,27 @@ def test_class_cap_is_checked_on_every_per_class_pass(network, part211):
        st.integers(0, 10), st.integers(0, 6))
 @example([2, 2, 5], 0, 6)  # classes 1 and 3 are empty
 @example([4, 3, 5], 1, 1)  # a run of empty classes only
+# the last two counts are arithmetic progressions: the last two weights
+# share a factor, or the last weight is above 1
+@example([4, 6], 0, 25)
+@example([6, 4, 9], 3, 30)
+@example([2, 4, 6], 5, 20)
+@example([2, 2, 5], 7, 23)
+@example([3, 5, 2], 4, 26)
+@example([5], 3, 17)  # one species
+@example([2, 3, 4, 6], 9, 12)  # four species, from above class 0
+@example([6, 4, 9], 1, 0)  # one empty class
+@example([4, 6], 11, 0)  # odd classes are empty under (4, 6)
 def test_block_enumerator_concatenates_classes(weights, lo, width):
     hi = lo + width
     lattice = itertools.product(*(range(hi // w + 1) for w in weights))
     want = sorted(((sum(w * v for w, v in zip(weights, x)), x) for x in lattice
                    if lo <= sum(w * v for w, v in zip(weights, x)) <= hi))
-    got = _enumerate(lo, hi, tuple(weights))
+    # a (d, n) block of float columns, every count an exact integer
+    cols = _enumerate(lo, hi, tuple(weights))
+    assert cols.dtype == np.float64 and cols.flags.c_contiguous
+    got = cols.T.astype(np.int64)
+    assert (got == cols.T).all()
     assert got.shape == (len(want), len(weights))
     assert got.dtype == np.int64
     assert [tuple(int(v) for v in row) for row in got] == [x for _, x in want]
@@ -484,6 +500,16 @@ def test_validate_network_rejects_what_build_rejects(doc, weights, window,
     first = rep.violations[0]
     assert (first["kind"], first["reaction"], first["state"]) == (
         "negative-propensity", 1, state)
+
+
+def test_validate_network_flags_an_infinite_propensity():
+    # +inf is not a rate, although inf >= 0
+    rep = validate_network(network_from_dict(INF_DOC), ClassPartition((1, 1)),
+                           8)
+    first = rep.violations[0]
+    assert first == {"kind": "infinite-propensity", "reaction": 0,
+                     "state": (6, 0),
+                     "detail": "reaction 0 has rate inf at (6, 0)"}
 
 
 def test_structural_zero_term():

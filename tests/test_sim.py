@@ -216,6 +216,18 @@ def test_estimate_exit_counts_are_pinned(network, part211, N, exits):
     assert got == exits
 
 
+# (exits, jumps, sweeps) of 2,000 paths from the benchmark's start, class
+# 80, to t = 4, recorded while the kernel drew exponential(1 / total) and
+# uniform(0, total); its fill forms must take the same draws
+@pytest.mark.parametrize("N, want", [
+    (81, [(18, 272559, 214), (14, 273564, 229), (16, 272949, 227)]),
+    (110, [(0, 274502, 220), (0, 275330, 208), (0, 274890, 210)])])
+def test_estimate_exit_work_is_pinned(network, part211, N, want):
+    got = [estimate_exit(network, part211, N, 4.0, (30, 10, 10),
+                         samples=2000, seed=seed) for seed in range(3)]
+    assert [(e.exits, e.jumps, e.sweeps) for e in got] == want
+
+
 def _ssa_digest(model, x0, t_final, seeds) -> str:
     h = hashlib.sha256()
     for seed in seeds:
