@@ -20,9 +20,9 @@ import numpy as np
 from .chain import BoundingChain, TailModel
 from .errors import (ConsistencyError, ResourceLimitError, StabilizationError,
                      ValidationError)
-from .network import (DEFAULT_CLASS_CAP, ClassPartition, ReactionNetwork,
-                      _class_sizes, check_propensities, class_rates,
-                      class_shift, enumerate_class, j_max)
+from .network import (ClassPartition, ReactionNetwork, _class_sizes,
+                      check_propensities, class_rates, class_shift,
+                      enumerate_class, j_max)
 
 RTOL = 1e-10
 
@@ -81,7 +81,7 @@ def _masses(rates: np.ndarray, masks) -> np.ndarray:
 
 
 def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
-                    direction: str, hi: int, cap: int = DEFAULT_CLASS_CAP) -> FTable:
+                    direction: str, hi: int) -> FTable:
     """The f-table on classes [0, hi]: one pass over the runs of classes.
 
     Each run's prefix and tail masses are its masked rate rows added in
@@ -94,7 +94,7 @@ def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
     low, high = (np.minimum, np.maximum) if upper else (np.maximum, np.minimum)
     minus, plus = np.full((2, J + 1, hi + 1), np.nan)
     empty = np.zeros(hi + 1, dtype=bool)
-    for lo, sizes, X, rates in class_rates(network, partition, hi, cap=cap):
+    for lo, sizes, X, rates in class_rates(network, partition, hi):
         check_propensities(network, rates.T, X.T)
         full = sizes > 0
         empty[lo:lo + sizes.size] = ~full
@@ -110,15 +110,14 @@ def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
 
 
 def compute_f(network: ReactionNetwork, partition: ClassPartition,
-              direction: str, l_exact: int,
-              cap: int = DEFAULT_CLASS_CAP) -> FTable:
+              direction: str, l_exact: int) -> FTable:
     """Exact f-table on classes [0, l_exact] by full class enumeration."""
     if direction not in ("upper", "lower"):
         raise ValidationError(f"direction must be upper or lower, got {direction!r}")
     J = j_max(network, partition)
     if l_exact < 2 * J + 2:
         raise ValidationError(f"l_exact must be at least 2*j_max+2 = {2 * J + 2}")
-    return _class_extremes(network, partition, direction, l_exact, cap=cap)
+    return _class_extremes(network, partition, direction, l_exact)
 
 
 @dataclass
@@ -368,8 +367,8 @@ def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
 
 def build_bounding_chain(network: ReactionNetwork, partition: ClassPartition,
                          direction: str, l_exact: int = 300,
-                         l_total: int | None = None, tail_degree: int = 1,
-                         cap: int = DEFAULT_CLASS_CAP) -> BoundingChain:
+                         l_total: int | None = None,
+                         tail_degree: int = 1) -> BoundingChain:
     """compute_f -> optimal_U -> phi_inverse, plus validated tail models."""
     if l_total is None:
         l_total = l_exact
@@ -378,7 +377,7 @@ def build_bounding_chain(network: ReactionNetwork, partition: ClassPartition,
     J = j_max(network, partition)
     # the lower-direction ranges look up to j_max classes above ell, so the
     # f-table is computed past the requested horizon for both directions
-    f = compute_f(network, partition, direction, l_exact + J, cap=cap)
+    f = compute_f(network, partition, direction, l_exact + J)
     U = optimal_U(f)
     skeleton = phi_inverse(U, weights=partition.weights)
     if skeleton.l_exact < l_exact:

@@ -70,7 +70,7 @@ def chain_generator(chain: BoundingChain, M: int) -> sp.csr_matrix:
 
 
 def network_generator(network: ReactionNetwork, partition: ClassPartition,
-                      n_max: int, cap: int = MULTI_STATE_CAP):
+                      n_max: int):
     """Generator on all states of class <= n_max, class-major lexicographic.
 
     Returns (Q, states, classes) with ``states`` the (n, d) state array and
@@ -84,7 +84,7 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
         raise ResourceLimitError(
             f"state codes for n_max={n_max} in {d} species overflow int64"
         )
-    runs = list(class_rates(network, partition, n_max, cap=cap))
+    runs = list(class_rates(network, partition, n_max, cap=MULTI_STATE_CAP))
     states = np.ascontiguousarray(
         np.concatenate([X for _, _, X, _ in runs], axis=1).T, dtype=np.int64)
     rates = np.concatenate([R for _, _, _, R in runs], axis=1)

@@ -38,6 +38,7 @@ from .simulate import check_t_final, make_rng
 from .transport import TransportError, _walk
 
 ROW_CACHE = 100_000
+JUMP_CAP = 10_000_000  # jumps of one coupled path, which then ends as "cap"
 MARGINAL_RTOL = 1e-10
 
 
@@ -247,14 +248,15 @@ class CoupledTrajectory:
 
 def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
                 chain: BoundingChain, x0, y0: int, t_final: float,
-                seed: int = 0, jump_cap: int = 10_000_000,
+                seed: int = 0,
                 simulator: CoupledSimulator | None = None) -> CoupledTrajectory:
     """Simulate the joint process from an ordered start up to t_final.
 
     The order between the class label and the chain level is re-checked
     after every jump; a violation is a construction bug and raises.  If the
     chain level runs past the band where the chain is defined the path is
-    cut short with reason "band".
+    cut short with reason "band", and one still running after JUMP_CAP
+    jumps with reason "cap".
     """
     check_t_final(t_final)
     sim = simulator or CoupledSimulator(network, partition, chain)
@@ -272,7 +274,7 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
     xs = [x]
     ys = [y]
     reason = "horizon"
-    for _ in range(jump_cap):
+    for _ in range(JUMP_CAP):
         if y > chain.l_total - chain.j_max:
             reason = "band"
             break

@@ -150,21 +150,17 @@ class ReactionNetwork:
 
     def rates(self, states) -> np.ndarray:
         """(n, reactions) propensity matrix on an (n, d) array of states."""
-        X = np.asarray(states)
-        out = np.zeros((X.shape[0], len(self.reactions)))
-        return self._rate_block(X.T, out.T).T
+        return self._rate_block(np.asarray(states).T).T
 
-    def _rate_block(self, states, out=None) -> np.ndarray:
+    def _rate_block(self, states) -> np.ndarray:
         """(reactions, n) propensities on a (d, n) block of states.
 
         The block behind ``rates``, the class passes and the SSA kernel:
         the states become per-species float columns once, and row i is
-        reaction i's ``evaluate_many``, bit for bit.  ``out``, zeros of that
-        shape, may be a view of another layout.
+        reaction i's ``evaluate_many``, bit for bit.
         """
         cols = np.ascontiguousarray(states, dtype=float)
-        if out is None:
-            out = np.zeros((len(self.reactions), cols.shape[1]))
+        out = np.zeros((len(self.reactions), cols.shape[1]))
         with np.errstate(over="ignore", invalid="ignore"):  # as evaluate_many
             for row, r in zip(out, self.reactions):
                 r.propensity._add_to(row, cols)
@@ -337,23 +333,22 @@ def _enumerate(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
     return X
 
 
-def enumerate_class(ell: int, partition: ClassPartition,
-                    cap: int = DEFAULT_CLASS_CAP) -> np.ndarray:
+def enumerate_class(ell: int, partition: ClassPartition) -> np.ndarray:
     """All states of class ``ell`` as an (n, d) array in lexicographic order."""
     if ell < 0:
         raise ValidationError("class index must be nonnegative")
     n = class_size(ell, partition)
-    if n > cap:
+    if n > DEFAULT_CLASS_CAP:
         raise ResourceLimitError(
-            f"class {ell} holds {n} states, above the cap of {cap}"
-        )
+            f"class {ell} holds {n} states, above the cap of "
+            f"{DEFAULT_CLASS_CAP}")
     # a cast of the transposed block, column-major: a transposing copy of a
     # block of a few rows is several times slower
     return _enumerate(ell, ell, partition.weights).T.astype(np.int64)
 
 
 def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
-                cap: int = DEFAULT_CLASS_CAP):
+                cap: int | None = None):
     """Yield runs of consecutive classes in 0..hi as (lo, sizes, X, R).
 
     A run covers classes lo..lo + len(sizes) - 1, whose sizes are the int64
@@ -362,10 +357,11 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
     after another, and ``R`` the (reactions, n) block
     ``network._rate_block`` of them.  A run holds at
     most RUN_STATES states, except a larger class, which is a run alone.
-    Once classes 0..ell hold more than ``cap`` states, the runs below ell
-    are yielded and ResourceLimitError is raised.
+    Once classes 0..ell hold more than ``cap`` (default DEFAULT_CLASS_CAP)
+    states, the runs below ell are yielded and ResourceLimitError is raised.
     """
     _check_dims(network, partition)
+    cap = DEFAULT_CLASS_CAP if cap is None else cap
     sizes, seen = [], 0
     for n in itertools.islice(_class_sizes(partition.weights), hi + 1):
         seen += n
@@ -411,6 +407,11 @@ def _on_faces(network: ReactionNetwork, states) -> dict:
     return on
 
 
+def _bad_rate(value) -> str:
+    """Negative, infinite or (NaN) undefined: a rate outside [0, inf)."""
+    return "negative" if value < 0 else "infinite" if value > 0 else "undefined"
+
+
 def check_propensities(network: ReactionNetwork, rates: np.ndarray,
                        states) -> None:
     """Raise at the first entry of ``rates`` that is not in [0, inf), row
@@ -424,11 +425,9 @@ def check_propensities(network: ReactionNetwork, rates: np.ndarray,
     # NaN fails both comparisons
     if not (rates.min(initial=0.0) >= 0.0 and rates.max(initial=0.0) < np.inf):
         i, k = np.argwhere(~((rates >= 0) & (rates < np.inf)))[0]
-        kind = ("negative" if rates[i, k] < 0 else
-                "infinite" if rates[i, k] > 0 else "undefined")
         raise ValidationError(
-            f"{kind} propensity {rates[i, k]} for reaction {k} at "
-            f"{tuple(int(v) for v in states[i])}")
+            f"{_bad_rate(rates[i, k])} propensity {rates[i, k]} for reaction "
+            f"{k} at {tuple(int(v) for v in states[i])}")
     for r, on in _on_faces(network, states).items():
         fires = np.flatnonzero(on & (rates[:, r] > 0))
         if fires.size:
@@ -489,12 +488,13 @@ class ValidationReport:
 
 
 def validate_network(network: ReactionNetwork, partition: ClassPartition,
-                     window: int, cap: int = DEFAULT_CLASS_CAP) -> ValidationReport:
+                     window: int) -> ValidationReport:
     """Check propensity sign and boundary-leak freedom on classes <= window.
 
-    ``check_propensities``' rule: a rate is bad unless 0 <= rate < inf (NaN
-    included), and a reaction leaks where its rate is > 0 on one of its
-    faces.
+    ``check_propensities``' rule: a rate is bad unless 0 <= rate < inf, and
+    its kind is ``negative-propensity``, ``infinite-propensity`` or, for a
+    NaN, ``undefined-propensity``, the word of that function's message; a
+    reaction leaks where its rate is > 0 on one of its faces.
     """
     violations = []
     null_change = set()
@@ -503,8 +503,7 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
         violations.append({"kind": kind, "reaction": ridx, "state": x,
                            "detail": detail})
 
-    for _, sizes, cols, block in class_rates(network, partition, window,
-                                             cap=cap):
+    for _, sizes, cols, block in class_rates(network, partition, window):
         ends = np.cumsum(sizes)
         for a, b in zip(ends - sizes, ends):
             X = cols[:, a:b].T
@@ -513,9 +512,7 @@ def validate_network(network: ReactionNetwork, partition: ClassPartition,
                 bad = np.flatnonzero(~((vals >= 0) & (vals < np.inf)))
                 if bad.size:
                     x = tuple(int(v) for v in X[bad[0]])
-                    kind = ("infinite-propensity" if vals[bad[0]] == np.inf
-                            else "negative-propensity")
-                    flag(kind, ridx, x,
+                    flag(f"{_bad_rate(vals[bad[0]])}-propensity", ridx, x,
                          f"reaction {ridx} has rate {vals[bad[0]]} at {x}")
                 leak = np.flatnonzero(on.get(ridx, False) & (vals > 0))
                 if leak.size:

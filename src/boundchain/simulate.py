@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .network import (ClassPartition, ReactionNetwork, _check_dims,
                       check_propensities, class_of)
 
-DEFAULT_JUMP_CAP = 100_000_000
+DEFAULT_JUMP_CAP = 100_000_000  # jumps (sweeps) of one lockstep path
 Z_95 = 1.959963984540054
 
 
@@ -56,8 +56,7 @@ class Trajectory:
         return len(self.times)
 
 
-def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None,
-              network=None):
+def _lockstep(rates, changes, S, t_final, rng, after, w=None, network=None):
     """Gillespie's direct method on every column of ``S`` at once.
 
     ``S`` is a (d, paths) int64 block of start states, one column per
@@ -82,7 +81,7 @@ def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None,
     A path that ends leaves the packed set.
 
     Returns each path's end: "absorbed", "horizon", "stop", or "cap" for a
-    path still live after ``jump_cap`` jumps; then the jumps made over all
+    path live after DEFAULT_JUMP_CAP jumps; then the jumps made over all
     paths and the sweeps taken.
     """
     end = np.full(S.shape[1], "cap", dtype=object)
@@ -105,7 +104,7 @@ def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None,
             labels = labels[keep]
         return keep
 
-    while rows.size and sweeps < jump_cap:
+    while rows.size and sweeps < DEFAULT_JUMP_CAP:
         sweeps += 1
         C = rates(S)  # made the running sum in place
         if network is not None:
@@ -146,8 +145,7 @@ def _lockstep(rates, changes, S, t_final, rng, jump_cap, after, w=None,
     return end, jumps, sweeps
 
 
-def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
-        jump_cap: int = DEFAULT_JUMP_CAP) -> Trajectory:
+def ssa(model, x0, t_final: float, stop=None, seed: int = 0) -> Trajectory:
     """Exact jump-by-jump simulation up to t_final.
 
     ``model`` is a ReactionNetwork (vector states) or a BoundingChain
@@ -156,7 +154,8 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
     past t_final is discarded and the path is reported at the horizon.
     ``stop`` is evaluated on each newly entered state and ends the path
     with reason "exit".  A chain path above ``l_total - j_max``, where the
-    next jump could leave the band, ends with reason "band".
+    next jump could leave the band, ends with reason "band", and one
+    still running after DEFAULT_JUMP_CAP jumps with reason "cap".
     """
     check_t_final(t_final)
     rng = make_rng(seed)
@@ -190,8 +189,8 @@ def ssa(model, x0, t_final: float, stop=None, seed: int = 0,
         return np.array([reason is not None])
 
     if reason is None:
-        end = _lockstep(rates, changes, X.T.copy(), t_final, rng, jump_cap,
-                        after, network=network)[0]
+        end = _lockstep(rates, changes, X.T.copy(), t_final, rng, after,
+                        network=network)[0]
         reason = reason or end[0]
     return Trajectory(seed=seed, times=np.asarray(times),
                       states=np.asarray(path), reason=reason)
@@ -235,12 +234,12 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
                   N: int, t_final: float, x0, samples: int,
-                  seed: int = 0,
-                  jump_cap: int = DEFAULT_JUMP_CAP) -> ExitEstimate:
+                  seed: int = 0) -> ExitEstimate:
     """Monte Carlo estimate of P(class exceeds N by t_final) from x0.
 
     Runs all paths in lockstep; a path exits when its class label moves
-    above N and is frozen at the horizon or on absorption.
+    above N and is frozen at the horizon or on absorption.  A path still
+    running after DEFAULT_JUMP_CAP jumps is a ValidationError.
     """
     check_t_final(t_final)
     _check_dims(network, partition)
@@ -253,11 +252,11 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
     end, jumps, sweeps = _lockstep(
         network._rate_block, network.change_matrix(),
         np.repeat(x0[:, None], samples, axis=1), t_final, make_rng(seed),
-        jump_cap, lambda S, t, labels: labels > N,
+        lambda S, t, labels: labels > N,
         np.asarray(partition.weights, dtype=np.int64), network)
     if (end == "cap").any():
         raise ValidationError(
-            f"exceeded {jump_cap} jumps per path before t={t_final}")
+            f"exceeded {DEFAULT_JUMP_CAP} jumps per path before t={t_final}")
     k = int((end == "stop").sum())
     lo, hi = wilson_interval(k, samples)
     return ExitEstimate(exits=k, samples=samples, estimate=k / samples,

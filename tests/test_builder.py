@@ -17,7 +17,8 @@ from boundchain import (BoundingChain, ClassPartition, ResourceLimitError,
                         check_u_membership, class_shift, compute_f,
                         enumerate_class, j_max, optimal_U, phi,
                         network_from_dict, phi_inverse, verify_assumptions)
-from boundchain.builder import FTable, UTable
+from boundchain import network as network_module
+from boundchain.builder import FTable, UTable, build_counters
 from conftest import NETWORK_DOC
 
 UPPER211 = {
@@ -329,6 +330,19 @@ def test_optimal_U_matches_reference_on_random_tables():
             assert U.minus.tobytes() == want[0].tobytes()
             assert U.plus.tobytes() == want[1].tobytes()
     assert 0 < raised < 150
+
+
+def test_build_stops_at_the_class_cap(monkeypatch, network, part211):
+    # the f-table pass of l_exact = 40 enumerates classes 0..42 (j_max = 2)
+    chain = build_bounding_chain(network, part211, "upper", l_exact=40)
+    total = build_counters(chain, part211)["states"]
+    monkeypatch.setattr(network_module, "DEFAULT_CLASS_CAP", total)
+    build_bounding_chain(network, part211, "upper", l_exact=40)
+    monkeypatch.setattr(network_module, "DEFAULT_CLASS_CAP", total - 1)
+    with pytest.raises(ResourceLimitError,
+                       match=rf"^classes 0\.\.42 hold {total} states, "
+                             rf"above the cap of {total - 1}$"):
+        build_bounding_chain(network, part211, "upper", l_exact=40)
 
 
 def test_band_matches_rate(upper211, lower225, naive111):

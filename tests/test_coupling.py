@@ -11,6 +11,7 @@ import pytest
 from boundchain import (BoundingChain, ClassPartition, CoupledSimulator,
                         TransportError, ValidationError, build_bounding_chain,
                         coupled_ssa, coupling_row, network_from_dict)
+from boundchain import coupling
 from boundchain.network import class_of
 from conftest import LEAKY_NETWORK_DOC, NETWORK_DOC
 from test_transport import pi_bar_broadcast
@@ -112,6 +113,16 @@ def test_coupled_ssa_preserves_order_lower(network, part225, lower225):
                            t_final=3.0, seed=seed, simulator=sim)
         assert traj.reason == "horizon"
         assert traj.ordered_throughout(part225, upper=False)
+
+
+def test_coupled_ssa_jump_cap(monkeypatch, network, part211, upper211):
+    # a path still running after JUMP_CAP jumps ends with reason "cap"
+    monkeypatch.setattr(coupling, "JUMP_CAP", 25)
+    traj = coupled_ssa(network, part211, upper211, (3, 2, 1), 12,
+                       t_final=1e9, seed=0)
+    assert traj.reason == "cap"
+    assert len(traj) == 26
+    assert traj.ordered_throughout(part211, upper=True)
 
 
 def test_coupled_ssa_rejects_disordered_start(network, part211, upper211):

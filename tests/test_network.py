@@ -17,8 +17,9 @@ from boundchain import (ClassPartition, Factor, PropensityPolynomial,
                         compute_f, enumerate_class, j_max, load_network,
                         network_from_dict, network_generator,
                         validate_network)
+from boundchain import cme as cme_module
 from boundchain import network as network_module
-from boundchain.network import DEFAULT_CLASS_CAP, _enumerate, class_rates
+from boundchain.network import _enumerate, class_rates
 from conftest import (INF_DOC, LEAKY_NETWORK_DOC, NAN_DOC, NETWORK_DOC,
                       NETWORK_PATH)
 
@@ -270,18 +271,43 @@ def test_enumerate_class_matches_count():
     assert class_size(3, p) == 0
 
 
-def test_class_cap_is_checked_on_every_per_class_pass(network, part211):
-    # compute_f, validate_network and network_generator all visit 0..12
+def capped(monkeypatch, module, name, run):
+    """``run`` as a function of a cap: it sets ``module.name`` to the cap,
+    then runs."""
+    def at(cap):
+        monkeypatch.setattr(module, name, cap)
+        return run()
+    return at
+
+
+def test_class_cap_is_checked_on_every_per_class_pass(monkeypatch, network,
+                                                      part211):
+    # compute_f, validate_network and network_generator all visit 0..12;
+    # the class passes read DEFAULT_CLASS_CAP, the generator MULTI_STATE_CAP
     total = sum(class_size(ell, part211) for ell in range(13))
-    runs = [lambda cap: compute_f(network, part211, "upper", 12, cap=cap),
-            lambda cap: validate_network(network, part211, 12, cap=cap),
-            lambda cap: network_generator(network, part211, 12, cap=cap)]
+    runs = [capped(monkeypatch, network_module, "DEFAULT_CLASS_CAP",
+                   lambda: compute_f(network, part211, "upper", 12)),
+            capped(monkeypatch, network_module, "DEFAULT_CLASS_CAP",
+                   lambda: validate_network(network, part211, 12)),
+            capped(monkeypatch, cme_module, "MULTI_STATE_CAP",
+                   lambda: network_generator(network, part211, 12))]
     for run in runs:
         run(total)
         with pytest.raises(ResourceLimitError,
                            match=rf"^classes 0\.\.12 hold {total} states, "
                                  rf"above the cap of {total - 1}$"):
             run(total - 1)
+
+
+def test_enumerate_class_stops_at_the_class_cap(monkeypatch, part211):
+    n = class_size(40, part211)
+    monkeypatch.setattr(network_module, "DEFAULT_CLASS_CAP", n)
+    assert len(enumerate_class(40, part211)) == n
+    monkeypatch.setattr(network_module, "DEFAULT_CLASS_CAP", n - 1)
+    with pytest.raises(ResourceLimitError,
+                       match=rf"^class 40 holds {n} states, above the cap "
+                             rf"of {n - 1}$"):
+        enumerate_class(40, part211)
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,10 +385,14 @@ def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
     assert sum(class_size(ell, part211) for ell in range(85)) > 3 * default
     message = (r"negative propensity -0.020000000000000018 for reaction 4 at "
                r"\(0, 1, 84\)")
-    for run in (lambda cap: compute_f(net, part211, "upper", 100, cap=cap),
-                lambda cap: network_generator(net, part211, 90, cap=cap)):
+    default_cap = network_module.DEFAULT_CLASS_CAP
+    runs = [capped(monkeypatch, network_module, "DEFAULT_CLASS_CAP",
+                   lambda: compute_f(net, part211, "upper", 100)),
+            capped(monkeypatch, cme_module, "MULTI_STATE_CAP",
+                   lambda: network_generator(net, part211, 90))]
+    for run in runs:
         with pytest.raises(ValidationError, match=message):
-            run(DEFAULT_CLASS_CAP)
+            run(default_cap)
         with pytest.raises(ResourceLimitError,
                            match=r"classes 0\.\.84 hold 53922 states, above "
                                  r"the cap of 53921"):
@@ -371,7 +401,7 @@ def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
     # cap, the class 85 error comes before the cap's
     fits = sum(class_size(ell, part211) for ell in range(87))
     with pytest.raises(ValidationError, match=message):
-        compute_f(net, part211, "upper", 100, cap=fits)
+        runs[0](fits)
 
 
 def test_class_shift_and_j_max(network, part211, part225, part111):
@@ -483,13 +513,16 @@ TINY_NEGATIVE_DOC = {
 }
 
 
-@pytest.mark.parametrize("doc, weights, window, state, message", [
-    (NAN_DOC, (1, 1), 12, (2, 0), "undefined propensity nan"),
-    (TINY_NEGATIVE_DOC, (1,), 5, (0,), "negative propensity -1e-13"),
+@pytest.mark.parametrize("doc, weights, window, state, message, kind", [
+    (NAN_DOC, (1, 1), 12, (2, 0), "undefined propensity nan",
+     "undefined-propensity"),
+    (TINY_NEGATIVE_DOC, (1,), 5, (0,), "negative propensity -1e-13",
+     "negative-propensity"),
 ], ids=["nan", "tiny-negative"])
 def test_validate_network_rejects_what_build_rejects(doc, weights, window,
-                                                     state, message):
-    # validate_network flags a rate unless it is >= 0, as compute_f does
+                                                     state, message, kind):
+    # validate_network flags a rate unless it is >= 0, as compute_f does,
+    # and names it with compute_f's word
     network = network_from_dict(doc)
     partition = ClassPartition(weights)
     with pytest.raises(ValidationError, match=re.escape(
@@ -499,7 +532,7 @@ def test_validate_network_rejects_what_build_rejects(doc, weights, window,
     assert not rep.ok
     first = rep.violations[0]
     assert (first["kind"], first["reaction"], first["state"]) == (
-        "negative-propensity", 1, state)
+        kind, 1, state)
 
 
 def test_validate_network_flags_an_infinite_propensity():

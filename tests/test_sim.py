@@ -9,6 +9,7 @@ from boundchain import (BoundingChain, ClassPartition, TailModel,
                         ValidationError, coupled_ssa, delta_p0, estimate_exit,
                         make_rng, network_from_dict, solve_chain_cme, ssa,
                         wilson_interval)
+from boundchain import simulate
 from conftest import NETWORK_DOC
 
 PURE_BIRTH = {
@@ -138,10 +139,21 @@ def test_ssa_validation(network):
         ssa(network, (-1, 0, 0), t_final=1.0)
 
 
-def test_ssa_jump_cap(network):
-    traj = ssa(network, (3, 2, 1), t_final=1e9, seed=0, jump_cap=25)
+def test_ssa_jump_cap(monkeypatch, network):
+    monkeypatch.setattr(simulate, "DEFAULT_JUMP_CAP", 25)
+    traj = ssa(network, (3, 2, 1), t_final=1e9, seed=0)
     assert traj.reason == "cap"
     assert len(traj) == 26
+
+
+def test_estimate_exit_jump_cap(monkeypatch, network, part211):
+    # no path leaves [0, 10**6] or ends by t = 1e9 within 25 jumps
+    monkeypatch.setattr(simulate, "DEFAULT_JUMP_CAP", 25)
+    with pytest.raises(ValidationError,
+                       match=r"^exceeded 25 jumps per path before "
+                             r"t=1000000000\.0$"):
+        estimate_exit(network, part211, N=10**6, t_final=1e9, x0=(3, 2, 1),
+                      samples=20)
 
 
 def test_wilson_interval():
