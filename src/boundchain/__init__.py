@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (ConsistencyError, InfeasibleError, ResourceLimitError,
                      StabilizationError, ToolError, ValidationError)
 from .network import (ClassPartition, Factor, PropensityPolynomial, Reaction,
-                      ReactionNetwork, Term, aggregate_rate, class_of,
+                      ReactionNetwork, Term, class_of,
                       class_size, class_shift, enumerate_class, j_max,
                       load_network, network_from_dict, validate_network)
 from .transport import TransportError, pi, pi_bar
@@ -33,7 +33,7 @@ __all__ = [
     "StabilizationError", "ConsistencyError", "TransportError",
     "ReactionNetwork", "Reaction", "PropensityPolynomial", "Term", "Factor",
     "ClassPartition", "class_of", "class_size", "class_shift",
-    "enumerate_class", "aggregate_rate", "j_max", "load_network",
+    "enumerate_class", "j_max", "load_network",
     "network_from_dict", "validate_network",
     "pi", "pi_bar",
     "BoundingChain", "TailModel",

@@ -7,6 +7,18 @@ banded transition-rate table.  Tails beyond the exact horizon are detected
 by fitting periodic-affine (or low-degree polynomial) models that must match
 the exact values bit-for-bit on a trailing window.  ``verify_assumptions``
 checks a chain against the same f-table pass.
+
+The f-table pass reads ``network.extreme_rates``.  Where every rate is
+affine along the rows of a class (the head counts fixed, the last two
+counts along an arithmetic progression) and the floats are exact, that is
+where d >= 2, no term with a nonzero coefficient has total exponent above
+1 on the last two species, no orthant face is on them, and
+2^k * sum_terms |c| * prod_factors max(hi, e)^e < 2^53 with 2^-k the finest
+power of two in a coefficient, it evaluates only each row's two end
+states: every rate and row mass is then an exact multiple of 2^-k, affine
+along the row, so its extremes over the row are at the ends and the table
+is the full enumeration's, byte for byte.  Otherwise it evaluates every
+state.
 """
 
 from __future__ import annotations
@@ -21,8 +33,7 @@ from .chain import BoundingChain, TailModel
 from .errors import (ConsistencyError, ResourceLimitError, StabilizationError,
                      ValidationError)
 from .network import (ClassPartition, ReactionNetwork, _class_sizes,
-                      check_propensities, class_rates, class_shift,
-                      enumerate_class, j_max)
+                      class_shift, enumerate_class, extreme_rates, j_max)
 
 RTOL = 1e-10
 
@@ -82,11 +93,13 @@ def _masses(rates: np.ndarray, masks) -> np.ndarray:
 
 def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
                     direction: str, hi: int) -> FTable:
-    """The f-table on classes [0, hi]: one pass over the runs of classes.
+    """The f-table on classes [0, hi]: one pass over ``extreme_rates``'
+    runs of classes.
 
     Each run's prefix and tail masses are its masked rate rows added in
     reaction order, one (j_max, n) table per side; each class's extreme is
-    a ``reduceat`` over the starts of the run's non-empty classes.
+    a ``reduceat`` over the starts of the run's non-empty classes, on the
+    row ends or on every state, whichever the run holds.
     """
     J = j_max(network, partition)
     upper = direction == "upper"
@@ -94,14 +107,13 @@ def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
     low, high = (np.minimum, np.maximum) if upper else (np.maximum, np.minimum)
     minus, plus = np.full((2, J + 1, hi + 1), np.nan)
     empty = np.zeros(hi + 1, dtype=bool)
-    for lo, sizes, X, rates in class_rates(network, partition, hi):
-        check_propensities(network, rates.T, X.T)
-        full = sizes > 0
-        empty[lo:lo + sizes.size] = ~full
+    for lo, counts, X, rates in extreme_rates(network, partition, hi):
+        full = counts > 0
+        empty[lo:lo + counts.size] = ~full
         if not full.any():
             continue
         ells = lo + np.flatnonzero(full)
-        starts = (np.cumsum(sizes) - sizes)[full]
+        starts = (np.cumsum(counts) - counts)[full]
         minus[1:, ells] = low.reduceat(_masses(rates, below), starts, axis=1)
         plus[1:, ells] = high.reduceat(_masses(rates, above), starts, axis=1)
     # no prefix mass where ell - j < 0
@@ -111,7 +123,10 @@ def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
 
 def compute_f(network: ReactionNetwork, partition: ClassPartition,
               direction: str, l_exact: int) -> FTable:
-    """Exact f-table on classes [0, l_exact] by full class enumeration."""
+    """Exact f-table on classes [0, l_exact], by full class enumeration,
+    or from each row's two end states where rates are exact and affine
+    along rows (the module docstring's conditions); both give the same
+    bytes."""
     if direction not in ("upper", "lower"):
         raise ValidationError(f"direction must be upper or lower, got {direction!r}")
     J = j_max(network, partition)
@@ -389,8 +404,10 @@ def build_bounding_chain(network: ReactionNetwork, partition: ClassPartition,
 
 def build_counters(chain: BoundingChain, partition: ClassPartition) -> dict:
     """The work behind a ``build_bounding_chain`` result, for a manifest:
-    the classes and states its f-table pass enumerated, classes
-    0..l_exact + j_max, and each offset's tail period and onset."""
+    the classes its f-table pass covered, 0..l_exact + j_max, the number
+    of lattice states in them (what the class cap counts, not the number
+    evaluated, which the row-end path makes smaller), and each offset's
+    tail period and onset."""
     classes = chain.l_exact + chain.j_max + 1
     return {"classes": classes,
             "states": sum(itertools.islice(_class_sizes(partition.weights),

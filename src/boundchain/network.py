@@ -14,6 +14,21 @@ one cumulative state cap.  A run's states are a (d, n) float64 block of
 per-species columns, the layout the rate block reads; the last two counts
 of each partial row come as arithmetic progressions.  ``enumerate_class``
 is the one-class case of the same enumerator, as an (n, d) int64 array.
+
+The f-table pass reads the same runs through ``extreme_rates``, which may
+evaluate only the two end states of each row: the head counts fixed, the
+last two counts along t = 0..T.  It does so when ``_rows_affine`` holds:
+d >= 2; every term with a nonzero coefficient has total exponent <= 1 on
+species d-2 and d-1; no orthant face is on those two species; and
+2^k * sum_terms |c| * prod_factors max(hi, e)^e < 2^53, with 2^-k the
+finest power of two in any coefficient.  Then every rate is affine in t
+along a row, and every product and partial sum the rate block and the
+row masses form is a multiple of 2^-k below 2^53 * 2^-k, hence exact: the
+floats are the exact affine values, whose extremes over a row lie at its
+ends, so the end states give the same bytes as every state.  A negative
+rate, or a positive one on a face of a head species (such a face covers
+whole rows), also shows at a row end; a run whose ends fail the check is
+enumerated whole and checked as ``class_rates``' runs are.
 """
 
 from __future__ import annotations
@@ -107,9 +122,6 @@ class PropensityPolynomial:
                 val *= f._at(counts[f.species])
             out += val
         return out
-
-    def is_structurally_zero(self) -> bool:
-        return all(t.coeff == 0.0 for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -292,23 +304,24 @@ def class_size(ell: int, partition: ClassPartition) -> int:
     return next(itertools.islice(_class_sizes(partition.weights), ell, None))
 
 
-def _enumerate(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
-    """The states of classes lo..hi as a (d, n) float64 block of
-    per-species columns, class-major and lexicographic within a class.
+def _rows(lo: int, hi: int, weights: tuple[int, ...]):
+    """The rows of classes lo..hi, for d >= 2: (B, counts, step_b, step_a)
+    with B the (d, rows) float64 block of each row's first state and
+    ``counts`` its int64 number of states; along a row, state t adds
+    t step_b to count d - 2 and takes t step_a from count d - 1.
 
     The expansion starts from the vector of class labels and goes species
     by species: a partial row with remaining budget r takes every count v
     in 0..r // w_k, in order, and each level repeats the columns built so
     far.  The last two counts come as arithmetic progressions.  With a, b
-    the last two weights and g = gcd(a, b), a count v of species d - 1
+    the last two weights and g = gcd(a, b), a count v of species d - 2
     leaves a budget that b divides exactly when g divides r and
     v = (r/g) (a/g)^-1 mod b/g; from the least such v0, each step adds b/g
-    to it and takes a/g from the last count.  No partial row is built that
-    has no state.  Counts are exact as floats, far below 2^53.
+    to it and takes a/g from the last count.  Rows come class-major and
+    lexicographic, and a row with no state counts 0.  Counts are exact as
+    floats, far below 2^53.
     """
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    if len(weights) == 1:
-        return (rem[rem % weights[0] == 0] // weights[0]).astype(float)[None]
     *head, a, b = weights
     cols = np.empty((0, rem.size))
     for wk in head:
@@ -322,14 +335,40 @@ def _enumerate(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
     v0 = rem // g * pow(step_a, -1, step_b) % step_b
     # v0 < b/g, so a row with no valid v counts (r // a - v0) // (b/g) + 1 = 0
     counts = np.where(rem % g == 0, (rem // a - v0) // step_b + 1, 0)
+    return np.vstack([cols, v0, (rem - a * v0) // b]), counts, step_b, step_a
+
+
+def _enumerate(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
+    """The states of classes lo..hi as a (d, n) float64 block of
+    per-species columns, class-major and lexicographic within a class:
+    every state of each of ``_rows``' rows."""
+    if len(weights) == 1:
+        rem = np.arange(lo, hi + 1, dtype=np.int64)
+        return (rem[rem % weights[0] == 0] // weights[0]).astype(float)[None]
+    B, counts, step_b, step_a = _rows(lo, hi, weights)
     # state i of the block is step i - start of its row's progression
     start = np.cumsum(counts) - counts
-    X = np.repeat(np.vstack([cols, v0 - step_b * start,
-                             (rem - a * v0) // b + step_a * start]),
-                  counts, axis=1)
+    B[-2] -= step_b * start
+    B[-1] += step_a * start
+    X = np.repeat(B, counts, axis=1)
     steps = np.arange(X.shape[1], dtype=float)
     X[-2] += step_b * steps
     X[-1] -= step_a * steps
+    return X
+
+
+def _row_ends(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
+    """The first and last state of each of ``_rows``' rows of classes
+    lo..hi, one state for a one-state row, as a (d, n) float64 block in
+    ``_enumerate``'s order: a subsequence of it, so nothing is sorted."""
+    B, counts, step_b, step_a = _rows(lo, hi, weights)
+    ends = np.minimum(counts, 2)
+    X = np.repeat(B, ends, axis=1)
+    # the second of a pair is t = T, where T + 1 is the row's length
+    last = (np.cumsum(ends) - 1)[ends == 2]
+    T = counts[ends == 2] - 1
+    X[-2, last] += step_b * T
+    X[-1, last] -= step_a * T
     return X
 
 
@@ -362,25 +401,109 @@ def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
     """
     _check_dims(network, partition)
     cap = DEFAULT_CLASS_CAP if cap is None else cap
+    for lo, sizes, _ in _runs(partition.weights, hi, cap):
+        X = _enumerate(lo, lo + sizes.size - 1, partition.weights)
+        yield lo, sizes, X, network._rate_block(X)
+
+
+def _runs(weights: tuple[int, ...], hi: int, cap: int,
+          lag: int | None = None):
+    """Yield runs of consecutive classes in 0..hi as (lo, sizes, evaluated):
+    the classes' sizes and the states a pass evaluates of each, as int64
+    arrays.  These are the sizes, or, given ``lag``, the sizes less those
+    ``lag`` classes down.  A run holds at most RUN_STATES evaluated states,
+    except one larger class, which is a run alone.  Once classes 0..ell
+    hold more than ``cap`` states, the runs below ell are yielded and
+    ResourceLimitError is raised."""
     sizes, seen = [], 0
-    for n in itertools.islice(_class_sizes(partition.weights), hi + 1):
+    for n in itertools.islice(_class_sizes(weights), hi + 1):
         seen += n
         if seen > cap:
             break
         sizes.append(n)
     sizes = np.array(sizes, dtype=np.int64)
-    ends = np.cumsum(sizes)
+    evaluated = sizes
+    if lag is not None:
+        evaluated = sizes - np.concatenate([np.zeros(lag, np.int64),
+                                            sizes])[:sizes.size]
+    ends = np.cumsum(evaluated)
     lo = 0
     while lo < sizes.size:
-        limit = ends[lo] - sizes[lo] + RUN_STATES
+        limit = ends[lo] - evaluated[lo] + RUN_STATES
         end = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-        X = _enumerate(lo, end - 1, partition.weights)
-        yield lo, sizes[lo:end], X, network._rate_block(X)
+        yield lo, sizes[lo:end], evaluated[lo:end]
         lo = end
     if seen > cap:
         raise ResourceLimitError(
             f"classes 0..{sizes.size} hold {seen} states, above the cap of {cap}"
         )
+
+
+def _rows_affine(network: ReactionNetwork, hi: int) -> bool:
+    """Whether every rate on classes 0..hi is exact and affine along
+    ``_rows``' rows, so that a row's extremes of any sum of rates lie at
+    its two end states (the four conditions of the module docstring).
+
+    No count passes hi, so each factor of a term is an integer of
+    magnitude at most max(hi, e)^e at every step of its product; c is a
+    multiple of 2^-k, so 2^k |c| >= 1 and each product, as each sum, is a
+    multiple of 2^-k of magnitude below 2^53 2^-k.  A term with
+    coefficient 0 adds +-0, or NaN where a factor overflows; a factor's
+    magnitude only grows with its count, so such a NaN shows at a row end.
+    """
+    d = network.d
+    tail = (d - 2, d - 1)
+    if d < 2 or any(i in tail for _, i, _ in network._faces):
+        return False
+    terms = [t for r in network.reactions for t in r.propensity.terms
+             if t.coeff != 0.0]
+    for t in terms:
+        if not math.isfinite(t.coeff) or sum(
+                f.exponent for f in t.factors if f.species in tail) > 1:
+            return False
+    ratios = [abs(float(t.coeff)).as_integer_ratio() for t in terms]
+    # every denominator is a power of two; the largest is 2^k
+    scale = max((den for _, den in ratios), default=1)
+    bound = sum(num * (scale // den)
+                * math.prod(max(hi, f.exponent) ** f.exponent
+                            for f in t.factors)
+                for (num, den), t in zip(ratios, terms))
+    return bound < 2 ** 53
+
+
+def extreme_rates(network: ReactionNetwork, partition: ClassPartition,
+                  hi: int):
+    """Yield runs of consecutive classes in 0..hi as (lo, counts, X, R),
+    every rate of them checked by ``check_propensities``: ``X`` holds
+    states enough for each class's extremes of any sum of rates, ``counts``
+    how many of each class, one after another, and ``R`` their rate block.
+
+    Where ``_rows_affine`` holds these are each row's end states, whose
+    number in class ell is size(ell) - size(ell - 2 lcm(a, b)) with a, b
+    the last two weights: a row of budget r has c(r) states, those of
+    budget r - lcm are its states past the first, one step down, so a row
+    has min(c(r), 2) = c(r) - c(r - 2 lcm) ends, and summing over the head
+    counts gives the class sizes.  A run whose ends fail the check, or
+    every run where ``_rows_affine`` fails, holds every state, so a
+    message names the first bad state of the pass.  Runs, cap and its
+    error are ``class_rates``'.
+    """
+    weights = partition.weights
+    if not _rows_affine(network, hi):
+        for lo, sizes, X, R in class_rates(network, partition, hi):
+            check_propensities(network, R.T, X.T)
+            yield lo, sizes, X, R
+        return
+    _check_dims(network, partition)
+    lag = 2 * math.lcm(*weights[-2:])
+    for lo, sizes, evaluated in _runs(weights, hi, DEFAULT_CLASS_CAP, lag):
+        X = _row_ends(lo, lo + sizes.size - 1, weights)
+        R = network._rate_block(X)
+        if _propensity_fault(network, R.T, X.T) is not None:
+            X = _enumerate(lo, lo + sizes.size - 1, weights)
+            R, evaluated = network._rate_block(X), sizes
+            check_propensities(network, R.T, X.T)
+        yield lo, evaluated, X, R
 
 
 def _orthant_faces(reactions) -> tuple:
@@ -421,19 +544,26 @@ def check_propensities(network: ReactionNetwork, rates: np.ndarray,
     ``rates`` is a (k, reactions) block of ``network.rates`` on the (k, d)
     ``states``; the message names the reaction and the state.
     """
+    fault = _propensity_fault(network, rates, states)
+    if fault is not None:
+        raise ValidationError(fault)
+
+
+def _propensity_fault(network: ReactionNetwork, rates: np.ndarray,
+                      states) -> str | None:
+    """``check_propensities``' message, or None where it passes."""
     states = np.asarray(states)
     # NaN fails both comparisons
     if not (rates.min(initial=0.0) >= 0.0 and rates.max(initial=0.0) < np.inf):
         i, k = np.argwhere(~((rates >= 0) & (rates < np.inf)))[0]
-        raise ValidationError(
-            f"{_bad_rate(rates[i, k])} propensity {rates[i, k]} for reaction "
-            f"{k} at {tuple(int(v) for v in states[i])}")
+        return (f"{_bad_rate(rates[i, k])} propensity {rates[i, k]} for "
+                f"reaction {k} at {tuple(int(v) for v in states[i])}")
     for r, on in _on_faces(network, states).items():
         fires = np.flatnonzero(on & (rates[:, r] > 0))
         if fires.size:
-            raise ValidationError(
-                f"reaction {r} leaves the orthant from "
-                f"{tuple(int(v) for v in states[fires[0]])}")
+            return (f"reaction {r} leaves the orthant from "
+                    f"{tuple(int(v) for v in states[fires[0]])}")
+    return None
 
 
 def _check_dims(network: ReactionNetwork, partition: ClassPartition) -> None:
@@ -456,19 +586,6 @@ def j_max(network: ReactionNetwork, partition: ClassPartition) -> int:
     if j == 0:
         raise ValidationError("no reaction changes the class; band width is zero")
     return j
-
-
-def aggregate_rate(state, interval, network: ReactionNetwork,
-                   partition: ClassPartition) -> float:
-    """Total rate from ``state`` into classes inside ``interval = (lo, hi)``.
-
-    ``hi`` may be ``float('inf')``.  Sums the propensities of every reaction
-    whose class shift lands cl(state)+shift inside the interval.
-    """
-    lo, hi = interval
-    ell = partition.class_of(state)
-    return float(sum(r.propensity.evaluate(state) for r in network.reactions
-                     if lo <= ell + class_shift(r, partition) <= hi))
 
 
 @dataclass

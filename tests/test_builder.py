@@ -4,12 +4,15 @@ Expected rate rows come from an independent brute-force enumeration oracle
 computed before this module existed; they are asserted exactly.
 """
 
+import collections
 import copy
 import functools
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boundchain import (BoundingChain, ClassPartition, ResourceLimitError,
                         StabilizationError, TailModel, ValidationError,
@@ -19,7 +22,8 @@ from boundchain import (BoundingChain, ClassPartition, ResourceLimitError,
                         network_from_dict, phi_inverse, verify_assumptions)
 from boundchain import network as network_module
 from boundchain.builder import FTable, UTable, build_counters
-from conftest import NETWORK_DOC
+from boundchain.network import ReactionNetwork
+from conftest import INF_DOC, LEAKY_NETWORK_DOC, NETWORK_DOC
 
 UPPER211 = {
     0: {2: 2.5}, 1: {-1: 2.5, 2: 3.5}, 2: {-1: 2.5, 2: 4.5},
@@ -673,3 +677,164 @@ def test_flat_tail_is_fitted_without_rounding_noise():
     assert chain.tails[-3].slope == 0.0
     long = build_bounding_chain(net, part, "lower", l_exact=90)
     assert np.allclose(chain.band(90), long.band(90), rtol=1e-10, atol=1e-10)
+
+
+# -- the row-end path of the f-table pass ------------------------------------
+
+
+def _outcome(run):
+    """``run()``, or the text of the ValidationError it raises."""
+    try:
+        return run()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _both_paths(run):
+    """``run``'s outcome on the row-end path, then on the full pass."""
+    fast = _outcome(run)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network_module, "_rows_affine", lambda network, hi: False)
+        full = _outcome(run)
+    return fast, full
+
+
+def _same_f(fast, full):
+    if isinstance(fast, str) or isinstance(full, str):
+        assert fast == full
+        return
+    for name in ("minus", "plus", "empty"):
+        assert getattr(fast, name).tobytes() == getattr(full, name).tobytes()
+
+
+DYADIC = (0.375, 0.5, 1.0, 2.5, 3.0)
+KINDS = ("plain-power", "falling-factorial")
+
+
+@st.composite
+def affine_networks(draw):
+    """A network of 2 or 3 species whose rates are affine along rows:
+    each term is a dyadic coefficient times powers and falling factorials
+    of the head species and at most one exponent-1 factor on the last two.
+    A reaction that takes one of the last two species has that species'
+    factor in every term, so it never fires from the face; one that takes
+    a head species may."""
+    d = draw(st.sampled_from((2, 3)))
+    weights = tuple(draw(st.lists(st.integers(1, 6), min_size=d,
+                                  max_size=d)))
+    reactions = []
+    for _ in range(draw(st.integers(1, 4))):
+        change = draw(st.lists(st.integers(-1, 1), min_size=d - 2,
+                               max_size=d - 2))
+        change += draw(st.sampled_from([(p, q) for p in (-1, 0, 1)
+                                        for q in (-1, 0, 1) if p + q > -2]))
+        taken = [i for i in (d - 2, d - 1) if change[i] < 0]
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            factors = [{"species": i, "exponent": e,
+                        "kind": draw(st.sampled_from(KINDS))}
+                       for i in range(d - 2)
+                       if (e := draw(st.integers(0, 2)))]
+            last = taken[0] if taken else draw(
+                st.sampled_from((None, d - 2, d - 1)))
+            if last is not None:
+                factors.append({"species": last,
+                                "kind": draw(st.sampled_from(KINDS))})
+            terms.append({"coeff": draw(st.sampled_from(DYADIC)),
+                          "factors": factors})
+        reactions.append({"change": change, "propensity": terms})
+    net = network_from_dict({"species": [f"S{i}" for i in range(d)],
+                             "reactions": reactions})
+    part = ClassPartition(weights)
+    shifts = [abs(class_shift(r, part)) for r in net.reactions]
+    assume(max(shifts) > 0)
+    hi = draw(st.integers(2 * max(shifts) + 2, 60))
+    return net, part, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_networks(), st.sampled_from(("upper", "lower")),
+       st.sampled_from((0.0, 1.0, 4.0, 16.0)))
+def test_row_ends_give_the_full_pass_bytes(case, direction, rate):
+    net, part, hi = case
+    assert network_module._rows_affine(net, hi)
+    _same_f(*_both_paths(lambda: compute_f(net, part, direction, hi)))
+    # a chain of one rate at every offset, against the same f-table pass
+    J = j_max(net, part)
+    L = hi + J
+    exact = {k: np.where(np.arange(L + 1) + k >= 0, rate, 0.0)
+             for k in range(-J, J + 1) if k}
+    cand = BoundingChain(direction, J, L, L, exact, {}, part.weights)
+    fast, full = _both_paths(lambda: verify_assumptions(net, part, cand, hi))
+    assert fast == full
+
+
+@pytest.mark.parametrize("run_states", [7, 64, None])
+def test_row_end_fault_names_the_full_pass_state(monkeypatch, part211,
+                                                 run_states):
+    # X1 is born at 40.5 - X2 - 0.75 X3, which is 9.75 - t / 4 along the row
+    # (0, t, 41 - t): first negative in class 41, at t = 40 and t = 41, so
+    # the first bad state is inside the row, one before its end (0, 41, 0)
+    doc = copy.deepcopy(NETWORK_DOC)
+    doc["reactions"][0]["propensity"] = [
+        {"coeff": 40.5}, {"coeff": -1.0, "factors": [{"species": "X2"}]},
+        {"coeff": -0.75, "factors": [{"species": "X3"}]}]
+    net = network_from_dict(doc)
+    assert network_module._rows_affine(net, 100)
+    if run_states is not None:
+        monkeypatch.setattr(network_module, "RUN_STATES", run_states)
+    want = "negative propensity -0.25 for reaction 0 at (0, 40, 1)"
+    for direction in ("upper", "lower"):
+        assert _both_paths(lambda: compute_f(net, part211, direction,
+                                             100)) == (want, want)
+
+
+def test_rows_affine_holds_where_rates_are_exact_and_affine(network):
+    # the example network's only squared species is X1, a head species,
+    # and its coefficients are multiples of 1/2
+    assert network_module._rows_affine(network, 3000)
+    assert not network_module._rows_affine(network_from_dict(INF_DOC), 30)
+    assert not network_module._rows_affine(
+        network_from_dict(LEAKY_NETWORK_DOC), 40)  # a face on X3
+
+    def edited(factors=None, coeff=1.0):
+        doc = copy.deepcopy(NETWORK_DOC)
+        doc["reactions"][0]["propensity"].append(
+            {"coeff": coeff, "factors": factors or []})
+        return network_from_dict(doc)
+
+    X2, X3 = {"species": "X2"}, {"species": "X3"}
+    assert network_module._rows_affine(edited([X3]), 3000)
+    assert not network_module._rows_affine(edited([X2, X3]), 40)
+    assert not network_module._rows_affine(edited(
+        [{"species": "X3", "exponent": 2, "kind": "falling-factorial"}]), 40)
+    assert not network_module._rows_affine(edited(coeff=0.1), 40)
+    # a zero coefficient adds no rate, whatever its factors
+    assert network_module._rows_affine(edited([X2, X3], coeff=0.0), 3000)
+    # the exactness bound, with 2^k = 2: 2 (H + H + 2.5 + 2.5 H^2 + 2 H^2
+    # + 2.5 H + 2.5 H + 3 H) = 9 H^2 + 20 H + 5 must stay below 2^53
+    H = max(h for h in range(31_630_000, 31_640_000)
+            if 9 * h * h + 20 * h + 5 < 2 ** 53)
+    assert network_module._rows_affine(network, H)
+    assert not network_module._rows_affine(network, H + 1)
+
+
+@pytest.mark.parametrize("weights", [(2, 1, 1), (2, 2, 5), (1, 1, 1)])
+def test_row_end_path_evaluates_two_states_per_row(monkeypatch, network,
+                                                   weights):
+    # a row is the states of a class with the same head counts
+    part = ClassPartition(weights)
+    ends = sum(min(2, n) for ell in range(61)
+               for n in collections.Counter(
+                   map(tuple, enumerate_class(ell, part)[:, :-2])).values())
+    evaluated = []
+    block = ReactionNetwork._rate_block
+
+    def spy(self, states):
+        evaluated.append(np.shape(states)[1])
+        return block(self, states)
+
+    monkeypatch.setattr(ReactionNetwork, "_rate_block", spy)
+    compute_f(network, part, "upper", 60)
+    assert sum(evaluated) == ends < sum(
+        len(enumerate_class(ell, part)) for ell in range(61))

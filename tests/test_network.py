@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from boundchain import (ClassPartition, Factor, PropensityPolynomial,
                         Reaction, ResourceLimitError, Term, ValidationError,
-                        aggregate_rate, class_of, class_shift, class_size,
+                        class_of, class_shift, class_size,
                         compute_f, enumerate_class, j_max, load_network,
                         network_from_dict, network_generator,
                         validate_network)
@@ -412,12 +412,6 @@ def test_class_shift_and_j_max(network, part211, part225, part111):
     assert j_max(network, part111) == 1
 
 
-def test_aggregate_rate(network, part211):
-    # mass moving up at least 5 classes vs into [0, 2] from state (1,1,1)
-    assert aggregate_rate((1, 1, 1), (5, np.inf), network, part211) == 4.5
-    assert aggregate_rate((1, 1, 1), (0, 2), network, part211) == 4.5
-
-
 # a death reaction with constant rate: it fires at x = 0 and leaves the
 # orthant
 LEAKY_DOC = {
@@ -547,6 +541,5 @@ def test_validate_network_flags_an_infinite_propensity():
 
 def test_structural_zero_term():
     poly = PropensityPolynomial([Term(0.0, (Factor(0),))])
-    assert poly.is_structurally_zero()
     rx = Reaction((1,), poly)
     assert rx.propensity.evaluate((5,)) == 0.0
