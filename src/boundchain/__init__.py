@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (ConsistencyError, InfeasibleError, ResourceLimitError,
                      StabilizationError, ToolError, ValidationError)
 from .network import (ClassPartition, Factor, PropensityPolynomial, Reaction,
-                      ReactionNetwork, Term, class_of,
+                      ReactionNetwork, Term,
                       class_size, class_shift, enumerate_class, j_max,
                       load_network, network_from_dict, validate_network)
 from .transport import TransportError, pi, pi_bar
@@ -24,15 +24,14 @@ from .classifier import (Attestation, ChainClass, DriftStats, XBehavior,
                          check_irreducible, classify, combine, drift_stats)
 from .simulate import (ExitEstimate, Trajectory, estimate_exit, make_rng,
                        ssa, wilson_interval)
-from .coupling import (CoupledSimulator, CoupledTrajectory, coupled_ssa,
-                       coupling_row)
+from .coupling import CoupledSimulator, CoupledTrajectory, coupled_ssa
 
 __all__ = [
     "__version__",
     "ToolError", "ValidationError", "ResourceLimitError", "InfeasibleError",
     "StabilizationError", "ConsistencyError", "TransportError",
     "ReactionNetwork", "Reaction", "PropensityPolynomial", "Term", "Factor",
-    "ClassPartition", "class_of", "class_size", "class_shift",
+    "ClassPartition", "class_size", "class_shift",
     "enumerate_class", "j_max", "load_network",
     "network_from_dict", "validate_network",
     "pi", "pi_bar",
@@ -44,11 +43,11 @@ __all__ = [
     "classify", "combine", "check_irreducible",
     "TruncatedCME", "TruncationCertificate", "chain_generator",
     "network_generator", "solve_cme", "solve_chain_cme", "solve_network_cme",
-    "delta_p0", "exit_flux", "truncation_certificate", "certificate_table",
+    "delta_p0", "truncation_certificate", "certificate_table",
     "min_truncation", "cdf_dominance",
     "Trajectory", "ExitEstimate", "ssa", "estimate_exit", "wilson_interval",
     "make_rng",
-    "CoupledSimulator", "CoupledTrajectory", "coupled_ssa", "coupling_row",
+    "CoupledSimulator", "CoupledTrajectory", "coupled_ssa",
 ]
 
 

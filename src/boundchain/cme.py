@@ -366,25 +366,6 @@ def _initial_tail(cme: TruncatedCME) -> np.ndarray:
     return np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])
 
 
-def exit_flux(cme: TruncatedCME, N: int):
-    """Outflow rate from classes <= N, and its time integral over [0, T_f].
-
-    The flux at time t is the sum over states of class <= N of p(t) times
-    the rate into states of class > N; its integral is the same sum over
-    the occupation time z, short of the true one by at most the solver term.
-    """
-    M = int(cme.classes.max())
-    if not 0 <= N <= M:
-        raise ValidationError(f"need 0 <= N <= M, got N={N}, M={M}")
-    u = cme.crossing_rates[N]
-
-    def flux(t):
-        vals = (u @ cme.p(t))[0]
-        return float(vals) if np.ndim(t) == 0 else vals
-
-    return flux, float((u @ cme.occupation)[0])
-
-
 @dataclass
 class TruncationCertificate:
     N: int

@@ -13,9 +13,12 @@ restored.  Every built row is checked against both marginals.
 
 A row is built on Python floats over the supports of the two sides: at
 most a handful of classes and 2*j_max + 1 levels, however far apart the
-class and the level are.  The plan's nonzero entries come from the walk
-behind ``pi_bar``, and every sum is taken in the order the dense array
-computation used, so the rows are bit-identical to it.
+class and the level are.  The network side (propensities, q_x, the rate
+and destination of each move) is computed once per state and cached, as
+the rows are per (state, level) pair.  The plan's nonzero entries come
+from the walk behind ``pi_bar``, its two totals are taken in numpy's
+pairwise order on Python floats, and every other sum in the order the
+dense array computation used, so the rows are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -33,21 +36,13 @@ import numpy as np
 from .chain import BoundingChain
 from .errors import ConsistencyError, ValidationError
 from .network import (ClassPartition, ReactionNetwork, _check_dims,
-                      check_propensities, class_of)
+                      check_propensities)
 from .simulate import check_t_final, make_rng
-from .transport import TransportError, _walk
+from .transport import TransportError, _pairwise_sum, _walk
 
 ROW_CACHE = 100_000
 JUMP_CAP = 10_000_000  # jumps of one coupled path, which then ends as "cap"
 MARGINAL_RTOL = 1e-10
-
-
-def _total(entries, width: int) -> float:
-    """numpy's sum of the ``width``-long row with these (index, mass) entries."""
-    row = np.zeros(width)
-    for k, m in entries:
-        row[k] = m
-    return float(row.sum())
 
 
 @dataclass
@@ -97,11 +92,16 @@ class CoupledSimulator:
         # (np.sum would group the terms differently)
         self._exit = np.cumsum(band, axis=1)[:, -1].tolist()
         self._band = band.tolist()
-        # the cache reaches the simulator through a weak proxy: a bound
+        # the caches reach the simulator through a weak proxy: a bound
         # method would close a reference cycle that keeps every cached row
-        # alive after the simulator is dropped, until the cyclic GC runs
+        # alive after the simulator is dropped, until the cyclic GC runs;
+        # the rows are cached per (state, level), their network side per
+        # state
+        proxy = weakref.proxy(self)
         self._row = lru_cache(maxsize=ROW_CACHE)(
-            partial(CoupledSimulator._build_row, weakref.proxy(self)))
+            partial(CoupledSimulator._build_row, proxy))
+        self._state = lru_cache(maxsize=ROW_CACHE)(
+            partial(CoupledSimulator._network_side, proxy))
 
     def row(self, x, ell: int) -> CouplingRow:
         """Joint row at (x, ell); the ROW_CACHE most recently used are kept."""
@@ -113,16 +113,12 @@ class CoupledSimulator:
         info = self._row.cache_info()
         return {"rows_built": info.misses, "row_hits": info.hits}
 
-    def _build_row(self, state: tuple, ell: int) -> CouplingRow:
-        w = self.partition.weights
-        if len(state) != len(w) or min(state) < 0:
-            class_of(state, self.partition)  # raises, naming the fault
-        c = sum(map(mul, w, state))
-        if not 0 <= ell <= self.chain.l_total:
-            raise ValidationError(
-                f"level {ell} outside the chain's range [0, {self.chain.l_total}]")
-        source = (state, ell)
-        # network side: propensities at x, then the self-loop at mass q_y
+    def _network_side(self, state: tuple):
+        """Class, total propensity q_x, rate and destination of each move.
+
+        The self-loop's rate holds only the zero-change reactions; a row
+        adds its chain side's exit rate q_y to it.
+        """
         x = [float(v) for v in state]
         flow = [add_to(0.0, x) for add_to in self._add_to]
         if self.network._faces or not all(0.0 <= f < inf for f in flow):
@@ -130,14 +126,26 @@ class CoupledSimulator:
         q_x = 0.0
         for f in flow:  # one reaction at a time, in order
             q_x += f
+        rate = [0.0] * len(self._moves)
+        for g, f in zip(self._group, flow):
+            rate[g] += f
+        dests = tuple(tuple(map(add, state, m)) for m in self._moves)
+        return (sum(map(mul, self.partition.weights, state)), q_x,
+                tuple(rate), dests)
+
+    def _build_row(self, state: tuple, ell: int) -> CouplingRow:
+        if len(state) != len(self.partition.weights) or min(state) < 0:
+            self.partition.class_of(state)  # raises, naming the fault
+        _check_level(self.chain, ell)
+        source = (state, ell)
+        c, q_x, rate, dests = self._state(state)
         q_y = self._exit[ell]
         M = q_x + q_y
         if M <= 0.0:
             return CouplingRow(source=source, pairs=[], rates=np.zeros(0),
                                exit_rate=0.0, M=0.0)
-        rate = [0.0] * len(self._moves)
-        for g, f in zip(self._group, flow):
-            rate[g] += f
+        # network side: the state's rates, the self-loop's at mass q_y more
+        rate = list(rate)
         rate[self._self] += q_y
         live = [g for g, r in enumerate(rate) if r > 0.0]
         cls = {g: c + self._shift[g] for g in live}
@@ -150,15 +158,16 @@ class CoupledSimulator:
         lo = min(min(cls.values()), levels[0][0], ell)
         hi = max(max(cls.values()), levels[-1][0], ell)
         b = [(m - lo, r) for m, r in levels]
-        if (c <= ell) if self.upper else (c >= ell):
+        ordered = (c <= ell) if self.upper else (c >= ell)
+        if ordered:
             a = {}
             for g in self._by_reaction:
                 if g in cls:
                     a[cls[g] - lo] = a.get(cls[g] - lo, 0.0) + rate[g]
             a_sparse = sorted(a.items())
             width = hi - lo + 1
-            total_a = _total(a_sparse, width)
-            total_b = _total(b, width)
+            total_a = _pairwise_sum(a_sparse, width)
+            total_b = _pairwise_sum(b, width)
             try:
                 entries = (
                     _walk(a_sparse, b, total_a, total_b, width) if self.upper
@@ -173,40 +182,42 @@ class CoupledSimulator:
             plan = {}
             for k, j, v in entries:
                 plan.setdefault(k, []).append((j, v))
-            joint = []
-            for g in live:
-                share = rate[g] / a[cls[g] - lo]
-                joint.append([(j, share * v)
-                              for j, v in plan.get(cls[g] - lo, ())])
-        else:
-            joint = [[(j, rate[g] * r / M) for j, r in b] for g in live]
-        dests = [tuple(map(add, state, self._moves[g])) for g in live]
+        # one pass over each move's joint entries (its rate share of its
+        # class's plan row, or the product coupling's row) checks both
+        # marginals and collects the pairs; the source pair is the
+        # diagonal self-loop, not a jump
         tol = MARGINAL_RTOL * max(1.0, M)
         net_bad = []
         col = {}
-        for g, dest, entries in zip(live, dests, joint):
+        pairs = []
+        rates = []
+        self_mass = 0.0
+        for g in live:
+            r_g = rate[g]
+            if ordered:
+                share = r_g / a[cls[g] - lo]
+                row = plan.get(cls[g] - lo, ())
+            else:
+                row = b
+            dest = dests[g]
+            diag = ell - lo if g == self._self else -1
             total = 0.0
-            for j, v in entries:
+            for j, v in row:
+                v = share * v if ordered else r_g * v / M
                 total += v
                 col[j] = col.get(j, 0.0) + v
-            if abs(total - rate[g]) > tol:
+                if j == diag:
+                    self_mass = v
+                elif v != 0.0:
+                    pairs.append((dest, lo + j))
+                    rates.append(v)
+            if abs(total - r_g) > tol:
                 net_bad.append(dest)
         chain_bad = [lo + j for j, r in b if abs(col.get(j, 0.0) - r) > tol]
         if net_bad or chain_bad:
             raise ConsistencyError(
                 f"joint row at {source} breaks its marginals at network "
                 f"states {net_bad} and chain levels {chain_bad}")
-        # the source pair is the diagonal self-loop, not a jump
-        pairs = []
-        rates = []
-        self_mass = 0.0
-        for g, dest, entries in zip(live, dests, joint):
-            for j, v in entries:
-                if g == self._self and j == ell - lo:
-                    self_mass = v
-                elif v != 0.0:
-                    pairs.append((dest, lo + j))
-                    rates.append(v)
         return CouplingRow(source=source, pairs=pairs,
                            rates=np.array(rates, dtype=float),
                            exit_rate=M - self_mass, M=M)
@@ -221,11 +232,10 @@ class CoupledSimulator:
         return net, cha
 
 
-def coupling_row(i, ell: int, network: ReactionNetwork,
-                 partition: ClassPartition,
-                 chain: BoundingChain) -> CouplingRow:
-    """One joint transition row; convenience over a throwaway simulator."""
-    return CoupledSimulator(network, partition, chain).row(i, ell)
+def _check_level(chain: BoundingChain, ell: int) -> None:
+    if not 0 <= ell <= chain.l_total:
+        raise ValidationError(
+            f"level {ell} outside the chain's range [0, {chain.l_total}]")
 
 
 @dataclass
@@ -263,7 +273,8 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
     rng = make_rng(seed)
     x = tuple(int(v) for v in x0)
     y = int(y0)
-    c = class_of(x, partition)
+    _check_level(chain, y)
+    c = partition.class_of(x)
     w = partition.weights
     if sim.upper and c > y:
         raise ValidationError(f"start is not ordered: class {c} > level {y}")

@@ -274,10 +274,6 @@ class ClassPartition:
         return int(np.dot(self.weights, x))
 
 
-def class_of(state, partition: ClassPartition) -> int:
-    return partition.class_of(state)
-
-
 def _class_sizes(weights: tuple[int, ...]):
     """Yield the sizes of classes 0, 1, 2, ... under ``weights``, as Python
     ints, which do not overflow.

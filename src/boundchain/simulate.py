@@ -19,7 +19,7 @@ import numpy as np
 from .chain import BoundingChain
 from .errors import ValidationError
 from .network import (ClassPartition, ReactionNetwork, _check_dims,
-                      check_propensities, class_of)
+                      check_propensities)
 
 DEFAULT_JUMP_CAP = 100_000_000  # jumps (sweeps) of one lockstep path
 Z_95 = 1.959963984540054
@@ -246,7 +246,7 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
     if samples < 1:
         raise ValidationError("need at least one sample")
     x0 = np.asarray(x0, dtype=np.int64)
-    if class_of(x0, partition) > N:
+    if partition.class_of(x0) > N:
         return ExitEstimate(exits=samples, samples=samples, estimate=1.0,
                             lo=1.0, hi=1.0, seed=seed, t_final=t_final, N=N)
     end, jumps, sweeps = _lockstep(

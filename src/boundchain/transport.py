@@ -9,14 +9,17 @@ Pi-bar is the north-west-corner rule: row k is nonzero only on the slots of
 b that the prefix masses A_{k-1} and A_k fall between.  One private walk
 yields just those entries, on Python floats, from the nonzero entries of a
 and b.  ``pi_bar`` fills its dense plan from it and the coupling row builder
-reads it directly; the running sums are taken in np.cumsum's order and the
-totals are numpy's sums, so both give the floats of the dense formula.
+reads it directly.  The running sums are taken in np.cumsum's order and the
+totals in numpy's pairwise order: ``pi_bar`` takes numpy's own sums of its
+arrays, and the row builder ``_pairwise_sum`` of its sparse entries on
+Python floats.  Both therefore give the floats of the dense formula.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from math import inf
 
 import numpy as np
 
@@ -75,6 +78,43 @@ def pi_bar(a, b) -> np.ndarray:
     return plan
 
 
+def _pairwise_sum(entries, n: int) -> float:
+    """numpy's sum of the ``n``-slot row holding these entries.
+
+    ``entries`` lists the row's nonzero (index, value) pairs in index order;
+    every other slot is zero.  numpy adds a float64 row pairwise: under 8
+    slots one at a time, up to 128 in 8 interleaved lanes combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the slots
+    past the last multiple of 8, and above 128 as two halves split at a
+    multiple of 8.  A zero slot leaves every partial sum as it is, so only
+    the entries are added, on Python floats, in that order.
+    """
+    if n > 128:
+        mid = n // 2 - n // 2 % 8
+        i = bisect_left(entries, (mid,))
+        return (_pairwise_sum(entries[:i], mid)
+                + _pairwise_sum([(k - mid, m) for k, m in entries[i:]],
+                                n - mid))
+    if n < 8:
+        total = 0.0
+        for _, m in entries:
+            total += m
+        return total
+    lane = [0.0] * 8
+    end = n - n % 8
+    tail = len(entries)
+    for i, (k, m) in enumerate(entries):
+        if k >= end:
+            tail = i
+            break
+        lane[k % 8] += m
+    r0, r1, r2, r3, r4, r5, r6, r7 = lane
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for _, m in entries[tail:]:
+        total += m
+    return total
+
+
 def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
     """Nonzero entries (k, j, value) of Pi-bar[a, b], row by row.
 
@@ -98,37 +138,71 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
     # running sums in index order, as np.cumsum adds them
     cum_a = list(accumulate(m for _, m in a))
     cum_b = list(accumulate(m for _, m in b))
-    # the prefixes change only at a nonzero entry, so compare them there
-    at_a = dict(zip((k for k, _ in a), cum_a))
-    at_b = dict(zip((k for k, _ in b), cum_b))
+    # the prefixes change only at a nonzero entry: merge the two supports
+    # and compare them at each index below n where either changes
+    nb = len(b)
+    i = 0
     ca = cb = 0.0
-    for k in sorted(at_a.keys() | at_b.keys()):
+    for (k, _), A in zip(a, cum_a):
         if k >= n:
             break
-        ca = at_a.get(k, ca)
-        cb = at_b.get(k, cb)
+        while i < nb and b[i][0] <= k:
+            j = b[i][0]
+            cb = cum_b[i]
+            i += 1
+            if j < k and ca < cb - tol:
+                _undominated(j, ca, cb)
+        ca = A
         if ca < cb - tol:
-            raise TransportError(
-                f"prefix domination fails at index {k}: "
-                f"a[0:{k}] = {ca} < b[0:{k}] = {cb}",
-                index=k,
-            )
+            _undominated(k, ca, cb)
+    for (j, _), cb in zip(b[i:], cum_b[i:]):
+        if j >= n:
+            break
+        if ca < cb - tol:
+            _undominated(j, ca, cb)
     before = [0.0] + cum_b[:-1]
     # slot j can only take mass m when P_j < m <= P_j + b_j; a tiny negative
-    # b_j breaks the order of P, so bisect its running bounds instead
+    # b_j breaks the order of P, so the slots of a row run from the first
+    # whose running bound reach (max of P_i + b_i, i <= j) is at least the
+    # lower mass to the first whose floor (min of P_i, i >= j) is at least
+    # the upper one.  Both bounds are sorted and the masses rise with A, so
+    # two pointers only move forward; a tiny negative a_k can lower A, and
+    # then they are bisected back
     reach = list(accumulate(cum_b, max))
     floor = list(accumulate(reversed(before), min))[::-1]
     B = total_b
     noise = 1e-15 * scale
     out = []
     m0 = 0.0 if 0.0 <= B else B
+    first = last = 0
+    lo = hi = -inf
     for (k, _), A in zip(a, cum_a):
         m1 = A if A <= B else B
-        lo, hi = (m0, m1) if m0 <= m1 else (m1, m0)
-        for i in range(bisect_left(reach, lo), bisect_left(floor, hi)):
+        if m0 <= m1:
+            low, high = m0, m1
+        else:
+            low, high = m1, m0
+        if low < lo:
+            first = bisect_left(reach, low)
+        else:
+            while first < nb and reach[first] < low:
+                first += 1
+        if high < hi:
+            last = bisect_left(floor, high)
+        else:
+            while last < nb and floor[last] < high:
+                last += 1
+        lo, hi = low, high
+        for i in range(first, last):
             p = before[i]
             j, bj = b[i]
-            value = min(max(m1 - p, 0.0), bj) - min(max(m0 - p, 0.0), bj)
+            # min(max(m - p, 0.0), bj) for m = m1 and m0, without the calls
+            hi_fill = m1 - p
+            hi_fill = 0.0 if hi_fill < 0.0 else hi_fill
+            lo_fill = m0 - p
+            lo_fill = 0.0 if lo_fill < 0.0 else lo_fill
+            value = ((bj if bj < hi_fill else hi_fill)
+                     - (bj if bj < lo_fill else lo_fill))
             # greedy differences can leave -1e-17 noise; genuine negatives
             # cannot occur
             if value >= noise:
@@ -138,3 +212,10 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
         m0 = m1
     return out
 
+
+def _undominated(k: int, ca: float, cb: float):
+    raise TransportError(
+        f"prefix domination fails at index {k}: "
+        f"a[0:{k}] = {ca} < b[0:{k}] = {cb}",
+        index=k,
+    )

@@ -13,7 +13,8 @@ import pytest
 
 from boundchain import (BoundingChain, ClassPartition, certificate_table,
                         class_size, delta_p0, solve_chain_cme)
-from boundchain.cli import GRID_CAP, main, parse_grid, parse_ints, parse_p0
+from boundchain.cli import (GRID_CAP, build_parser, main, parse_grid,
+                            parse_ints, parse_p0)
 from boundchain.errors import ResourceLimitError, ValidationError
 from conftest import INF_DOC, LEAKY_NETWORK_DOC, NAN_DOC
 
@@ -528,6 +529,44 @@ def test_couple_cli(tmp_path, chain_csv):
                2 * int(r["x1"]) + int(r["x2"]) + int(r["x3"]) for r in rows)
     man = json.loads((tmp_path / "paths.csv.manifest.json").read_text())
     assert man["seeds"] == [0, 1, 2]
+
+
+def test_couple_rejects_a_start_level_beyond_the_chain(tmp_path, chain_csv,
+                                                       upper211, capsys):
+    # a level past l_total is one the chain does not define: exit 2 with
+    # the row builder's message and no CSV, not one-row paths ended "band"
+    out = tmp_path / "paths.csv"
+    argv = ["couple", "--network", NET, "--chain", chain_csv, "--x0",
+            "15,5,5", "--tf", "20", "--seeds", "2", "--out", str(out)]
+    assert main(argv + ["--y0", "4000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: level 4000 outside the chain's range [0, 3000]\n")
+    assert not out.exists()
+    # a start above l_total - j_max but on the chain still ends as "band"
+    top = upper211.l_total
+    for y0 in (top - upper211.j_max + 1, top):
+        assert main(argv + ["--y0", str(y0)]) == 0
+        capsys.readouterr()
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["t"], int(r["y"])) for r in rows] == [("0.0", y0)] * 2
+        man = json.loads((tmp_path / "paths.csv.manifest.json").read_text())
+        assert man["counters"]["band_exits"] == 2
+
+
+def test_the_parser_is_built_once(tmp_path, capsys):
+    # main reuses one parser; each call still parses only its own argv
+    assert build_parser() is build_parser()
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--network", NET, "--x0", "3,2,1", "--tf",
+                 "0.5", "--seed", "3", "--out", str(out)]) == 0
+    with pytest.raises(SystemExit):
+        main(["simulate", "--network", NET, "--tf", "0.5"])
+    assert "--x0" in capsys.readouterr().err
+    assert main(["simulate", "--network", NET, "--x0", "3,2,1", "--tf",
+                 "0.5", "--out", str(tmp_path / "seed0.csv")]) == 0
+    man = json.loads((tmp_path / "seed0.csv.manifest.json").read_text())
+    assert man["config"]["seed"] == 0
 
 
 def test_couple_needs_a_chain(tmp_path, capsys):

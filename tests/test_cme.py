@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from boundchain import cme as cme_module
 from boundchain import (BoundingChain, InfeasibleError, TailModel,
                         ValidationError, cdf_dominance, certificate_table,
-                        chain_generator, delta_p0, exit_flux, min_truncation,
+                        chain_generator, delta_p0, min_truncation,
                         network_from_dict, network_generator, solve_chain_cme,
                         solve_cme, solve_network_cme, truncation_certificate)
 from conftest import NETWORK_DOC
@@ -138,15 +138,8 @@ def test_certificate_table_matches_single_solves():
         assert parts["initial_tail"][N] == pytest.approx(single.initial_tail)
     # above the starting class, a larger window never certifies worse
     assert np.all(np.diff(np.minimum(bounds, 1.0)[30:]) <= 1e-9)
-    flux_fn, F = exit_flux(cme, 60)
-    assert F == 0.0 and flux_fn(1.0) == 0.0
-
-
-def test_exit_flux_rejects_windows_outside_the_box():
-    cme = solve_chain_cme(mm1(1.5, 2.0), 60, delta_p0(60, 30), t_final=2.0)
-    for N in (-1, 61):
-        with pytest.raises(ValidationError, match="0 <= N <= M"):
-            exit_flux(cme, N)
+    # no class lies above the box, so nothing flows out of the top window
+    assert parts["flux"][60] == 0.0
 
 
 def test_min_truncation():
@@ -416,7 +409,6 @@ def test_certificate_table_equals_single_certificates(upper211, M, t_final,
     for N in range(M + 1):
         single = truncation_certificate(chain, p0, N, M, t_final, cme=cme)
         assert abs(bounds[N] - single.bound) <= 1e-12
-        assert single.flux == exit_flux(cme, N)[1]
         assert single.solver_term == cme.solver_term
 
 

@@ -10,9 +10,8 @@ import pytest
 
 from boundchain import (BoundingChain, ClassPartition, CoupledSimulator,
                         TransportError, ValidationError, build_bounding_chain,
-                        coupled_ssa, coupling_row, network_from_dict)
+                        coupled_ssa, network_from_dict)
 from boundchain import coupling
-from boundchain.network import class_of
 from conftest import LEAKY_NETWORK_DOC, NETWORK_DOC
 from test_transport import pi_bar_broadcast
 
@@ -67,7 +66,7 @@ def test_marginals_lower(network, part225, lower225):
 
 
 def test_origin_row_moves_in_lockstep(network, part211, upper211):
-    row = coupling_row((0, 0, 0), 0, network, part211, upper211)
+    row = CoupledSimulator(network, part211, upper211).row((0, 0, 0), 0)
     assert row.source == ((0, 0, 0), 0)
     assert row.pairs == [((1, 0, 0), 2)]
     assert row.rates == pytest.approx([2.5])
@@ -154,7 +153,7 @@ def test_coupled_start_anywhere_ordered(network, part211, upper211):
     traj = coupled_ssa(network, part211, upper211, (0, 0, 0), 0,
                        t_final=1.0, seed=2)
     assert traj.ordered_throughout(part211, upper=True)
-    x0class = class_of(np.array([0, 0, 0]), part211)
+    x0class = part211.class_of(np.array([0, 0, 0]))
     assert traj.levels[0] == 0 and x0class == 0
 
 
@@ -282,8 +281,8 @@ def test_disordered_rows_are_unchanged(request, network, chain_name,
     upper = chain.direction == "upper"
     pairs = [(x, ell) for x in itertools.product(range(0, 9, 2), repeat=3)
              for ell in range(0, 40, 3)
-             if (class_of(x, part) > ell if upper
-                 else class_of(x, part) < ell)]
+             if (part.class_of(x) > ell if upper
+                 else part.class_of(x) < ell)]
     assert len(pairs) == count
     assert row_digest(CoupledSimulator(network, part, chain), pairs) == digest
 
@@ -297,7 +296,7 @@ def dense_row(sim, band, state, ell):
     """
     network, chain = sim.network, sim.chain
     x = np.asarray(state, dtype=np.int64)
-    c = class_of(x, sim.partition)
+    c = sim.partition.class_of(x)
     nu = network.change_matrix().reshape(-1, network.d)
     moves, first, group = np.unique(
         np.vstack([nu, np.zeros((1, network.d), dtype=np.int64)]),
@@ -368,7 +367,7 @@ def test_rows_match_the_dense_construction(weights, direction):
     for x, gap in zip(rng.integers(0, 30, size=(500, 3)).tolist(),
                       rng.integers(-20, 140, size=500).tolist()):
         # gaps up to 140 classes: past 128 entries numpy adds in halves
-        ell = max(0, class_of(x, part) + sign * gap)
+        ell = max(0, part.class_of(x) + sign * gap)
         row = sim.row(x, ell)
         pairs, rates, exit_rate, M = dense_row(sim, band, tuple(x), ell)
         assert row.pairs == pairs, (x, ell)
@@ -377,6 +376,31 @@ def test_rows_match_the_dense_construction(weights, direction):
                                                      repr(M))
         ordered += gap >= 0
     assert 300 < ordered < 480
+
+
+def test_propensities_are_evaluated_once_per_state(network, part211,
+                                                  upper211):
+    # rows are cached per (state, level) pair and their network side per
+    # state: criterion 5's 2,423 pairs cost one evaluation per reaction at
+    # each distinct state, not one per row
+    sim = CoupledSimulator(network, part211, upper211)
+    calls = []
+
+    def spy(add_to):
+        def counted(total, x):
+            calls.append(tuple(x))
+            return add_to(total, x)
+        return counted
+
+    sim._add_to = [spy(add_to) for add_to in sim._add_to]
+    visited = visited_pairs(network, part211, upper211, sim, range(10), 20.0)
+    for x, ell in visited:
+        sim.row(x, ell)
+    states = {x for x, _ in visited}
+    assert len(visited) == 2423
+    assert len(network.reactions) == 6 and len(states) < 2423 // 4
+    assert len(calls) == 6 * len(states)
+    assert set(calls) == {tuple(map(float, x)) for x in states}
 
 
 def test_row_counters(network, part211, upper211):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from boundchain import (ClassPartition, Factor, PropensityPolynomial,
                         Reaction, ResourceLimitError, Term, ValidationError,
-                        class_of, class_shift, class_size,
+                        class_shift, class_size,
                         compute_f, enumerate_class, j_max, load_network,
                         network_from_dict, network_generator,
                         validate_network)
@@ -203,9 +203,9 @@ def test_partition_validation():
     with pytest.raises(ValidationError):
         ClassPartition(())
     p = ClassPartition((2, 1, 1))
-    assert class_of((1, 2, 3), p) == 7
+    assert p.class_of((1, 2, 3)) == 7
     with pytest.raises(ValidationError):
-        class_of((1, -1, 0), p)
+        p.class_of((1, -1, 0))
 
 
 @settings(max_examples=60, deadline=None)

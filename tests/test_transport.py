@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boundchain import TransportError, ValidationError, pi, pi_bar
+from boundchain.transport import _pairwise_sum
 
 mass_seq = st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1,
                     max_size=8)
@@ -249,3 +250,31 @@ def test_pi_bar_matches_broadcast_fill_bit_for_bit(pair):
     # byte equality covers the sign of every zero
     assert outcome(pi_bar, a, b) == outcome(pi_bar_broadcast, a, b)
     assert outcome(pi_bar, b, a) == outcome(pi_bar_broadcast, b, a)
+
+
+@st.composite
+def sparse_rows(draw):
+    """(entries, width): a row of 1 to 400 slots, up to 60 of them nonzero.
+
+    The widths cover numpy's three summation cases: under 8 slots, 8 to
+    128, and above 128, where it splits the row in halves.
+    """
+    width = draw(st.one_of(st.integers(1, 7), st.integers(8, 128),
+                           st.integers(129, 400)))
+    slots = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1,
+                                max_size=min(width, 60))))
+    values = draw(st.lists(mass, min_size=len(slots), max_size=len(slots)))
+    return list(zip(slots, values)), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=sparse_rows())
+@example(row=([(k, 0.1) for k in range(7)], 7))
+@example(row=([(k, 1 / 3) for k in range(0, 128, 3)], 128))
+@example(row=([(0, 2.3), (127, 0.1), (128, 1 / 3)], 129))
+@example(row=([(k, 2.3) for k in range(0, 400, 7)], 400))
+def test_pairwise_sum_is_numpys_sum_of_the_dense_row(row):
+    entries, width = row
+    dense = np.zeros(width)
+    dense[[k for k, _ in entries]] = [m for _, m in entries]
+    assert _pairwise_sum(entries, width).hex() == float(dense.sum()).hex()
