@@ -350,6 +350,11 @@ def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
     start = L - width
     if start < 0:
         raise ValidationError("exact horizon too short for the tail window")
+    if (chain.weights and partition is not None
+            and tuple(partition.weights) != chain.weights):
+        raise ValidationError(
+            f"partition weights {tuple(partition.weights)} differ from the "
+            f"chain's {chain.weights}")
     weights = chain.weights if chain.weights else (partition.weights if partition else (1,))
     periods = _divisors(math.lcm(*weights))
     rates = chain.band(L)

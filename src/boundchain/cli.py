@@ -334,8 +334,7 @@ def cmd_truncate(args) -> int:
         N = min_truncation(chain, p0, args.M, args.tf, args.epsilon, cme=cme)
     else:
         raise ValidationError("give either --N or --epsilon")
-    cert = truncation_certificate(chain, p0, N, args.M, args.tf,
-                                  budget=args.budget, cme=cme)
+    cert = truncation_certificate(chain, p0, N, args.M, args.tf, cme=cme)
     doc = {
         "N": cert.N, "M": cert.M, "t_final": cert.t_final,
         "mass_deficit": cert.mass_deficit, "initial_tail": cert.initial_tail,

@@ -385,25 +385,27 @@ class TruncationCertificate:
                 f"{self.solver_term:.3g})")
 
 
-def _window_solve(chain, p0, M, t_final, budget, cme):
-    """The [0, M] solve to t_final: ``cme`` if given (it must be that
-    solve), else a new one."""
+def _window_solve(chain, p0, M, t_final, cme):
+    """The [0, M] solve from p0 to t_final: ``cme`` if given (it must be
+    that solve, and its budget is used), else a new one at DEFAULT_BUDGET."""
     if cme is None:
-        return solve_chain_cme(chain, M, p0, t_final, budget=budget)
+        return solve_chain_cme(chain, M, p0, t_final)
     if M != cme.classes.max() or t_final != cme.t_final:
         raise ValidationError(
             f"the given solve is the box [0, {int(cme.classes.max())}] to "
             f"t={cme.t_final}, not [0, {M}] to t={t_final}")
+    if not np.array_equal(np.asarray(p0, dtype=float), cme.p0):
+        raise ValidationError("the given solve starts from another p0")
     return cme
 
 
 def truncation_certificate(chain: BoundingChain, p0, N: int, M: int,
-                           t_final: float, budget: float = DEFAULT_BUDGET,
+                           t_final: float,
                            cme: TruncatedCME | None = None) -> TruncationCertificate:
     """Exit-probability bound for the window [0, N] inside the [0, M] solve."""
     if not 0 <= N <= M:
         raise ValidationError(f"need 0 <= N <= M, got N={N}, M={M}")
-    cme = _window_solve(chain, p0, M, t_final, budget, cme)
+    cme = _window_solve(chain, p0, M, t_final, cme)
     bounds, parts = certificate_table(cme)
     bound = float(bounds[N])
     return TruncationCertificate(
@@ -437,8 +439,7 @@ def certificate_table(cme: TruncatedCME):
 
 
 def min_truncation(chain: BoundingChain, p0, M: int, t_final: float,
-                   epsilon: float, budget: float = DEFAULT_BUDGET,
-                   cme: TruncatedCME | None = None) -> int:
+                   epsilon: float, cme: TruncatedCME | None = None) -> int:
     """Smallest N in [0, M] with E_T(N) < epsilon.
 
     Precondition: the whole-box mass deficit (plus the solver term) must
@@ -447,7 +448,7 @@ def min_truncation(chain: BoundingChain, p0, M: int, t_final: float,
     """
     if not 0 < epsilon:
         raise ValidationError("epsilon must be positive")
-    cme = _window_solve(chain, p0, M, t_final, budget, cme)
+    cme = _window_solve(chain, p0, M, t_final, cme)
     deficit = max(0.0, 1.0 - cme.mass(t_final)) + cme.solver_term
     if deficit >= epsilon:
         raise InfeasibleError(

@@ -49,7 +49,7 @@ MARGINAL_RTOL = 1e-10
 class CouplingRow:
     source: tuple
     pairs: list  # [(state tuple, chain level), ...]
-    rates: np.ndarray
+    rates: list
     exit_rate: float
     M: float
     cum: list | None = None  # running sums of rates, in order
@@ -57,7 +57,7 @@ class CouplingRow:
     def sample(self, u: float):
         """Destination for u uniform on [0, exit_rate)."""
         if self.cum is None:
-            self.cum = list(accumulate(self.rates.tolist()))
+            self.cum = list(accumulate(self.rates))
         return self.pairs[min(bisect_right(self.cum, u), len(self.pairs) - 1)]
 
 
@@ -142,7 +142,7 @@ class CoupledSimulator:
         q_y = self._exit[ell]
         M = q_x + q_y
         if M <= 0.0:
-            return CouplingRow(source=source, pairs=[], rates=np.zeros(0),
+            return CouplingRow(source=source, pairs=[], rates=[],
                                exit_rate=0.0, M=0.0)
         # network side: the state's rates, the self-loop's at mass q_y more
         rate = list(rate)
@@ -218,8 +218,7 @@ class CoupledSimulator:
             raise ConsistencyError(
                 f"joint row at {source} breaks its marginals at network "
                 f"states {net_bad} and chain levels {chain_bad}")
-        return CouplingRow(source=source, pairs=pairs,
-                           rates=np.array(rates, dtype=float),
+        return CouplingRow(source=source, pairs=pairs, rates=rates,
                            exit_rate=M - self_mass, M=M)
 
     def marginals(self, row: CouplingRow):
@@ -266,10 +265,15 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
     after every jump; a violation is a construction bug and raises.  If the
     chain level runs past the band where the chain is defined the path is
     cut short with reason "band", and one still running after JUMP_CAP
-    jumps with reason "cap".
+    jumps with reason "cap".  A given ``simulator`` must have been built
+    for this network, partition and chain.
     """
     check_t_final(t_final)
     sim = simulator or CoupledSimulator(network, partition, chain)
+    if (sim.network is not network or sim.chain is not chain
+            or sim.partition != partition):
+        raise ValidationError(
+            "the simulator was built for another network, partition or chain")
     rng = make_rng(seed)
     x = tuple(int(v) for v in x0)
     y = int(y0)

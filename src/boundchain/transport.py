@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from math import inf
 
 import numpy as np
 
@@ -165,35 +164,22 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
     # b_j breaks the order of P, so the slots of a row run from the first
     # whose running bound reach (max of P_i + b_i, i <= j) is at least the
     # lower mass to the first whose floor (min of P_i, i >= j) is at least
-    # the upper one.  Both bounds are sorted and the masses rise with A, so
-    # two pointers only move forward; a tiny negative a_k can lower A, and
-    # then they are bisected back
+    # the upper one.  Both bounds are sorted, so one bisection on each finds
+    # a row's slots, also where a tiny negative a_k has lowered A below an
+    # earlier row's masses
     reach = list(accumulate(cum_b, max))
     floor = list(accumulate(reversed(before), min))[::-1]
     B = total_b
     noise = 1e-15 * scale
     out = []
     m0 = 0.0 if 0.0 <= B else B
-    first = last = 0
-    lo = hi = -inf
     for (k, _), A in zip(a, cum_a):
         m1 = A if A <= B else B
         if m0 <= m1:
             low, high = m0, m1
         else:
             low, high = m1, m0
-        if low < lo:
-            first = bisect_left(reach, low)
-        else:
-            while first < nb and reach[first] < low:
-                first += 1
-        if high < hi:
-            last = bisect_left(floor, high)
-        else:
-            while last < nb and floor[last] < high:
-                last += 1
-        lo, hi = low, high
-        for i in range(first, last):
+        for i in range(bisect_left(reach, low), bisect_left(floor, high)):
             p = before[i]
             j, bj = b[i]
             # min(max(m - p, 0.0), bj) for m = m1 and m0, without the calls

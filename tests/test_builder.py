@@ -18,7 +18,7 @@ from boundchain import (BoundingChain, ClassPartition, ResourceLimitError,
                         StabilizationError, TailModel, ValidationError,
                         build_bounding_chain, check_optimality,
                         check_u_membership, class_shift, compute_f,
-                        enumerate_class, j_max, optimal_U, phi,
+                        detect_tails, enumerate_class, j_max, optimal_U, phi,
                         network_from_dict, phi_inverse, verify_assumptions)
 from boundchain import network as network_module
 from boundchain.builder import FTable, UTable, build_counters
@@ -462,6 +462,13 @@ def test_tail_matches_held_out_window(network, part211, part225):
             for k in long.offsets:
                 assert short.rate(ell, k) == pytest.approx(
                     long.rate(ell, k), rel=1e-10, abs=1e-10)
+
+
+def test_detect_tails_rejects_other_partition_weights(upper211, part211,
+                                                     part225):
+    assert detect_tails(upper211, part211) == upper211.tails
+    with pytest.raises(ValidationError, match=r"\(2, 2, 5\) differ"):
+        detect_tails(upper211, part225)
 
 
 def test_stabilization_reports_degree(network, part111):

@@ -168,8 +168,14 @@ def test_given_solve_must_match_the_window():
                                    cme=cme)
         with pytest.raises(ValidationError, match=r"box \[0, 60\] to t=2\.0"):
             min_truncation(chain, delta_p0(M, 10), M, t_final, 1e-2, cme=cme)
+    # a solve from another initial law
+    with pytest.raises(ValidationError, match="another p0"):
+        truncation_certificate(chain, delta_p0(60, 20), 30, 60, 2.0, cme=cme)
+    with pytest.raises(ValidationError, match="another p0"):
+        min_truncation(chain, delta_p0(60, 20), 60, 2.0, 1e-2, cme=cme)
     # the matching window passes, given as ints or floats
     assert truncation_certificate(chain, p0, 30, 60, 2, cme=cme).M == 60
+    assert min_truncation(chain, list(p0), 60, 2, 1e-2, cme=cme) > 10
 
 def test_min_truncation_box_too_small():
     leaky = mm1(5.0, 0.05, l_exact=20, l_total=20)

@@ -134,6 +134,22 @@ def test_chain_weights_must_match(network, part225, upper211):
         CoupledSimulator(network, part225, upper211)
 
 
+def test_coupled_ssa_rejects_a_simulator_built_for_other_inputs(
+        network, part211, part225, upper211, lower225):
+    sim = CoupledSimulator(network, part211, upper211)
+    twin = network_from_dict(NETWORK_DOC)
+    # another network object, partition or chain: the rows would come from
+    # the simulator and the labels, band and start check from the arguments
+    for args in ((twin, part211, upper211), (network, part225, upper211),
+                 (network, part211, lower225)):
+        with pytest.raises(ValidationError, match="simulator was built"):
+            coupled_ssa(*args, (3, 2, 1), 12, t_final=1.0, simulator=sim)
+    # an equal partition built apart is the same partition
+    traj = coupled_ssa(network, ClassPartition((2, 1, 1)), upper211,
+                       (3, 2, 1), 12, t_final=1.0, simulator=sim)
+    assert traj.ordered_throughout(part211, upper=True)
+
+
 def test_explosive_chain_runs_off_the_band(network, part111, naive111):
     # the quadratic up-drift pushes the level past the modeled range fast
     sim = CoupledSimulator(network, part111, naive111)
@@ -371,7 +387,7 @@ def test_rows_match_the_dense_construction(weights, direction):
         row = sim.row(x, ell)
         pairs, rates, exit_rate, M = dense_row(sim, band, tuple(x), ell)
         assert row.pairs == pairs, (x, ell)
-        assert row.rates.tobytes() == rates.tobytes(), (x, ell)
+        assert np.array(row.rates).tobytes() == rates.tobytes(), (x, ell)
         assert (repr(row.exit_rate), repr(row.M)) == (repr(exit_rate),
                                                      repr(M))
         ordered += gap >= 0

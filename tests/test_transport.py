@@ -252,6 +252,31 @@ def test_pi_bar_matches_broadcast_fill_bit_for_bit(pair):
     assert outcome(pi_bar, b, a) == outcome(pi_bar_broadcast, b, a)
 
 
+# a tiny negative a_k (inside the nonnegativity slack) lowers the running
+# prefix below an earlier one, so a row's lower mass falls below the
+# previous row's
+FALLING_PREFIX = [
+    ([0.5, 1e-16, -5e-16, 0.5], [0.5, 0.0, 0.0, 0.5]),
+    ([0.5, -5e-16, -5e-16, 0.5], [0.5, 0.0, 0.0, 0.5]),
+    ([1.0, 1e-16, -1e-15, 0.0, 1.0], [0.5, 0.5, 0.0, 0.0, 1.0]),
+    ([0.3, 0.3, 2e-16, -1e-15, 0.4], [0.1, 0.2, 0.3, 0.0, 0.4]),
+    ([1 / 3, 1 / 3, -5e-16, -5e-16, 1 / 3], [1 / 3, 1 / 3, 0.0, 0.0, 1 / 3]),
+    ([0.1, 0.2, 3e-16, -1e-15, 0.7], [0.1, 0.2, 0.0, 0.0, 0.7]),
+]
+
+
+@pytest.mark.parametrize("a, b", FALLING_PREFIX)
+def test_pi_bar_with_a_falling_prefix_matches_broadcast_fill(a, b):
+    k = np.flatnonzero(a)
+    mass = np.minimum(np.concatenate(([0.0], np.cumsum(a))),
+                      float(np.sum(b)))
+    low = np.minimum(mass[k], mass[k + 1])
+    assert (np.diff(low) < 0).any()
+    plan = outcome(pi_bar, a, b)
+    assert plan[0] == (len(a), len(b))
+    assert plan == outcome(pi_bar_broadcast, a, b)
+
+
 @st.composite
 def sparse_rows(draw):
     """(entries, width): a row of 1 to 400 slots, up to 60 of them nonzero.
