@@ -11,14 +11,18 @@ rate share; the plan is triangular, so an ordered pair stays ordered after
 every jump.  A disordered pair moves by the product coupling until order is
 restored.  Every built row is checked against both marginals.
 
-A row is built on Python floats over the supports of the two sides: at
-most a handful of classes and 2*j_max + 1 levels, however far apart the
-class and the level are.  The network side (propensities, q_x, the rate
-and destination of each move) is computed once per state and cached, as
-the rows are per (state, level) pair.  The plan's nonzero entries come
-from the walk behind ``pi_bar``, its two totals are taken in numpy's
-pairwise order on Python floats, and every other sum in the order the
-dense array computation used, so the rows are bit-identical to it.
+A row is built in one pass on Python floats over the supports of the two
+sides: at most a handful of classes and 2*j_max + 1 levels, however far
+apart the class and the level are.  The network side (propensities, q_x,
+the rate and destination of each move) is computed once per state and
+cached, as the rows are per (state, level) pair.  The moves are grouped by
+the class shift they make once per simulator, so a row adds up its class
+masses in class order without sorting them.  The walk behind ``pi_bar``
+hands back the plan's rows, which the moves read directly; the plan's two
+totals are taken in numpy's pairwise order on Python floats, and every
+other sum in the order the dense array computation used, so the rows are
+bit-identical to it.  A row keeps the running sums of its rates, which
+sampling bisects.
 """
 
 from __future__ import annotations
@@ -52,12 +56,10 @@ class CouplingRow:
     rates: list
     exit_rate: float
     M: float
-    cum: list | None = None  # running sums of rates, in order
+    cum: list  # running sums of rates, in order
 
     def sample(self, u: float):
         """Destination for u uniform on [0, exit_rate)."""
-        if self.cum is None:
-            self.cum = list(accumulate(self.rates))
         return self.pairs[min(bisect_right(self.cum, u), len(self.pairs) - 1)]
 
 
@@ -82,10 +84,18 @@ class CoupledSimulator:
         self._moves = [tuple(m) for m in moves.tolist()]
         self._group = group.reshape(-1).tolist()
         self._self = self._group.pop()
-        # class masses add up in reaction order, the self-loop last
-        self._by_reaction = np.argsort(first).tolist()
         self._shift = (moves @ np.asarray(partition.weights,
                                           dtype=np.int64)).tolist()
+        # the moves grouped by class shift, in shift order: a class's mass
+        # adds its moves' rates in reaction order, the self-loop last
+        by_shift = {}
+        for g in np.argsort(first).tolist():
+            by_shift.setdefault(self._shift[g], []).append(g)
+        self._classes = sorted(by_shift.items())
+        self._class_of = [0] * len(moves)
+        for i, (_, members) in enumerate(self._classes):
+            for g in members:
+                self._class_of[g] = i
         self._add_to = [r.propensity._add_to for r in network.reactions]
         band = chain.band(chain.l_total)
         # exit rate per level, added one offset at a time in offset order
@@ -136,90 +146,104 @@ class CoupledSimulator:
     def _build_row(self, state: tuple, ell: int) -> CouplingRow:
         if len(state) != len(self.partition.weights) or min(state) < 0:
             self.partition.class_of(state)  # raises, naming the fault
-        _check_level(self.chain, ell)
+        chain = self.chain
+        _check_level(chain, ell)
         source = (state, ell)
         c, q_x, rate, dests = self._state(state)
         q_y = self._exit[ell]
         M = q_x + q_y
         if M <= 0.0:
             return CouplingRow(source=source, pairs=[], rates=[],
-                               exit_rate=0.0, M=0.0)
-        # network side: the state's rates, the self-loop's at mass q_y more
+                               exit_rate=0.0, M=0.0, cum=[])
+        # network side: the state's rates, the self-loop's at mass q_y more,
+        # and each class's mass in class order (every rate is >= 0, so the
+        # zero rates of idle moves add nothing)
+        me = self._self
         rate = list(rate)
-        rate[self._self] += q_y
-        live = [g for g, r in enumerate(rate) if r > 0.0]
-        cls = {g: c + self._shift[g] for g in live}
+        rate[me] += q_y
+        masses = []
+        a = []
+        for shift, members in self._classes:
+            m = 0.0
+            for g in members:
+                m += rate[g]
+            masses.append(m)
+            if m > 0.0:
+                a.append((c + shift, m))
         # chain side: the band row at ell, the self-loop at mass q_x in its
         # k = 0 slot; both sides index the classes lo..hi from 0
-        J = self.chain.j_max
+        J = chain.j_max
         band = list(self._band[ell])
         band[J] = q_x
         levels = [(ell - J + k, r) for k, r in enumerate(band) if r != 0.0]
-        lo = min(min(cls.values()), levels[0][0], ell)
-        hi = max(max(cls.values()), levels[-1][0], ell)
+        lo = min(a[0][0], levels[0][0], ell)
+        hi = max(a[-1][0], levels[-1][0], ell)
         b = [(m - lo, r) for m, r in levels]
-        ordered = (c <= ell) if self.upper else (c >= ell)
+        upper = self.upper
+        ordered = (c <= ell) if upper else (c >= ell)
         if ordered:
-            a = {}
-            for g in self._by_reaction:
-                if g in cls:
-                    a[cls[g] - lo] = a.get(cls[g] - lo, 0.0) + rate[g]
-            a_sparse = sorted(a.items())
+            a = [(k - lo, m) for k, m in a]
             width = hi - lo + 1
-            total_a = _pairwise_sum(a_sparse, width)
+            total_a = _pairwise_sum(a, width)
             total_b = _pairwise_sum(b, width)
             try:
-                entries = (
-                    _walk(a_sparse, b, total_a, total_b, width) if self.upper
-                    else [(k, j, v) for j, k, v in
-                          _walk(b, a_sparse, total_b, total_a, width)])
+                if upper:
+                    plan = _walk(a, b, total_a, total_b, width)
+                else:
+                    # the lower plan is Pi-bar[b, a] transposed
+                    plan = {k: [] for k, _ in a}
+                    for j, row in _walk(b, a, total_b, total_a,
+                                        width).items():
+                        for k, v in row:
+                            plan[k].append((j, v))
             except TransportError as exc:
                 if exc.index is None:
                     raise
                 raise TransportError(
                     f"no order-preserving coupling at {source}, class "
                     f"{lo + exc.index}: {exc}", index=lo + exc.index) from exc
-            plan = {}
-            for k, j, v in entries:
-                plan.setdefault(k, []).append((j, v))
         # one pass over each move's joint entries (its rate share of its
         # class's plan row, or the product coupling's row) checks both
         # marginals and collects the pairs; the source pair is the
         # diagonal self-loop, not a jump
         tol = MARGINAL_RTOL * max(1.0, M)
         net_bad = []
-        col = {}
+        col = {j: 0.0 for j, _ in b}
         pairs = []
         rates = []
         self_mass = 0.0
-        for g in live:
-            r_g = rate[g]
+        diag = ell - lo
+        shift = self._shift
+        class_of = self._class_of
+        for g, r_g in enumerate(rate):
+            if not r_g > 0.0:
+                continue
+            dest = dests[g]
+            total = 0.0
             if ordered:
-                share = r_g / a[cls[g] - lo]
-                row = plan.get(cls[g] - lo, ())
+                share = r_g / masses[class_of[g]]
+                row = plan[c + shift[g] - lo]
             else:
                 row = b
-            dest = dests[g]
-            diag = ell - lo if g == self._self else -1
-            total = 0.0
             for j, v in row:
                 v = share * v if ordered else r_g * v / M
                 total += v
-                col[j] = col.get(j, 0.0) + v
-                if j == diag:
+                col[j] += v
+                if j == diag and g == me:
                     self_mass = v
                 elif v != 0.0:
                     pairs.append((dest, lo + j))
                     rates.append(v)
             if abs(total - r_g) > tol:
                 net_bad.append(dest)
-        chain_bad = [lo + j for j, r in b if abs(col.get(j, 0.0) - r) > tol]
+        chain_bad = [lo + j for j, r in b if abs(col[j] - r) > tol]
         if net_bad or chain_bad:
             raise ConsistencyError(
                 f"joint row at {source} breaks its marginals at network "
                 f"states {net_bad} and chain levels {chain_bad}")
         return CouplingRow(source=source, pairs=pairs, rates=rates,
-                           exit_rate=M - self_mass, M=M)
+                           exit_rate=M - self_mass, M=M,
+                           cum=list(accumulate(rates)))
 
     def marginals(self, row: CouplingRow):
         """Reconstructed (network, chain) marginal rates of a joint row."""
@@ -289,25 +313,33 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
     xs = [x]
     ys = [y]
     reason = "horizon"
+    # looked up once: the last level whose band row lies inside the chain,
+    # the row cache and the two draws
+    top = chain.l_total - chain.j_max
+    upper = sim.upper
+    row_at = sim._row
+    exponential = rng.standard_exponential
+    uniform = rng.random
     for _ in range(JUMP_CAP):
-        if y > chain.l_total - chain.j_max:
+        if y > top:
             reason = "band"
             break
-        row = sim._row(x, y)
-        if row.exit_rate <= 0.0:
+        row = row_at(x, y)
+        rate = row.exit_rate
+        if rate <= 0.0:
             reason = "absorbed"
             break
         # the same draws and products as exponential(1 / rate) and
         # uniform(0, rate), at a third of their call cost; the row's
         # propensity check keeps the rate finite
-        dt = rng.standard_exponential() * (1.0 / row.exit_rate)
+        dt = exponential() * (1.0 / rate)
         if t + dt > t_final:
             reason = "horizon"
             break
         t += dt
-        x, y = row.sample(rng.random() * row.exit_rate)
+        x, y = row.sample(uniform() * rate)
         c = sum(map(mul, w, x))
-        if (sim.upper and c > y) or (not sim.upper and c < y):
+        if (c > y) if upper else (c < y):
             raise ConsistencyError(
                 f"order broke at t={t}: class {c} vs level {y} "
                 f"(seed {seed})"

@@ -7,9 +7,9 @@ the prefixes of a dominate the prefixes of b.
 
 Pi-bar is the north-west-corner rule: row k is nonzero only on the slots of
 b that the prefix masses A_{k-1} and A_k fall between.  One private walk
-yields just those entries, on Python floats, from the nonzero entries of a
-and b.  ``pi_bar`` fills its dense plan from it and the coupling row builder
-reads it directly.  The running sums are taken in np.cumsum's order and the
+finds just those entries, on Python floats, from the nonzero entries of a
+and b, and hands them back grouped by row.  ``pi_bar`` fills its dense plan
+from them and the coupling row builder reads its plan rows directly.  The running sums are taken in np.cumsum's order and the
 totals in numpy's pairwise order: ``pi_bar`` takes numpy's own sums of its
 arrays, and the row builder ``_pairwise_sum`` of its sparse entries on
 Python floats.  Both therefore give the floats of the dense formula.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,18 +59,21 @@ def pi_bar(a, b) -> np.ndarray:
     Requires equal totals and prefix domination a_{0:k} >= b_{0:k}; both are
     checked with relative slack ``RTOL``.  Row k of the result is
     Pi[a_{0:k}, b] - Pi[a_{0:k-1}, b]; only its nonzero entries are
-    computed.  Under domination the plan is zero strictly below the
-    diagonal, which is what the coupling construction needs; a violated
-    prefix therefore doubles as a runtime check that the candidate chain
-    really bounds the network.
+    computed.  With nonnegative masses, domination makes the plan zero
+    strictly below the diagonal, which is what the coupling construction
+    needs; a violated prefix therefore doubles as a runtime check that the
+    candidate chain really bounds the network.  Masses down to -1e-15 are
+    accepted as rounding noise, but can leave entries of about 1e-15 below
+    the diagonal.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ia = np.flatnonzero(a)
     ib = np.flatnonzero(b)
-    entries = _walk(list(zip(ia.tolist(), a[ia].tolist())),
-                    list(zip(ib.tolist(), b[ib].tolist())),
-                    float(a.sum()), float(b.sum()), min(len(a), len(b)))
+    rows = _walk(list(zip(ia.tolist(), a[ia].tolist())),
+                 list(zip(ib.tolist(), b[ib].tolist())),
+                 float(a.sum()), float(b.sum()), min(len(a), len(b)))
+    entries = [(k, j, value) for k, row in rows.items() for j, value in row]
     plan = np.zeros((len(a), len(b)))
     if entries:
         k, j, value = zip(*entries)
@@ -114,19 +118,21 @@ def _pairwise_sum(entries, n: int) -> float:
     return total
 
 
-def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
-    """Nonzero entries (k, j, value) of Pi-bar[a, b], row by row.
+def _walk(a, b, total_a: float, total_b: float, n: int) -> dict:
+    """Nonzero entries of Pi-bar[a, b], grouped by row: {k: [(j, value)]}.
 
     ``a`` and ``b`` list the nonzero (index, mass) pairs of two sequences in
     index order, ``total_a`` and ``total_b`` are numpy's sums of the whole
-    sequences and ``n`` is the shorter length.  With A and P the running
-    sums of a and b, B = total_b and P_j the mass before slot j, entry
-    (k, j) is clip(min(A_k, B) - P_j, 0, b_j) - clip(min(A_{k-1}, B) - P_j,
-    0, b_j), the dense formula; every slot outside the stretch that A_{k-1}
-    and A_k fall in gives b_j - b_j or 0 - 0, exactly zero, and is skipped.
+    sequences and ``n`` is the shorter length.  Each index k of ``a`` gets
+    its row, its entries in index order.  With A and P the running sums of
+    a and b, B = total_b and P_j the mass before slot j, entry (k, j) is
+    clip(min(A_k, B) - P_j, 0, b_j) - clip(min(A_{k-1}, B) - P_j, 0, b_j),
+    the dense formula; every slot outside the stretch that A_{k-1} and A_k
+    fall in gives b_j - b_j or 0 - 0, exactly zero, and is skipped.
     """
+    sorted_b = all(m >= 0.0 for _, m in b)
     if (any(not m >= -1e-15 for _, m in a)
-            or any(not m >= -1e-15 for _, m in b)):
+            or not sorted_b and any(not m >= -1e-15 for _, m in b)):
         raise ValidationError("mass sequences must be nonnegative")
     scale = max(1.0, total_a, total_b)
     tol = RTOL * scale
@@ -135,8 +141,8 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
             f"total masses differ: {total_a} vs {total_b}", index=None
         )
     # running sums in index order, as np.cumsum adds them
-    cum_a = list(accumulate(m for _, m in a))
-    cum_b = list(accumulate(m for _, m in b))
+    cum_a = list(accumulate(map(itemgetter(1), a)))
+    cum_b = list(accumulate(map(itemgetter(1), b)))
     # the prefixes change only at a nonzero entry: merge the two supports
     # and compare them at each index below n where either changes
     nb = len(b)
@@ -160,18 +166,22 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
         if ca < cb - tol:
             _undominated(j, ca, cb)
     before = [0.0] + cum_b[:-1]
-    # slot j can only take mass m when P_j < m <= P_j + b_j; a tiny negative
-    # b_j breaks the order of P, so the slots of a row run from the first
-    # whose running bound reach (max of P_i + b_i, i <= j) is at least the
-    # lower mass to the first whose floor (min of P_i, i >= j) is at least
-    # the upper one.  Both bounds are sorted, so one bisection on each finds
-    # a row's slots, also where a tiny negative a_k has lowered A below an
-    # earlier row's masses
-    reach = list(accumulate(cum_b, max))
-    floor = list(accumulate(reversed(before), min))[::-1]
+    # slot j can only take mass m when P_j < m <= P_j + b_j, so the slots of
+    # a row run from the first whose running bound reach (max of P_i + b_i,
+    # i <= j) is at least the lower mass to the first whose floor (min of
+    # P_i, i >= j) is at least the upper one.  Both bounds are sorted, so
+    # one bisection on each finds a row's slots, also where a tiny negative
+    # a_k has lowered A below an earlier row's masses.  With every b_j >= 0
+    # the running sums are sorted themselves and are the two bounds; a tiny
+    # negative b_j breaks their order, and the bounds are then built
+    if sorted_b:
+        reach, floor = cum_b, before
+    else:
+        reach = list(accumulate(cum_b, max))
+        floor = list(accumulate(reversed(before), min))[::-1]
     B = total_b
     noise = 1e-15 * scale
-    out = []
+    out = {}
     m0 = 0.0 if 0.0 <= B else B
     for (k, _), A in zip(a, cum_a):
         m1 = A if A <= B else B
@@ -179,6 +189,7 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
             low, high = m0, m1
         else:
             low, high = m1, m0
+        out[k] = row = []
         for i in range(bisect_left(reach, low), bisect_left(floor, high)):
             p = before[i]
             j, bj = b[i]
@@ -192,7 +203,7 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> list:
             # greedy differences can leave -1e-17 noise; genuine negatives
             # cannot occur
             if value >= noise:
-                out.append((k, j, value))
+                row.append((j, value))
             elif value <= -noise:
                 raise TransportError("plan has a negative entry", index=None)
         m0 = m1

@@ -15,7 +15,9 @@ from boundchain import (BoundingChain, ClassPartition, certificate_table,
                         class_size, delta_p0, solve_chain_cme)
 from boundchain.cli import (GRID_CAP, build_parser, main, parse_grid,
                             parse_ints, parse_p0)
-from boundchain.errors import ResourceLimitError, ValidationError
+from boundchain import coupling
+from boundchain.errors import (ConsistencyError, ResourceLimitError,
+                               ValidationError)
 from conftest import INF_DOC, LEAKY_NETWORK_DOC, NAN_DOC
 
 NET = str(Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -567,6 +569,23 @@ def test_the_parser_is_built_once(tmp_path, capsys):
                  "0.5", "--out", str(tmp_path / "seed0.csv")]) == 0
     man = json.loads((tmp_path / "seed0.csv.manifest.json").read_text())
     assert man["config"]["seed"] == 0
+
+
+def test_couple_stops_at_a_row_that_breaks_its_marginals(
+        tmp_path, chain_csv, capsys, monkeypatch):
+    # a failed marginal check is an inconsistency: exit 4 with the row's
+    # message, and neither the CSV nor its manifest is written
+    monkeypatch.setattr(coupling, "MARGINAL_RTOL", -1.0)
+    out = tmp_path / "paths.csv"
+    assert main(["couple", "--network", NET, "--chain", chain_csv, "--x0",
+                 "3,2,1", "--y0", "12", "--tf", "1", "--seeds", "2",
+                 "--out", str(out)]) == ConsistencyError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "inconsistency: joint row at ((3, 2, 1), 12) breaks its marginals "
+        "at network states [("), err
+    assert not out.exists()
+    assert not (tmp_path / "paths.csv.manifest.json").exists()
 
 
 def test_couple_needs_a_chain(tmp_path, capsys):

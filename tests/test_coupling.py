@@ -12,6 +12,7 @@ from boundchain import (BoundingChain, ClassPartition, CoupledSimulator,
                         TransportError, ValidationError, build_bounding_chain,
                         coupled_ssa, network_from_dict)
 from boundchain import coupling
+from boundchain.errors import ConsistencyError
 from conftest import LEAKY_NETWORK_DOC, NETWORK_DOC
 from test_transport import pi_bar_broadcast
 
@@ -444,21 +445,60 @@ def test_row_rejects_a_jump_out_of_the_orthant(part211, upper211):
         sim.row((3, 2, 0), 12)
 
 
-def test_undominated_chain_raises_transport_error(network, part211,
-                                                  upper211):
-    # with its up-rates halved the chain no longer bounds the network, and
-    # the first row that needs the missing up-mass must refuse to couple
+def halved(chain, side):
+    """``chain`` with the rates of its offsets k > 0 (side 1) or k < 0
+    (side -1) halved."""
     def halve(tm):
         return replace(tm, intercepts=tuple(0.5 * v for v in tm.intercepts),
                        slope=0.5 * tm.slope, c2=0.5 * tm.c2, c3=0.5 * tm.c3)
 
-    chain = BoundingChain(
-        "upper", upper211.j_max, upper211.l_exact, upper211.l_total,
-        {k: 0.5 * v if k > 0 else v for k, v in upper211.exact.items()},
-        {k: halve(tm) if k > 0 else tm for k, tm in upper211.tails.items()},
-        weights=upper211.weights)
+    return BoundingChain(
+        chain.direction, chain.j_max, chain.l_exact, chain.l_total,
+        {k: 0.5 * v if k * side > 0 else v for k, v in chain.exact.items()},
+        {k: halve(tm) if k * side > 0 else tm
+         for k, tm in chain.tails.items()},
+        weights=chain.weights)
+
+
+def test_undominated_chain_raises_transport_error(network, part211,
+                                                  upper211):
+    # with its up-rates halved the chain no longer bounds the network, and
+    # the first row that needs the missing up-mass must refuse to couple
+    chain = halved(upper211, 1)
     with pytest.raises(TransportError) as err:
         coupled_ssa(network, part211, chain, (15, 5, 5), 40, 20.0, seed=0)
     k = err.value.index
     assert isinstance(k, int) and 0 <= k <= upper211.l_total
     assert f"class {k}" in str(err.value)
+
+
+def test_undominated_lower_chain_raises_transport_error(network, part225,
+                                                        lower225):
+    # with its down-rates halved the lower chain no longer bounds the
+    # network from below; lower rows take the walk with the two sides
+    # swapped, so the failing index must still be re-mapped to a class
+    chain = halved(lower225, -1)
+    with pytest.raises(TransportError) as err:
+        coupled_ssa(network, part225, chain, (3, 2, 1), 3, 3.0, seed=0)
+    k = err.value.index
+    assert isinstance(k, int) and 0 <= k <= lower225.l_total
+    assert f"class {k}" in str(err.value)
+
+
+@pytest.mark.parametrize("x, ell", [((3, 2, 1), 9), ((6, 6, 6), 12)],
+                         ids=["ordered", "disordered"])
+def test_a_row_that_breaks_its_marginals_raises(monkeypatch, network,
+                                                part211, upper211, x, ell):
+    # the runtime marginal check: under a negative tolerance every move
+    # and every level of the row misses its marginal, and the error names
+    # them all, the source state and level among them
+    sim = CoupledSimulator(network, part211, upper211)
+    net, cha = sim.marginals(sim.row(x, ell))
+    states = sorted(set(net) | {x})
+    levels = sorted(set(cha) | {ell})
+    monkeypatch.setattr(coupling, "MARGINAL_RTOL", -1.0)
+    sim = CoupledSimulator(network, part211, upper211)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"joint row at {(x, ell)} breaks its marginals at network "
+            f"states {states} and chain levels {levels}")):
+        sim.row(x, ell)
