@@ -9,10 +9,11 @@ Pi-bar is the north-west-corner rule: row k is nonzero only on the slots of
 b that the prefix masses A_{k-1} and A_k fall between.  One private walk
 finds just those entries, on Python floats, from the nonzero entries of a
 and b, and hands them back grouped by row.  ``pi_bar`` fills its dense plan
-from them and the coupling row builder reads its plan rows directly.  The running sums are taken in np.cumsum's order and the
-totals in numpy's pairwise order: ``pi_bar`` takes numpy's own sums of its
-arrays, and the row builder ``_pairwise_sum`` of its sparse entries on
-Python floats.  Both therefore give the floats of the dense formula.
+from them and the coupling row builder reads its plan rows directly.  The
+running sums are taken in np.cumsum's order and the totals in numpy's
+pairwise order: ``pi_bar`` takes numpy's own sums of its arrays, and the
+row builder ``_pairwise_sum`` of its sparse entries on Python floats.  Both
+therefore give the floats of the dense formula.
 """
 
 from __future__ import annotations
