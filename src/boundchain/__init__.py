@@ -14,7 +14,7 @@ from .errors import (ConsistencyError, InfeasibleError, ResourceLimitError,
 from .network import (ClassPartition, Factor, PropensityPolynomial, Reaction,
                       ReactionNetwork, Term,
                       class_size, class_shift, enumerate_class, j_max,
-                      load_network, network_from_dict, validate_network)
+                      load_network, network_from_dict)
 from .transport import TransportError, pi, pi_bar
 from .chain import BoundingChain, TailModel
 from .builder import (build_bounding_chain, check_optimality,
@@ -33,7 +33,7 @@ __all__ = [
     "ReactionNetwork", "Reaction", "PropensityPolynomial", "Term", "Factor",
     "ClassPartition", "class_size", "class_shift",
     "enumerate_class", "j_max", "load_network",
-    "network_from_dict", "validate_network",
+    "network_from_dict",
     "pi", "pi_bar",
     "BoundingChain", "TailModel",
     "build_bounding_chain", "compute_f", "optimal_U", "check_u_membership",

@@ -56,23 +56,6 @@ class FTable:
     plus: np.ndarray
     empty: np.ndarray
 
-    def f_minus(self, ell: int, m: int) -> float:
-        """f at (ell, m) for m < ell; zero beyond the band."""
-        j = ell - m
-        if j <= 0 or m < 0:
-            raise ValidationError(f"f_minus needs 0 <= m < ell, got ({ell}, {m})")
-        if j > self.j_max:
-            return 0.0
-        return float(self.minus[j, ell])
-
-    def f_plus(self, ell: int, m: int) -> float:
-        j = m - ell
-        if j <= 0:
-            raise ValidationError(f"f_plus needs m > ell, got ({ell}, {m})")
-        if j > self.j_max:
-            return 0.0
-        return float(self.plus[j, ell])
-
 
 def _masks(network: ReactionNetwork, partition: ClassPartition, J: int):
     """Reactions in the prefix (shift <= -j) and tail (shift >= j) masses."""

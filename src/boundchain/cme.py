@@ -43,6 +43,7 @@ from .chain import BoundingChain
 from .errors import InfeasibleError, ResourceLimitError, ValidationError
 from .network import (ClassPartition, ReactionNetwork, check_propensities,
                       class_rates)
+from .simulate import check_t_final
 
 DEFAULT_BUDGET = 1e-8
 MULTI_STATE_CAP = 1_000_000
@@ -316,8 +317,7 @@ def solve_cme(Q: sp.spmatrix, p0, t_final: float,
     if (not np.isfinite(p0).all() or abs(p0.sum() - 1.0) > 1e-9
             or (p0 < 0).any()):
         raise ValidationError("p0 must be a probability vector")
-    if not (np.isfinite(t_final) and t_final >= 0):
-        raise ValidationError(f"t_final must be finite and >= 0, got {t_final}")
+    check_t_final(t_final)
     if not (np.isfinite(budget) and budget > 0):
         raise ValidationError(f"budget must be finite and > 0, got {budget}")
     Q = sp.csr_matrix(Q, dtype=float)

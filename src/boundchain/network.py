@@ -37,7 +37,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,14 +100,6 @@ class PropensityPolynomial:
         """Value at one state, on Python floats."""
         return self._add_to(0.0, [float(v) for v in state])
 
-    def evaluate_many(self, states) -> np.ndarray:
-        """Vectorized evaluation on an (n, d) array of states."""
-        X = np.asarray(states, dtype=float)
-        # an overflow is inf or NaN in the result, which the propensity
-        # checks report; numpy's warnings would only precede that error
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._add_to(np.zeros(X.shape[0]), X.T)
-
     def _add_to(self, out, counts):
         """``out`` plus the value on per-species ``counts``: floats, with
         ``out`` a float, or float columns, with ``out`` an array.
@@ -169,11 +161,14 @@ class ReactionNetwork:
 
         The block behind ``rates``, the class passes and the SSA kernel:
         the states become per-species float columns once, and row i is
-        reaction i's ``evaluate_many``, bit for bit.
+        reaction i's ``_add_to`` on them, the floats ``evaluate`` gives at
+        each state, bit for bit.
         """
         cols = np.ascontiguousarray(states, dtype=float)
         out = np.zeros((len(self.reactions), cols.shape[1]))
-        with np.errstate(over="ignore", invalid="ignore"):  # as evaluate_many
+        # an overflow is inf or NaN in the block, which the propensity
+        # checks report; numpy's warnings would only precede that error
+        with np.errstate(over="ignore", invalid="ignore"):
             for row, r in zip(out, self.reactions):
                 r.propensity._add_to(row, cols)
         return out
@@ -582,61 +577,3 @@ def j_max(network: ReactionNetwork, partition: ClassPartition) -> int:
     if j == 0:
         raise ValidationError("no reaction changes the class; band width is zero")
     return j
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def summary(self) -> str:
-        if self.ok:
-            return "network valid"
-        lines = [f"{len(self.violations)} violation(s):"]
-        lines += [f"  - {v['kind']}: {v['detail']}" for v in self.violations]
-        return "\n".join(lines)
-
-
-def validate_network(network: ReactionNetwork, partition: ClassPartition,
-                     window: int) -> ValidationReport:
-    """Check propensity sign and boundary-leak freedom on classes <= window.
-
-    ``check_propensities``' rule: a rate is bad unless 0 <= rate < inf, and
-    its kind is ``negative-propensity``, ``infinite-propensity`` or, for a
-    NaN, ``undefined-propensity``, the word of that function's message; a
-    reaction leaks where its rate is > 0 on one of its faces.
-    """
-    violations = []
-    null_change = set()
-
-    def flag(kind, ridx, x, detail):
-        violations.append({"kind": kind, "reaction": ridx, "state": x,
-                           "detail": detail})
-
-    for _, sizes, cols, block in class_rates(network, partition, window):
-        ends = np.cumsum(sizes)
-        for a, b in zip(ends - sizes, ends):
-            X = cols[:, a:b].T
-            on = _on_faces(network, X)
-            for ridx, vals in enumerate(block[:, a:b]):
-                bad = np.flatnonzero(~((vals >= 0) & (vals < np.inf)))
-                if bad.size:
-                    x = tuple(int(v) for v in X[bad[0]])
-                    flag(f"{_bad_rate(vals[bad[0]])}-propensity", ridx, x,
-                         f"reaction {ridx} has rate {vals[bad[0]]} at {x}")
-                leak = np.flatnonzero(on.get(ridx, False) & (vals > 0))
-                if leak.size:
-                    x = tuple(int(v) for v in X[leak[0]])
-                    flag("boundary-leak", ridx, x,
-                         f"reaction {ridx} fires at rate {vals[leak[0]]} "
-                         f"from {x} although the destination has a negative "
-                         "count")
-                if not any(network.reactions[ridx].change) and (vals > 0).any():
-                    null_change.add(ridx)
-    for ridx in sorted(null_change):
-        flag("null-change", ridx, None,
-             f"reaction {ridx} has zero change vector but nonzero rate")
-    return ValidationReport(ok=not violations, violations=violations)

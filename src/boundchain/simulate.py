@@ -44,14 +44,6 @@ class Trajectory:
     states: np.ndarray
     reason: str  # horizon | exit | cap | absorbed | band
 
-    @property
-    def final_state(self):
-        return self.states[-1]
-
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
     def __len__(self) -> int:
         return len(self.times)
 

@@ -372,15 +372,13 @@ def test_constructor_rejects_negative_rates():
 def test_f_values(network, part211):
     f = compute_f(network, part211, "upper", l_exact=110)
     # up-tail from one step above the class: b1*l + b2
-    assert f.f_plus(10, 11) == 12.5
+    assert f.plus[1, 10] == 12.5
     # mass dropping two or more classes can vanish (x1 = 0 states)
     for ell in range(2, 40):
-        assert f.f_minus(ell, ell - 2) == 0.0
+        assert f.minus[2, ell] == 0.0
     # the one-step-down prefix at large classes: min over the class is
     # min(d2, d3) * l once the beta term dominates the candidates
-    assert f.f_minus(100, 99) == 250.0
-    # beyond the band the aggregates are constant and the accessors clamp
-    assert f.f_minus(30, 5) == 0.0
+    assert f.minus[1, 100] == 250.0
 
 
 def test_compute_f_precondition(network, part225):

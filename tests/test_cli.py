@@ -157,6 +157,8 @@ CHAIN_RUN = ("--network", NET, "--chain", "{chain}", "--x0", "3,2,1",
     _bad("couple-no-seeds", "couple", "--seeds", "-2", "--tf", "1",
          *CHAIN_RUN),
     _bad("couple-negative-tf", "couple", "--tf", "-1", *CHAIN_RUN),
+    _bad("truncate-negative-tf", "truncate", "--tf", "-1", "--chain",
+         "{chain}", "--p0", "delta:5", "--M", "100", "--N", "50"),
     _bad("simulate-negative-tf", "simulate", "--tf", "-1", "--network", NET,
          "--x0", "3,2,1", "--out", "{tmp}/t.csv"),
     _bad("simulate-exit-negative-tf", "simulate", "--tf", "-1", "--network",
@@ -221,6 +223,10 @@ def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
     out, err = capsys.readouterr()
     # analyze reports a failed stage in its JSON report instead of stderr
     assert "error:" in err or '"error":' in out
+    if ("--tf", "-1") in zip(argv, argv[1:]):
+        # every command checks t_final by one rule, in one wording
+        assert err == ("error: t_final must be finite and nonnegative, "
+                       "got -1.0\n")
 
 
 def test_large_grid_exits_2_before_allocating(tmp_path, chain_csv, capsys,

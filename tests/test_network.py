@@ -12,16 +12,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boundchain import (ClassPartition, Factor, PropensityPolynomial,
-                        Reaction, ResourceLimitError, Term, ValidationError,
-                        class_shift, class_size,
+                        Reaction, ReactionNetwork, ResourceLimitError, Term,
+                        ValidationError, class_shift, class_size,
                         compute_f, enumerate_class, j_max, load_network,
-                        network_from_dict, network_generator,
-                        validate_network)
+                        network_from_dict, network_generator)
 from boundchain import cme as cme_module
 from boundchain import network as network_module
 from boundchain.network import _enumerate, class_rates
-from conftest import (INF_DOC, LEAKY_NETWORK_DOC, NAN_DOC, NETWORK_DOC,
-                      NETWORK_PATH)
+from conftest import LEAKY_NETWORK_DOC, NETWORK_DOC, NETWORK_PATH
 
 
 def test_load_matches_dict(network):
@@ -49,14 +47,12 @@ def test_falling_factorial_vs_plain_power():
     assert list(pp.evaluate(x)) == [0.0, 1.0, 4.0, 25.0]
 
 
-def test_evaluate_many_matches_scalar(network):
+def test_rates_match_evaluate_bit_for_bit(network):
     states = np.array([[0, 0, 0], [1, 2, 3], [10, 5, 0]])
-    for r in network.reactions:
-        many = r.propensity.evaluate_many(states)
-        each = [r.propensity.evaluate(s) for s in states]
-        assert np.allclose(many, each, rtol=0, atol=0)
-    assert np.array_equal(network.rates(states), np.column_stack(
-        [r.propensity.evaluate_many(states) for r in network.reactions]))
+    many = network.rates(states)
+    each = [[r.propensity.evaluate(s) for r in network.reactions]
+            for s in states]
+    assert many.tobytes() == np.array(each).tobytes()
     # counts up to 10^6, where cubes and their products no longer fit in a
     # double exactly, and exponents 1-3 of both factor kinds: every float of
     # the scalar evaluation must be the vectorized one
@@ -71,7 +67,8 @@ def test_evaluate_many_matches_scalar(network):
             Term(2.9, (Factor(1, 3, kind), Factor(0, 3, kind))),
             Term(0.1),
         ])
-        many = poly.evaluate_many(big)
+        many = ReactionNetwork(("A", "B"), [Reaction((1, 0), poly)]).rates(
+            big)[:, 0]
         each = np.array([poly.evaluate(s) for s in big])
         assert many.tobytes() == each.tobytes(), kind
         assert all(type(poly.evaluate(s)) is float for s in big[:3])
@@ -282,13 +279,16 @@ def capped(monkeypatch, module, name, run):
 
 def test_class_cap_is_checked_on_every_per_class_pass(monkeypatch, network,
                                                       part211):
-    # compute_f, validate_network and network_generator all visit 0..12;
-    # the class passes read DEFAULT_CLASS_CAP, the generator MULTI_STATE_CAP
+    # compute_f and network_generator both visit 0..12; the class passes
+    # read DEFAULT_CLASS_CAP, the generator MULTI_STATE_CAP.  compute_f
+    # reads the example network's row ends and every state of
+    # negative_past_runs(), whose rates are not affine along the rows
     total = sum(class_size(ell, part211) for ell in range(13))
     runs = [capped(monkeypatch, network_module, "DEFAULT_CLASS_CAP",
                    lambda: compute_f(network, part211, "upper", 12)),
             capped(monkeypatch, network_module, "DEFAULT_CLASS_CAP",
-                   lambda: validate_network(network, part211, 12)),
+                   lambda: compute_f(negative_past_runs(), part211, "upper",
+                                     12)),
             capped(monkeypatch, cme_module, "MULTI_STATE_CAP",
                    lambda: network_generator(network, part211, 12))]
     for run in runs:
@@ -354,17 +354,20 @@ def negative_past_runs():
 @pytest.mark.parametrize("run_states", [1, 7, 64, None])
 def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
                                     run_states):
-    # every class pass gives the same tables, generator, reports and errors
-    # under runs of 1, 7 and 64 states as under the default; None keeps the
-    # default, so the error checks below run under it too
+    # every class pass gives the same tables, generator and errors under
+    # runs of 1, 7 and 64 states as under the default; None keeps the
+    # default, so the error checks below run under it too.  The tables of
+    # negative_past_runs() come from every state, the others' from row ends
     default = network_module.RUN_STATES
 
     def results():
-        return ([compute_f(network, p, direction, 60)
-                 for p in (part211, part225, ClassPartition((4, 3, 5)))
+        return ([compute_f(net, p, direction, hi)
+                 for net, p, hi in ((network, part211, 60),
+                                    (network, part225, 60),
+                                    (network, ClassPartition((4, 3, 5)), 60),
+                                    (negative_past_runs(), part211, 84))
                  for direction in ("upper", "lower")],
-                network_generator(network, part211, 16),
-                validate_network(negative_past_runs(), part211, 90))
+                network_generator(network, part211, 16))
 
     want = results()
     if run_states is not None:
@@ -377,8 +380,6 @@ def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
     for x, y in ((Qa.data, Qb.data), (Qa.indices, Qb.indices),
                  (Qa.indptr, Qb.indptr), (sa, sb), (ca, cb)):
         assert x.tobytes() == y.tobytes()
-    assert got[2].violations == want[2].violations
-    assert got[2].violations[0]["state"] == (0, 1, 84)
     # the first negative propensity past several runs, and the cap, are
     # named as by the class-by-class pass
     net = negative_past_runs()
@@ -412,60 +413,6 @@ def test_class_shift_and_j_max(network, part211, part225, part111):
     assert j_max(network, part111) == 1
 
 
-# a death reaction with constant rate: it fires at x = 0 and leaves the
-# orthant
-LEAKY_DOC = {
-    "species": ["A"],
-    "reactions": [{"change": [-1], "propensity": [{"coeff": 1.0}]}],
-}
-
-# a negative rate, and a reaction that fires without changing the state
-ODD_DOC = {
-    "species": ["A"],
-    "reactions": [
-        {"change": [1], "propensity": [{"coeff": 1.0}]},
-        {"change": [-1], "propensity": [{"coeff": -0.5,
-                                         "factors": [{"species": "A"}]}]},
-        {"change": [0], "propensity": [{"coeff": 2.0}]},
-    ],
-}
-
-
-def test_validate_network_happy_and_leaky(network, part211):
-    rep = validate_network(network, part211, window=12)
-    assert rep.ok, rep.summary()
-    leaky = network_from_dict(LEAKY_DOC)
-    rep = validate_network(leaky, ClassPartition((1,)), window=5)
-    assert not rep.ok
-    assert any(v["kind"] == "boundary-leak" for v in rep.violations)
-    odd = network_from_dict(ODD_DOC)
-    rep = validate_network(odd, ClassPartition((1,)), window=5)
-    assert not rep.ok
-    kinds = {(v["kind"], v["reaction"]) for v in rep.violations}
-    assert kinds == {("negative-propensity", 1), ("null-change", 2)}
-    first = rep.violations[0]
-    assert first["kind"] == "negative-propensity" and first["state"] == (1,)
-
-
-def test_validate_network_reports_are_pinned():
-    # every field of every violation, in report order: class by class, and
-    # within a class reaction by reaction
-    rep = validate_network(network_from_dict(LEAKY_DOC), ClassPartition((1,)),
-                           window=5)
-    assert rep.violations == [{
-        "kind": "boundary-leak", "reaction": 0, "state": (0,),
-        "detail": ("reaction 0 fires at rate 1.0 from (0,) although the "
-                   "destination has a negative count")}]
-    rep = validate_network(network_from_dict(ODD_DOC), ClassPartition((1,)),
-                           window=5)
-    assert rep.violations == [
-        {"kind": "negative-propensity", "reaction": 1, "state": (x,),
-         "detail": f"reaction 1 has rate {-0.5 * x} at ({x},)"}
-        for x in range(1, 6)
-    ] + [{"kind": "null-change", "reaction": 2, "state": None,
-          "detail": "reaction 2 has zero change vector but nonzero rate"}]
-
-
 def _death(change, *factors, coeff=1.0):
     """One species that dies by ``change`` at rate coeff times ``factors``."""
     return network_from_dict({"species": ["A"], "reactions": [{
@@ -488,11 +435,10 @@ def test_orthant_faces(network, part211):
     # the search stops at the first nonzero count, however large the change
     assert _death(-10**12, (3, "falling-factorial"))._faces == (
         (0, 0, 10**12),)
-    # validate_network reports a leak on the face, and only there
-    leaks = validate_network(leaky, part211, 6).violations
-    assert leaks and all(v["kind"] == "boundary-leak" and v["reaction"] == 5
-                         and v["state"][2] == 0 for v in leaks)
-    assert leaks[0]["state"] == (0, 0, 0)
+    # the f-table pass names the first state on the face, class 0's
+    with pytest.raises(ValidationError, match=re.escape(
+            "reaction 5 leaves the orthant from (0, 0, 0)")):
+        compute_f(leaky, part211, "upper", 6)
 
 
 # X dies at X - 1e-13, a negative rate far smaller than any rate in use
@@ -507,36 +453,12 @@ TINY_NEGATIVE_DOC = {
 }
 
 
-@pytest.mark.parametrize("doc, weights, window, state, message, kind", [
-    (NAN_DOC, (1, 1), 12, (2, 0), "undefined propensity nan",
-     "undefined-propensity"),
-    (TINY_NEGATIVE_DOC, (1,), 5, (0,), "negative propensity -1e-13",
-     "negative-propensity"),
-], ids=["nan", "tiny-negative"])
-def test_validate_network_rejects_what_build_rejects(doc, weights, window,
-                                                     state, message, kind):
-    # validate_network flags a rate unless it is >= 0, as compute_f does,
-    # and names it with compute_f's word
-    network = network_from_dict(doc)
-    partition = ClassPartition(weights)
+def test_compute_f_rejects_a_tiny_negative_rate():
+    # a rate is bad unless it is >= 0, however small its magnitude
     with pytest.raises(ValidationError, match=re.escape(
-            f"{message} for reaction 1 at {state}")):
-        compute_f(network, partition, "upper", window)
-    rep = validate_network(network, partition, window)
-    assert not rep.ok
-    first = rep.violations[0]
-    assert (first["kind"], first["reaction"], first["state"]) == (
-        kind, 1, state)
-
-
-def test_validate_network_flags_an_infinite_propensity():
-    # +inf is not a rate, although inf >= 0
-    rep = validate_network(network_from_dict(INF_DOC), ClassPartition((1, 1)),
-                           8)
-    first = rep.violations[0]
-    assert first == {"kind": "infinite-propensity", "reaction": 0,
-                     "state": (6, 0),
-                     "detail": "reaction 0 has rate inf at (6, 0)"}
+            "negative propensity -1e-13 for reaction 1 at (0,)")):
+        compute_f(network_from_dict(TINY_NEGATIVE_DOC), ClassPartition((1,)),
+                  "upper", 5)
 
 
 def test_structural_zero_term():

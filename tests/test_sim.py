@@ -61,16 +61,16 @@ def test_ssa_jump_count_is_poisson():
     jumps = len(traj) - 1
     assert traj.reason == "horizon"
     assert abs(jumps - 400) < 80
-    assert traj.final_state[0] == jumps
+    assert traj.states[-1][0] == jumps
     assert np.all(np.diff(traj.times) > 0)
-    assert traj.final_time <= 100.0
+    assert traj.times[-1] <= 100.0
 
 
 def test_ssa_absorption():
     net = network_from_dict(PURE_DEATH)
     traj = ssa(net, (6,), t_final=1e9, seed=3)
     assert traj.reason == "absorbed"
-    assert traj.final_state[0] == 0
+    assert traj.states[-1][0] == 0
     assert len(traj) == 7  # six deaths, no other moves
 
 
@@ -80,7 +80,7 @@ def test_ssa_stop_predicate(network, part211):
                stop=lambda x: x @ w >= 40)
     assert traj.reason in ("exit", "horizon")
     if traj.reason == "exit":
-        assert traj.final_state @ w >= 40
+        assert traj.states[-1] @ w >= 40
         assert all(s @ w < 40 for s in traj.states[:-1])
 
 
@@ -107,7 +107,7 @@ def test_ssa_on_chain_ends_at_the_band_edge():
                            -1: TailModel(-1, 1, slope=0.1)}, (1,))
     traj = ssa(chain, 10, t_final=100.0, seed=0)
     assert traj.reason == "band"
-    assert traj.final_state == 20
+    assert traj.states[-1] == 20
     assert traj.states.max() <= chain.l_total
     assert ssa(chain, 20, t_final=1.0).reason == "band"
 
