@@ -3,7 +3,7 @@
 Pi[x, u] routes a scalar mass x through the sequence u in index order.
 Pi-bar[a, b] stacks those fills for the prefixes of a, producing a plan
 with row sums a, column sums b and support on the upper triangle whenever
-the prefixes of a dominate the prefixes of b.
+the masses are nonnegative and the prefixes of a dominate those of b.
 
 Pi-bar is the north-west-corner rule: row k is nonzero only on the slots of
 b that the prefix masses A_{k-1} and A_k fall between.  One private walk
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from math import inf
 from operator import itemgetter
 
 import numpy as np
@@ -41,10 +42,15 @@ def pi(x, u) -> np.ndarray:
     """Greedy fill of mass ``x`` into slots ``u``: min(max(x - u_{0:k-1}, 0), u_k).
 
     ``x`` may be an array of masses; the result then holds one fill per mass,
-    with shape ``x.shape + u.shape``.
+    with shape ``x.shape + u.shape``.  Masses must be finite and slots finite
+    and nonnegative.
     """
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValidationError("masses must be finite")
+    if not ((u >= 0.0) & (u < inf)).all():
+        raise ValidationError("slots must be finite and nonnegative")
     total = float(u.sum())
     scale = max(1.0, total)
     bad = (x < -1e-12 * scale) | (x > total + 1e-12 * scale)
@@ -60,15 +66,16 @@ def pi_bar(a, b) -> np.ndarray:
     Requires equal totals and prefix domination a_{0:k} >= b_{0:k}; both are
     checked with relative slack ``RTOL``.  Row k of the result is
     Pi[a_{0:k}, b] - Pi[a_{0:k-1}, b]; only its nonzero entries are
-    computed.  With nonnegative masses, domination makes the plan zero
-    strictly below the diagonal, which is what the coupling construction
-    needs; a violated prefix therefore doubles as a runtime check that the
-    candidate chain really bounds the network.  Masses down to -1e-15 are
-    accepted as rounding noise, but can leave entries of about 1e-15 below
-    the diagonal.
+    computed.  Masses must be finite and nonnegative; those in [-1e-15, 0)
+    are taken as rounding noise and read as 0.0.  Domination then makes the
+    plan zero strictly below the diagonal, which is what the coupling
+    construction needs; a violated prefix therefore doubles as a runtime
+    check that the candidate chain really bounds the network.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    a = np.where((a < 0.0) & (a >= -1e-15), 0.0, a)
+    b = np.where((b < 0.0) & (b >= -1e-15), 0.0, b)
     ia = np.flatnonzero(a)
     ib = np.flatnonzero(b)
     rows = _walk(list(zip(ia.tolist(), a[ia].tolist())),
@@ -123,18 +130,18 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> dict:
     """Nonzero entries of Pi-bar[a, b], grouped by row: {k: [(j, value)]}.
 
     ``a`` and ``b`` list the nonzero (index, mass) pairs of two sequences in
-    index order, ``total_a`` and ``total_b`` are numpy's sums of the whole
-    sequences and ``n`` is the shorter length.  Each index k of ``a`` gets
-    its row, its entries in index order.  With A and P the running sums of
-    a and b, B = total_b and P_j the mass before slot j, entry (k, j) is
+    index order, every mass finite and nonnegative, ``total_a`` and
+    ``total_b`` are numpy's sums of the whole sequences and ``n`` is the
+    shorter length.  Each index k of ``a`` gets its row, its entries in
+    index order.  With A and P the running sums of a and b, B = total_b and
+    P_j the mass before slot j, entry (k, j) is
     clip(min(A_k, B) - P_j, 0, b_j) - clip(min(A_{k-1}, B) - P_j, 0, b_j),
     the dense formula; every slot outside the stretch that A_{k-1} and A_k
     fall in gives b_j - b_j or 0 - 0, exactly zero, and is skipped.
     """
-    sorted_b = all(m >= 0.0 for _, m in b)
-    if (any(not m >= -1e-15 for _, m in a)
-            or not sorted_b and any(not m >= -1e-15 for _, m in b)):
-        raise ValidationError("mass sequences must be nonnegative")
+    if (any(not 0.0 <= m < inf for _, m in a)
+            or any(not 0.0 <= m < inf for _, m in b)):
+        raise ValidationError("mass sequences must be finite and nonnegative")
     scale = max(1.0, total_a, total_b)
     tol = RTOL * scale
     if abs(total_a - total_b) > tol:
@@ -166,32 +173,18 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> dict:
             break
         if ca < cb - tol:
             _undominated(j, ca, cb)
+    # slot j can only take mass m when P_j < m <= P_j + b_j; both running
+    # sums are sorted, so one bisection on each finds the slots of a row,
+    # those between its lower mass m0 and its upper mass m1
     before = [0.0] + cum_b[:-1]
-    # slot j can only take mass m when P_j < m <= P_j + b_j, so the slots of
-    # a row run from the first whose running bound reach (max of P_i + b_i,
-    # i <= j) is at least the lower mass to the first whose floor (min of
-    # P_i, i >= j) is at least the upper one.  Both bounds are sorted, so
-    # one bisection on each finds a row's slots, also where a tiny negative
-    # a_k has lowered A below an earlier row's masses.  With every b_j >= 0
-    # the running sums are sorted themselves and are the two bounds; a tiny
-    # negative b_j breaks their order, and the bounds are then built
-    if sorted_b:
-        reach, floor = cum_b, before
-    else:
-        reach = list(accumulate(cum_b, max))
-        floor = list(accumulate(reversed(before), min))[::-1]
     B = total_b
     noise = 1e-15 * scale
     out = {}
-    m0 = 0.0 if 0.0 <= B else B
+    m0 = 0.0
     for (k, _), A in zip(a, cum_a):
         m1 = A if A <= B else B
-        if m0 <= m1:
-            low, high = m0, m1
-        else:
-            low, high = m1, m0
         out[k] = row = []
-        for i in range(bisect_left(reach, low), bisect_left(floor, high)):
+        for i in range(bisect_left(cum_b, m0), bisect_left(before, m1)):
             p = before[i]
             j, bj = b[i]
             # min(max(m - p, 0.0), bj) for m = m1 and m0, without the calls
@@ -201,12 +194,10 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> dict:
             lo_fill = 0.0 if lo_fill < 0.0 else lo_fill
             value = ((bj if bj < hi_fill else hi_fill)
                      - (bj if bj < lo_fill else lo_fill))
-            # greedy differences can leave -1e-17 noise; genuine negatives
-            # cannot occur
+            # m1 >= m0, so the value is >= 0; the greedy differences can
+            # leave noise of about 1e-17 where it should be zero
             if value >= noise:
                 row.append((j, value))
-            elif value <= -noise:
-                raise TransportError("plan has a negative entry", index=None)
         m0 = m1
     return out
 

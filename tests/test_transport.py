@@ -24,6 +24,12 @@ def test_pi_edges():
         pi(-0.1, u)
     with pytest.raises(TransportError):
         pi(3.6, u)
+    for x in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="masses must be finite"):
+            pi(x, u)
+    for slots in ((-1.0, 2.0), (np.nan, 2.0), (np.inf, 2.0), (1.0, -5e-16)):
+        with pytest.raises(ValidationError, match="slots must be finite"):
+            pi(1.0, slots)
 
 
 @given(u=mass_seq, frac=st.floats(0.0, 1.0))
@@ -70,6 +76,15 @@ def test_pi_bar_prefix_violation_reports_index():
 def test_pi_bar_total_mismatch():
     with pytest.raises(TransportError):
         pi_bar((1.0, 1.0), (1.0, 0.5))
+    # an infinite or NaN mass, or one below the -1e-15 slack, is rejected
+    # before the totals are compared
+    for a, b in (([np.inf, 1.0], [1.0, np.inf]), ([1.0, np.nan], [1.0, 1.0]),
+                 ([1.0, -2e-15], [1.0, 0.0])):
+        for args in ((a, b), (b, a)):
+            with pytest.raises(ValidationError,
+                               match="finite and nonnegative") as err:
+                pi_bar(*args)
+            assert type(err.value) is ValidationError
 
 
 @st.composite
@@ -156,11 +171,17 @@ def test_pi_takes_an_array_of_masses():
 
 
 def pi_bar_broadcast(a, b, rtol=1e-12):
-    """Pi-bar as the row difference of one broadcast fill: the reference."""
+    """Pi-bar as the row difference of one broadcast fill: the reference.
+
+    Masses in [-1e-15, 0) are read as 0.0, as ``pi_bar`` reads them.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if (a < -1e-15).any() or (b < -1e-15).any():
-        raise ValidationError("mass sequences must be nonnegative")
+    a = np.where((a < 0.0) & (a >= -1e-15), 0.0, a)
+    b = np.where((b < 0.0) & (b >= -1e-15), 0.0, b)
+    if not (np.isfinite(a) & (a >= 0.0)).all() or not (
+            np.isfinite(b) & (b >= 0.0)).all():
+        raise ValidationError("mass sequences must be finite and nonnegative")
     scale = max(1.0, float(a.sum()), float(b.sum()))
     tol = rtol * scale
     if abs(a.sum() - b.sum()) > tol:
@@ -252,9 +273,15 @@ def test_pi_bar_matches_broadcast_fill_bit_for_bit(pair):
     assert outcome(pi_bar, b, a) == outcome(pi_bar_broadcast, b, a)
 
 
-# a tiny negative a_k (inside the nonnegativity slack) lowers the running
-# prefix below an earlier one, so a row's lower mass falls below the
-# previous row's
+# masses in [-1e-15, 0), inside the nonnegativity slack.  Read as they
+# are, the first two would put 1.11e-15 at (4, 1) and 1.03e-15 at (3, 1),
+# below the diagonal and above the noise cut
+NEGATIVE_NOISE = [
+    ([1 / 3, 1 / 3, -5e-16, -5e-16, 1 / 3], [1 / 3, 1 / 3, 0.0, 0.0, 1 / 3]),
+    ([0.7, 0.1, -1e-15, 0.2], [0.7, 0.1, 0.0, 0.2]),
+]
+# a tiny negative a_k lowers the running prefix below an earlier one, so
+# read as it is, a row's lower mass would fall below the previous row's
 FALLING_PREFIX = [
     ([0.5, 1e-16, -5e-16, 0.5], [0.5, 0.0, 0.0, 0.5]),
     ([0.5, -5e-16, -5e-16, 0.5], [0.5, 0.0, 0.0, 0.5]),
@@ -265,34 +292,13 @@ FALLING_PREFIX = [
 ]
 
 
-@pytest.mark.parametrize("a, b", FALLING_PREFIX)
-def test_pi_bar_with_a_falling_prefix_matches_broadcast_fill(a, b):
-    k = np.flatnonzero(a)
-    mass = np.minimum(np.concatenate(([0.0], np.cumsum(a))),
-                      float(np.sum(b)))
-    low = np.minimum(mass[k], mass[k + 1])
-    assert (np.diff(low) < 0).any()
-    plan = outcome(pi_bar, a, b)
-    assert plan[0] == (len(a), len(b))
-    assert plan == outcome(pi_bar_broadcast, a, b)
-
-
-# masses in [-1e-15, 0), accepted as rounding noise, that leave an entry
-# of about 1e-15 strictly below the diagonal: (4, 1) holds 1.11e-15 in the
-# first plan and (3, 1) 1.03e-15 in the second, the broadcast fill's bytes
-NEGATIVE_NOISE = [
-    ([1 / 3, 1 / 3, -5e-16, -5e-16, 1 / 3], [1 / 3, 1 / 3, 0.0, 0.0, 1 / 3]),
-    ([0.7, 0.1, -1e-15, 0.2], [0.7, 0.1, 0.0, 0.2]),
-]
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a tiny negative mass can put an entry of about "
-                   "1e-15 below the diagonal; pi_bar promises a triangular "
-                   "plan only for nonnegative masses")
-def test_pi_bar_is_triangular_with_tiny_negative_masses():
-    plans = [pi_bar(a, b) for a, b in NEGATIVE_NOISE]
-    assert [(np.tril(plan, -1) == 0).all() for plan in plans] == [True, True]
+@pytest.mark.parametrize("a, b", NEGATIVE_NOISE + FALLING_PREFIX)
+def test_pi_bar_is_triangular_with_tiny_negative_masses(a, b):
+    plan = pi_bar(a, b)
+    assert (np.tril(plan, -1) == 0).all()
+    zeroed = [np.where(np.asarray(m) < 0.0, 0.0, m) for m in (a, b)]
+    assert outcome(pi_bar, a, b) == outcome(pi_bar, *zeroed)
+    assert outcome(pi_bar, a, b) == outcome(pi_bar_broadcast, a, b)
 
 
 @st.composite
