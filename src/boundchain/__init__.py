@@ -19,7 +19,7 @@ from .transport import TransportError, pi, pi_bar
 from .chain import BoundingChain, TailModel
 from .builder import (build_bounding_chain, check_optimality,
                       check_u_membership, compute_f, detect_tails, optimal_U,
-                      phi, phi_inverse, verify_assumptions)
+                      phi_inverse, verify_assumptions)
 from .classifier import (Attestation, ChainClass, DriftStats, XBehavior,
                          check_irreducible, classify, combine, drift_stats)
 from .simulate import (ExitEstimate, Trajectory, estimate_exit, make_rng,
@@ -37,7 +37,7 @@ __all__ = [
     "pi", "pi_bar",
     "BoundingChain", "TailModel",
     "build_bounding_chain", "compute_f", "optimal_U", "check_u_membership",
-    "phi", "phi_inverse", "detect_tails", "verify_assumptions",
+    "phi_inverse", "detect_tails", "verify_assumptions",
     "check_optimality",
     "DriftStats", "ChainClass", "XBehavior", "Attestation", "drift_stats",
     "classify", "combine", "check_irreducible",

@@ -263,13 +263,6 @@ def _cumulative(chain: BoundingChain, hi: int, J: int):
     return minus, plus
 
 
-def phi(chain: BoundingChain) -> UTable:
-    """Cumulative row prefix/tail sums of a chain; inverse of ``phi_inverse``."""
-    J, L = chain.j_max, chain.l_exact
-    minus, plus = _cumulative(chain, L, J)
-    return UTable(chain.direction, J, L, minus, plus)
-
-
 # -- tail detection ---------------------------------------------------------
 
 

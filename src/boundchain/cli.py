@@ -327,13 +327,14 @@ def cmd_simulate(args) -> int:
 def cmd_truncate(args) -> int:
     from .cme import min_truncation, truncation_certificate
 
+    if (args.N is None) == (args.epsilon is None):
+        raise ValidationError("give either --N or --epsilon" + (
+            "" if args.N is None else ", not both"))
     chain, p0, cme = _solve(args, args.M, args.tf)
     if args.N is not None:
         N = args.N
-    elif args.epsilon is not None:
-        N = min_truncation(chain, p0, args.M, args.tf, args.epsilon, cme=cme)
     else:
-        raise ValidationError("give either --N or --epsilon")
+        N = min_truncation(chain, p0, args.M, args.tf, args.epsilon, cme=cme)
     cert = truncation_certificate(chain, p0, N, args.M, args.tf, cme=cme)
     doc = {
         "N": cert.N, "M": cert.M, "t_final": cert.t_final,

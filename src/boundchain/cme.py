@@ -21,8 +21,7 @@ query runs the pass, for p(t_final), z and every time of that query at
 once; it costs K, about Lambda * t_final, sparse mat-vecs, and a later
 query at new times runs one more pass of the same K.  Each mat-vec is
 scipy's ``csr_matvec`` kernel called straight into its row of the term
-block, without the per-call dispatch of ``@``; the public ``@`` is the
-route only where the installed scipy lacks that private kernel.
+block, without the per-call dispatch of ``@``.
 """
 
 from __future__ import annotations
@@ -34,10 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import special
 
-try:
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # a scipy without the private kernel: `_pass` takes `@`
-    _csr_matvec = None
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .chain import BoundingChain
 from .errors import InfeasibleError, ResourceLimitError, ValidationError
@@ -233,8 +229,7 @@ class TruncatedCME:
         256-term block, which is weighted by one product for the times
         together and one for t_final alone.  The kernel adds into its
         output, so each block is zeroed once before it is filled; on a
-        zeroed row it gives the bytes of ``P^T @ v``, the fallback route,
-        and so the same p, z and certificates.
+        zeroed row it gives the bytes of ``P^T @ v``.
         """
         n, K = len(self.p0), self.poisson_terms
         means = self.uniform_rate * np.array(times)
@@ -250,12 +245,10 @@ class TruncatedCME:
             block.fill(0.0)
             for r, k in enumerate(range(start, stop)):
                 row = block[r]
-                if not k:
-                    row[:] = v
-                elif matvec is None:
-                    row[:] = PT @ v
-                else:
+                if k:
                     matvec(n, n, indptr, indices, data, v, row)
+                else:
+                    row[:] = v
                 v = row
             ks = np.arange(start, stop)
             terms = block[:len(ks)]
@@ -377,12 +370,6 @@ class TruncationCertificate:
     solver_term: float
     bound: float
     bound_clipped: float
-
-    def summary(self) -> str:
-        return (f"E_T({self.N}) <= {self.bound_clipped:.6g} "
-                f"(mass deficit {self.mass_deficit:.3g}, initial tail "
-                f"{self.initial_tail:.3g}, flux {self.flux:.3g}, solver "
-                f"{self.solver_term:.3g})")
 
 
 def _window_solve(chain, p0, M, t_final, cme):

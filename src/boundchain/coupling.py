@@ -245,15 +245,6 @@ class CoupledSimulator:
                            exit_rate=M - self_mass, M=M,
                            cum=list(accumulate(rates)))
 
-    def marginals(self, row: CouplingRow):
-        """Reconstructed (network, chain) marginal rates of a joint row."""
-        net: dict[tuple, float] = {}
-        cha: dict[int, float] = {}
-        for (dest, m), rate in zip(row.pairs, row.rates):
-            net[dest] = net.get(dest, 0.0) + rate
-            cha[m] = cha.get(m, 0.0) + rate
-        return net, cha
-
 
 def _check_level(chain: BoundingChain, ell: int) -> None:
     if not 0 <= ell <= chain.l_total:
@@ -271,12 +262,6 @@ class CoupledTrajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def ordered_throughout(self, partition: ClassPartition,
-                           upper: bool = True) -> bool:
-        cls = self.states @ np.asarray(partition.weights, dtype=np.int64)
-        return bool((cls <= self.levels).all() if upper
-                    else (cls >= self.levels).all())
 
 
 def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,

@@ -132,6 +132,8 @@ class ReactionNetwork:
         if len(set(self.species)) != len(self.species):
             raise ValidationError("species names must be unique")
         self.reactions = tuple(reactions)
+        if not self.reactions:
+            raise ValidationError("network needs at least one reaction")
         self.parameters = dict(parameters or {})
         for ridx, r in enumerate(self.reactions):
             if len(r.change) != self.d:

@@ -1,10 +1,9 @@
-"""Stochastic simulation for reaction networks and 1-D chains.
+"""Stochastic simulation for reaction networks.
 
 Plain SSA (Gillespie's direct method) has one kernel, ``_lockstep``: a
 batch of paths advanced in sweeps of one jump per live path, the live ones
 kept packed with their propensities as one (reactions, paths) block.
-``ssa`` is a one-path run on a network's propensities or on the rows of a
-chain's band, ``estimate_exit`` a many-path run on a network that carries
+``ssa`` is a one-path run, ``estimate_exit`` a many-path run that carries
 each path's class label.  All randomness flows through a counter-based
 Philox generator seeded explicitly, so trajectories are reproducible across
 runs and platforms.
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BoundingChain
 from .errors import ValidationError
 from .network import (ClassPartition, ReactionNetwork, _check_dims,
                       check_propensities)
@@ -42,13 +40,13 @@ class Trajectory:
     seed: int
     times: np.ndarray
     states: np.ndarray
-    reason: str  # horizon | exit | cap | absorbed | band
+    reason: str  # horizon | absorbed | cap
 
     def __len__(self) -> int:
         return len(self.times)
 
 
-def _lockstep(rates, changes, S, t_final, rng, after, w=None, network=None):
+def _lockstep(network, S, t_final, rng, after, w=None):
     """Gillespie's direct method on every column of ``S`` at once.
 
     ``S`` is a (d, paths) int64 block of start states, one column per
@@ -57,12 +55,12 @@ def _lockstep(rates, changes, S, t_final, rng, after, w=None, network=None):
     have ended: their states as the columns of ``S``, their times, their
     path indices and, given class weights ``w``, their integer class
     labels.
-    Each sweep gives every live path one jump.  ``rates(S)`` is a new
-    (r, k) block, which the kernel overwrites, whose row i (reaction i of
-    ``network``) moves a path by ``changes[i]``; a network's block must
-    pass ``check_propensities``, so no path takes a negative count.  A
-    running sum down the reaction axis gives each path's total and its
-    pick.  A path whose total is 0 is absorbed.  The others draw a clock
+    Each sweep gives every live path one jump.  ``network._rate_block(S)``
+    is a new (r, k) block, which the kernel overwrites, whose row i moves
+    a path by reaction i's change; it must pass ``check_propensities``, so
+    no path takes a negative count.  A running sum down the reaction axis
+    gives each path's total and its pick.  A path whose total is 0 is
+    absorbed.  The others draw a clock
     ``standard_exponential() * (1 / total)``; a jump that would land past
     ``t_final`` is discarded and the path ends at the horizon.  The rest
     pick a reaction by ``random() * total`` against the running sum
@@ -76,6 +74,7 @@ def _lockstep(rates, changes, S, t_final, rng, after, w=None, network=None):
     path live after DEFAULT_JUMP_CAP jumps; then the jumps made over all
     paths and the sweeps taken.
     """
+    changes = network.change_matrix()
     end = np.full(S.shape[1], "cap", dtype=object)
     t = np.zeros(S.shape[1])
     rows = np.arange(S.shape[1])
@@ -98,9 +97,8 @@ def _lockstep(rates, changes, S, t_final, rng, after, w=None, network=None):
 
     while rows.size and sweeps < DEFAULT_JUMP_CAP:
         sweeps += 1
-        C = rates(S)  # made the running sum in place
-        if network is not None:
-            check_propensities(network, C.T, S.T)
+        C = network._rate_block(S)  # made the running sum in place
+        check_propensities(network, C.T, S.T)
         # numpy sums a row of eight or more entries pairwise, not in order;
         # otherwise the total is the view C[-1], the end of the running sum
         total = np.ascontiguousarray(C.T).sum(axis=1) if last >= 7 else C[-1]
@@ -137,55 +135,32 @@ def _lockstep(rates, changes, S, t_final, rng, after, w=None, network=None):
     return end, jumps, sweeps
 
 
-def ssa(model, x0, t_final: float, stop=None, seed: int = 0) -> Trajectory:
-    """Exact jump-by-jump simulation up to t_final.
+def ssa(network: ReactionNetwork, x0, t_final: float,
+        seed: int = 0) -> Trajectory:
+    """Exact jump-by-jump simulation of a network up to t_final.
 
-    ``model`` is a ReactionNetwork (vector states) or a BoundingChain
-    (integer states, with rates from its band on [0, l_total]).  The
-    waiting time is drawn before the horizon check: a jump that would land
-    past t_final is discarded and the path is reported at the horizon.
-    ``stop`` is evaluated on each newly entered state and ends the path
-    with reason "exit".  A chain path above ``l_total - j_max``, where the
-    next jump could leave the band, ends with reason "band", and one
-    still running after DEFAULT_JUMP_CAP jumps with reason "cap".
+    The waiting time is drawn before the horizon check: a jump that would
+    land past t_final is discarded and the path is reported at the
+    horizon.  A path still running after DEFAULT_JUMP_CAP jumps ends with
+    reason "cap".
     """
     check_t_final(t_final)
     rng = make_rng(seed)
-    if isinstance(model, BoundingChain):
-        J = model.j_max
-        band = np.ascontiguousarray(model.band(model.l_total).T)
-        X = np.array([[int(x0)]], dtype=np.int64)
-        rates, changes = lambda S: band[:, S[0]], np.arange(-J, J + 1)[:, None]
-        top, state = model.l_total - J, lambda S: int(S[0, 0])
-        network = None
-    else:
-        X = np.array([x0], dtype=np.int64)
-        if X.shape != (1, model.d):
-            raise ValidationError(f"x0 must have {model.d} components")
-        rates, network = model._rate_block, model
-        changes = model.change_matrix().reshape(-1, model.d)
-        top, state = None, lambda S: S[:, 0].copy()
+    X = np.array([x0], dtype=np.int64)
+    if X.shape != (1, network.d):
+        raise ValidationError(f"x0 must have {network.d} components")
     if (X < 0).any():
         raise ValidationError("states must be nonnegative")
-    times, path = [0.0], [state(X.T)]
-    reason = "band" if top is not None and path[0] > top else None
+    times, path = [0.0], [X[0].copy()]
 
     def after(S, t, labels):
-        nonlocal reason
         times.append(float(t[0]))
-        path.append(state(S))
-        if stop is not None and stop(path[-1]):
-            reason = "exit"
-        elif top is not None and path[-1] > top:
-            reason = "band"
-        return np.array([reason is not None])
+        path.append(S[:, 0].copy())
+        return np.zeros(1, dtype=bool)
 
-    if reason is None:
-        end = _lockstep(rates, changes, X.T.copy(), t_final, rng, after,
-                        network=network)[0]
-        reason = reason or end[0]
+    end = _lockstep(network, X.T.copy(), t_final, rng, after)[0]
     return Trajectory(seed=seed, times=np.asarray(times),
-                      states=np.asarray(path), reason=reason)
+                      states=np.asarray(path), reason=end[0])
 
 
 @dataclass
@@ -200,12 +175,6 @@ class ExitEstimate:
     N: int
     jumps: int = 0  # over all paths
     sweeps: int = 0  # of the lockstep kernel
-
-    def summary(self) -> str:
-        return (f"exit estimate {self.estimate:.4f} "
-                f"[{self.lo:.4f}, {self.hi:.4f}] "
-                f"({self.exits}/{self.samples} paths left [0, {self.N}] "
-                f"by t={self.t_final})")
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
@@ -242,10 +211,9 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
         return ExitEstimate(exits=samples, samples=samples, estimate=1.0,
                             lo=1.0, hi=1.0, seed=seed, t_final=t_final, N=N)
     end, jumps, sweeps = _lockstep(
-        network._rate_block, network.change_matrix(),
-        np.repeat(x0[:, None], samples, axis=1), t_final, make_rng(seed),
-        lambda S, t, labels: labels > N,
-        np.asarray(partition.weights, dtype=np.int64), network)
+        network, np.repeat(x0[:, None], samples, axis=1), t_final,
+        make_rng(seed), lambda S, t, labels: labels > N,
+        np.asarray(partition.weights, dtype=np.int64))
     if (end == "cap").any():
         raise ValidationError(
             f"exceeded {DEFAULT_JUMP_CAP} jumps per path before t={t_final}")

@@ -4,6 +4,8 @@ Pi[x, u] routes a scalar mass x through the sequence u in index order.
 Pi-bar[a, b] stacks those fills for the prefixes of a, producing a plan
 with row sums a, column sums b and support on the upper triangle whenever
 the masses are nonnegative and the prefixes of a dominate those of b.
+``pi_bar`` accepts a prefix shortfall within a slack of ``RTOL``; the row
+after a shortfall then holds at most that much below the diagonal.
 
 Pi-bar is the north-west-corner rule: row k is nonzero only on the slots of
 b that the prefix masses A_{k-1} and A_k fall between.  One private walk
@@ -67,10 +69,13 @@ def pi_bar(a, b) -> np.ndarray:
     checked with relative slack ``RTOL``.  Row k of the result is
     Pi[a_{0:k}, b] - Pi[a_{0:k-1}, b]; only its nonzero entries are
     computed.  Masses must be finite and nonnegative; those in [-1e-15, 0)
-    are taken as rounding noise and read as 0.0.  Domination then makes the
-    plan zero strictly below the diagonal, which is what the coupling
-    construction needs; a violated prefix therefore doubles as a runtime
-    check that the candidate chain really bounds the network.
+    are taken as rounding noise and read as 0.0.  Exact domination then
+    makes the plan zero strictly below the diagonal, which is what the
+    coupling construction needs; a violated prefix therefore doubles as a
+    runtime check that the candidate chain really bounds the network.  A
+    shortfall b_{0:k} - a_{0:k} accepted within the slack, at most
+    ``RTOL`` times the larger of 1 and the totals, is not zero there: row
+    k + 1 holds at most that much strictly below the diagonal.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

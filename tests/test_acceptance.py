@@ -46,7 +46,7 @@ import scipy.sparse as sp
 
 from conftest import NETWORK_DOC
 from test_builder import _feasible_perturbation
-from test_coupling import assert_marginals
+from test_coupling import assert_marginals, ordered_throughout
 
 THETA = NETWORK_DOC["parameters"]
 
@@ -327,7 +327,7 @@ def test_criterion_5_coupled_order_and_marginals(network, part211, upper211):
     for seed in range(100):
         traj = coupled_ssa(network, part211, upper211, (15, 5, 5), 40, 20.0,
                            seed=seed, simulator=sim)
-        if not traj.ordered_throughout(part211):
+        if not ordered_throughout(traj, part211):
             disordered += 1
         visited.update((tuple(int(v) for v in x), int(y))
                        for x, y in zip(traj.states, traj.levels))

@@ -18,10 +18,10 @@ from boundchain import (BoundingChain, ClassPartition, ResourceLimitError,
                         StabilizationError, TailModel, ValidationError,
                         build_bounding_chain, check_optimality,
                         check_u_membership, class_shift, compute_f,
-                        detect_tails, enumerate_class, j_max, optimal_U, phi,
+                        detect_tails, enumerate_class, j_max, optimal_U,
                         network_from_dict, phi_inverse, verify_assumptions)
 from boundchain import network as network_module
-from boundchain.builder import FTable, UTable, build_counters
+from boundchain.builder import FTable, UTable, _cumulative, build_counters
 from boundchain.network import ReactionNetwork
 from conftest import INF_DOC, LEAKY_NETWORK_DOC, NETWORK_DOC
 
@@ -90,6 +90,14 @@ UPPER225 = {
 # digest of every verify_assumptions report in test_verify_reports_are_pinned
 VERIFY_PIN_SHA256 = (
     "6c8daacd320be17b0d96af4b99fe18fb0116a91e807953ac55272ced10b52501")
+
+
+def phi(chain):
+    """The paper's Phi: a chain's cumulative row prefix/tail sums as a
+    U-table, the inverse of ``phi_inverse``."""
+    J, L = chain.j_max, chain.l_exact
+    minus, plus = _cumulative(chain, L, J)
+    return UTable(chain.direction, J, L, minus, plus)
 
 
 def nz_row(chain, ell):

@@ -705,6 +705,18 @@ def test_simulate_cli(tmp_path, capsys):
                  "--tf", "0.5", "--stop", "x1>3", "--weights", "2,1,1"]) == 2
 
 
+@pytest.mark.parametrize("stop", [[], ["--stop", "class>5", "--weights", "1"]],
+                         ids=["path", "stop"])
+def test_a_network_without_reactions_exits_2(tmp_path, capsys, stop):
+    # the path kernel raised IndexError and the exit estimate ValueError
+    net = tmp_path / "still.json"
+    net.write_text(json.dumps({"species": ["A"], "reactions": []}))
+    assert main(["simulate", "--network", str(net), "--x0", "3", "--tf", "1",
+                 "--out", str(tmp_path / "out.csv"), *stop]) == 2
+    assert capsys.readouterr().err == (
+        "error: network needs at least one reaction\n")
+
+
 def test_simulate_counts_jumps_and_sweeps(tmp_path, capsys):
     # pure death from 10: every path is absorbed after exactly ten jumps,
     # and the sweep after the tenth finds every path absorbed
@@ -747,6 +759,13 @@ def test_truncate_cli(tmp_path, chain_csv, capsys):
 
     assert main(["truncate", "--chain", chain_csv, "--p0", "delta:20",
                  "--M", "200", "--tf", "1.0"]) == 2  # neither --N nor --epsilon
+    assert capsys.readouterr().err == "error: give either --N or --epsilon\n"
+    # both: --N used to win and --epsilon was dropped without a word
+    assert main(["truncate", "--chain", chain_csv, "--p0", "delta:20",
+                 "--M", "200", "--tf", "1.0", "--N", "60",
+                 "--epsilon", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        "error: give either --N or --epsilon, not both\n")
 
 
 def test_plan_truncation_cli(tmp_path, chain_csv, capsys):

@@ -154,6 +154,8 @@ def test_single_state_rates_are_pinned(network):
 def test_malformed_documents_rejected():
     with pytest.raises(ValidationError):
         network_from_dict({"species": []})
+    with pytest.raises(ValidationError, match="at least one reaction"):
+        network_from_dict({"species": ["A"], "reactions": []})
     with pytest.raises(ValidationError):
         network_from_dict({"species": ["A"], "reactions": [{"change": [1]}]})
     with pytest.raises(ValidationError):

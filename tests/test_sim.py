@@ -5,9 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from boundchain import (BoundingChain, ClassPartition, TailModel,
-                        ValidationError, coupled_ssa, delta_p0, estimate_exit,
-                        make_rng, network_from_dict, solve_chain_cme, ssa,
+from boundchain import (BoundingChain, ClassPartition, ValidationError,
+                        coupled_ssa, delta_p0, estimate_exit, make_rng,
+                        network_from_dict, solve_chain_cme, ssa,
                         wilson_interval)
 from boundchain import simulate
 from conftest import NETWORK_DOC
@@ -72,44 +72,6 @@ def test_ssa_absorption():
     assert traj.reason == "absorbed"
     assert traj.states[-1][0] == 0
     assert len(traj) == 7  # six deaths, no other moves
-
-
-def test_ssa_stop_predicate(network, part211):
-    w = np.array([2, 1, 1])
-    traj = ssa(network, (5, 5, 5), t_final=50.0, seed=1,
-               stop=lambda x: x @ w >= 40)
-    assert traj.reason in ("exit", "horizon")
-    if traj.reason == "exit":
-        assert traj.states[-1] @ w >= 40
-        assert all(s @ w < 40 for s in traj.states[:-1])
-
-
-def test_ssa_on_chain():
-    up = np.full(61, 1.5)
-    down = 2.0 * np.arange(61, dtype=float)
-    chain = BoundingChain("upper", 1, 60, 60, {1: up, -1: down},
-                          {1: TailModel(1, 0, intercepts=(1.5,)),
-                           -1: TailModel(-1, 1, slope=2.0)}, (1,))
-    traj = ssa(chain, 10, t_final=5.0, seed=9)
-    assert traj.reason == "horizon"
-    assert traj.states.ndim == 1
-    assert np.all(traj.states >= 0)
-    assert np.all(np.abs(np.diff(traj.states)) == 1)
-
-
-def test_ssa_on_chain_ends_at_the_band_edge():
-    # upward drift and tails that keep going: past l_total - j_max the next
-    # jump could leave the band, as in coupled_ssa
-    up = np.full(21, 5.0)
-    down = 0.1 * np.arange(21, dtype=float)
-    chain = BoundingChain("upper", 1, 20, 20, {1: up, -1: down},
-                          {1: TailModel(1, 0, intercepts=(5.0,)),
-                           -1: TailModel(-1, 1, slope=0.1)}, (1,))
-    traj = ssa(chain, 10, t_final=100.0, seed=0)
-    assert traj.reason == "band"
-    assert traj.states[-1] == 20
-    assert traj.states.max() <= chain.l_total
-    assert ssa(chain, 20, t_final=1.0).reason == "band"
 
 
 NEGATIVE_DEATH = {
@@ -180,7 +142,6 @@ def test_estimate_exit_bounds_and_summary(network, part211):
                         samples=400, seed=5)
     assert 0.0 <= est.lo <= est.estimate <= est.hi <= 1.0
     assert est.estimate == est.exits / est.samples
-    assert "400" in est.summary()
 
 
 def test_estimate_exit_matches_serial_probability():
@@ -240,31 +201,29 @@ def test_estimate_exit_work_is_pinned(network, part211, N, want):
     assert [(e.exits, e.jumps, e.sweeps) for e in got] == want
 
 
-def _ssa_digest(model, x0, t_final, seeds) -> str:
+def _ssa_digest(network, x0, t_final, seeds) -> str:
     h = hashlib.sha256()
     for seed in seeds:
-        traj = ssa(model, x0, t_final, seed=seed)
+        traj = ssa(network, x0, t_final, seed=seed)
         h.update(traj.reason.encode())
         h.update(np.ascontiguousarray(traj.times).tobytes())
         h.update(np.ascontiguousarray(traj.states, dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
-def test_ssa_paths_are_pinned(network, upper211):
+def test_ssa_paths_are_pinned(network):
     # sha256 over reason, times and states of 20 one-path runs each
     assert _ssa_digest(network, (3, 2, 1), 4.0, range(20)) == (
         "4a47b4c124e5d2388a0e313d32bdd10eb8ce967817f14bebbecd846b487eabea")
-    assert _ssa_digest(upper211, 40, 4.0, range(20)) == (
-        "49920fc724fae69cfc4ebe8a52f54d7f67b62b340971cef9c23792cc89672495")
     assert _ssa_digest(network_from_dict(PURE_DEATH), (6,), 1e9,
                        range(20)) == (
         "2c066e7b5161d39c708d940f41cf3fd3b196dcacf5c65ed466439cf2b9360e43")
 
 
 def test_wide_rate_rows_are_pinned():
-    # eight reactions, and a chain with nine offsets: numpy sums a row of
-    # eight or more entries pairwise, not left to right, so the clocks of
-    # these paths pin the row total's order of addition
+    # eight reactions: numpy sums a row of eight or more entries pairwise,
+    # not left to right, so the clocks of these paths pin the row total's
+    # order of addition
     wide = network_from_dict(dict(NETWORK_DOC, reactions=[
         *NETWORK_DOC["reactions"],
         {"change": [0, 1, 0], "propensity": [{"coeff": 0.7}]},
@@ -276,12 +235,3 @@ def test_wide_rate_rows_are_pinned():
             for seed in range(3)] == [18, 14, 17]
     assert _ssa_digest(wide, (3, 2, 1), 4.0, range(10)) == (
         "8fdaaf9271fac4f1f657365a4b6ae45279e5a52c9fb44b87ef744c9f35b029c9")
-    L = 60
-    up = np.full(L + 1, 0.37)
-    down = 0.91 * np.arange(L + 1, dtype=float)
-    chain = BoundingChain("upper", 4, L, L, {4: up, 1: up / 3, -1: down},
-                          {4: TailModel(4, 0, intercepts=(0.37,)),
-                           1: TailModel(1, 0, intercepts=(0.37 / 3,)),
-                           -1: TailModel(-1, 1, slope=0.91)}, (1,))
-    assert _ssa_digest(chain, 10, 6.0, range(10)) == (
-        "d4b0a0839c3d7950dcd7f5fcfb99d3e8a24e56465632f63768cecce91fb6d0b0")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boundchain import TransportError, ValidationError, pi, pi_bar
-from boundchain.transport import _pairwise_sum
+from boundchain.transport import RTOL, _pairwise_sum
 
 mass_seq = st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1,
                     max_size=8)
@@ -271,6 +271,24 @@ def test_pi_bar_matches_broadcast_fill_bit_for_bit(pair):
     # byte equality covers the sign of every zero
     assert outcome(pi_bar, a, b) == outcome(pi_bar_broadcast, a, b)
     assert outcome(pi_bar, b, a) == outcome(pi_bar_broadcast, b, a)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1 - 1e-13, 1e-13], [1.0, 0.0]),
+    ([0.5 - 4e-13, 0.5 + 4e-13], [0.5, 0.5]),
+    ([1 - 1e-13, 1.0, 1.0, 1 + 1e-13], [1.0, 1.0, 1.0, 1.0]),
+])
+def test_an_accepted_shortfall_bounds_the_mass_below_the_diagonal(a, b):
+    # domination is checked with slack RTOL * scale, so these prefixes of a
+    # fall short of b's and pass; row k + 1 then reaches left of the
+    # diagonal by at most the shortfall of prefix k
+    a, b = np.asarray(a), np.asarray(b)
+    plan = pi_bar(a, b)
+    shortfall = np.maximum(np.cumsum(b) - np.cumsum(a), 0.0)[:-1]
+    assert shortfall.max() <= RTOL * max(1.0, a.sum(), b.sum())
+    below = np.array([plan[k, :k].sum() for k in range(1, len(a))])
+    assert below[0] > 0.0
+    assert (below <= shortfall).all()
 
 
 # masses in [-1e-15, 0), inside the nonnegativity slack.  Read as they
