@@ -141,7 +141,8 @@ def _solver_counters(cme) -> dict:
             "poisson_terms": cme.poisson_terms,
             "solver_term": cme.solver_term,
             "passes": cme.passes,
-            "matvecs": cme.matvecs}
+            "matvecs": cme.matvecs,
+            "kernel": cme.kernel}
 
 
 def _emit(args, command: str, doc: dict, **manifest) -> int:

@@ -20,20 +20,23 @@ term.  A solve answers queries at times in [0, t_final] only.  Its first
 query runs the pass, for p(t_final), z and every time of that query at
 once; it costs K, about Lambda * t_final, sparse mat-vecs, and a later
 query at new times runs one more pass of the same K.  Each mat-vec is
-scipy's ``csr_matvec`` kernel called straight into its row of the term
-block, without the per-call dispatch of ``@``.
+one of scipy's compiled kernels called straight into its row of the term
+block, without the per-call dispatch of ``@``: ``dia_matvec`` when P^T is
+banded, as every chain generator is, else ``csr_matvec``.  Both add each
+output entry's products in column order, so they give the same bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy import special
 
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import dia_matvec as _dia_matvec
 
 from .chain import BoundingChain
 from .errors import InfeasibleError, ResourceLimitError, ValidationError
@@ -48,10 +51,15 @@ POISSON_TERM_CAP = 2_000_000
 # p itself (not only the certificate) stays within a tenth of the budget
 TAIL_SHARE = 0.1
 _BLOCK = 256  # Poisson terms buffered before they are weighted and summed
+# P^T is stored by diagonals when diagonals * n <= _DIA_FILL * nnz, so at
+# least half of what the DIA kernel reads is stored entries
+_DIA_FILL = 2
 
 
 def chain_generator(chain: BoundingChain, M: int) -> sp.csr_matrix:
     """Generator of a 1-D chain restricted to [0, M], diagonal kept full."""
+    if M < 0:
+        raise ValidationError("M must be >= 0")
     if M > chain.l_total:
         raise ValidationError(f"M={M} exceeds the chain horizon {chain.l_total}")
     J = chain.j_max
@@ -149,6 +157,31 @@ def _poisson_pmf(k: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.exp(special.xlogy(k, m) - m - special.gammaln(k + 1.0))
 
 
+def _matvec_kernel(PT: sp.csr_matrix):
+    """The compiled kernel for P^T: ("dia" or "csr", f), f(v, y) adding
+    P^T v into y.
+
+    DIA is taken when P^T's occupied diagonals times n is at most
+    ``_DIA_FILL`` times its stored entries, which every chain generator
+    meets; the diagonals are counted from the CSR arrays in O(nnz).  The
+    offsets ascend, so each output entry adds its products in column
+    order, as ``csr_matvec`` does over sorted indices, and a padded zero
+    adds +0.0 to a sum of nonnegative products: both give the same bytes.
+    """
+    n = PT.shape[0]
+    indptr, indices, data = PT.indptr, PT.indices, PT.data
+    diag = indices - np.repeat(np.arange(n), np.diff(indptr)) + (n - 1)
+    occupied = np.flatnonzero(np.bincount(diag, minlength=2 * n - 1))
+    if len(occupied) * n > _DIA_FILL * PT.nnz:
+        return "csr", partial(_csr_matvec, n, n, indptr, indices, data)
+    slot = np.zeros(2 * n - 1, dtype=np.intp)
+    slot[occupied] = np.arange(len(occupied))
+    diags = np.zeros((len(occupied), n))
+    diags[slot[diag], indices] = data
+    offsets = (occupied - (n - 1)).astype(indices.dtype)
+    return "dia", partial(_dia_matvec, n, n, len(offsets), n, offsets, diags)
+
+
 class TruncatedCME:
     """One uniformization solve of p' = p Q on [0, t_final].
 
@@ -161,7 +194,8 @@ class TruncatedCME:
     sweep of K mat-vecs that yields p at those times together with
     p(t_final) and the occupation time z.  Every result is a pointwise
     lower bound that drops at most ``TAIL_SHARE * budget`` of mass.
-    ``passes`` and ``matvecs`` count the work done so far.
+    ``kernel`` names the mat-vec kernel picked for P^T at construction
+    ("dia" or "csr"); ``passes`` and ``matvecs`` count the work done so far.
     """
 
     def __init__(self, Q: sp.csr_matrix, classes: np.ndarray, p0: np.ndarray,
@@ -177,6 +211,7 @@ class TruncatedCME:
         self.uniform_rate = rate if rate > 0.0 else 1.0
         self._PT = (sp.identity(Q.shape[0], format="csr")
                     + Q / self.uniform_rate).T.tocsr()
+        self.kernel, self._matvec = _matvec_kernel(self._PT)
         # solver_term, the Poisson stop-loss, bounds the mass and flux the
         # solve leaves out
         self.poisson_terms, self.solver_term, sf = _poisson_stop(
@@ -225,11 +260,12 @@ class TruncatedCME:
         """Sum p0 P^k over k = 0..K with Poisson(k; Lambda t) weights, one
         row per time and one for t_final, into the cache, and z with it.
 
-        Each term k >= 1 is one ``csr_matvec`` of P^T into its row of a
-        256-term block, which is weighted by one product for the times
-        together and one for t_final alone.  The kernel adds into its
-        output, so each block is zeroed once before it is filled; on a
-        zeroed row it gives the bytes of ``P^T @ v``.
+        Each term k >= 1 is one call of the ``kernel`` (``dia_matvec`` or
+        ``csr_matvec``) with P^T into its row of a 256-term block, which is
+        weighted by one product for the times together and one for t_final
+        alone.  The kernel adds into its output, so each block is zeroed
+        once before it is filled; on a zeroed row either kernel gives the
+        bytes of ``P^T @ v``.
         """
         n, K = len(self.p0), self.poisson_terms
         means = self.uniform_rate * np.array(times)
@@ -237,16 +273,14 @@ class TruncatedCME:
         out = np.zeros((len(times), n))
         final, z = np.zeros((1, n)), np.zeros(n)
         block = np.empty((min(_BLOCK, K + 1), n))
-        PT, matvec = self._PT, _csr_matvec
-        indptr, indices, data = PT.indptr, PT.indices, PT.data
+        rows, matvec = list(block), self._matvec
         v = self.p0
         for start in range(0, K + 1, _BLOCK):
             stop = min(start + _BLOCK, K + 1)
             block.fill(0.0)
-            for r, k in enumerate(range(start, stop)):
-                row = block[r]
+            for row, k in zip(rows, range(start, stop)):
                 if k:
-                    matvec(n, n, indptr, indices, data, v, row)
+                    matvec(v, row)
                 else:
                     row[:] = v
                 v = row
@@ -346,6 +380,8 @@ def solve_network_cme(network: ReactionNetwork, partition: ClassPartition,
 
 
 def delta_p0(M: int, at: int) -> np.ndarray:
+    if M < 0:
+        raise ValidationError("M must be >= 0")
     if not 0 <= at <= M:
         raise ValidationError(f"delta at {at} is outside [0, {M}]")
     p0 = np.zeros(M + 1)
@@ -433,8 +469,8 @@ def min_truncation(chain: BoundingChain, p0, M: int, t_final: float,
     already be below epsilon, otherwise no window can certify and the box
     M itself has to grow.
     """
-    if not 0 < epsilon:
-        raise ValidationError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be finite and > 0, got {epsilon}")
     cme = _window_solve(chain, p0, M, t_final, cme)
     deficit = max(0.0, 1.0 - cme.mass(t_final)) + cme.solver_term
     if deficit >= epsilon:

@@ -766,6 +766,15 @@ def test_truncate_cli(tmp_path, chain_csv, capsys):
                  "--epsilon", "0.01"]) == 2
     assert capsys.readouterr().err == (
         "error: give either --N or --epsilon, not both\n")
+    # an infinite epsilon once certified N = 0 with bound_clipped 1.0
+    assert main(["truncate", "--chain", chain_csv, "--p0", "delta:20",
+                 "--M", "200", "--tf", "1.0", "--epsilon", "inf"]) == 2
+    assert capsys.readouterr().err == (
+        "error: epsilon must be finite and > 0, got inf\n")
+    # M = -1 was once reported as the delta lying outside [0, -1]
+    assert main(["truncate", "--chain", chain_csv, "--p0", "delta:20",
+                 "--M", "-1", "--tf", "1.0", "--N", "0"]) == 2
+    assert capsys.readouterr().err == "error: M must be >= 0\n"
 
 
 def test_plan_truncation_cli(tmp_path, chain_csv, capsys):
@@ -780,6 +789,10 @@ def test_plan_truncation_cli(tmp_path, chain_csv, capsys):
     assert man["counters"]["poisson_terms"] > 0
     assert man["counters"]["passes"] == 1
     capsys.readouterr()
+    assert main(["plan-truncation", "--chain", chain_csv, "--p0", "delta:20",
+                 "--M", "200", "--tf", "1.0", "--epsilons", "0.1,inf"]) == 2
+    assert capsys.readouterr().err == (
+        "error: epsilon must be finite and > 0, got inf\n")
 
 
 def test_heatmap_cli(tmp_path, chain_csv):
@@ -802,7 +815,9 @@ def test_heatmap_cli(tmp_path, chain_csv):
         assert all(y <= x + 1e-12 for x, y in zip(ordered, ordered[1:]))
     man = json.loads((tmp_path / "heat.csv.manifest.json").read_text())
     assert set(man["counters"]) == {"uniform_rate", "poisson_terms",
-                                    "solver_term", "passes", "matvecs"}
+                                    "solver_term", "passes", "matvecs",
+                                    "kernel"}
+    assert man["counters"]["kernel"] == "dia"  # a chain generator is banded
     assert 0.0 < man["counters"]["solver_term"] <= 1e-8
     # the requested times ride along the t_final pass: K + 1 terms, K mat-vecs
     assert man["counters"]["passes"] == 1

@@ -84,6 +84,12 @@ def test_chain_generator_shape_and_absorption():
     assert sums[30] == pytest.approx(-1.5)
     with pytest.raises(ValidationError):
         chain_generator(chain, chain.l_total + 1)
+    # M = -5 once raised numpy's "negative dimensions", M = -1 gave 0 x 0
+    for M in (-5, -1):
+        with pytest.raises(ValidationError, match="M must be >= 0"):
+            chain_generator(chain, M)
+        with pytest.raises(ValidationError, match="M must be >= 0"):
+            delta_p0(M, 0)
 
 
 def test_mass_is_monotone_under_truncation():
@@ -512,22 +518,24 @@ def test_solves_are_pinned(network, part211, upper211):
 @pytest.mark.parametrize("block", [cme_module._BLOCK, 1, 3])
 def test_direct_kernel_and_fallback_give_identical_bytes(
         monkeypatch, network, part211, upper211, block):
-    # every term is written into its block row by csr_matvec, with no
-    # product with P^T.  Block sizes 1 and 3 put a block boundary after
+    # every term is written into its block row by the solve's kernel,
+    # dia_matvec for the chain solves and csr_matvec for the network one,
+    # with no product with P^T.  Block sizes 1 and 3 put a block boundary after
     # every term or between any two, where the last term must survive the
     # next block's zeroing.  The blocks are weighted and summed one by
     # one, so another block size regroups those sums: the floats agree
     # with the 256-term blocks' to rounding, and the one-term solve to the
     # byte.  The chain solve makes 30 blocks of 256.
-    solves = {  # name: (solve, query time, K)
+    solves = {  # name: (solve, query time, K, kernel)
         "chain": (lambda: solve_chain_cme(upper211, 500, delta_p0(500, 80),
-                                          4.0), 0.3, 7553),
-        "network": (lambda: _network_solve(network, part211), 0.3, 487),
+                                          4.0), 0.3, 7553, "dia"),
+        "network": (lambda: _network_solve(network, part211), 0.3, 487,
+                    "csr"),
         "t_final=0": (lambda: solve_chain_cme(upper211, 24, delta_p0(24, 14),
-                                              0.0), 0.0, 0),
+                                              0.0), 0.0, 0, "dia"),
     }
     want = {name: _solve_floats(solve(), t)
-            for name, (solve, t, _) in solves.items()}
+            for name, (solve, t, _, _) in solves.items()}
     monkeypatch.setattr(cme_module, "_BLOCK", block)
     products = []
     real_matmul = sp.csr_matrix.__matmul__
@@ -537,12 +545,76 @@ def test_direct_kernel_and_fallback_give_identical_bytes(
         return real_matmul(self, other)
 
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
-    for name, (solve, t, K) in solves.items():
+    for name, (solve, t, K, kernel) in solves.items():
         products.clear()
         cme = solve()
         got = _solve_floats(cme, t)
         assert np.allclose(got, want[name], rtol=0.0, atol=1e-12), name
         assert cme.poisson_terms == K, name
         assert cme.passes == 1 and cme.matvecs == K, name
+        assert cme.kernel == kernel, name
         assert not any(A is cme._PT for A in products), name
     assert np.array_equal(got, want["t_final=0"])
+
+
+def _gappy_chain():
+    """Offsets -2, -1 and +3, each zero on some levels inside the band."""
+    ell = np.arange(41, dtype=float)
+    return BoundingChain("upper", 3, 40, 40,
+                         {3: 1.5 * (ell % 2), -1: 2.0 * ell,
+                          -2: 0.5 * ell * (ell % 3 == 0)}, {}, (1,))
+
+
+@pytest.mark.parametrize("case", ["U70 M=500", "gaps", "clipped", "network"])
+def test_dia_and_csr_kernels_give_identical_bytes(monkeypatch, network,
+                                                   part211, upper211, case):
+    # the DIA kernel adds each output entry's products in column order,
+    # as csr_matvec does, and its padded zeros (the gaps in the band, the
+    # clipped ends of each diagonal near 0 and M, and on a chain P's zero
+    # diagonal entry in the row that sets Lambda, which CSR does not store)
+    # add +0.0: the bytes must not move.  The network's P divides by Lambda
+    # through its reciprocal, so its diagonal there is 1.1e-16, not 0.
+    solve = {
+        "U70 M=500": lambda: solve_chain_cme(upper211, 500,
+                                             delta_p0(500, 80), 4.0),
+        "gaps": lambda: solve_chain_cme(_gappy_chain(), 40, delta_p0(40, 37),
+                                        1.0),
+        "clipped": lambda: solve_chain_cme(_gappy_chain(), 2, delta_p0(2, 2),
+                                           1.0),
+        "network": lambda: _network_solve(network, part211),
+    }[case]
+    got = {}
+    for kernel, fill in (("csr", 0), ("dia", np.inf)):
+        monkeypatch.setattr(cme_module, "_DIA_FILL", fill)
+        cme = solve()
+        assert cme.kernel == kernel
+        assert (cme._PT.diagonal().min() == 0.0) == (case != "network")
+        got[kernel] = _solve_floats(cme).tobytes()
+    assert got["dia"] == got["csr"]
+
+
+def test_chain_solves_call_dia_matvec_and_network_solves_csr_matvec(
+        monkeypatch, network, part211, upper211, lower225, naive111):
+    calls = {"dia": 0, "csr": 0}
+
+    def spy(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(cme_module, "_dia_matvec",
+                        spy("dia", cme_module._dia_matvec))
+    monkeypatch.setattr(cme_module, "_csr_matvec",
+                        spy("csr", cme_module._csr_matvec))
+    chain = solve_chain_cme(upper211, 500, delta_p0(500, 80), 4.0)
+    chain.p(4.0)
+    assert calls == {"dia": chain.poisson_terms, "csr": 0}
+    calls["dia"] = 0
+    net = _network_solve(network, part211)
+    net.p(1.0)
+    assert calls == {"dia": 0, "csr": net.poisson_terms}
+    # every chain generator is banded
+    for c in (upper211, lower225, naive111, mm1(1.5, 2.0), _gappy_chain()):
+        for M in (0, 1, 40, min(400, c.l_total)):
+            assert solve_chain_cme(c, M, delta_p0(M, 0), 1.0).kernel == "dia"
