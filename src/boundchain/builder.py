@@ -4,9 +4,10 @@ Pipeline: exact class enumeration gives the per-class extreme aggregates
 (f-tables), running min/max over class ranges gives the optimal cumulative
 tables (U-tables), and differencing (the inverse of Phi) turns those into a
 banded transition-rate table.  Tails beyond the exact horizon are detected
-by fitting periodic-affine (or low-degree polynomial) models that must match
-the exact values bit-for-bit on a trailing window.  ``verify_assumptions``
-checks a chain against the same f-table pass.
+from one stream of candidate models per offset, periodic-affine before
+low-degree polynomial; the first that matches the exact values on a
+trailing window is taken, and the requested degree is checked on that fit.
+``verify_assumptions`` checks a chain against the same f-table pass.
 
 The f-table pass reads ``network.extreme_rates``.  Where every rate is
 affine along the rows of a class (the head counts fixed, the last two
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -266,98 +267,90 @@ def _cumulative(chain: BoundingChain, hi: int, J: int):
 # -- tail detection ---------------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    return [p for p in range(1, n + 1) if n % p == 0]
-
-
 def _misfit(values: np.ndarray, start: int, model: TailModel) -> np.ndarray:
     """Where the model misses ``values``, the rates on levels start, start+1, ..."""
     pred = model(np.arange(start, start + len(values)))
     return ~(np.abs(pred - values) <= RTOL * np.maximum(1.0, np.abs(values)))
 
 
-def _fit_window(values: np.ndarray, start: int, offset: int,
-                periods: list[int], degree_max: int) -> TailModel | None:
-    """First tail model (simplest first) matching every window value."""
+def _candidates(values: np.ndarray, start: int, offset: int,
+                periods: list[int]):
+    """(fit degree, model) for the window on levels start, start+1, ...,
+    simplest first: periodic-affine (degree 1), then the polynomial fits."""
     n = len(values)
     ells = np.arange(start, start + n)
-    candidates: list[TailModel] = []
     for p in periods:
         if 2 * p > n - 1:
             continue  # need at least three points per residue
-        diffs = (values[p:] - values[:-p]) / p
-        slope = float(np.mean(diffs))
+        slope = float(np.mean((values[p:] - values[:-p]) / p))
         # a flat tail first: on constant rates the mean difference can be
         # rounding noise, and a noise slope turns exact zeros negative
         for s in (0.0, slope) if slope else (0.0,):
-            intercepts = []
-            for residue in range(p):
-                idx = np.flatnonzero(ells % p == residue)
-                beta = values[idx[-1]] - s * ells[idx[-1]]
-                intercepts.append(float(beta))
-            candidates.append(TailModel(offset=offset, onset=start, period=p,
-                                        intercepts=tuple(intercepts), slope=s))
+            # each residue's intercept from its last level in the window
+            beta = (values[-p:] - s * ells[-p:])[np.argsort(ells[-p:] % p)]
+            yield 1, TailModel(offset=offset, onset=start, period=p,
+                               intercepts=tuple(beta.tolist()), slope=s)
     for deg in (2, 3):
-        if deg > degree_max or n < deg + 2:
-            continue
-        coeffs = np.polyfit(ells, values, deg)
         c = np.zeros(4)
-        c[:deg + 1] = coeffs[::-1]
-        candidates.append(TailModel(offset=offset, onset=start, period=1,
-                                    intercepts=(float(c[0]),), slope=float(c[1]),
-                                    c2=float(c[2]), c3=float(c[3])))
-    for model in candidates:
-        if not _misfit(values, start, model).any():
-            return model
-    return None
+        c[:deg + 1] = np.polyfit(ells, values, deg)[::-1]
+        yield deg, TailModel(offset=offset, onset=start, period=1,
+                             intercepts=(float(c[0]),), slope=float(c[1]),
+                             c2=float(c[2]), c3=float(c[3]))
+
+
+def _window_start(J: int, l_exact: int) -> int:
+    """First level of the trailing tail window, 4*j_max+4 levels wide."""
+    width = 4 * J + 4
+    if l_exact < width:
+        raise ValidationError(
+            f"l_exact must be at least 4*j_max+4 = {width} for the tail window")
+    return l_exact - width
 
 
 def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
                  degree_max: int = 1) -> dict[int, TailModel]:
     """Fit one tail model per offset on the trailing exact window.
 
-    Periods tried are the divisors of lcm(weights) in ascending order, then
-    polynomials of degree 2..degree_max at period 1.  A model must reproduce
-    the exact rates on the whole window; the onset is pushed down as far as
-    the model keeps matching.  No admissible model is a stabilization error.
+    One stream of candidates per offset, simplest first: periodic-affine
+    over the divisors of lcm(weights) in ascending order, then degree 2 and
+    3 polynomials at period 1.  The first that reproduces the exact rates on
+    the whole window is taken and the requested degree checked on it; no
+    match is a stabilization error.  The onset is pushed down as far as the
+    model keeps matching.
     """
     J, L = chain.j_max, chain.l_exact
-    width = 4 * J + 4
-    start = L - width
-    if start < 0:
-        raise ValidationError("exact horizon too short for the tail window")
+    start = _window_start(J, L)
     if (chain.weights and partition is not None
             and tuple(partition.weights) != chain.weights):
         raise ValidationError(
             f"partition weights {tuple(partition.weights)} differ from the "
             f"chain's {chain.weights}")
     weights = chain.weights if chain.weights else (partition.weights if partition else (1,))
-    periods = _divisors(math.lcm(*weights))
+    lcm = math.lcm(*weights)
+    periods = [p for p in range(1, lcm + 1) if lcm % p == 0]
     rates = chain.band(L)
     tails = {}
     for k in sorted(chain.exact):
         values = rates[start:, J + k]
         if np.all(values == 0.0):
             continue
-        model = _fit_window(values, start, k, periods, degree_max)
-        if model is None:
-            diagnosis = _fit_window(values, start, k, periods, 3)
-            if diagnosis is not None:
-                raise StabilizationError(
-                    f"offset {k}: tail is polynomial of degree "
-                    f"{diagnosis.degree}, but degree {degree_max} was requested"
-                )
+        for degree, model in _candidates(values, start, k, periods):
+            if not _misfit(values, start, model).any():
+                break
+        else:
             raise StabilizationError(
                 f"offset {k}: exact rates on [{start}, {L}] fit no "
                 f"periodic-affine or degree<=3 model"
             )
+        if degree > max(degree_max, 1):  # periodic-affine always passes
+            raise StabilizationError(
+                f"offset {k}: tail is polynomial of degree {degree}, but "
+                f"degree {degree_max} was requested"
+            )
         # the model holds down to the true onset: one past the last miss
         # below the window
         miss = np.flatnonzero(_misfit(rates[:start, J + k], 0, model))
-        onset = int(miss[-1]) + 1 if miss.size else 0
-        tails[k] = TailModel(offset=k, onset=onset, period=model.period,
-                             intercepts=model.intercepts, slope=model.slope,
-                             c2=model.c2, c3=model.c3)
+        tails[k] = replace(model, onset=int(miss[-1]) + 1 if miss.size else 0)
     return tails
 
 
@@ -371,6 +364,7 @@ def build_bounding_chain(network: ReactionNetwork, partition: ClassPartition,
     if l_total < l_exact:
         raise ValidationError("l_total must be at least l_exact")
     J = j_max(network, partition)
+    _window_start(J, l_exact)
     # the lower-direction ranges look up to j_max classes above ell, so the
     # f-table is computed past the requested horizon for both directions
     f = compute_f(network, partition, direction, l_exact + J)

@@ -234,6 +234,11 @@ class BoundingChain:
         for row in tail_rows:
             by_offset.setdefault(row[0], []).append(row)
         for k, rows in by_offset.items():
+            for field, i in (("slope", 1), ("onset", 3), ("period", 4),
+                             ("c2", 6), ("c3", 7)):
+                if len({r[i] for r in rows}) > 1:
+                    raise ValidationError(f"chain CSV {path}: the tail rows "
+                                          f"of offset {k} disagree on {field}")
             rows.sort(key=lambda r: r[5])
             period = rows[0][4]
             if len(rows) != period or [r[5] for r in rows] != list(range(period)):

@@ -225,9 +225,12 @@ def _reach(steps: list, start: int) -> np.ndarray:
     return np.array(seen)
 
 
-def check_irreducible(chain: BoundingChain, horizon: int = 200) -> Attestation:
+def check_irreducible(chain: BoundingChain,
+                      horizon: int | None = None) -> Attestation:
     """Strong connectivity of the reachable window plus tail positivity.
 
+    The window is [0, horizon], capped at l_total; by default max(200,
+    l_exact), so connectivity is checked on every exact level.
     The window is restricted to classes reachable from class 0: when some
     class labels are unachievable under the weights, their rows exist only
     to complete the rate table and nothing ever enters them, so they do not
@@ -239,6 +242,8 @@ def check_irreducible(chain: BoundingChain, horizon: int = 200) -> Attestation:
     are polynomial with nonnegative leading behavior, so positivity on one
     full period of the tail models persists for all larger classes.
     """
+    if horizon is None:
+        horizon = max(200, chain.l_exact)
     if horizon < 0:
         raise ValidationError(f"horizon must be nonnegative, got {horizon}")
     horizon = min(horizon, chain.l_total)

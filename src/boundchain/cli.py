@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -26,8 +27,7 @@ from .chain import BoundingChain
 from .classifier import (ChainClass, check_irreducible, classify, combine,
                          drift_stats)
 from .coupling import CoupledSimulator, coupled_ssa
-from .errors import (ConsistencyError, InfeasibleError, ResourceLimitError,
-                     ToolError, ValidationError)
+from .errors import ResourceLimitError, ToolError, ValidationError
 from .network import ClassPartition, load_network
 from .simulate import estimate_exit, ssa
 
@@ -337,13 +337,8 @@ def cmd_truncate(args) -> int:
     else:
         N = min_truncation(chain, p0, args.M, args.tf, args.epsilon, cme=cme)
     cert = truncation_certificate(chain, p0, N, args.M, args.tf, cme=cme)
-    doc = {
-        "N": cert.N, "M": cert.M, "t_final": cert.t_final,
-        "mass_deficit": cert.mass_deficit, "initial_tail": cert.initial_tail,
-        "flux": cert.flux, "solver_term": cert.solver_term,
-        "bound": cert.bound, "bound_clipped": cert.bound_clipped,
-    }
-    return _emit(args, "truncate", doc, counters=_solver_counters(cme))
+    return _emit(args, "truncate", dataclasses.asdict(cert),
+                 counters=_solver_counters(cme))
 
 
 def cmd_plan_truncation(args) -> int:
@@ -565,14 +560,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return exc.exit_code
     except ToolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         # inputs are checked where they are read; this is an output path

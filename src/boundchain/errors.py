@@ -2,9 +2,11 @@
 
 
 class ToolError(Exception):
-    """Base class for structured failures; ``exit_code`` drives the CLI."""
+    """Base class for structured failures; ``exit_code`` and the stderr
+    prefix ``label`` drive the CLI."""
 
     exit_code = 1
+    label = "error"
 
 
 class ValidationError(ToolError):
@@ -21,6 +23,7 @@ class InfeasibleError(ToolError):
     """No result exists under the requested tolerances or horizons."""
 
     exit_code = 3
+    label = "infeasible"
 
 
 class StabilizationError(InfeasibleError):
@@ -31,3 +34,4 @@ class ConsistencyError(ToolError):
     """An internal cross-check failed; results cannot be trusted."""
 
     exit_code = 4
+    label = "inconsistency"

@@ -484,6 +484,41 @@ def test_stabilization_reports_degree(network, part111):
     assert "degree 2" in str(err.value)
 
 
+@pytest.mark.parametrize("weights, direction, l_exact, degree, calls", [
+    ((2, 1, 1), "upper", 70, 3, 0),
+    ((2, 2, 5), "lower", 70, 3, 0),
+    ((1, 1, 1), "upper", 40, 2, 1),
+])
+def test_polynomials_are_fitted_only_past_every_periodic_model(
+        network, monkeypatch, weights, direction, l_exact, degree, calls):
+    # the candidates are made one at a time: a tail that a periodic-affine
+    # model matches costs no polyfit, whatever degree was requested
+    fitted = []
+    polyfit = np.polyfit
+
+    def spy(*args, **kwargs):
+        fitted.append(args[2])
+        return polyfit(*args, **kwargs)
+
+    monkeypatch.setattr(np, "polyfit", spy)
+    build_bounding_chain(network, ClassPartition(weights), direction,
+                         l_exact=l_exact, tail_degree=degree)
+    assert fitted == [2] * calls
+
+
+def test_tail_window_minimum_is_named(network, part211):
+    # j_max = 2: the tail window needs l_exact >= 4*2+4 = 12, and the build
+    # says so before its class pass, where it once named 2*j_max+2 = 6
+    for l_exact in (3, 8, 11):
+        with pytest.raises(ValidationError, match=r"4\*j_max\+4 = 12 "):
+            build_bounding_chain(network, part211, "upper", l_exact=l_exact)
+    skeleton = phi_inverse(optimal_U(compute_f(network, part211, "upper", 10)),
+                           part211.weights)
+    assert skeleton.l_exact == 8
+    with pytest.raises(ValidationError, match=r"4\*j_max\+4 = 12 "):
+        detect_tails(skeleton, part211)
+
+
 def test_verify_pass_and_perturbations(network, part211, upper211):
     assert verify_assumptions(network, part211, upper211, l_check=60).ok
     # reducing the up-2 rate at one class breaks domination right there
@@ -663,6 +698,28 @@ def test_from_csv_rejects_corrupt_files(tmp_path, upper211, edit):
     assert lines[1] == "ell,offset,rate" and "1,-1,2.5" in lines
     path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(ValidationError):
+        BoundingChain.from_csv(path)
+
+
+@pytest.mark.parametrize("rows, field", [
+    (["2,1.0,2.5,0,2,0,0.0,0.0", "2,7.0,2.5,40,2,1,0.0,0.0"], "slope"),
+    (["2,1.0,2.5,0,2,0,0.0,0.0", "2,1.0,2.5,40,2,1,0.0,0.0"], "onset"),
+    # two rows, as many as the first row's period
+    (["2,1.0,2.5,0,2,0,0.0,0.0", "2,1.0,2.5,0,3,1,0.0,0.0"], "period"),
+    (["2,1.0,2.5,0,2,0,0.0,0.0", "2,1.0,2.5,0,2,1,0.5,0.0"], "c2"),
+    (["2,1.0,2.5,0,2,0,0.0,0.0", "2,1.0,2.5,0,2,1,0.0,0.5"], "c3"),
+], ids=["slope", "onset", "period", "c2", "c3"])
+def test_from_csv_rejects_tail_rows_that_disagree(tmp_path, upper211, rows,
+                                                   field):
+    # each shared field was once read off the first row by residue, so a
+    # second residue's slope or onset was dropped without a word
+    path = tmp_path / "chain.csv"
+    upper211.to_csv(path)
+    lines = path.read_text().splitlines()
+    i = lines.index("2,1.0,2.5,0,1,0,0.0,0.0")
+    path.write_text("\n".join(lines[:i] + rows + lines[i + 1:]) + "\n")
+    with pytest.raises(ValidationError,
+                       match=f"tail rows of offset 2 disagree on {field}$"):
         BoundingChain.from_csv(path)
 
 

@@ -1,5 +1,7 @@
 """Drift statistics, the sign rules, the combination table, irreducibility."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from boundchain import (BoundingChain, ClassPartition, ConsistencyError,
                         TailModel, ValidationError, build_bounding_chain,
                         check_irreducible, classify, combine, drift_stats)
 from boundchain.classifier import ChainClass, DriftStats
+from boundchain.cli import main
 
 
 def test_drift_upper(upper211):
@@ -253,6 +256,33 @@ def test_irreducible_rejects_negative_horizon(upper211):
     # chain came back attested irreducible on [0, -1]
     with pytest.raises(ValidationError, match="horizon must be nonnegative"):
         check_irreducible(upper211, -1)
+
+
+def barrier():
+    # unit rates on a long exact head, but nothing climbs from 250 to 252
+    up, down = np.ones(301), np.ones(301)
+    down[0] = 0.0
+    up[250] = up[251] = 0.0
+    return BoundingChain("upper", 1, 300, 1000, {1: up, -1: down},
+                         {1: TailModel(1, 0, intercepts=(1.0,)),
+                          -1: TailModel(-1, 1, intercepts=(1.0,))}, (1,))
+
+
+def test_irreducible_checks_every_exact_level(tmp_path, capsys):
+    # the default window once stopped at 200 whatever l_exact was, and
+    # attested a chain that never gets past its barrier at 250
+    att = check_irreducible(barrier())
+    assert not att
+    assert att.witness == list(range(251))
+    assert att.detail.startswith("classes reachable from 0 stop at 250 "
+                                 "inside [0, 300];")
+    assert check_irreducible(barrier(), 200)  # an explicit horizon holds
+    path = tmp_path / "barrier.csv"
+    barrier().to_csv(path)
+    assert main(["classify", "--chain", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["irreducible"] is False
+    assert doc["irreducibility_detail"] == att.detail
 
 
 def test_irreducible_dead_tail_row():

@@ -16,8 +16,9 @@ from boundchain import (BoundingChain, ClassPartition, certificate_table,
 from boundchain.cli import (GRID_CAP, build_parser, main, parse_grid,
                             parse_ints, parse_p0)
 from boundchain import coupling
-from boundchain.errors import (ConsistencyError, ResourceLimitError,
-                               ValidationError)
+from boundchain.errors import (ConsistencyError, InfeasibleError,
+                               ResourceLimitError, StabilizationError,
+                               ToolError, ValidationError)
 from conftest import INF_DOC, LEAKY_NETWORK_DOC, NAN_DOC
 
 NET = str(Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -110,6 +111,48 @@ def test_build_rejects_out_of_range_species(tmp_path, species, capsys):
                  "--direction", "upper", "--out", str(tmp_path / "c.csv")])
     assert code == 2
     assert f"species {species}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--weights", "1,1,1", "--l-exact", "40", "--tail-degree", "1"], 3,
+     "infeasible: offset 1: tail is polynomial of degree 2, but degree 1 "
+     "was requested\n"),
+    (["--weights", "2,1,1", "--l-exact", "3"], 2,
+     "error: l_exact must be at least 4*j_max+4 = 12 for the tail window\n"),
+    (["--weights", "2,1,1", "--l-exact", "8"], 2,
+     "error: l_exact must be at least 4*j_max+4 = 12 for the tail window\n"),
+], ids=["degree-diagnosis", "l-exact-3", "l-exact-8"])
+def test_build_failure_lines_are_pinned(tmp_path, capsys, argv, code, err):
+    assert main(["build", "--network", NET, "--direction", "upper",
+                 *argv, "--out", str(tmp_path / "c.csv")]) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("cls, prefix", [
+    (ToolError, "error"), (ValidationError, "error"),
+    (ResourceLimitError, "error"), (InfeasibleError, "infeasible"),
+    (StabilizationError, "infeasible"), (ConsistencyError, "inconsistency"),
+])
+def test_each_error_class_prints_its_prefix(monkeypatch, capsys, cls, prefix):
+    def fail(path):
+        raise cls("no chain")
+
+    monkeypatch.setattr(BoundingChain, "from_csv", fail)
+    assert main(["classify", "--chain", "c.csv"]) == cls.exit_code
+    assert capsys.readouterr().err == f"{prefix}: no chain\n"
+
+
+def test_classify_rejects_tail_rows_that_disagree(tmp_path, chain_csv, capsys):
+    lines = Path(chain_csv).read_text().splitlines()
+    i = lines.index("2,1.0,2.5,0,1,0,0.0,0.0")
+    lines[i:i + 1] = ["2,1.0,2.5,0,2,0,0.0,0.0", "2,7.0,2.5,40,2,1,0.0,0.0"]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["classify", "--chain", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == (f"error: chain CSV {bad}: the tail rows of offset 2 "
+                   "disagree on slope\n")
 
 
 def test_build_rejects_bad_input(tmp_path):
