@@ -307,6 +307,11 @@ def _window_start(J: int, l_exact: int) -> int:
     return l_exact - width
 
 
+def _check_degree(name: str, degree: int) -> None:
+    if degree not in (1, 2, 3):
+        raise ValidationError(f"{name} must be 1, 2 or 3, got {degree!r}")
+
+
 def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
                  degree_max: int = 1) -> dict[int, TailModel]:
     """Fit one tail model per offset on the trailing exact window.
@@ -318,6 +323,7 @@ def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
     match is a stabilization error.  The onset is pushed down as far as the
     model keeps matching.
     """
+    _check_degree("degree_max", degree_max)
     J, L = chain.j_max, chain.l_exact
     start = _window_start(J, L)
     if (chain.weights and partition is not None
@@ -342,7 +348,7 @@ def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
                 f"offset {k}: exact rates on [{start}, {L}] fit no "
                 f"periodic-affine or degree<=3 model"
             )
-        if degree > max(degree_max, 1):  # periodic-affine always passes
+        if degree > degree_max:  # periodic-affine always passes
             raise StabilizationError(
                 f"offset {k}: tail is polynomial of degree {degree}, but "
                 f"degree {degree_max} was requested"
@@ -363,6 +369,7 @@ def build_bounding_chain(network: ReactionNetwork, partition: ClassPartition,
         l_total = l_exact
     if l_total < l_exact:
         raise ValidationError("l_total must be at least l_exact")
+    _check_degree("tail_degree", tail_degree)
     J = j_max(network, partition)
     _window_start(J, l_exact)
     # the lower-direction ranges look up to j_max classes above ell, so the

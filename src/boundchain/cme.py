@@ -24,10 +24,19 @@ one of scipy's compiled kernels called straight into its row of the term
 block, without the per-call dispatch of ``@``: ``dia_matvec`` when P^T is
 banded, as every chain generator is, else ``csr_matvec``.  Both add each
 output entry's products in column order, so they give the same bytes.
+
+The Poisson weights come from log space, with each time's log taken once,
+and every weight below DBL_MIN, the smallest normal double, is 0, as Fox &
+Glynn drop underflow.  A subnormal weight costs more than it adds: each
+multiply it enters takes the CPU's slow path.  Every weight and term is
+nonnegative and rounding is monotone, so a dropped weight only lowers p,
+still a lower bound, by at most DBL_MIN a term, which the mass deficit
+counts.  z's weights, P(N > k) / Lambda, stay as they are.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -54,6 +63,10 @@ _BLOCK = 256  # Poisson terms buffered before they are weighted and summed
 # P^T is stored by diagonals when diagonals * n <= _DIA_FILL * nnz, so at
 # least half of what the DIA kernel reads is stored entries
 _DIA_FILL = 2
+# DBL_MIN, the smallest normal double, and its log: the Poisson weights below
+# it are set to 0
+_TINY = np.finfo(float).tiny
+_LOG_TINY = math.log(_TINY)
 
 
 def chain_generator(chain: BoundingChain, M: int) -> sp.csr_matrix:
@@ -151,10 +164,32 @@ def _poisson_stop(m: float, budget: float):
         width *= 2.0
 
 
-def _poisson_pmf(k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Poisson(m) pmf at counts k, from log space; one row per mean."""
-    m = np.asarray(m, dtype=float)[:, None]
-    return np.exp(special.xlogy(k, m) - m - special.gammaln(k + 1.0))
+def _poisson_pmf(k: np.ndarray, log_fact: np.ndarray, m: np.ndarray,
+                 log_m: np.ndarray) -> np.ndarray:
+    """Poisson(m) pmf at counts k, from log space; one row per mean.
+
+    ``log_fact`` is gammaln(k + 1) and ``log_m`` holds math.log of each
+    mean, the libm log behind scipy's xlogy, so the exponent
+    (k log m - m) - gammaln(k + 1) has xlogy's bytes, with k = 0 giving 0.
+    exp runs only where that exponent is at least ln(DBL_MIN), and every
+    weight below DBL_MIN is 0: a subnormal weight would send each multiply
+    it enters down the CPU's slow path.  Dropping a weight only lowers the
+    sums it enters, all of whose terms are nonnegative.
+    """
+    with np.errstate(invalid="ignore"):  # 0 * log(0) for k = 0 at t = 0
+        x = k * log_m[:, None]
+    x[:, k == 0] = 0.0
+    x -= m[:, None]
+    x -= log_fact
+    w = np.zeros_like(x)
+    np.exp(x, out=w, where=x >= _LOG_TINY)
+    w[w < _TINY] = 0.0
+    return w
+
+
+def _logs(m: np.ndarray) -> np.ndarray:
+    """math.log of each mean, -inf at 0."""
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in m])
 
 
 def _matvec_kernel(PT: sp.csr_matrix):
@@ -265,11 +300,19 @@ class TruncatedCME:
         weighted by one product for the times together and one for t_final
         alone.  The kernel adds into its output, so each block is zeroed
         once before it is filled; on a zeroed row either kernel gives the
-        bytes of ``P^T @ v``.
+        bytes of ``P^T @ v``.  gammaln(k + 1) and t_final's weights are
+        made once per pass, the times' weights block by block, and a pass
+        with no times besides t_final (``truncate``, ``plan-truncation``)
+        makes and multiplies none.  Every weight below DBL_MIN is 0
+        (``_poisson_pmf``).
         """
         n, K = len(self.p0), self.poisson_terms
+        log_fact = special.gammaln(np.arange(K + 1) + 1.0)
         means = self.uniform_rate * np.array(times)
+        log_means = _logs(means)
         final_mean = self.uniform_rate * np.array([self.t_final])
+        final_weights = _poisson_pmf(np.arange(K + 1), log_fact, final_mean,
+                                     _logs(final_mean))
         out = np.zeros((len(times), n))
         final, z = np.zeros((1, n)), np.zeros(n)
         block = np.empty((min(_BLOCK, K + 1), n))
@@ -286,8 +329,10 @@ class TruncatedCME:
                 v = row
             ks = np.arange(start, stop)
             terms = block[:len(ks)]
-            out += _poisson_pmf(ks, means) @ terms
-            final += _poisson_pmf(ks, final_mean) @ terms
+            if times:
+                out += _poisson_pmf(ks, log_fact[start:stop], means,
+                                    log_means) @ terms
+            final += final_weights[:, start:stop] @ terms
             z += self._z_weights[ks] @ terms
             # v, the last term, is a row of the block the next one zeroes
             v = v.copy()
@@ -332,7 +377,10 @@ def solve_cme(Q: sp.spmatrix, p0, t_final: float,
     mass they drop is at most P(N > K), and the flux they miss at most
     E[(N - K - 1)^+] because every rate is at most Lambda.  That stop-loss is
     the certificates' solver term, a proven bound up to floating-point
-    rounding (of order K machine epsilons).  K and the solver term are fixed
+    rounding (of order K machine epsilons).  Poisson weights below DBL_MIN
+    are 0, which lowers p by at most (K + 1) DBL_MIN an entry, spares each
+    product the slow path of subnormal operands, and leaves z untouched;
+    the mass deficit counts what they drop.  K and the solver term are fixed
     here, so a solve needing too many terms raises ResourceLimitError here;
     the pass runs at the first query of the returned ``TruncatedCME``.
     """

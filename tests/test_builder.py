@@ -519,6 +519,22 @@ def test_tail_window_minimum_is_named(network, part211):
         detect_tails(skeleton, part211)
 
 
+def test_tail_degree_outside_1_to_3_is_rejected(network, part211, upper211):
+    # 0 and -5 once acted as 1 without a word; the build checks the degree
+    # before its class pass
+    for degree in (0, -5, 4):
+        with pytest.raises(ValidationError,
+                           match=f"tail_degree must be 1, 2 or 3, got {degree}"):
+            build_bounding_chain(network, part211, "upper", l_exact=70,
+                                 tail_degree=degree)
+        with pytest.raises(ValidationError,
+                           match=f"degree_max must be 1, 2 or 3, got {degree}"):
+            detect_tails(upper211, part211, degree_max=degree)
+    for degree in (1, 2, 3):
+        assert detect_tails(upper211, part211, degree_max=degree) == \
+            upper211.tails
+
+
 def test_verify_pass_and_perturbations(network, part211, upper211):
     assert verify_assumptions(network, part211, upper211, l_check=60).ok
     # reducing the up-2 rate at one class breaks domination right there

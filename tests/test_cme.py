@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 from scipy.linalg import expm
 
 from boundchain import cme as cme_module
@@ -18,6 +21,7 @@ from boundchain import (BoundingChain, InfeasibleError, TailModel,
                         chain_generator, delta_p0, min_truncation,
                         network_from_dict, network_generator, solve_chain_cme,
                         solve_cme, solve_network_cme, truncation_certificate)
+from boundchain.cli import parse_grid
 from conftest import NETWORK_DOC
 
 
@@ -618,3 +622,149 @@ def test_chain_solves_call_dia_matvec_and_network_solves_csr_matvec(
     for c in (upper211, lower225, naive111, mm1(1.5, 2.0), _gappy_chain()):
         for M in (0, 1, 40, min(400, c.l_total)):
             assert solve_chain_cme(c, M, delta_p0(M, 0), 1.0).kernel == "dia"
+
+
+DBL_MIN = np.finfo(float).tiny
+
+
+def _reference_pmf(k, m):
+    """The Poisson weights with every subnormal kept."""
+    m = np.asarray(m, dtype=float)[:, None]
+    return np.exp(special.xlogy(k, m) - m - special.gammaln(k + 1.0))
+
+
+def _reference_pass(cme, times):
+    """The pass of ``cme`` at ``times`` with ``_reference_pmf``'s weights:
+    (p at each time, one row each, p(t_final), z)."""
+    n, K, size = len(cme.p0), cme.poisson_terms, cme_module._BLOCK
+    means = cme.uniform_rate * np.array(times)
+    final_mean = cme.uniform_rate * np.array([cme.t_final])
+    out, final, z = np.zeros((len(times), n)), np.zeros((1, n)), np.zeros(n)
+    block = np.empty((min(size, K + 1), n))
+    v = cme.p0
+    for start in range(0, K + 1, size):
+        stop = min(start + size, K + 1)
+        block.fill(0.0)
+        for row, k in zip(block, range(start, stop)):
+            if k:
+                cme._matvec(v, row)
+            else:
+                row[:] = v
+            v = row
+        ks = np.arange(start, stop)
+        terms = block[:len(ks)]
+        out += _reference_pmf(ks, means) @ terms
+        final += _reference_pmf(ks, final_mean) @ terms
+        z += cme._z_weights[ks] @ terms
+        v = v.copy()
+    return out, final[0], z
+
+
+def _heatmap_times():
+    """The times of the benchmark's heatmap query, as ``cmd_heatmap`` makes
+    them: 128 fine points on [0, 4] and the grid 0.5:4:0.5."""
+    t_grid = parse_grid("0.5:4:0.5")
+    return np.concatenate([np.linspace(0.0, 4.0, 16 * len(t_grid)), t_grid])
+
+
+def _pass_cases(network, part211, upper211):
+    """(solve, the times of each query in turn)."""
+    return {
+        "U70 M=160, heatmap times": (
+            solve_chain_cme(upper211, 160, delta_p0(160, 80), 4.0),
+            [_heatmap_times()]),
+        "U70 M=500": (
+            solve_chain_cme(upper211, 500, delta_p0(500, 80), 4.0),
+            [[4.0], np.linspace(0.0, 4.0, 9)]),
+        "network n_max=24, cdf_dominance times": (
+            _network_solve(network, part211),
+            [np.concatenate([[0.0], np.linspace(0.05, 1.0, 20)])]),
+    }
+
+
+@pytest.mark.parametrize("case", ["U70 M=160, heatmap times", "U70 M=500",
+                                  "network n_max=24, cdf_dominance times"])
+def test_pass_gives_the_reference_bytes(network, part211, upper211, case):
+    # the weights below DBL_MIN that the pass sets to 0 move no byte of p,
+    # p(t_final) or z on these solves.  U70 at M=500 first asks for t_final
+    # alone, as truncate and plan-truncation do, then for nine more times
+    cme, queries = _pass_cases(network, part211, upper211)[case]
+    for times in queries:
+        fresh = sorted({float(t) for t in times} - cme._cache.keys()
+                       - {cme.t_final})
+        cme.p(times)
+        out, final, z = _reference_pass(cme, fresh)
+        for t, want in zip(fresh, out):
+            assert cme.p(t).tobytes() == want.tobytes(), (case, t)
+        assert cme.p(cme.t_final).tobytes() == final.tobytes(), case
+        assert cme.occupation.tobytes() == z.tobytes(), case
+
+
+@st.composite
+def _small_solves(draw):
+    """A generator on up to 5 states whose mass may leave through any row,
+    p0, a horizon whose uniformization mean reaches past 700, and times."""
+    n = draw(st.integers(1, 5))
+    rate = st.one_of(st.just(0.0), st.floats(0.01, 200.0))
+    Q = np.array([[draw(rate) for _ in range(n)] for _ in range(n)])
+    np.fill_diagonal(Q, 0.0)
+    leak = np.array([draw(rate) for _ in range(n)])
+    np.fill_diagonal(Q, -(Q.sum(axis=1) + leak))
+    p0 = np.zeros(n)
+    p0[draw(st.integers(0, n - 1))] = 1.0
+    t_final = draw(st.floats(0.0, 6.0))
+    times = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    return sp.csr_matrix(Q), p0, t_final, [t * t_final for t in times]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_solves())
+def test_dropped_weights_only_lower_p(solve):
+    # every weight and term is nonnegative and rounding is monotone, so a
+    # weight below DBL_MIN set to 0 can only lower p, by at most one
+    # DBL_MIN per term
+    Q, p0, t_final, times = solve
+    cme = solve_cme(Q, p0, t_final)
+    fresh = sorted(set(times) - {t_final})
+    got = cme.p(fresh + [t_final]).T
+    out, final, z = _reference_pass(cme, fresh)
+    want = np.vstack([out, final])
+    slack = (cme.poisson_terms + 1) * DBL_MIN
+    assert np.all(got <= want)
+    assert np.all(want - got <= slack)
+    assert cme.occupation.tobytes() == z.tobytes()
+
+
+def test_no_weight_in_a_product_is_subnormal(monkeypatch, network, part211,
+                                             upper211):
+    # the heatmap solve's reference weights hold subnormals; the pass's
+    # weights hold none, and it takes t_final's weights once per pass and
+    # no weights for the times when a query asks for t_final alone
+    made = []
+    pmf = cme_module._poisson_pmf
+
+    def spy(k, *args):
+        w = pmf(k, *args)
+        made.append((k, w))
+        return w
+
+    monkeypatch.setattr(cme_module, "_poisson_pmf", spy)
+    for case, (cme, [times, *_]) in _pass_cases(network, part211,
+                                                upper211).items():
+        made.clear()
+        cme.p(times)
+        K, blocks = cme.poisson_terms, range(0, cme.poisson_terms + 1,
+                                              cme_module._BLOCK)
+        if case == "U70 M=500":
+            assert [len(k) for k, _ in made] == [K + 1]
+        else:
+            assert len(made) == 1 + len(blocks), case
+        for _, w in made:
+            assert not np.any((w > 0) & (w < DBL_MIN)), case
+        z = cme._z_weights
+        assert not np.any((z > 0) & (z < DBL_MIN)), case
+        if case == "U70 M=160, heatmap times":
+            fresh = sorted(set(times) - {cme.t_final})
+            ref = _reference_pmf(np.arange(K + 1),
+                                 cme.uniform_rate * np.array(fresh))
+            assert np.count_nonzero((ref > 0) & (ref < DBL_MIN)) > 1000
