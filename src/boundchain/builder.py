@@ -360,6 +360,17 @@ def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
     return tails
 
 
+def _check_coprime(partition: ClassPartition) -> None:
+    """Weights with a common factor g leave every class off the multiples
+    of g empty, which no tail model fits; the weights divided by g group
+    the states the same way, their level l standing for class g l."""
+    g = math.gcd(*partition.weights)
+    if g > 1:
+        w = partition.weights
+        raise ValidationError(f"weights {w} share the factor {g}; use "
+                              f"{tuple(v // g for v in w)}")
+
+
 def build_bounding_chain(network: ReactionNetwork, partition: ClassPartition,
                          direction: str, l_exact: int = 300,
                          l_total: int | None = None,
@@ -371,6 +382,7 @@ def build_bounding_chain(network: ReactionNetwork, partition: ClassPartition,
         raise ValidationError("l_total must be at least l_exact")
     _check_degree("tail_degree", tail_degree)
     J = j_max(network, partition)
+    _check_coprime(partition)
     _window_start(J, l_exact)
     # the lower-direction ranges look up to j_max classes above ell, so the
     # f-table is computed past the requested horizon for both directions
@@ -433,6 +445,7 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
     if l_check < 0:
         raise ValidationError(f"l_check must be nonnegative, got {l_check}")
     J = max(candidate.j_max, j_max(network, partition))
+    _check_coprime(partition)
     if candidate.l_total < l_check + J:
         raise ValidationError(
             f"candidate must be defined on [0, {l_check + J}] for this window"

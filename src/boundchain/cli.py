@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -563,6 +564,11 @@ def main(argv=None) -> int:
     except ToolError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # stdout's reader has gone (bounds ... | head): what is left goes
+        # to devnull, so the flush at interpreter exit cannot fail again
+        sys.stdout = open(os.devnull, "w")
+        return 1
     except OSError as exc:
         # inputs are checked where they are read; this is an output path
         # that cannot be written, or a report file that cannot be read

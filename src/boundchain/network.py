@@ -45,6 +45,11 @@ from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_CLASS_CAP = 10_000_000
 
+# largest factor exponent: 2^1024 overflows a double, so past it a plain
+# power is inf at every count >= 2, and a falling factorial at every count
+# where it is nonzero
+MAX_EXPONENT = 1024
+
 # states per run of classes in class_rates; a larger class is a run alone
 RUN_STATES = 1 << 14
 
@@ -62,6 +67,9 @@ class Factor:
     def __post_init__(self):
         if self.exponent < 1:
             raise ValidationError("factor exponent must be a positive integer")
+        if self.exponent > MAX_EXPONENT:
+            raise ValidationError(f"factor exponent {self.exponent} exceeds "
+                                  f"the cap of {MAX_EXPONENT}")
         if self.kind not in _FACTOR_KINDS:
             raise ValidationError(f"unknown factor kind {self.kind!r}")
 
@@ -235,10 +243,12 @@ def network_from_dict(doc: dict) -> ReactionNetwork:
 
 def load_network(path) -> ReactionNetwork:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read network file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"network file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"network file {path} is not valid JSON: {exc}") from exc
     return network_from_dict(doc)

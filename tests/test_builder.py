@@ -18,8 +18,9 @@ from boundchain import (BoundingChain, ClassPartition, ResourceLimitError,
                         StabilizationError, TailModel, ValidationError,
                         build_bounding_chain, check_optimality,
                         check_u_membership, class_shift, compute_f,
-                        detect_tails, enumerate_class, j_max, optimal_U,
-                        network_from_dict, phi_inverse, verify_assumptions)
+                        detect_tails, enumerate_class, estimate_exit, j_max,
+                        optimal_U, network_from_dict, phi_inverse,
+                        verify_assumptions)
 from boundchain import network as network_module
 from boundchain.builder import FTable, UTable, _cumulative, build_counters
 from boundchain.network import ReactionNetwork
@@ -517,6 +518,18 @@ def test_tail_window_minimum_is_named(network, part211):
     assert skeleton.l_exact == 8
     with pytest.raises(ValidationError, match=r"4\*j_max\+4 = 12 "):
         detect_tails(skeleton, part211)
+
+
+def test_weights_with_a_common_factor_are_rejected(network, upper211):
+    # (4, 2, 2) leaves every odd class empty: build once failed on the
+    # tails, exit 3; an exit estimate needs no chain and takes them
+    part = ClassPartition((4, 2, 2))
+    message = r"weights \(4, 2, 2\) share the factor 2; use \(2, 1, 1\)$"
+    with pytest.raises(ValidationError, match=message):
+        build_bounding_chain(network, part, "upper", l_exact=40)
+    with pytest.raises(ValidationError, match=message):
+        verify_assumptions(network, part, upper211, 20)
+    assert estimate_exit(network, part, 120, 0.5, (3, 2, 1), samples=20)
 
 
 def test_tail_degree_outside_1_to_3_is_rejected(network, part211, upper211):

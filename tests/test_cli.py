@@ -2,7 +2,9 @@
 
 import csv
 import hashlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -241,6 +243,10 @@ CHAIN_RUN = ("--network", NET, "--chain", "{chain}", "--x0", "3,2,1",
     _bad("couple-fractional-species", "couple", "--network",
          "{tmp}/species.json", "--chain", "{chain}", "--x0", "3,2,1", "--y0",
          "12", "--tf", "1", "--out", "{tmp}/p.csv"),
+    _bad("build-network-not-utf8", "build", "--network", "{tmp}/bin.json",
+         "--weights", "2,1,1", "--direction", "upper", "--out", "{tmp}/c.csv"),
+    _bad("build-weights-common-factor", "build", "--weights", "4,2,2",
+         "--network", NET, "--direction", "upper", "--out", "{tmp}/c.csv"),
 ])
 def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
     # a NaN rate once passed every sign check and wrote a truncated chain
@@ -261,6 +267,8 @@ def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
         else:
             rx["propensity"][0]["factors"][0][name] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    # a UTF-16 file ended in a raw UnicodeDecodeError traceback
+    (tmp_path / "bin.json").write_bytes(b"\xff\xfe\x00{}")
     argv = [a.format(tmp=tmp_path, chain=chain_csv) for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -346,6 +354,46 @@ def test_only_the_master_equation_commands_load_scipy_sparse(tmp_path):
         "simulate", "analyze")}
 
 
+# console-script runs, one command a line, in order; each exits 0
+CONSOLE_RUNS = """
+simulate --network {net} --x0 30,10,10 --tf 4 --stop class>81 --weights 2,1,1 --samples 200
+build --network {net} --weights 2,1,1 --direction upper --l-exact 40 --l-total 400 --out {tmp}/upper.csv
+classify --chain {tmp}/upper.csv
+verify --network {net} --chain {tmp}/upper.csv
+couple --network {net} --chain {tmp}/upper.csv --x0 3,2,1 --y0 12 --tf 1 --seeds 2 --out {tmp}/paths.csv
+truncate --chain {tmp}/upper.csv --p0 delta:20 --M 200 --tf 1 --N 60
+plan-truncation --chain {tmp}/upper.csv --p0 delta:20 --M 200 --tf 1 --epsilons 0.1,0.01
+heatmap --chain {tmp}/upper.csv --p0 delta:20 --n-grid 40:80:20 --t-grid 0.25:1:0.25 --out {tmp}/heat.csv
+analyze --network {net} --lower-weights 2,2,5 --upper-weights 2,1,1 --l-exact 60 --out-dir {tmp}/report
+couple --network {net} --chain {tmp}/report/lower.csv --x0 15,5,5 --y0 40 --tf 1 --seeds 2 --out {tmp}/lower_paths.csv
+classify --chain {tmp}/report/lower.csv --out {tmp}/lower.json
+classify --chain {tmp}/report/upper.csv --out {tmp}/upper.json
+combine --lower {tmp}/lower.json --upper {tmp}/upper.json
+"""
+
+
+def test_console_script_runs_exit_0(tmp_path, capsys):
+    for run in CONSOLE_RUNS.strip().splitlines():
+        assert main(run.format(net=NET, tmp=tmp_path).split()) == 0, run
+    capsys.readouterr()
+
+
+def test_a_closed_stdout_exits_1_quietly(monkeypatch, chain_csv):
+    # `bounds classify ... | head -2` once printed "error: Broken pipe:
+    # None" and exited 2, as if stdout were an output path it could not write
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["classify", "--chain", chain_csv]) == 1
+    assert err.getvalue() == ""
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+
+
 def test_verify_pass_and_fail(tmp_path, chain_csv, upper211, capsys):
     assert main(["verify", "--network", NET, "--chain", chain_csv,
                  "--l-check", "50"]) == 0
@@ -403,6 +451,8 @@ LEAK = re.compile(r"reaction 5 leaves the orthant from \(\d+, \d+, 0\)")
 @pytest.mark.parametrize("argv", [
     ["build", "--network", "{net}", "--weights", "2,1,1", "--direction",
      "upper", "--l-exact", "30", "--out", "{tmp}/c.csv"],
+    ["build", "--network", "{net}", "--weights", "2,1,1", "--direction",
+     "upper", "--l-exact", "40", "--out", "{tmp}/c.csv"],
     ["verify", "--network", "{net}", "--chain", "{chain}", "--l-check", "20"],
     ["simulate", "--network", "{net}", "--x0", "0,0,1", "--tf", "5",
      "--out", "{tmp}/traj.csv"],
@@ -410,7 +460,8 @@ LEAK = re.compile(r"reaction 5 leaves the orthant from \(\d+, \d+, 0\)")
      "--stop", "class>40", "--weights", "2,1,1", "--samples", "50"],
     ["couple", "--network", "{net}", "--chain", "{chain}", "--x0", "3,2,0",
      "--y0", "12", "--tf", "5", "--seeds", "3", "--out", "{tmp}/p.csv"],
-], ids=["build", "verify", "simulate-path", "simulate-stop", "couple"])
+], ids=["build", "build-l-exact-40", "verify", "simulate-path",
+        "simulate-stop", "couple"])
 def test_a_jump_out_of_the_orthant_exits_2(tmp_path, chain_csv, capsys,
                                            argv):
     # every command that fires reactions stops at the first state from

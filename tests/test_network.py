@@ -187,6 +187,14 @@ def test_malformed_documents_rejected():
     assert net.reactions[0].propensity.terms[0].factors == (Factor(0, 2),)
 
 
+@pytest.mark.parametrize("exponent", [network_module.MAX_EXPONENT + 1, 10**11])
+def test_factor_exponents_past_the_cap_are_rejected(exponent):
+    # 2^1024 overflows a double; an exponent of 10^11 once hung build
+    with pytest.raises(ValidationError, match=f"exponent {exponent} exceeds"):
+        Factor(0, exponent)
+    assert Factor(0, network_module.MAX_EXPONENT)._at(2.0) == math.inf
+
+
 @pytest.mark.parametrize("species", [7, -1])
 def test_factor_species_must_be_in_range(species):
     # -1 would otherwise index the last column and rate the wrong species
