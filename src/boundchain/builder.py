@@ -326,11 +326,8 @@ def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
     _check_degree("degree_max", degree_max)
     J, L = chain.j_max, chain.l_exact
     start = _window_start(J, L)
-    if (chain.weights and partition is not None
-            and tuple(partition.weights) != chain.weights):
-        raise ValidationError(
-            f"partition weights {tuple(partition.weights)} differ from the "
-            f"chain's {chain.weights}")
+    if partition is not None:
+        chain.check_partition(partition)
     weights = chain.weights if chain.weights else (partition.weights if partition else (1,))
     lcm = math.lcm(*weights)
     periods = [p for p in range(1, lcm + 1) if lcm % p == 0]
@@ -446,6 +443,7 @@ def verify_assumptions(network: ReactionNetwork, partition: ClassPartition,
         raise ValidationError(f"l_check must be nonnegative, got {l_check}")
     J = max(candidate.j_max, j_max(network, partition))
     _check_coprime(partition)
+    candidate.check_partition(partition)
     if candidate.l_total < l_check + J:
         raise ValidationError(
             f"candidate must be defined on [0, {l_check + J}] for this window"

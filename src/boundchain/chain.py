@@ -152,6 +152,14 @@ class BoundingChain:
             out[:k, J - k] = 0.0
         return out
 
+    def check_partition(self, partition) -> None:
+        """Raise unless ``partition`` has the weights the chain was built
+        for; a chain that carries no weights takes any partition."""
+        if self.weights and tuple(partition.weights) != self.weights:
+            raise ValidationError(
+                f"partition weights {tuple(partition.weights)} differ from "
+                f"the chain's {self.weights}")
+
     def tail_degrees(self) -> dict:
         return {k: tm.degree for k, tm in sorted(self.tails.items())}
 

@@ -68,8 +68,7 @@ class CoupledSimulator:
 
     def __init__(self, network: ReactionNetwork, partition: ClassPartition,
                  chain: BoundingChain):
-        if tuple(chain.weights or ()) not in ((), tuple(partition.weights)):
-            raise ValidationError("chain weights do not match the partition")
+        chain.check_partition(partition)
         _check_dims(network, partition)
         self.network = network
         self.partition = partition

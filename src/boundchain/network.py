@@ -148,6 +148,7 @@ class ReactionNetwork:
                 raise ValidationError(
                     f"change vector {r.change} does not match {self.d} species"
                 )
+            check_int64(r.change, f"reaction {ridx} change")
             for f in (f for t in r.propensity.terms for f in t.factors):
                 if not 0 <= f.species < self.d:
                     raise ValidationError(
@@ -182,6 +183,15 @@ class ReactionNetwork:
             for row, r in zip(out, self.reactions):
                 r.propensity._add_to(row, cols)
         return out
+
+
+def check_int64(values, name: str) -> None:
+    """Raise a ValidationError naming the first of the integers ``values``
+    outside [-2^63, 2^63): counts, change entries and class labels become
+    int64 arrays, which would wrap or refuse them."""
+    for v in values:
+        if not -2**63 <= v < 2**63:
+            raise ValidationError(f"{name} {v} does not fit a 64-bit integer")
 
 
 def _integer(value, reaction: int, name: str) -> int:
@@ -264,6 +274,7 @@ class ClassPartition:
         w = tuple(int(v) for v in self.weights)
         if not w or any(v < 1 for v in w):
             raise ValidationError("class weights must be positive integers")
+        check_int64(w, "class weight")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -278,7 +289,11 @@ class ClassPartition:
             )
         if (x < 0).any():
             raise ValidationError("state components must be nonnegative")
-        return int(np.dot(self.weights, x))
+        # on Python ints, which do not wrap; with w >= 1 and x >= 0 the
+        # label bounds every count
+        label = sum(w * int(v) for w, v in zip(self.weights, x.tolist()))
+        check_int64((label,), "class label")
+        return label
 
 
 def _class_sizes(weights: tuple[int, ...]):

@@ -15,11 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .network import (ClassPartition, ReactionNetwork, _check_dims,
-                      check_propensities)
+                      check_int64, check_propensities)
 
 DEFAULT_JUMP_CAP = 100_000_000  # jumps (sweeps) of one lockstep path
+# paths of one estimate_exit run.  The lockstep kernel keeps a few float64
+# and int64 words a path beside its (d, paths) states and (reactions, paths)
+# rates, and copies both while it packs: on the example network (3 species,
+# 6 reactions) a run peaks at 208 bytes a path, 208 MB at the cap
+DEFAULT_SAMPLE_CAP = 1_000_000
 Z_95 = 1.959963984540054
 
 
@@ -146,6 +151,7 @@ def ssa(network: ReactionNetwork, x0, t_final: float,
     """
     check_t_final(t_final)
     rng = make_rng(seed)
+    check_int64(x0, "count")
     X = np.array([x0], dtype=np.int64)
     if X.shape != (1, network.d):
         raise ValidationError(f"x0 must have {network.d} components")
@@ -200,12 +206,18 @@ def estimate_exit(network: ReactionNetwork, partition: ClassPartition,
 
     Runs all paths in lockstep; a path exits when its class label moves
     above N and is frozen at the horizon or on absorption.  A path still
-    running after DEFAULT_JUMP_CAP jumps is a ValidationError.
+    running after DEFAULT_JUMP_CAP jumps is a ValidationError, and more
+    than DEFAULT_SAMPLE_CAP samples a ResourceLimitError, raised before
+    any path is made.
     """
     check_t_final(t_final)
     _check_dims(network, partition)
     if samples < 1:
         raise ValidationError("need at least one sample")
+    if samples > DEFAULT_SAMPLE_CAP:
+        raise ResourceLimitError(f"{samples} samples exceed the cap of "
+                                 f"{DEFAULT_SAMPLE_CAP} paths")
+    check_int64(x0, "count")
     x0 = np.asarray(x0, dtype=np.int64)
     if partition.class_of(x0) > N:
         return ExitEstimate(exits=samples, samples=samples, estimate=1.0,

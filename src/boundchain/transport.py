@@ -20,7 +20,7 @@ therefore give the floats of the dense formula.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import inf
 from operator import itemgetter
@@ -143,6 +143,12 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> dict:
     clip(min(A_k, B) - P_j, 0, b_j) - clip(min(A_{k-1}, B) - P_j, 0, b_j),
     the dense formula; every slot outside the stretch that A_{k-1} and A_k
     fall in gives b_j - b_j or 0 - 0, exactly zero, and is skipped.
+
+    Prefix domination is checked first, at b's entries below ``n`` only:
+    between two of them b's prefix is constant and a's can only grow, so
+    a's prefix through j first falls short of b's at an entry of b, and
+    the first entry that fails is the first failing index of the dense
+    check.
     """
     if (any(not 0.0 <= m < inf for _, m in a)
             or any(not 0.0 <= m < inf for _, m in b)):
@@ -156,28 +162,18 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> dict:
     # running sums in index order, as np.cumsum adds them
     cum_a = list(accumulate(map(itemgetter(1), a)))
     cum_b = list(accumulate(map(itemgetter(1), b)))
-    # the prefixes change only at a nonzero entry: merge the two supports
-    # and compare them at each index below n where either changes
-    nb = len(b)
-    i = 0
-    ca = cb = 0.0
-    for (k, _), A in zip(a, cum_a):
-        if k >= n:
-            break
-        while i < nb and b[i][0] <= k:
-            j = b[i][0]
-            cb = cum_b[i]
-            i += 1
-            if j < k and ca < cb - tol:
-                _undominated(j, ca, cb)
-        ca = A
-        if ca < cb - tol:
-            _undominated(k, ca, cb)
-    for (j, _), cb in zip(b[i:], cum_b[i:]):
+    # a's prefix through slot j ends at its last entry at or before j
+    for (j, _), cb in zip(b, cum_b):
         if j >= n:
             break
+        i = bisect_right(a, j, key=itemgetter(0))
+        ca = cum_a[i - 1] if i else 0.0
         if ca < cb - tol:
-            _undominated(j, ca, cb)
+            raise TransportError(
+                f"prefix domination fails at index {j}: "
+                f"a[0:{j}] = {ca} < b[0:{j}] = {cb}",
+                index=j,
+            )
     # slot j can only take mass m when P_j < m <= P_j + b_j; both running
     # sums are sorted, so one bisection on each finds the slots of a row,
     # those between its lower mass m0 and its upper mass m1
@@ -205,11 +201,3 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> dict:
                 row.append((j, value))
         m0 = m1
     return out
-
-
-def _undominated(k: int, ca: float, cb: float):
-    raise TransportError(
-        f"prefix domination fails at index {k}: "
-        f"a[0:{k}] = {ca} < b[0:{k}] = {cb}",
-        index=k,
-    )

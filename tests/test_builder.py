@@ -471,11 +471,15 @@ def test_tail_matches_held_out_window(network, part211, part225):
                     long.rate(ell, k), rel=1e-10, abs=1e-10)
 
 
-def test_detect_tails_rejects_other_partition_weights(upper211, part211,
-                                                     part225):
+def test_detect_tails_rejects_other_partition_weights(network, upper211,
+                                                     part211, part225):
     assert detect_tails(upper211, part211) == upper211.tails
-    with pytest.raises(ValidationError, match=r"\(2, 2, 5\) differ"):
+    message = r"partition weights \(2, 2, 5\) differ from the chain's \(2, 1, 1\)"
+    with pytest.raises(ValidationError, match=message):
         detect_tails(upper211, part225)
+    # verify_assumptions once reported an A1 domination failure instead
+    with pytest.raises(ValidationError, match=message):
+        verify_assumptions(network, part225, upper211, 60)
 
 
 def test_stabilization_reports_degree(network, part111):
@@ -623,9 +627,12 @@ def _verify_pin_cases(part211, part225, upper211, lower225):
             zero = BoundingChain(chain.direction, J, 50, 50, {}, {},
                                  part.weights)
             cases.append((part, zero, l_check))
-    # a candidate narrower than the network's band
-    cases.append((part225, upper211, 30))
-    cases.append((part211, lower225, 30))
+    # a candidate narrower than the network's band; it carries no weights,
+    # which a chain built for other weights would be rejected for
+    for chain, part in ((upper211, part225), (lower225, part211)):
+        cases.append((part, BoundingChain(chain.direction, chain.j_max,
+                                          chain.l_exact, chain.l_total,
+                                          chain.exact, chain.tails), 30))
     return cases
 
 

@@ -247,6 +247,17 @@ CHAIN_RUN = ("--network", NET, "--chain", "{chain}", "--x0", "3,2,1",
          "--weights", "2,1,1", "--direction", "upper", "--out", "{tmp}/c.csv"),
     _bad("build-weights-common-factor", "build", "--weights", "4,2,2",
          "--network", NET, "--direction", "upper", "--out", "{tmp}/c.csv"),
+    _bad("simulate-exit-samples-past-cap", "simulate", "--network", NET,
+         "--x0", "3,2,1", "--tf", "1", "--stop", "class>40", "--weights",
+         "2,1,1", "--samples", "1000000000000"),
+    _bad("simulate-count-past-int64", "simulate", "--network", NET, "--x0",
+         "100000000000000000000000,2,1", "--tf", "1", "--out", "{tmp}/t.csv"),
+    _bad("simulate-exit-count-past-int64", "simulate", "--network", NET,
+         "--x0", "100000000000000000000000,2,1", "--tf", "1", "--stop",
+         "class>40", "--weights", "2,1,1"),
+    _bad("simulate-change-past-int64", "simulate", "--network",
+         "{tmp}/huge.json", "--x0", "3,2,1", "--tf", "1", "--out",
+         "{tmp}/t.csv"),
 ])
 def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
     # a NaN rate once passed every sign check and wrote a truncated chain
@@ -269,6 +280,10 @@ def test_bad_input_exits_2(tmp_path, chain_csv, capsys, argv):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     # a UTF-16 file ended in a raw UnicodeDecodeError traceback
     (tmp_path / "bin.json").write_bytes(b"\xff\xfe\x00{}")
+    # a change past int64, as a count past it, ended in an OverflowError
+    doc = json.loads(Path(NET).read_text())
+    doc["reactions"][0]["change"][0] = 10**30
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
     argv = [a.format(tmp=tmp_path, chain=chain_csv) for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()

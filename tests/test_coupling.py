@@ -148,7 +148,8 @@ def test_coupled_ssa_rejects_disordered_start(network, part211, upper211):
 
 
 def test_chain_weights_must_match(network, part225, upper211):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"partition weights \(2, 2, 5\) "
+                       r"differ from the chain's \(2, 1, 1\)"):
         CoupledSimulator(network, part225, upper211)
 
 

@@ -49,10 +49,12 @@ def test_coupling_rows_and_pi_bar_share_one_walk_with_one_path():
 
 
 def test_deleted_names_stay_gone():
-    # detect_tails takes one pass over its candidates, check_propensities
-    # is the one propensity checker, rates the one many-state evaluator,
-    # and ssa runs networks only
+    # detect_tails takes one pass over its candidates, the transport walk
+    # checks domination at one site, check_propensities is the one
+    # propensity checker, rates the one many-state evaluator, and ssa runs
+    # networks only
     assert not hasattr(builder, "_fit_window")
+    assert not hasattr(transport, "_undominated")
     assert not hasattr(network, "validate_network")
     assert not hasattr(network.PropensityPolynomial, "evaluate_many")
     assert "phi" not in boundchain.__all__

@@ -213,6 +213,11 @@ def test_partition_validation():
     assert p.class_of((1, 2, 3)) == 7
     with pytest.raises(ValidationError):
         p.class_of((1, -1, 0))
+    # the label once wrapped to -2^63 without a word
+    assert p.class_of((2**62 - 1, 1, 0)) == 2**63 - 1
+    with pytest.raises(ValidationError, match="class label 9223372036854775808 "
+                       "does not fit a 64-bit integer"):
+        p.class_of((2**62, 0, 0))
 
 
 @settings(max_examples=60, deadline=None)

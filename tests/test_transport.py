@@ -264,8 +264,22 @@ def outcome(fn, a, b):
     return plan.shape, plan.tobytes()
 
 
+# b's running sum, taken one entry at a time, rounds up at every entry:
+# it ends 4.4e-12 above 1, numpy's pairwise sum 2.4e-12 above
+ROUNDING_UP = np.array([1.0] + [1.2e-16] * 20_000)
+
+
 @settings(max_examples=400, deadline=None)
 @given(pair=sparse_plan_inputs())
+# the first shortfall at an index where both a and b have mass
+@example(pair=(np.array([0.5, 0.2, 0.3]), np.array([0.5, 0.4, 0.1])))
+# at an index of b alone, between two of a's entries
+@example(pair=(np.array([0.5, 0.0, 0.5]), np.array([0.25, 0.5, 0.25])))
+# at an entry of b past a's last entry below n
+@example(pair=(np.array([0.1, 0.0, 0.0, 0.9]), np.array([0.1, 0.5, 0.4])))
+# b's prefix passes a's total by more than the slack only past n = 1,
+# which is not checked: the plan is made
+@example(pair=(np.array([ROUNDING_UP.sum()]), ROUNDING_UP))
 def test_pi_bar_matches_broadcast_fill_bit_for_bit(pair):
     a, b = pair
     # byte equality covers the sign of every zero
