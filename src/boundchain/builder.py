@@ -230,7 +230,7 @@ def check_u_membership(U: UTable) -> list:
     return bad
 
 
-def phi_inverse(U: UTable, weights=None) -> BoundingChain:
+def phi_inverse(U: UTable, weights) -> BoundingChain:
     """Difference the cumulative tables into a banded rate table."""
     bad = check_u_membership(U)
     if bad:
@@ -247,7 +247,7 @@ def phi_inverse(U: UTable, weights=None) -> BoundingChain:
             exact[-j] = down
         if np.any(up != 0.0):
             exact[j] = up
-    return BoundingChain(U.direction, J, L, L, exact, tails={}, weights=weights)
+    return BoundingChain(U.direction, J, L, L, exact, {}, weights)
 
 
 def _cumulative(chain: BoundingChain, hi: int, J: int):
@@ -312,7 +312,7 @@ def _check_degree(name: str, degree: int) -> None:
         raise ValidationError(f"{name} must be 1, 2 or 3, got {degree!r}")
 
 
-def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
+def detect_tails(chain: BoundingChain, partition: ClassPartition,
                  degree_max: int = 1) -> dict[int, TailModel]:
     """Fit one tail model per offset on the trailing exact window.
 
@@ -326,10 +326,8 @@ def detect_tails(chain: BoundingChain, partition: ClassPartition | None = None,
     _check_degree("degree_max", degree_max)
     J, L = chain.j_max, chain.l_exact
     start = _window_start(J, L)
-    if partition is not None:
-        chain.check_partition(partition)
-    weights = chain.weights if chain.weights else (partition.weights if partition else (1,))
-    lcm = math.lcm(*weights)
+    chain.check_partition(partition)
+    lcm = math.lcm(*chain.weights)
     periods = [p for p in range(1, lcm + 1) if lcm % p == 0]
     rates = chain.band(L)
     tails = {}
@@ -385,15 +383,15 @@ def build_bounding_chain(network: ReactionNetwork, partition: ClassPartition,
     # f-table is computed past the requested horizon for both directions
     f = compute_f(network, partition, direction, l_exact + J)
     U = optimal_U(f)
-    skeleton = phi_inverse(U, weights=partition.weights)
+    skeleton = phi_inverse(U, partition.weights)
     if skeleton.l_exact < l_exact:
         raise ConsistencyError("built table is shorter than requested")
     tails = detect_tails(skeleton, partition, degree_max=tail_degree)
     return BoundingChain(direction, J, skeleton.l_exact, l_total,
-                         skeleton.exact, tails, weights=partition.weights)
+                         skeleton.exact, tails, partition.weights)
 
 
-def build_counters(chain: BoundingChain, partition: ClassPartition) -> dict:
+def build_counters(chain: BoundingChain) -> dict:
     """The work behind a ``build_bounding_chain`` result, for a manifest:
     the classes its f-table pass covered, 0..l_exact + j_max, the number
     of lattice states in them (what the class cap counts, not the number
@@ -401,7 +399,7 @@ def build_counters(chain: BoundingChain, partition: ClassPartition) -> dict:
     tail period and onset."""
     classes = chain.l_exact + chain.j_max + 1
     return {"classes": classes,
-            "states": sum(itertools.islice(_class_sizes(partition.weights),
+            "states": sum(itertools.islice(_class_sizes(chain.weights),
                                            classes)),
             "tails": {str(k): {"period": m.period, "onset": m.onset}
                       for k, m in sorted(chain.tails.items())}}

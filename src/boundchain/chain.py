@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
+from .network import ClassPartition
 
 # rates in band(l_total); every band a chain builds is at most this large
 BAND_CAP = 1 << 22
@@ -64,11 +65,12 @@ class BoundingChain:
     Off-diagonal rates live at offsets k in [-j_max, j_max] minus 0; the
     diagonal is implied by zero row sums.  ``exact`` maps offset -> rates
     array over l in [0, l_exact]; ``tails`` maps offset -> TailModel used
-    for l in (l_exact, l_total].
+    for l in (l_exact, l_total]; ``weights`` are the class weights of the
+    partition the chain bounds.
     """
 
     def __init__(self, direction: str, j_max: int, l_exact: int, l_total: int,
-                 exact: dict, tails: dict | None = None, weights=None):
+                 exact: dict, tails: dict, weights):
         if direction not in ("upper", "lower"):
             raise ValidationError(f"direction must be upper or lower, got {direction!r}")
         if not 0 <= l_exact <= l_total:
@@ -84,7 +86,7 @@ class BoundingChain:
         self.j_max = int(j_max)
         self.l_exact = int(l_exact)
         self.l_total = int(l_total)
-        self.tails = dict(tails or {})
+        self.tails = dict(tails)
         for k in set(exact) | set(self.tails):
             if k == 0 or abs(k) > self.j_max:
                 raise ValidationError(f"offset {k} outside the band")
@@ -99,7 +101,7 @@ class BoundingChain:
         for k, tm in self.tails.items():
             if tm.offset != k:
                 raise ValidationError("tail model offset disagrees with its key")
-        self.weights = tuple(int(w) for w in weights) if weights is not None else None
+        self.weights = ClassPartition(weights).weights
         rates = self.band(self.l_total)
         bad = np.argwhere(~np.isfinite(rates) | (rates < 0.0))
         if bad.size:
@@ -153,12 +155,10 @@ class BoundingChain:
         return out
 
     def check_partition(self, partition) -> None:
-        """Raise unless ``partition`` has the weights the chain was built
-        for; a chain that carries no weights takes any partition."""
-        if self.weights and tuple(partition.weights) != self.weights:
-            raise ValidationError(
-                f"partition weights {tuple(partition.weights)} differ from "
-                f"the chain's {self.weights}")
+        """Raise unless ``partition`` has the weights the chain was built for."""
+        if partition.weights != self.weights:
+            raise ValidationError(f"partition weights {partition.weights} "
+                                  f"differ from the chain's {self.weights}")
 
     def tail_degrees(self) -> dict:
         return {k: tm.degree for k, tm in sorted(self.tails.items())}
@@ -170,7 +170,7 @@ class BoundingChain:
             meta = (
                 f"# bounding-chain direction={self.direction} j_max={self.j_max} "
                 f"l_exact={self.l_exact} l_total={self.l_total} "
-                f"weights={','.join(map(str, self.weights)) if self.weights else '-'}"
+                f"weights={','.join(map(str, self.weights))}"
             )
             fh.write(meta + "\n")
             writer = csv.writer(fh)
@@ -218,9 +218,10 @@ class BoundingChain:
                                           int(row[3]), int(row[4]), int(row[5]),
                                           float(row[6]), float(row[7])))
             l_exact = int(meta["l_exact"])
-            weights = None
-            if meta.get("weights", "-") != "-":
-                weights = tuple(int(v) for v in meta["weights"].split(","))
+            if meta.get("weights") in (None, "", "-"):
+                raise ValidationError(f"chain CSV {path} carries no class "
+                                      "weights: its header needs weights=")
+            weights = tuple(int(v) for v in meta["weights"].split(","))
             head = (meta["direction"], int(meta["j_max"]), l_exact,
                     int(meta["l_total"]))
         except OSError as exc:

@@ -27,7 +27,7 @@ from .builder import build_bounding_chain, build_counters, verify_assumptions
 from .chain import BoundingChain
 from .classifier import (ChainClass, check_irreducible, classify, combine,
                          drift_stats)
-from .coupling import CoupledSimulator, coupled_ssa
+from .coupling import PATH_CAP, CoupledSimulator, coupled_ssa
 from .errors import ResourceLimitError, ToolError, ValidationError
 from .network import ClassPartition, load_network
 from .simulate import estimate_exit, ssa
@@ -156,20 +156,6 @@ def _emit(args, command: str, doc: dict, **manifest) -> int:
     return 0
 
 
-def _partition_for(chain: BoundingChain, weights: str | None) -> ClassPartition:
-    if weights is not None:
-        part = ClassPartition(parse_ints(weights))
-        if chain.weights and tuple(chain.weights) != part.weights:
-            raise ValidationError(
-                f"--weights {part.weights} disagrees with the chain file "
-                f"{tuple(chain.weights)}"
-            )
-        return part
-    if chain.weights:
-        return ClassPartition(tuple(chain.weights))
-    raise ValidationError("no weights given and the chain file carries none")
-
-
 def cmd_build(args) -> int:
     network = load_network(args.network)
     partition = ClassPartition(parse_ints(args.weights))
@@ -179,8 +165,7 @@ def cmd_build(args) -> int:
     )
     out = Path(args.out)
     chain.to_csv(out)
-    write_manifest(out, "build", vars(args),
-                   counters=build_counters(chain, partition))
+    write_manifest(out, "build", vars(args), counters=build_counters(chain))
     print(f"wrote {args.direction} chain for weights {partition.weights} "
           f"to {out} (exact to {chain.l_exact}, trusted to {chain.l_total})")
     return 0
@@ -189,8 +174,8 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     network = load_network(args.network)
     chain = BoundingChain.from_csv(args.chain)
-    partition = _partition_for(chain, args.weights)
-    report = verify_assumptions(network, partition, chain, args.l_check)
+    report = verify_assumptions(network, ClassPartition(chain.weights), chain,
+                                args.l_check)
     if report.ok:
         print(f"verified {chain.direction} bound on [0, {args.l_check}]: "
               f"domination and monotonicity hold")
@@ -263,10 +248,13 @@ def cmd_combine(args) -> int:
 def cmd_couple(args) -> int:
     network = load_network(args.network)
     chain = BoundingChain.from_csv(args.chain)
-    partition = _partition_for(chain, args.weights)
+    partition = ClassPartition(chain.weights)
     x0 = parse_ints(args.x0)
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.seeds > PATH_CAP:
+        raise ResourceLimitError(f"{args.seeds} seeds exceed the cap of "
+                                 f"{PATH_CAP} paths")
     seeds = [args.seed + i for i in range(args.seeds)]
     sim = CoupledSimulator(network, partition, chain)
     # every path runs before --out is opened, so a path that fails leaves
@@ -427,7 +415,7 @@ def cmd_analyze(args) -> int:
             continue
         path = out_dir / f"{direction}.csv"
         chain.to_csv(path)
-        counters[direction] = build_counters(chain, partition)
+        counters[direction] = build_counters(chain)
         report[f"{direction}_chain"] = str(path)
 
         def classify_stage(c=chain):
@@ -475,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check domination and monotonicity")
     p.add_argument("--network", required=True)
     p.add_argument("--chain", required=True)
-    p.add_argument("--weights", default=None)
     p.add_argument("--l-check", type=int, default=60)
     p.set_defaults(fn=cmd_verify)
 
@@ -494,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("couple", help="simulate network and bound jointly")
     p.add_argument("--network", required=True)
     p.add_argument("--chain", required=True)
-    p.add_argument("--weights", default=None)
     p.add_argument("--x0", required=True)
     p.add_argument("--y0", type=int, required=True)
     p.add_argument("--tf", type=float, required=True)

@@ -46,6 +46,7 @@ from .transport import TransportError, _pairwise_sum, _walk
 
 ROW_CACHE = 100_000
 JUMP_CAP = 10_000_000  # jumps of one coupled path, which then ends as "cap"
+PATH_CAP = 1_000  # paths of one `bounds couple` run, all held until written
 MARGINAL_RTOL = 1e-10
 
 

@@ -348,7 +348,7 @@ def test_optimal_U_matches_reference_on_random_tables():
 def test_build_stops_at_the_class_cap(monkeypatch, network, part211):
     # the f-table pass of l_exact = 40 enumerates classes 0..42 (j_max = 2)
     chain = build_bounding_chain(network, part211, "upper", l_exact=40)
-    total = build_counters(chain, part211)["states"]
+    total = build_counters(chain)["states"]
     monkeypatch.setattr(network_module, "DEFAULT_CLASS_CAP", total)
     build_bounding_chain(network, part211, "upper", l_exact=40)
     monkeypatch.setattr(network_module, "DEFAULT_CLASS_CAP", total - 1)
@@ -409,7 +409,7 @@ def test_u_membership_flags_violations(network, part211):
     bad2.plus[U.j_max + 1, 10] = 0.5  # mass beyond the band
     assert any(v[0] == "plus" for v in check_u_membership(bad2))
     with pytest.raises(ValidationError):
-        phi_inverse(bad)
+        phi_inverse(bad, part211.weights)
 
 
 def test_phi_inverse_toy_row():
@@ -418,13 +418,14 @@ def test_phi_inverse_toy_row():
     plus = np.zeros((4, 3))
     minus[1, 2], minus[2, 2] = 3.0, 1.0
     plus[1, 2], plus[2, 2] = 4.0, 1.0
-    chain = phi_inverse(UTable("upper", 2, 2, minus, plus))
+    chain = phi_inverse(UTable("upper", 2, 2, minus, plus), (1,))
     assert nz_row(chain, 2) == {-2: 1.0, -1: 2.0, 1: 3.0, 2: 1.0}
     assert -chain.band(2)[2].sum() == -7.0
 
 
 def test_phi_inverse_zero_table():
-    chain = phi_inverse(UTable("upper", 2, 4, np.zeros((4, 5)), np.zeros((4, 5))))
+    chain = phi_inverse(UTable("upper", 2, 4, np.zeros((4, 5)), np.zeros((4, 5))),
+                        (1,))
     for ell in range(5):
         assert nz_row(chain, ell) == {}
 
@@ -627,12 +628,13 @@ def _verify_pin_cases(part211, part225, upper211, lower225):
             zero = BoundingChain(chain.direction, J, 50, 50, {}, {},
                                  part.weights)
             cases.append((part, zero, l_check))
-    # a candidate narrower than the network's band; it carries no weights,
-    # which a chain built for other weights would be rejected for
+    # a candidate narrower than the network's band: the other chain's rates,
+    # carrying this partition's weights
     for chain, part in ((upper211, part225), (lower225, part211)):
         cases.append((part, BoundingChain(chain.direction, chain.j_max,
                                           chain.l_exact, chain.l_total,
-                                          chain.exact, chain.tails), 30))
+                                          chain.exact, chain.tails,
+                                          part.weights), 30))
     return cases
 
 

@@ -201,6 +201,8 @@ CHAIN_RUN = ("--network", NET, "--chain", "{chain}", "--x0", "3,2,1",
          NET, "--chain", "{chain}"),
     _bad("couple-no-seeds", "couple", "--seeds", "-2", "--tf", "1",
          *CHAIN_RUN),
+    _bad("couple-seeds-past-cap", "couple", "--seeds", "100000000000",
+         "--tf", "1", *CHAIN_RUN),
     _bad("couple-negative-tf", "couple", "--tf", "-1", *CHAIN_RUN),
     _bad("truncate-negative-tf", "truncate", "--tf", "-1", "--chain",
          "{chain}", "--p0", "delta:5", "--M", "100", "--N", "50"),
@@ -519,7 +521,7 @@ def test_an_infinite_propensity_exits_2(tmp_path, capsys, argv, state):
     chain = tmp_path / "chain.csv"
     BoundingChain("upper", 1, L, L, {1: np.full(L + 1, 2.0),
                                      -1: np.arange(L + 1.0)},
-                  weights=(1, 1)).to_csv(chain)
+                  {}, (1, 1)).to_csv(chain)
     assert main([a.format(net=net, tmp=tmp_path, chain=chain)
                  for a in argv]) == 2
     assert capsys.readouterr().err.splitlines() == [
@@ -578,9 +580,41 @@ def test_an_overflowing_propensity_prints_only_the_error(tmp_path):
                            "at (2, 0)\n")
 
 
-def test_verify_weight_mismatch(chain_csv):
-    assert main(["verify", "--network", NET, "--chain", chain_csv,
-                 "--weights", "1,1,1"]) == 2
+@pytest.mark.parametrize("header", ["weights=-", ""])
+def test_a_chain_file_without_weights_exits_2(tmp_path, chain_csv, capsys,
+                                              header):
+    # verify and couple take the partition from the chain file, so a file
+    # that carries none is rejected where it is read, by every command
+    lines = Path(chain_csv).read_text().splitlines(keepends=True)
+    meta = re.sub(r" weights=\S*", f" {header}".rstrip(), lines[0])
+    bare = tmp_path / "bare.csv"
+    bare.write_text(meta + "".join(lines[1:]))
+    message = (f"chain CSV {bare} carries no class weights: its header "
+               "needs weights=")
+    with pytest.raises(ValidationError) as exc:
+        BoundingChain.from_csv(bare)
+    assert str(exc.value) == message
+    for argv in (["verify", "--network", NET, "--chain", str(bare)],
+                 ["couple", "--network", NET, "--chain", str(bare), "--x0",
+                  "3,2,1", "--y0", "12", "--tf", "1", "--out",
+                  str(tmp_path / "p.csv")],
+                 ["truncate", "--chain", str(bare), "--p0", "delta:5",
+                  "--M", "100", "--tf", "1", "--N", "50"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_couple_seeds_past_the_cap_exit_2_before_any_path(
+        tmp_path, chain_csv, capsys, monkeypatch):
+    def no_simulator(*args):
+        raise AssertionError("the simulator was made")
+    monkeypatch.setattr("boundchain.cli.CoupledSimulator", no_simulator)
+    seeds = coupling.PATH_CAP + 1
+    assert main(["couple", "--network", NET, "--chain", chain_csv, "--x0",
+                 "3,2,1", "--y0", "12", "--tf", "1", "--seeds", str(seeds),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {seeds} seeds exceed the cap of {coupling.PATH_CAP} paths\n")
 
 
 def test_classify_output(tmp_path, chain_csv, capsys):
@@ -707,9 +741,8 @@ def test_couple_needs_a_chain(tmp_path, capsys):
     # couple once built its own chain, with an l_exact and l_total that
     # build does not default to; a chain now comes from build
     with pytest.raises(SystemExit) as exc:
-        main(["couple", "--network", NET, "--weights", "2,1,1", "--x0",
-              "3,2,1", "--y0", "12", "--tf", "1", "--out",
-              str(tmp_path / "p.csv")])
+        main(["couple", "--network", NET, "--x0", "3,2,1", "--y0", "12",
+              "--tf", "1", "--out", str(tmp_path / "p.csv")])
     assert exc.value.code == 2
     assert "--chain" in capsys.readouterr().err
 

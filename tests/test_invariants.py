@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from scipy import special
 
 import boundchain
-from boundchain import builder, cme, coupling, network, simulate, transport
+from boundchain import (builder, cli, cme, coupling, network, simulate,
+                        transport)
 from boundchain.cme import _csr_matvec, _dia_matvec
 
 
@@ -51,9 +52,10 @@ def test_coupling_rows_and_pi_bar_share_one_walk_with_one_path():
 def test_deleted_names_stay_gone():
     # detect_tails takes one pass over its candidates, the transport walk
     # checks domination at one site, check_propensities is the one
-    # propensity checker, rates the one many-state evaluator, and ssa runs
-    # networks only
+    # propensity checker, rates the one many-state evaluator, ssa runs
+    # networks only, and verify and couple read the chain file's weights
     assert not hasattr(builder, "_fit_window")
+    assert not hasattr(cli, "_partition_for")
     assert not hasattr(transport, "_undominated")
     assert not hasattr(network, "validate_network")
     assert not hasattr(network.PropensityPolynomial, "evaluate_many")
@@ -77,3 +79,20 @@ def test_resource_limits_are_module_constants():
     bad = [n for n in ("truncation_certificate", "min_truncation")
            if "budget" in inspect.signature(getattr(boundchain, n)).parameters]
     assert not bad, bad
+
+
+def test_every_chain_carries_its_weights():
+    # a chain is built for one partition: its weights, and the partition
+    # tail detection reads, are required, and verify and couple take the
+    # partition from the chain file
+    for fn, names in ((boundchain.BoundingChain, ("tails", "weights")),
+                      (builder.phi_inverse, ("weights",)),
+                      (builder.detect_tails, ("partition",))):
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, (fn, name)
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    for command in ("verify", "couple"):
+        options = {o for a in commands[command]._actions
+                   for o in a.option_strings}
+        assert "--chain" in options and "--weights" not in options, command
