@@ -52,8 +52,9 @@ __all__ = [
 
 
 def __getattr__(name):
-    # the names of __all__ not imported above are cme's: cme loads the sparse
-    # solver stack, so it is imported on first use (PEP 562), not at start-up
+    # the names of __all__ not imported above are cme's: cme loads compiled
+    # kernels by path (no scipy.sparse/scipy.special import), so it is
+    # imported on first use (PEP 562), not at start-up
     if name in __all__:
         from . import cme
         return getattr(cme, name)

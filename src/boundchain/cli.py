@@ -126,7 +126,8 @@ def write_manifest(out_path: Path, command: str, config: dict,
 def _solve(args, M: int, t_final: float):
     """The chain, its initial law and one master-equation solve on [0, M].
 
-    Only the commands that solve one import ``cme`` and its sparse stack.
+    Only the commands that solve one import ``cme`` and its compiled
+    kernels loaded by path; no ``scipy.sparse``/``scipy.special`` import.
     """
     from .cme import solve_chain_cme
 

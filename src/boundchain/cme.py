@@ -25,6 +25,15 @@ block, without the per-call dispatch of ``@``: ``dia_matvec`` when P^T is
 banded, as every chain generator is, else ``csr_matvec``.  Both add each
 output entry's products in column order, so they give the same bytes.
 
+The module imports numpy, the top-level ``scipy`` package and two compiled
+extension modules loaded by path, ``scipy.sparse._sparsetools`` (the
+kernels) and ``scipy.special._special_ufuncs`` (``gammaln`` and
+``gammainc``); no ``scipy.sparse``/``scipy.special`` import, whose shared
+array-API layer costs more than a whole ``truncate`` solve.  Q, P^T and the
+crossing rates are CSR arrays that numpy builds with scipy's bytes: a
+stable sort, duplicates summed left to right, division by Lambda as a
+product with its reciprocal, and exact zeros of I + Q/Lambda dropped.
+
 The Poisson weights come from log space, with each time's log taken once,
 and every weight below DBL_MIN, the smallest normal double, is 0, as Fox &
 Glynn drop underflow.  A subnormal weight costs more than it adds: each
@@ -36,22 +45,62 @@ counts.  z's weights, P(N > k) / Lambda, stay as they are.
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy import special
-
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-from scipy.sparse._sparsetools import dia_matvec as _dia_matvec
+import scipy
 
 from .chain import BoundingChain
 from .errors import InfeasibleError, ResourceLimitError, ValidationError
 from .network import (ClassPartition, ReactionNetwork, check_propensities,
                       class_rates)
 from .simulate import check_t_final
+
+
+def _extension(name: str):
+    """The compiled scipy module ``name``, loaded from its file by path.
+
+    ``scipy.sparse`` and ``scipy.special`` both import
+    ``scipy._lib._array_api``, which costs more than a whole ``truncate``
+    solve; the kernels and ufuncs used here need numpy alone.  The module
+    is registered in ``sys.modules`` under its real name, so a later import
+    of its package reuses it.  If the file cannot be loaded, as on a scipy
+    without it, the package is imported as usual and the module taken from
+    it, or the package itself where it has no such module.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    package, _, leaf = name.rpartition(".")
+    folder = Path(scipy.__file__).parent.joinpath(*package.split(".")[1:])
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / (leaf + suffix)
+        if path.is_file():
+            try:
+                loader = ExtensionFileLoader(name, str(path))
+                module = module_from_spec(
+                    spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+            except (ImportError, OSError):
+                break
+            sys.modules[name] = module
+            return module
+    fallback = importlib.import_module(package)
+    return sys.modules.get(name, fallback)
+
+
+_special = _extension("scipy.special._special_ufuncs")
+_sparsetools = _extension("scipy.sparse._sparsetools")
+_csr_matvec = _sparsetools.csr_matvec
+_csr_matvecs = _sparsetools.csr_matvecs
+_dia_matvec = _sparsetools.dia_matvec
 
 DEFAULT_BUDGET = 1e-8
 MULTI_STATE_CAP = 1_000_000
@@ -69,8 +118,77 @@ _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
 
 
-def chain_generator(chain: BoundingChain, M: int) -> sp.csr_matrix:
-    """Generator of a 1-D chain restricted to [0, M], diagonal kept full."""
+class _CSR(NamedTuple):
+    """A sparse matrix as scipy's canonical CSR arrays: in each row the
+    column indices ascend and none repeats.  ``A @ x`` calls the compiled
+    kernel that scipy's ``@`` calls, into zeroed output, so it gives the
+    bytes of ``@``: ``csr_matvec`` for a vector, ``csr_matvecs`` for the
+    columns of a matrix."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
+                         np.diff(self.indptr))
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, 0 where no entry is stored."""
+        rows = self.rows()
+        on = rows == self.indices
+        out = np.zeros(min(self.shape))
+        out[rows[on]] = self.data[on]
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        m, n = self.shape
+        if x.ndim == 1:
+            y = np.zeros(m)
+            _csr_matvec(m, n, self.indptr, self.indices, self.data, x, y)
+            return y
+        y = np.zeros((m, x.shape[1]))
+        _csr_matvecs(m, n, x.shape[1], self.indptr, self.indices, self.data,
+                     x.ravel(), y.ravel())
+        return y
+
+
+def _csr(data, rows, cols, shape) -> _CSR:
+    """The canonical CSR arrays of (data, (rows, cols)) as scipy builds
+    them: entries sorted stably by (row, col), so equal positions keep
+    their input order, and each run of equal positions summed left to
+    right.  Explicit zeros stay.  Indices are int32 where they fit."""
+    n_rows, n_cols = shape
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    key = rows.astype(np.int64) * n_cols + cols
+    if np.any(key[1:] <= key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, data, cols = key[order], data[order], cols[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        if len(starts) < len(key):
+            ends = np.append(starts[1:], len(key))
+            sums = data[starts]
+            for k in range(1, int((ends - starts).max())):
+                more = starts + k < ends
+                sums[more] += data[starts[more] + k]
+            key, data, cols = key[starts], sums, cols[starts]
+        rows = key // n_cols
+    index = (np.int32 if max(n_rows, n_cols, len(key)) <= np.iinfo(np.int32).max
+             else np.int64)
+    indptr = np.zeros(n_rows + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return _CSR(indptr, cols.astype(index), np.asarray(data, dtype=float),
+                (n_rows, n_cols))
+
+
+def _to_scipy(A: _CSR):
+    """A scipy CSR matrix on the arrays of A."""
+    import scipy.sparse as sp
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def _chain_q(chain: BoundingChain, M: int) -> _CSR:
     if M < 0:
         raise ValidationError("M must be >= 0")
     if M > chain.l_total:
@@ -83,19 +201,17 @@ def chain_generator(chain: BoundingChain, M: int) -> sp.csr_matrix:
     keep = (rates != 0.0) & (np.arange(M + 1)[:, None] + np.arange(-J, J + 1) <= M)
     keep[:, J] = True
     ell, col = np.nonzero(keep)
-    return sp.csr_matrix((rates[ell, col], (ell, ell + col - J)),
-                         shape=(M + 1, M + 1))
+    return _csr(rates[ell, col], ell, ell + col - J, (M + 1, M + 1))
 
 
-def network_generator(network: ReactionNetwork, partition: ClassPartition,
-                      n_max: int):
-    """Generator on all states of class <= n_max, class-major lexicographic.
+def chain_generator(chain: BoundingChain, M: int):
+    """Generator of a 1-D chain restricted to [0, M], diagonal kept full,
+    as a scipy CSR matrix (the solves use its arrays without scipy.sparse)."""
+    return _to_scipy(_chain_q(chain, M))
 
-    Returns (Q, states, classes) with ``states`` the (n, d) state array and
-    ``classes`` the class label per index.  Mass leaves the box only
-    through classes above n_max; a reaction that fires out of the orthant
-    is a ValidationError.
-    """
+
+def _network_q(network: ReactionNetwork, partition: ClassPartition,
+               n_max: int):
     d = partition.d
     base = n_max + 1
     if base ** (d + 1) > np.iinfo(np.int64).max:
@@ -127,11 +243,23 @@ def network_generator(network: ReactionNetwork, partition: ClassPartition,
             codes, dclass[inside] * base ** d + dests[inside] @ radix))
         vals.append(rates[k, fires[inside]])
     diag = np.arange(len(states))
-    Q = sp.csr_matrix(
-        (np.concatenate(vals + [-exit_rate]),
-         (np.concatenate(rows + [diag]), np.concatenate(cols + [diag]))),
-        shape=(len(states), len(states)))
+    Q = _csr(np.concatenate(vals + [-exit_rate]),
+             np.concatenate(rows + [diag]), np.concatenate(cols + [diag]),
+             (len(states), len(states)))
     return Q, states, classes
+
+
+def network_generator(network: ReactionNetwork, partition: ClassPartition,
+                      n_max: int):
+    """Generator on all states of class <= n_max, class-major lexicographic.
+
+    Returns (Q, states, classes) with Q a scipy CSR matrix, ``states`` the
+    (n, d) state array and ``classes`` the class label per index.  Mass
+    leaves the box only through classes above n_max; a reaction that fires
+    out of the orthant is a ValidationError.
+    """
+    Q, states, classes = _network_q(network, partition, n_max)
+    return _to_scipy(Q), states, classes
 
 
 def _poisson_stop(m: float, budget: float):
@@ -150,7 +278,7 @@ def _poisson_stop(m: float, budget: float):
     width = 8.0
     while True:
         k = np.arange(int(m + width * np.sqrt(m)) + 20)
-        sf = special.pdtrc(k, m)
+        sf = _special.gammainc(k + 1.0, m)  # P(N > k), pdtrc's bytes
         # past the mode the pmf ratio, hence the sf ratio, is at most
         # r = m / (k_max + 2), so sum_{k > k_max} sf(k) <= sf(k_max) r/(1-r)
         r = m / (k[-1] + 2.0)
@@ -192,7 +320,7 @@ def _logs(m: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) if v > 0.0 else -math.inf for v in m])
 
 
-def _matvec_kernel(PT: sp.csr_matrix):
+def _matvec_kernel(PT: _CSR):
     """The compiled kernel for P^T: ("dia" or "csr", f), f(v, y) adding
     P^T v into y.
 
@@ -207,7 +335,7 @@ def _matvec_kernel(PT: sp.csr_matrix):
     indptr, indices, data = PT.indptr, PT.indices, PT.data
     diag = indices - np.repeat(np.arange(n), np.diff(indptr)) + (n - 1)
     occupied = np.flatnonzero(np.bincount(diag, minlength=2 * n - 1))
-    if len(occupied) * n > _DIA_FILL * PT.nnz:
+    if len(occupied) * n > _DIA_FILL * len(data):
         return "csr", partial(_csr_matvec, n, n, indptr, indices, data)
     slot = np.zeros(2 * n - 1, dtype=np.intp)
     slot[occupied] = np.arange(len(occupied))
@@ -215,6 +343,25 @@ def _matvec_kernel(PT: sp.csr_matrix):
     diags[slot[diag], indices] = data
     offsets = (occupied - (n - 1)).astype(indices.dtype)
     return "dia", partial(_dia_matvec, n, n, len(offsets), n, offsets, diags)
+
+
+def _transition_transpose(Q: _CSR, rate: float) -> _CSR:
+    """P^T for P = I + Q/rate, with the bytes of scipy's
+    ``(identity + Q / rate).T.tocsr()``: scipy divides by a scalar as a
+    product with its reciprocal, the identity adds 1.0 to each diagonal
+    entry, and an entry that comes out exactly 0, as a chain's diagonal in
+    the row that sets Lambda does, is not stored."""
+    n = Q.shape[0]
+    rows = Q.rows()
+    data = Q.data * (1 / rate)
+    on = rows == Q.indices
+    diag = np.ones(n)
+    diag[rows[on]] += data[on]
+    vals = np.concatenate([data[~on], diag])
+    keep = vals != 0.0
+    every = np.arange(n, dtype=rows.dtype)
+    return _csr(vals[keep], np.concatenate([Q.indices[~on], every])[keep],
+                np.concatenate([rows[~on], every])[keep], (n, n))
 
 
 class TruncatedCME:
@@ -233,9 +380,9 @@ class TruncatedCME:
     ("dia" or "csr"); ``passes`` and ``matvecs`` count the work done so far.
     """
 
-    def __init__(self, Q: sp.csr_matrix, classes: np.ndarray, p0: np.ndarray,
+    def __init__(self, Q: _CSR, classes: np.ndarray, p0: np.ndarray,
                  t_final: float, budget: float, states=None):
-        self.Q = Q
+        self._Q = Q
         self.classes = classes
         self.p0 = p0
         self.t_final = t_final
@@ -244,8 +391,7 @@ class TruncatedCME:
         # with no transitions any positive rate works: P is the identity
         rate = float((-Q.diagonal()).max(initial=0.0))
         self.uniform_rate = rate if rate > 0.0 else 1.0
-        self._PT = (sp.identity(Q.shape[0], format="csr")
-                    + Q / self.uniform_rate).T.tocsr()
+        self._PT = _transition_transpose(Q, self.uniform_rate)
         self.kernel, self._matvec = _matvec_kernel(self._PT)
         # solver_term, the Poisson stop-loss, bounds the mass and flux the
         # solve leaves out
@@ -261,6 +407,11 @@ class TruncatedCME:
     @property
     def sol(self) -> TruncatedCME:  # the benchmark's tracer reads cme.sol
         return self
+
+    @cached_property
+    def Q(self):
+        """The generator as a scipy CSR matrix, made on first access."""
+        return _to_scipy(self._Q)
 
     @property
     def occupation(self) -> np.ndarray:
@@ -307,7 +458,7 @@ class TruncatedCME:
         (``_poisson_pmf``).
         """
         n, K = len(self.p0), self.poisson_terms
-        log_fact = special.gammaln(np.arange(K + 1) + 1.0)
+        log_fact = _special.gammaln(np.arange(K + 1) + 1.0)
         means = self.uniform_rate * np.array(times)
         log_means = _logs(means)
         final_mean = self.uniform_rate * np.array([self.t_final])
@@ -343,7 +494,7 @@ class TruncatedCME:
         self._z = z
 
     @cached_property
-    def crossing_rates(self) -> sp.csr_matrix:
+    def crossing_rates(self) -> _CSR:
         """C[N, i] = sum of q_ij over jumps i -> j with class(i) <= N < class(j).
 
         C @ w is then, for every window [0, N] at once, the rate of jumps out
@@ -351,21 +502,20 @@ class TruncatedCME:
         w = z its integral over [0, t_final].  All entries are positive, so
         the reduction has no cancellation.
         """
-        coo = self.Q.tocoo()
-        ci, cj = self.classes[coo.row], self.classes[coo.col]
+        Q = self._Q
+        row = Q.rows()
+        ci, cj = self.classes[row], self.classes[Q.indices]
         up = cj > ci
         span = (cj - ci)[up]
         first = np.repeat(ci[up], span)
         offset = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
-        return sp.csr_matrix(
-            (np.repeat(coo.data[up], span),
-             (first + offset, np.repeat(coo.row[up], span))),
-            shape=(int(self.classes.max()) + 1, len(self.classes)))
+        return _csr(np.repeat(Q.data[up], span), first + offset,
+                    np.repeat(row[up], span),
+                    (int(self.classes.max()) + 1, len(self.classes)))
 
 
-def solve_cme(Q: sp.spmatrix, p0, t_final: float,
-              budget: float = DEFAULT_BUDGET, classes=None,
-              states=None) -> TruncatedCME:
+def solve_cme(Q, p0, t_final: float, budget: float = DEFAULT_BUDGET,
+              classes=None, states=None) -> TruncatedCME:
     """Solve p' = p Q on [0, t_final] by uniformization.
 
     With Lambda the largest exit rate, P = I + Q/Lambda is nonnegative and
@@ -383,7 +533,21 @@ def solve_cme(Q: sp.spmatrix, p0, t_final: float,
     the mass deficit counts what they drop.  K and the solver term are fixed
     here, so a solve needing too many terms raises ResourceLimitError here;
     the pass runs at the first query of the returned ``TruncatedCME``.
+
+    Q is a scipy sparse matrix (or a dense array), read as its canonical
+    CSR arrays.  The solve runs on compiled kernels loaded by path; no
+    ``scipy.sparse``/``scipy.special`` import.  ``solve_chain_cme`` and
+    ``solve_network_cme`` build the arrays directly and never import
+    ``scipy.sparse`` at all.
     """
+    import scipy.sparse as sp
+    coo = sp.coo_matrix(Q, dtype=float)
+    return _solve(_csr(coo.data, coo.row, coo.col, coo.shape), p0, t_final,
+                  budget, classes, states)
+
+
+def _solve(Q: _CSR, p0, t_final, budget, classes, states) -> TruncatedCME:
+    """``solve_cme`` on Q's canonical CSR arrays."""
     p0 = np.asarray(p0, dtype=float)
     n = Q.shape[0]
     if p0.shape != (n,):
@@ -395,13 +559,16 @@ def solve_cme(Q: sp.spmatrix, p0, t_final: float,
     check_t_final(t_final)
     if not (np.isfinite(budget) and budget > 0):
         raise ValidationError(f"budget must be finite and > 0, got {budget}")
-    Q = sp.csr_matrix(Q, dtype=float)
     if not np.isfinite(Q.data).all():
         raise ValidationError("Q has a non-finite rate")
-    off = Q - sp.diags(Q.diagonal())
-    row_sums = np.asarray(Q.sum(axis=1)).ravel()
-    scale = max(1.0, float(np.abs(Q.diagonal()).max(initial=0.0)))
-    if (off.data < 0).any() or (row_sums > 1e-12 * scale).any():
+    diagonal = Q.diagonal()
+    # each row's entries summed as scipy's Q.sum(axis=1) sums them
+    stored = np.flatnonzero(np.diff(Q.indptr))
+    row_sums = np.zeros(n)
+    row_sums[stored] = np.add.reduceat(Q.data, Q.indptr[stored])
+    scale = max(1.0, float(np.abs(diagonal).max(initial=0.0)))
+    if ((Q.data[Q.rows() != Q.indices] < 0).any()
+            or (row_sums > 1e-12 * scale).any()):
         raise ValidationError("Q is not a generator of an absorbing "
                               "truncation: need rates >= 0, row sums <= 0")
     classes = np.arange(n) if classes is None else np.asarray(classes)
@@ -410,8 +577,8 @@ def solve_cme(Q: sp.spmatrix, p0, t_final: float,
 
 def solve_chain_cme(chain: BoundingChain, M: int, p0, t_final: float,
                     budget: float = DEFAULT_BUDGET) -> TruncatedCME:
-    Q = chain_generator(chain, M)
-    return solve_cme(Q, p0, t_final, budget=budget, classes=np.arange(M + 1))
+    return _solve(_chain_q(chain, M), p0, t_final, budget, np.arange(M + 1),
+                  None)
 
 
 def solve_network_cme(network: ReactionNetwork, partition: ClassPartition,
@@ -421,10 +588,9 @@ def solve_network_cme(network: ReactionNetwork, partition: ClassPartition,
     # class_of raises on a wrong length or a negative count
     if partition.class_of(key) > n_max:
         raise ValidationError(f"initial state {key} is outside the index set")
-    Q, states, classes = network_generator(network, partition, n_max)
+    Q, states, classes = _network_q(network, partition, n_max)
     p0 = (states == np.asarray(key)).all(axis=1).astype(float)
-    return solve_cme(Q, p0, t_final, budget=budget, classes=classes,
-                     states=states)
+    return _solve(Q, p0, t_final, budget, classes, states)
 
 
 def delta_p0(M: int, at: int) -> np.ndarray:

@@ -316,16 +316,20 @@ def test_large_grid_exits_2_before_allocating(tmp_path, chain_csv, capsys,
     assert "exceeds the cap" in capsys.readouterr().err
 
 
-# every command but the three that solve a master equation, in one process;
-# scipy.sparse must still be unloaded after all of them, and loaded by truncate
+# every command in one process, the three that solve a master equation
+# included; none may leave scipy.sparse, scipy.special or the array-API layer
+# both of them import in sys.modules
 NO_SPARSE_RUNS = """
 import json, sys
 from boundchain.cli import main
 net, tmp = sys.argv[1:]
+HEAVY = ('scipy.sparse', 'scipy.special', 'scipy._lib._array_api')
+def heavy():
+    return [m for m in HEAVY if m in sys.modules]
 def run(*argv):
     assert main(list(argv)) == 0, argv
-    return 'scipy.sparse' in sys.modules
-loaded = {'import': 'scipy.sparse' in sys.modules}
+    return heavy()
+loaded = {'import': heavy()}
 loaded['build'] = run('build', '--network', net, '--weights', '2,1,1',
                       '--direction', 'upper', '--l-exact', '30',
                       '--l-total', '300', '--out', tmp + '/upper.csv')
@@ -349,6 +353,12 @@ loaded['analyze'] = run('analyze', '--network', net, '--lower-weights',
                         '70', '--out-dir', tmp + '/analysis')
 loaded['truncate'] = run('truncate', '--chain', tmp + '/upper.csv', '--p0',
                          'delta:5', '--M', '100', '--tf', '1', '--N', '50')
+loaded['plan-truncation'] = run('plan-truncation', '--chain',
+                                tmp + '/upper.csv', '--p0', 'delta:5', '--M',
+                                '100', '--tf', '1', '--epsilons', '0.1,0.01')
+loaded['heatmap'] = run('heatmap', '--chain', tmp + '/upper.csv', '--p0',
+                        'delta:5', '--n-grid', '20:60:20', '--t-grid',
+                        '0.25:1:0.25', '--out', tmp + '/heat.csv')
 import boundchain
 names = {}
 exec('from boundchain import *', names)
@@ -357,18 +367,18 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_the_master_equation_commands_load_scipy_sparse(tmp_path):
+def test_no_command_loads_scipy_sparse_or_special(tmp_path):
+    # the master-equation commands call compiled kernels loaded by path
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", NO_SPARSE_RUNS, NET,
                            str(tmp_path)], capture_output=True, text=True,
                           timeout=300, env={"PYTHONPATH": str(src), "PATH": ""})
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
-    assert loaded.pop("truncate") is True
     assert loaded.pop("star") == []
-    assert loaded == {cmd: False for cmd in (
+    assert loaded == {cmd: [] for cmd in (
         "import", "build", "verify", "classify", "combine", "couple",
-        "simulate", "analyze")}
+        "simulate", "analyze", "truncate", "plan-truncation", "heatmap")}
 
 
 # console-script runs, one command a line, in order; each exits 0

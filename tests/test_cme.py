@@ -16,11 +16,12 @@ from scipy import special
 from scipy.linalg import expm
 
 from boundchain import cme as cme_module
-from boundchain import (BoundingChain, InfeasibleError, TailModel,
-                        ValidationError, cdf_dominance, certificate_table,
-                        chain_generator, delta_p0, min_truncation,
-                        network_from_dict, network_generator, solve_chain_cme,
-                        solve_cme, solve_network_cme, truncation_certificate)
+from boundchain import (BoundingChain, ClassPartition, InfeasibleError,
+                        TailModel, ValidationError, cdf_dominance,
+                        certificate_table, chain_generator, delta_p0,
+                        min_truncation, network_from_dict, network_generator,
+                        solve_chain_cme, solve_cme, solve_network_cme,
+                        truncation_certificate)
 from boundchain.cli import parse_grid
 from conftest import NETWORK_DOC
 
@@ -542,13 +543,14 @@ def test_direct_kernel_and_fallback_give_identical_bytes(
             for name, (solve, t, _, _) in solves.items()}
     monkeypatch.setattr(cme_module, "_BLOCK", block)
     products = []
-    real_matmul = sp.csr_matrix.__matmul__
+    real_matmul = cme_module._CSR.__matmul__
 
     def counted(self, other):
         products.append(self)
         return real_matmul(self, other)
 
-    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
+    # P^T is kept as CSR arrays, whose only product is ``@``
+    monkeypatch.setattr(cme_module._CSR, "__matmul__", counted)
     for name, (solve, t, K, kernel) in solves.items():
         products.clear()
         cme = solve()
@@ -622,6 +624,98 @@ def test_chain_solves_call_dia_matvec_and_network_solves_csr_matvec(
     for c in (upper211, lower225, naive111, mm1(1.5, 2.0), _gappy_chain()):
         for M in (0, 1, 40, min(400, c.l_total)):
             assert solve_chain_cme(c, M, delta_p0(M, 0), 1.0).kernel == "dia"
+
+
+def _crowded_chain():
+    """Offsets +1, +2 and +3 all cross every N from 2 on, so the crossing
+    rates sum two and three jumps into one entry."""
+    ell = np.arange(41, dtype=float)
+    return BoundingChain("upper", 3, 40, 40,
+                         {1: 0.1 + ell / 3, 2: 0.7 * np.sqrt(ell),
+                          3: 0.3 + 0.1 * (ell % 7), -1: 2.2 * ell}, {}, (1,))
+
+
+def _shared_network(copies):
+    """A birth-death network whose +1 birth is ``copies`` reactions with the
+    same change vector, with +2 and +3 births and a reaction that changes
+    nothing, whose rate meets the diagonal."""
+    births = [{"change": [1], "propensity": [
+        {"coeff": c, "factors": [{"species": "X"}]}, {"coeff": 1 / 3}]}
+        for c in (0.1, 0.2, 0.7)[:copies]]
+    return network_from_dict({"species": ["X"], "reactions": births + [
+        {"change": [2], "propensity": [{"coeff": 0.3}]},
+        {"change": [3], "propensity": [{"coeff": 0.05, "factors": [
+            {"species": "X"}]}]},
+        {"change": [0], "propensity": [{"coeff": 0.9, "factors": [
+            {"species": "X"}]}]},
+        {"change": [-1], "propensity": [{"coeff": 1.7, "factors": [
+            {"species": "X"}]}]}]})
+
+
+def _construction_cases(network, part211, upper211):
+    """name: the solve, made by the library from its generator's triplets."""
+    one = ClassPartition((1,))
+    return {
+        **{f"U70 M={M}": lambda M=M: solve_chain_cme(
+            upper211, M, delta_p0(M, 80), 4.0) for M in (160, 500, 2000)},
+        "network n_max=24": lambda: _network_solve(network, part211),
+        "offsets +1,+2,+3": lambda: solve_chain_cme(
+            _crowded_chain(), 40, delta_p0(40, 5), 1.0),
+        **{f"{k} shared births": lambda k=k: solve_network_cme(
+            _shared_network(k), one, 30, (4,), 1.0) for k in (2, 3)},
+    }
+
+
+def _assert_same_csr(ours, theirs, what):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (what, name)
+    assert tuple(ours.shape) == theirs.shape, what
+
+
+@pytest.mark.parametrize("case", [
+    "U70 M=160", "U70 M=500", "U70 M=2000", "network n_max=24",
+    "offsets +1,+2,+3", "2 shared births", "3 shared births"])
+def test_numpy_construction_gives_scipys_arrays(monkeypatch, network,
+                                                part211, upper211, case):
+    # Q, P^T = (I + Q/Lambda)^T, the kernel picked for P^T with its
+    # arguments, and the crossing rates with both their products, built as
+    # scipy.sparse builds them from the generator's own triplets
+    made = []
+    csr = cme_module._csr
+
+    def spy(data, rows, cols, shape):
+        made.append((np.array(data), np.array(rows), np.array(cols), shape))
+        return csr(data, rows, cols, shape)
+
+    monkeypatch.setattr(cme_module, "_csr", spy)
+    cme = _construction_cases(network, part211, upper211)[case]()
+    data, rows, cols, shape = made[0]  # the generator's triplets
+    Q = sp.csr_matrix((data, (rows, cols)), shape=shape)
+    _assert_same_csr(cme._Q, Q, "Q")
+    _assert_same_csr(cme.Q, Q, "Q as a scipy matrix")
+    PT = (sp.identity(shape[0], format="csr") + Q / cme.uniform_rate).T.tocsr()
+    _assert_same_csr(cme._PT, PT, "P^T")
+    kernel, matvec = cme_module._matvec_kernel(PT)
+    assert (kernel, matvec.func) == (cme.kernel, cme._matvec.func)
+    for a, b in zip(cme._matvec.args, matvec.args, strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), kernel
+    coo = Q.tocoo()  # the crossing rates as scipy.sparse built them
+    ci, cj = cme.classes[coo.row], cme.classes[coo.col]
+    up = cj > ci
+    span = (cj - ci)[up]
+    offset = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+    C = sp.csr_matrix(
+        (np.repeat(coo.data[up], span),
+         (np.repeat(ci[up], span) + offset, np.repeat(coo.row[up], span))),
+        shape=(int(cme.classes.max()) + 1, len(cme.classes)))
+    _assert_same_csr(cme.crossing_rates, C, "crossing rates")
+    z = cme.occupation
+    assert (cme.crossing_rates @ z).tobytes() == (C @ z).tobytes()
+    P = cme.p(np.linspace(0.0, cme.t_final, 9))[:, :6]  # not contiguous
+    assert (cme.crossing_rates @ P).tobytes() == (C @ P).tobytes()
+    if case.endswith("shared births"):  # the sums really are order-sensitive
+        assert len(data) > Q.nnz
 
 
 DBL_MIN = np.finfo(float).tiny

@@ -1,7 +1,11 @@
 """Byte, source, name and signature invariants of the package."""
 
 import inspect
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +45,71 @@ def test_k_log_m_gives_the_bytes_of_xlogy():
     bad = [m for m in ms
            if (ks * math.log(m)).tobytes() != special.xlogy(ks, m).tobytes()]
     assert not bad, bad[:5]
+
+
+def test_path_loaded_gammaln_gives_the_bytes_of_special():
+    # log(k!) of the Poisson weights, for every k a pass may reach
+    x = np.arange(2_000_001) + 1.0
+    assert cme._special.gammaln(x).tobytes() == special.gammaln(x).tobytes()
+
+
+def test_gammainc_gives_the_bytes_of_pdtrc():
+    # P(N > k) for N ~ Poisson(m), on a log grid of means covering the
+    # pinned solves' Lambda t, for every k the stop search reads at its
+    # first two widths
+    bad = []
+    for m in np.geomspace(0.05, 2e6, 30):
+        k = np.arange(int(m + 16.0 * np.sqrt(m)) + 20)
+        if (cme._special.gammainc(k + 1.0, m).tobytes()
+                != special.pdtrc(k, m).tobytes()):
+            bad.append(m)
+    assert not bad, bad
+
+
+# one chain solve in a fresh process, with the path load refused or not:
+# which heavy scipy modules it loaded, the digest of its floats, and
+# whether a later import of scipy.special and scipy.sparse hands back the
+# modules the solve used
+LOAD_RUN = """
+import hashlib, json, sys
+if sys.argv[1] == 'refuse':
+    import importlib.machinery
+    class ExtensionFileLoader(importlib.machinery.ExtensionFileLoader):
+        def __init__(self, *args):  # the import system keeps its own class
+            raise ImportError('path load refused')
+    importlib.machinery.ExtensionFileLoader = ExtensionFileLoader
+import numpy as np
+from boundchain import BoundingChain, cme
+ell = np.arange(41.0)
+chain = BoundingChain('upper', 2, 40, 40, {1: 1.5 + 0 * ell, 2: ell / 7,
+                                            -1: 2.0 * ell}, {}, (1,))
+solve = cme.solve_chain_cme(chain, 40, cme.delta_p0(40, 3), 2.0)
+bounds, _ = cme.certificate_table(solve)
+floats = np.concatenate([solve.p([0.5, 2.0]).ravel(), bounds])
+heavy = [m for m in ('scipy.sparse', 'scipy.special', 'scipy._lib._array_api')
+         if m in sys.modules]
+import scipy.sparse, scipy.special
+same = (cme._special is sys.modules['scipy.special._special_ufuncs']
+        and cme._special.gammaln is scipy.special.gammaln
+        and cme._sparsetools is sys.modules['scipy.sparse._sparsetools'])
+print(json.dumps({'heavy': heavy, 'same': same,
+                  'digest': hashlib.sha256(floats.tobytes()).hexdigest()}))
+"""
+
+
+def test_kernels_load_by_path_and_fall_back_to_the_import():
+    src = Path(__file__).resolve().parents[1] / "src"
+    got = {}
+    for mode in ("path", "refuse"):
+        done = subprocess.run([sys.executable, "-c", LOAD_RUN, mode],
+                              capture_output=True, text=True, timeout=120,
+                              env={"PYTHONPATH": str(src), "PATH": ""})
+        assert done.returncode == 0, done.stderr
+        got[mode] = json.loads(done.stdout.strip().splitlines()[-1])
+    assert got["path"]["heavy"] == []
+    assert {"scipy.sparse", "scipy.special"} <= set(got["refuse"]["heavy"])
+    assert got["path"]["same"] and got["refuse"]["same"]
+    assert got["path"]["digest"] == got["refuse"]["digest"]
 
 
 def test_coupling_rows_and_pi_bar_share_one_walk_with_one_path():
