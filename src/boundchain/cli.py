@@ -144,6 +144,7 @@ def _solver_counters(cme) -> dict:
             "solver_term": cme.solver_term,
             "passes": cme.passes,
             "matvecs": cme.matvecs,
+            "kernel_calls": cme.kernel_calls,
             "kernel": cme.kernel}
 
 
@@ -332,11 +333,14 @@ def cmd_truncate(args) -> int:
 
 
 def cmd_plan_truncation(args) -> int:
-    from .cme import min_truncation
+    from .cme import check_epsilon, min_truncation
 
+    epsilons = parse_floats(args.epsilons)
+    for eps in epsilons:  # a bad epsilon exits before the solve's pass
+        check_epsilon(eps)
     chain, p0, cme = _solve(args, args.M, args.tf)
     plan = {}
-    for eps in parse_floats(args.epsilons):
+    for eps in epsilons:
         plan[str(eps)] = min_truncation(chain, p0, args.M, args.tf, eps,
                                         cme=cme)
     return _emit(args, "plan-truncation",

@@ -19,11 +19,18 @@ truncated sums leave out, and the certificates carry it as their solver
 term.  A solve answers queries at times in [0, t_final] only.  Its first
 query runs the pass, for p(t_final), z and every time of that query at
 once; it costs K, about Lambda * t_final, sparse mat-vecs, and a later
-query at new times runs one more pass of the same K.  Each mat-vec is
-one of scipy's compiled kernels called straight into its row of the term
-block, without the per-call dispatch of ``@``: ``dia_matvec`` when P^T is
-banded, as every chain generator is, else ``csr_matvec``.  Both add each
-output entry's products in column order, so they give the same bytes.
+query at new times runs one more pass of the same K.  The terms are made
+by scipy's compiled kernels called straight into the rows of a term block,
+without the per-call dispatch of ``@``.  A small P^T (at most
+``_CHAIN_NNZ`` stored entries, as a chain box up to M of about 680 has)
+is stacked in copies down a block diagonal, and one ``csr_matvec`` call
+over m copies makes m terms: its input and output are the overlapping
+runs of block rows a..a+m-1 and a+1..a+m.  This aliasing is exact because
+``csr_matvec`` finishes each output row before it starts the next, and
+copy j reads only row a+j, which the call's copy j-1 has already written.
+A larger P^T makes one term a call, with ``dia_matvec`` when it is banded,
+as every chain generator is, else ``csr_matvec``.  Every kernel adds each
+output entry's products in column order, so all give the same bytes.
 
 The module imports numpy, the top-level ``scipy`` package and two compiled
 extension modules loaded by path, ``scipy.sparse._sparsetools`` (the
@@ -109,6 +116,14 @@ POISSON_TERM_CAP = 2_000_000
 # p itself (not only the certificate) stays within a tenth of the budget
 TAIL_SHARE = 0.1
 _BLOCK = 256  # Poisson terms buffered before they are weighted and summed
+# P^T with at most this many stored entries is stepped by chained csr_matvec
+# calls over stacked copies of it, each call making a run of terms; above
+# it a term's product outweighs a call's overhead and each term is one call
+_CHAIN_NNZ = 2048
+# the stacked copies hold at most this many stored entries and rows (about
+# 0.8 MB), and one block's terms after its first need at most _BLOCK - 1
+_STACK_ENTRIES = 1 << 16
+_COPIES = _BLOCK - 1
 # P^T is stored by diagonals when diagonals * n <= _DIA_FILL * nnz, so at
 # least half of what the DIA kernel reads is stored entries
 _DIA_FILL = 2
@@ -321,28 +336,47 @@ def _logs(m: np.ndarray) -> np.ndarray:
 
 
 def _matvec_kernel(PT: _CSR):
-    """The compiled kernel for P^T: ("dia" or "csr", f), f(v, y) adding
-    P^T v into y.
+    """The compiled kernel for P^T: (name, f), f(v, y) adding P^T v into y.
 
-    DIA is taken when P^T's occupied diagonals times n is at most
-    ``_DIA_FILL`` times its stored entries, which every chain generator
-    meets; the diagonals are counted from the CSR arrays in O(nnz).  The
-    offsets ascend, so each output entry adds its products in column
-    order, as ``csr_matvec`` does over sorted indices, and a padded zero
-    adds +0.0 to a sum of nonnegative products: both give the same bytes.
+    With at most ``_CHAIN_NNZ`` stored entries the name is "csr-chained":
+    f is ``csr_matvec``, which makes each block's first term, and the pass
+    makes the rest in runs over ``_stack(PT)``.  Otherwise DIA is taken
+    when P^T's occupied diagonals times n is at most ``_DIA_FILL`` times
+    its stored entries, which every larger chain generator meets; the
+    diagonals are counted from the CSR arrays in O(nnz).  The offsets
+    ascend, so each output entry adds its products in column order, as
+    ``csr_matvec`` does over sorted indices, and a padded zero adds +0.0 to
+    a sum of nonnegative products: both give the same bytes.
     """
     n = PT.shape[0]
     indptr, indices, data = PT.indptr, PT.indices, PT.data
+    csr = partial(_csr_matvec, n, n, indptr, indices, data)
+    if len(data) <= _CHAIN_NNZ:
+        return "csr-chained", csr
     diag = indices - np.repeat(np.arange(n), np.diff(indptr)) + (n - 1)
     occupied = np.flatnonzero(np.bincount(diag, minlength=2 * n - 1))
     if len(occupied) * n > _DIA_FILL * len(data):
-        return "csr", partial(_csr_matvec, n, n, indptr, indices, data)
+        return "csr", csr
     slot = np.zeros(2 * n - 1, dtype=np.intp)
     slot[occupied] = np.arange(len(occupied))
     diags = np.zeros((len(occupied), n))
     diags[slot[diag], indices] = data
     offsets = (occupied - (n - 1)).astype(indices.dtype)
     return "dia", partial(_dia_matvec, n, n, len(offsets), n, offsets, diags)
+
+
+def _stack(PT: _CSR):
+    """(copies, indptr, indices, data): the CSR arrays of ``copies`` copies
+    of P^T down the diagonal, copy j reading entries j n .. j n + n - 1 of
+    its input and writing the same entries of its output.  At most
+    ``_COPIES`` copies, and past one copy their stored entries and rows
+    each stay within ``_STACK_ENTRIES``, so P^T's index type holds them."""
+    n, nnz = PT.shape[0], len(PT.data)
+    copies = max(1, min(_COPIES, _STACK_ENTRIES // max(nnz, n)))
+    j = np.arange(copies, dtype=PT.indices.dtype)[:, None]
+    indptr = np.append((PT.indptr[:-1] + j * nnz).ravel(), copies * nnz)
+    return (copies, indptr.astype(PT.indices.dtype),
+            (PT.indices + j * n).ravel(), np.tile(PT.data, copies))
 
 
 def _transition_transpose(Q: _CSR, rate: float) -> _CSR:
@@ -377,7 +411,9 @@ class TruncatedCME:
     p(t_final) and the occupation time z.  Every result is a pointwise
     lower bound that drops at most ``TAIL_SHARE * budget`` of mass.
     ``kernel`` names the mat-vec kernel picked for P^T at construction
-    ("dia" or "csr"); ``passes`` and ``matvecs`` count the work done so far.
+    ("csr-chained", "dia" or "csr"); ``passes``, ``matvecs`` (terms made)
+    and ``kernel_calls`` (compiled calls that made them) count the work
+    done so far.
     """
 
     def __init__(self, Q: _CSR, classes: np.ndarray, p0: np.ndarray,
@@ -393,6 +429,8 @@ class TruncatedCME:
         self.uniform_rate = rate if rate > 0.0 else 1.0
         self._PT = _transition_transpose(Q, self.uniform_rate)
         self.kernel, self._matvec = _matvec_kernel(self._PT)
+        self._stack = (_stack(self._PT) if self.kernel == "csr-chained"
+                       else None)
         # solver_term, the Poisson stop-loss, bounds the mass and flux the
         # solve leaves out
         self.poisson_terms, self.solver_term, sf = _poisson_stop(
@@ -403,6 +441,7 @@ class TruncatedCME:
         self._cache = {}
         self.passes = 0
         self.matvecs = 0
+        self.kernel_calls = 0
 
     @property
     def sol(self) -> TruncatedCME:  # the benchmark's tracer reads cme.sol
@@ -446,16 +485,22 @@ class TruncatedCME:
         """Sum p0 P^k over k = 0..K with Poisson(k; Lambda t) weights, one
         row per time and one for t_final, into the cache, and z with it.
 
-        Each term k >= 1 is one call of the ``kernel`` (``dia_matvec`` or
-        ``csr_matvec``) with P^T into its row of a 256-term block, which is
-        weighted by one product for the times together and one for t_final
-        alone.  The kernel adds into its output, so each block is zeroed
-        once before it is filled; on a zeroed row either kernel gives the
-        bytes of ``P^T @ v``.  gammaln(k + 1) and t_final's weights are
-        made once per pass, the times' weights block by block, and a pass
-        with no times besides t_final (``truncate``, ``plan-truncation``)
-        makes and multiplies none.  Every weight below DBL_MIN is 0
-        (``_poisson_pmf``).
+        The terms are made into a zeroed 256-term block, which is weighted
+        by one product for the times together and one for t_final alone.
+        Each block's first term is p0 or one call of the ``kernel`` on a
+        copy of the previous block's last term, and ``_runs`` makes the
+        rest.  Per term, each is one call on the row before.  Chained, one
+        ``csr_matvec`` call over m stacked copies of P^T makes rows
+        a+1..a+m from rows a..a+m-1 of the same block: input and output
+        overlap, and copy j reads row a+j, which the call wrote as copy
+        j-1.  This rests on ``csr_matvec`` finishing each output row, in
+        ascending order, before it starts the next, so each call gives the
+        bytes of m separate ones.  Every kernel adds into its output, so on
+        a zeroed row each gives the bytes of ``P^T @ v``.  gammaln(k + 1)
+        and t_final's weights are made once per pass, the times' weights
+        block by block, and a pass with no times besides t_final
+        (``truncate``, ``plan-truncation``) makes and multiplies none.
+        Every weight below DBL_MIN is 0 (``_poisson_pmf``).
         """
         n, K = len(self.p0), self.poisson_terms
         log_fact = _special.gammaln(np.arange(K + 1) + 1.0)
@@ -467,31 +512,56 @@ class TruncatedCME:
         out = np.zeros((len(times), n))
         final, z = np.zeros((1, n)), np.zeros(n)
         block = np.empty((min(_BLOCK, K + 1), n))
-        rows, matvec = list(block), self._matvec
+        full = self._runs(block)
         v = self.p0
         for start in range(0, K + 1, _BLOCK):
             stop = min(start + _BLOCK, K + 1)
+            terms = block[:stop - start]
+            # per term, a short last block's calls are a full one's first
+            runs = (full if len(terms) == len(block) else
+                    full[:len(terms) - 1] if self._stack is None else
+                    self._runs(terms))
             block.fill(0.0)
-            for row, k in zip(rows, range(start, stop)):
-                if k:
-                    matvec(v, row)
-                else:
-                    row[:] = v
-                v = row
+            if start:
+                self._matvec(v, terms[0])
+            else:
+                terms[0] = v
+            for f, x, y in runs:
+                f(x, y)
+            self.kernel_calls += len(runs) + (start > 0)
             ks = np.arange(start, stop)
-            terms = block[:len(ks)]
             if times:
                 out += _poisson_pmf(ks, log_fact[start:stop], means,
                                     log_means) @ terms
             final += final_weights[:, start:stop] @ terms
             z += self._z_weights[ks] @ terms
-            # v, the last term, is a row of the block the next one zeroes
-            v = v.copy()
+            # the last term, a row of the block the next one zeroes
+            v = terms[-1].copy()
         self.passes += 1
         self.matvecs += K
         self._cache.update(zip(times, out))
         self._cache[self.t_final] = final[0]
         self._z = z
+
+    def _runs(self, terms: np.ndarray) -> list:
+        """(f, x, y) for each kernel call that makes terms[1:], in order,
+        f(x, y) adding P^T x into y: per term, x and y are consecutive
+        rows; chained, they are the flattened runs terms[a:a+m] and
+        terms[a+1:a+m+1], m at most the stack's copies, and f is
+        ``csr_matvec`` over its first m copies (see ``_pass``)."""
+        if self._stack is None:
+            rows = list(terms)
+            return [(self._matvec, x, y) for x, y in zip(rows, rows[1:])]
+        copies, *stack = self._stack
+        count, n = terms.shape
+        flat = terms.ravel()
+        runs = []
+        for a in range(0, count - 1, copies):
+            m = min(copies, count - 1 - a)
+            runs.append((partial(_csr_matvec, m * n, m * n, *stack),
+                         flat[a * n:(a + m) * n],
+                         flat[(a + 1) * n:(a + m + 1) * n]))
+        return runs
 
     @cached_property
     def crossing_rates(self) -> _CSR:
@@ -675,6 +745,12 @@ def certificate_table(cme: TruncatedCME):
     }
 
 
+def check_epsilon(epsilon: float) -> None:
+    """A ValidationError unless epsilon is finite and > 0."""
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 def min_truncation(chain: BoundingChain, p0, M: int, t_final: float,
                    epsilon: float, cme: TruncatedCME | None = None) -> int:
     """Smallest N in [0, M] with E_T(N) < epsilon.
@@ -683,8 +759,7 @@ def min_truncation(chain: BoundingChain, p0, M: int, t_final: float,
     already be below epsilon, otherwise no window can certify and the box
     M itself has to grow.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValidationError(f"epsilon must be finite and > 0, got {epsilon}")
+    check_epsilon(epsilon)
     cme = _window_solve(chain, p0, M, t_final, cme)
     deficit = max(0.0, 1.0 - cme.mass(t_final)) + cme.solver_term
     if deficit >= epsilon:

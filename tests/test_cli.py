@@ -947,6 +947,24 @@ def test_plan_truncation_cli(tmp_path, chain_csv, capsys):
         "error: epsilon must be finite and > 0, got inf\n")
 
 
+def test_plan_truncation_checks_every_epsilon_before_it_solves(
+        monkeypatch, chain_csv, capsys):
+    # a bad epsilon after a good one once exited 2 only after the good
+    # one's uniformization pass
+    from boundchain.cme import TruncatedCME
+
+    passes = []
+    real_pass = TruncatedCME._pass
+    monkeypatch.setattr(TruncatedCME, "_pass",
+                        lambda self, times: passes.append(times)
+                        or real_pass(self, times))
+    assert main(["plan-truncation", "--chain", chain_csv, "--p0", "delta:20",
+                 "--M", "200", "--tf", "1.0", "--epsilons", "0.1,0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: epsilon must be finite and > 0, got 0.0\n")
+    assert passes == []
+
+
 def test_heatmap_cli(tmp_path, chain_csv):
     out = tmp_path / "heat.csv"
     assert main(["heatmap", "--chain", chain_csv, "--p0", "delta:20",
@@ -968,12 +986,14 @@ def test_heatmap_cli(tmp_path, chain_csv):
     man = json.loads((tmp_path / "heat.csv.manifest.json").read_text())
     assert set(man["counters"]) == {"uniform_rate", "poisson_terms",
                                     "solver_term", "passes", "matvecs",
-                                    "kernel"}
-    assert man["counters"]["kernel"] == "dia"  # a chain generator is banded
+                                    "kernel_calls", "kernel"}
+    # a box of 81 states: each csr_matvec call makes a run of terms
+    assert man["counters"]["kernel"] == "csr-chained"
     assert 0.0 < man["counters"]["solver_term"] <= 1e-8
     # the requested times ride along the t_final pass: K + 1 terms, K mat-vecs
     assert man["counters"]["passes"] == 1
     assert man["counters"]["matvecs"] == man["counters"]["poisson_terms"]
+    assert 0 < man["counters"]["kernel_calls"] < man["counters"]["matvecs"]
 
 
 @pytest.mark.xfail(strict=True, reason="heatmap integrates the flux by "

@@ -524,23 +524,26 @@ def test_solves_are_pinned(network, part211, upper211):
 def test_direct_kernel_and_fallback_give_identical_bytes(
         monkeypatch, network, part211, upper211, block):
     # every term is written into its block row by the solve's kernel,
-    # dia_matvec for the chain solves and csr_matvec for the network one,
-    # with no product with P^T.  Block sizes 1 and 3 put a block boundary after
-    # every term or between any two, where the last term must survive the
-    # next block's zeroing.  The blocks are weighted and summed one by
-    # one, so another block size regroups those sums: the floats agree
-    # with the 256-term blocks' to rounding, and the one-term solve to the
-    # byte.  The chain solve makes 30 blocks of 256.
+    # chained csr_matvec for the chain solves and csr_matvec for the network
+    # one, with no product with P^T.  Block sizes 1 and 3 put a block
+    # boundary after every term or between any two, where the last term
+    # must survive the next block's zeroing.  The blocks are weighted and
+    # summed one by one, so another block size regroups those sums: the
+    # floats agree with the 256-term blocks' to rounding, and the one-term
+    # solve to the byte.  The chain solve makes 30 blocks of 256.  Each
+    # block size runs with the default stack (43 copies at M=500) and with
+    # 7 copies, which leave a run of 3 in each block of 256.
     solves = {  # name: (solve, query time, K, kernel)
         "chain": (lambda: solve_chain_cme(upper211, 500, delta_p0(500, 80),
-                                          4.0), 0.3, 7553, "dia"),
+                                          4.0), 0.3, 7553, "csr-chained"),
         "network": (lambda: _network_solve(network, part211), 0.3, 487,
                     "csr"),
         "t_final=0": (lambda: solve_chain_cme(upper211, 24, delta_p0(24, 14),
-                                              0.0), 0.0, 0, "dia"),
+                                              0.0), 0.0, 0, "csr-chained"),
     }
     want = {name: _solve_floats(solve(), t)
             for name, (solve, t, _, _) in solves.items()}
+    regrouped = block != cme_module._BLOCK
     monkeypatch.setattr(cme_module, "_BLOCK", block)
     products = []
     real_matmul = cme_module._CSR.__matmul__
@@ -551,16 +554,22 @@ def test_direct_kernel_and_fallback_give_identical_bytes(
 
     # P^T is kept as CSR arrays, whose only product is ``@``
     monkeypatch.setattr(cme_module._CSR, "__matmul__", counted)
-    for name, (solve, t, K, kernel) in solves.items():
-        products.clear()
-        cme = solve()
-        got = _solve_floats(cme, t)
-        assert np.allclose(got, want[name], rtol=0.0, atol=1e-12), name
-        assert cme.poisson_terms == K, name
-        assert cme.passes == 1 and cme.matvecs == K, name
-        assert cme.kernel == kernel, name
-        assert not any(A is cme._PT for A in products), name
-    assert np.array_equal(got, want["t_final=0"])
+    for copies in (cme_module._COPIES, 7):
+        monkeypatch.setattr(cme_module, "_COPIES", copies)
+        for name, (solve, t, K, kernel) in solves.items():
+            products.clear()
+            cme = solve()
+            got = _solve_floats(cme, t)
+            assert np.allclose(got, want[name], rtol=0.0, atol=1e-12), name
+            # the stack size regroups no sum
+            assert regrouped or got.tobytes() == want[name].tobytes(), name
+            assert cme.poisson_terms == K, name
+            assert cme.passes == 1 and cme.matvecs == K, name
+            assert cme.kernel == kernel, name
+            assert not any(A is cme._PT for A in products), name
+            if name == "chain":
+                assert cme._stack[0] == min(copies, 43)
+        assert np.array_equal(got, want["t_final=0"])
 
 
 def _gappy_chain():
@@ -578,8 +587,9 @@ def test_dia_and_csr_kernels_give_identical_bytes(monkeypatch, network,
     # as csr_matvec does, and its padded zeros (the gaps in the band, the
     # clipped ends of each diagonal near 0 and M, and on a chain P's zero
     # diagonal entry in the row that sets Lambda, which CSR does not store)
-    # add +0.0: the bytes must not move.  The network's P divides by Lambda
-    # through its reciprocal, so its diagonal there is 1.1e-16, not 0.
+    # add +0.0; the chained calls read rows their own call wrote: the bytes
+    # must not move.  The network's P divides by Lambda through its
+    # reciprocal, so its diagonal there is 1.1e-16, not 0.
     solve = {
         "U70 M=500": lambda: solve_chain_cme(upper211, 500,
                                              delta_p0(500, 80), 4.0),
@@ -590,37 +600,64 @@ def test_dia_and_csr_kernels_give_identical_bytes(monkeypatch, network,
         "network": lambda: _network_solve(network, part211),
     }[case]
     got = {}
-    for kernel, fill in (("csr", 0), ("dia", np.inf)):
+    for kernel, chained, fill in (("csr-chained", np.inf, 0),
+                                  ("csr", -1, 0), ("dia", -1, np.inf)):
+        monkeypatch.setattr(cme_module, "_CHAIN_NNZ", chained)
         monkeypatch.setattr(cme_module, "_DIA_FILL", fill)
         cme = solve()
         assert cme.kernel == kernel
         assert (cme._PT.diagonal().min() == 0.0) == (case != "network")
         got[kernel] = _solve_floats(cme).tobytes()
-    assert got["dia"] == got["csr"]
+    assert got["csr-chained"] == got["dia"] == got["csr"]
 
 
-def test_chain_solves_call_dia_matvec_and_network_solves_csr_matvec(
-        monkeypatch, network, part211, upper211, lower225, naive111):
-    calls = {"dia": 0, "csr": 0}
+def test_kernel_calls_make_every_term_once(monkeypatch, network, part211,
+                                           upper211, lower225, naive111):
+    # a spy on the compiled kernels counts the terms each call makes (its
+    # rows over n): they sum to K per pass, over the ``kernel_calls`` the
+    # solve counts.  U70 boxes up to M = 683 (3M - 1 stored entries) are
+    # chained, a csr_matvec call making a run of terms; M = 2000 and the
+    # network make one term a call, with dia_matvec and csr_matvec
+    calls = []
 
     def spy(name, kernel):
-        def counted(*args):
-            calls[name] += 1
-            return kernel(*args)
+        def counted(n_rows, *args):
+            calls.append((name, n_rows))
+            return kernel(n_rows, *args)
         return counted
 
     monkeypatch.setattr(cme_module, "_dia_matvec",
                         spy("dia", cme_module._dia_matvec))
     monkeypatch.setattr(cme_module, "_csr_matvec",
                         spy("csr", cme_module._csr_matvec))
-    chain = solve_chain_cme(upper211, 500, delta_p0(500, 80), 4.0)
-    chain.p(4.0)
-    assert calls == {"dia": chain.poisson_terms, "csr": 0}
-    calls["dia"] = 0
-    net = _network_solve(network, part211)
-    net.p(1.0)
-    assert calls == {"dia": 0, "csr": net.poisson_terms}
-    # every chain generator is banded
+    solves = {
+        **{f"M={M}": (lambda M=M: solve_chain_cme(
+            upper211, M, delta_p0(M, min(M, 80)), 4.0), "csr-chained")
+           for M in (24, 160, 500)},
+        "M=2000": (lambda: solve_chain_cme(upper211, 2000,
+                                           delta_p0(2000, 80), 4.0), "dia"),
+        "network": (lambda: _network_solve(network, part211), "csr"),
+    }
+    for name, (solve, kernel) in solves.items():
+        cme = solve()
+        n, K = len(cme.p0), cme.poisson_terms
+        for passes, times in enumerate(([cme.t_final], [0.5 * cme.t_final]),
+                                       start=1):
+            calls.clear()
+            cme.p(times)
+            terms = [rows // n for _, rows in calls]
+            assert sum(terms) == K and all(r % n == 0 for _, r in calls), name
+            assert cme.kernel == kernel, name
+            assert {k for k, _ in calls} == {kernel[:3]}, name
+            assert cme.passes == passes, name
+            assert cme.kernel_calls == passes * len(calls), name
+            assert cme.matvecs == passes * K, name
+            if kernel == "csr-chained":
+                assert max(terms) == cme._stack[0] > 1, name
+            else:
+                assert len(calls) == K, name
+    # with the chained kernel off, every chain generator is banded
+    monkeypatch.setattr(cme_module, "_CHAIN_NNZ", -1)
     for c in (upper211, lower225, naive111, mm1(1.5, 2.0), _gappy_chain()):
         for M in (0, 1, 40, min(400, c.l_total)):
             assert solve_chain_cme(c, M, delta_p0(M, 0), 1.0).kernel == "dia"
@@ -679,8 +716,9 @@ def _assert_same_csr(ours, theirs, what):
 def test_numpy_construction_gives_scipys_arrays(monkeypatch, network,
                                                 part211, upper211, case):
     # Q, P^T = (I + Q/Lambda)^T, the kernel picked for P^T with its
-    # arguments, and the crossing rates with both their products, built as
-    # scipy.sparse builds them from the generator's own triplets
+    # arguments and stacked copies, and the crossing rates with both their
+    # products, built as scipy.sparse builds them from the generator's own
+    # triplets
     made = []
     csr = cme_module._csr
 
@@ -700,6 +738,11 @@ def test_numpy_construction_gives_scipys_arrays(monkeypatch, network,
     assert (kernel, matvec.func) == (cme.kernel, cme._matvec.func)
     for a, b in zip(cme._matvec.args, matvec.args, strict=True):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), kernel
+    if kernel == "csr-chained":  # the copies of P^T down a block diagonal
+        copies, *stack = cme._stack
+        _assert_same_csr(cme_module._CSR(*stack, (copies * shape[0],) * 2),
+                         sp.block_diag([PT] * copies, format="csr"),
+                         "stacked P^T")
     coo = Q.tocoo()  # the crossing rates as scipy.sparse built them
     ci, cj = cme.classes[coo.row], cme.classes[coo.col]
     up = cj > ci
@@ -728,8 +771,9 @@ def _reference_pmf(k, m):
 
 
 def _reference_pass(cme, times):
-    """The pass of ``cme`` at ``times`` with ``_reference_pmf``'s weights:
-    (p at each time, one row each, p(t_final), z)."""
+    """The pass of ``cme`` at ``times`` with ``_reference_pmf``'s weights,
+    each term a product ``P^T @ v`` of its own, whatever kernel the solve
+    runs: (p at each time, one row each, p(t_final), z)."""
     n, K, size = len(cme.p0), cme.poisson_terms, cme_module._BLOCK
     means = cme.uniform_rate * np.array(times)
     final_mean = cme.uniform_rate * np.array([cme.t_final])
@@ -740,10 +784,7 @@ def _reference_pass(cme, times):
         stop = min(start + size, K + 1)
         block.fill(0.0)
         for row, k in zip(block, range(start, stop)):
-            if k:
-                cme._matvec(v, row)
-            else:
-                row[:] = v
+            row[:] = cme._PT @ v if k else v
             v = row
         ks = np.arange(start, stop)
         terms = block[:len(ks)]
@@ -827,6 +868,25 @@ def test_dropped_weights_only_lower_p(solve):
     assert np.all(got <= want)
     assert np.all(want - got <= slack)
     assert cme.occupation.tobytes() == z.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_solves())
+def test_chained_and_per_term_passes_give_identical_bytes(solve):
+    # every small generator is chained; with the chained kernel off the
+    # same solve makes one term a call, with csr_matvec or dia_matvec (an
+    # empty P^T, a one-state box whose state sets Lambda, is always DIA)
+    Q, p0, t_final, times = solve
+    got = {}
+    for chained, fill in ((np.inf, 0), (-1, 0), (-1, np.inf)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cme_module, "_CHAIN_NNZ", chained)
+            mp.setattr(cme_module, "_DIA_FILL", fill)
+            cme = solve_cme(Q, p0, t_final)
+            got[cme.kernel] = (cme.p(times + [t_final]).tobytes(),
+                               cme.occupation.tobytes())
+    assert len(got) == 3 or not cme._PT.data.size
+    assert len(set(got.values())) == 1 and "csr-chained" in got
 
 
 def test_no_weight_in_a_product_is_subnormal(monkeypatch, network, part211,

@@ -17,7 +17,7 @@ from boundchain import (builder, cli, cme, coupling, network, simulate,
 from boundchain.cme import _csr_matvec, _dia_matvec
 
 
-def test_dia_and_csr_matvec_give_the_bytes_of_matmul():
+def test_dia_and_csr_matvec_give_the_bytes_of_matmul(monkeypatch):
     # nonnegative, banded on offsets -1, 0 and +2, with gaps in the band
     A = sp.diags([[0.1, 0.0, 0.3, 0.7, 0.2, 0.9, 0.4], np.linspace(0.0, 1.0, 8),
                   [0.6, 0.05, 0.8, 0.0, 0.35, 0.15]], [-1, 0, 2], format="csr")
@@ -27,6 +27,20 @@ def test_dia_and_csr_matvec_give_the_bytes_of_matmul():
     y = np.zeros(8)
     _csr_matvec(8, 8, A.indptr, A.indices, A.data, v, y)
     assert y.tobytes() == want, ("csr_matvec", y, A @ v)
+    # one csr_matvec call over m stacked copies, its input and output the
+    # overlapping rows 0..m-1 and 1..m of one block, makes m products
+    kernel, matvec = cme._matvec_kernel(A)
+    assert kernel == "csr-chained" and matvec.func is _csr_matvec
+    copies, *stack = cme._stack(A)
+    assert copies == cme._COPIES
+    m = 5
+    terms = np.zeros((m + 1, 8))
+    terms[0] = v
+    flat = terms.ravel()
+    _csr_matvec(m * 8, m * 8, *stack, flat[:m * 8], flat[8:])
+    for k in range(1, m + 1):
+        assert terms[k].tobytes() == (A @ terms[k - 1]).tobytes(), k
+    monkeypatch.setattr(cme, "_CHAIN_NNZ", -1)
     kernel, matvec = cme._matvec_kernel(A)
     assert kernel == "dia" and matvec.func is _dia_matvec
     y = np.zeros(8)
