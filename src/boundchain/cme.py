@@ -21,16 +21,16 @@ query runs the pass, for p(t_final), z and every time of that query at
 once; it costs K, about Lambda * t_final, sparse mat-vecs, and a later
 query at new times runs one more pass of the same K.  The terms are made
 by scipy's compiled kernels called straight into the rows of a term block,
-without the per-call dispatch of ``@``.  A small P^T (at most
-``_CHAIN_NNZ`` stored entries, as a chain box up to M of about 680 has)
-is stacked in copies down a block diagonal, and one ``csr_matvec`` call
-over m copies makes m terms: its input and output are the overlapping
-runs of block rows a..a+m-1 and a+1..a+m.  This aliasing is exact because
-``csr_matvec`` finishes each output row before it starts the next, and
-copy j reads only row a+j, which the call's copy j-1 has already written.
-A larger P^T makes one term a call, with ``dia_matvec`` when it is banded,
-as every chain generator is, else ``csr_matvec``.  Every kernel adds each
-output entry's products in column order, so all give the same bytes.
+without the per-call dispatch of ``@``.  P^T is stacked in copies down a
+block diagonal, as many as K and a cap on the stack's size allow, and one
+``csr_matvec`` call over m copies makes m terms: its input and output are
+the overlapping runs of block rows a..a+m-1 and a+1..a+m.  This aliasing
+is exact because ``csr_matvec`` finishes each output row before it starts
+the next, and copy j reads only row a+j, which the call's copy j-1 has
+already written.  A banded P^T with more than ``_CHAIN_NNZ`` stored
+entries, as a chain box past M of about 680 has, makes one term a call
+with ``dia_matvec`` instead.  Both kernels add each output entry's
+products in column order, so they give the same bytes.
 
 The module imports numpy, the top-level ``scipy`` package and two compiled
 extension modules loaded by path, ``scipy.sparse._sparsetools`` (the
@@ -116,9 +116,9 @@ POISSON_TERM_CAP = 2_000_000
 # p itself (not only the certificate) stays within a tenth of the budget
 TAIL_SHARE = 0.1
 _BLOCK = 256  # Poisson terms buffered before they are weighted and summed
-# P^T with at most this many stored entries is stepped by chained csr_matvec
-# calls over stacked copies of it, each call making a run of terms; above
-# it a term's product outweighs a call's overhead and each term is one call
+# a banded P^T with more than this many stored entries is stepped one term
+# a call by dia_matvec, whose product then outweighs a call's overhead;
+# any other is stepped by chained csr_matvec calls over stacked copies
 _CHAIN_NNZ = 2048
 # the stacked copies hold at most this many stored entries and rows (about
 # 0.8 MB), and one block's terms after its first need at most _BLOCK - 1
@@ -338,25 +338,25 @@ def _logs(m: np.ndarray) -> np.ndarray:
 def _matvec_kernel(PT: _CSR):
     """The compiled kernel for P^T: (name, f), f(v, y) adding P^T v into y.
 
-    With at most ``_CHAIN_NNZ`` stored entries the name is "csr-chained":
-    f is ``csr_matvec``, which makes each block's first term, and the pass
-    makes the rest in runs over ``_stack(PT)``.  Otherwise DIA is taken
-    when P^T's occupied diagonals times n is at most ``_DIA_FILL`` times
-    its stored entries, which every larger chain generator meets; the
-    diagonals are counted from the CSR arrays in O(nnz).  The offsets
-    ascend, so each output entry adds its products in column order, as
-    ``csr_matvec`` does over sorted indices, and a padded zero adds +0.0 to
-    a sum of nonnegative products: both give the same bytes.
+    With more than ``_CHAIN_NNZ`` stored entries DIA is taken when P^T's
+    occupied diagonals times n is at most ``_DIA_FILL`` times its stored
+    entries, which every larger chain generator meets; the diagonals are
+    counted from the CSR arrays in O(nnz).  The offsets ascend, so each
+    output entry adds its products in column order, as ``csr_matvec`` does
+    over sorted indices, and a padded zero adds +0.0 to a sum of
+    nonnegative products: both give the same bytes.  Otherwise the name is
+    "csr-chained": f is ``csr_matvec``, which makes each block's first
+    term, and the pass makes the rest in runs over ``_stack(PT, K)``.
     """
     n = PT.shape[0]
     indptr, indices, data = PT.indptr, PT.indices, PT.data
-    csr = partial(_csr_matvec, n, n, indptr, indices, data)
+    chained = "csr-chained", partial(_csr_matvec, n, n, indptr, indices, data)
     if len(data) <= _CHAIN_NNZ:
-        return "csr-chained", csr
+        return chained
     diag = indices - np.repeat(np.arange(n), np.diff(indptr)) + (n - 1)
     occupied = np.flatnonzero(np.bincount(diag, minlength=2 * n - 1))
     if len(occupied) * n > _DIA_FILL * len(data):
-        return "csr", csr
+        return chained
     slot = np.zeros(2 * n - 1, dtype=np.intp)
     slot[occupied] = np.arange(len(occupied))
     diags = np.zeros((len(occupied), n))
@@ -365,14 +365,15 @@ def _matvec_kernel(PT: _CSR):
     return "dia", partial(_dia_matvec, n, n, len(offsets), n, offsets, diags)
 
 
-def _stack(PT: _CSR):
+def _stack(PT: _CSR, K: int):
     """(copies, indptr, indices, data): the CSR arrays of ``copies`` copies
     of P^T down the diagonal, copy j reading entries j n .. j n + n - 1 of
     its input and writing the same entries of its output.  At most
-    ``_COPIES`` copies, and past one copy their stored entries and rows
-    each stay within ``_STACK_ENTRIES``, so P^T's index type holds them."""
+    ``_COPIES`` and K copies, as a pass uses no more, and past one copy
+    their stored entries and rows each stay within ``_STACK_ENTRIES``, so
+    P^T's index type holds them."""
     n, nnz = PT.shape[0], len(PT.data)
-    copies = max(1, min(_COPIES, _STACK_ENTRIES // max(nnz, n)))
+    copies = max(1, min(_COPIES, K, _STACK_ENTRIES // max(nnz, n)))
     j = np.arange(copies, dtype=PT.indices.dtype)[:, None]
     indptr = np.append((PT.indptr[:-1] + j * nnz).ravel(), copies * nnz)
     return (copies, indptr.astype(PT.indices.dtype),
@@ -411,7 +412,7 @@ class TruncatedCME:
     p(t_final) and the occupation time z.  Every result is a pointwise
     lower bound that drops at most ``TAIL_SHARE * budget`` of mass.
     ``kernel`` names the mat-vec kernel picked for P^T at construction
-    ("csr-chained", "dia" or "csr"); ``passes``, ``matvecs`` (terms made)
+    ("csr-chained" or "dia"); ``passes``, ``matvecs`` (terms made)
     and ``kernel_calls`` (compiled calls that made them) count the work
     done so far.
     """
@@ -429,12 +430,12 @@ class TruncatedCME:
         self.uniform_rate = rate if rate > 0.0 else 1.0
         self._PT = _transition_transpose(Q, self.uniform_rate)
         self.kernel, self._matvec = _matvec_kernel(self._PT)
-        self._stack = (_stack(self._PT) if self.kernel == "csr-chained"
-                       else None)
         # solver_term, the Poisson stop-loss, bounds the mass and flux the
         # solve leaves out
         self.poisson_terms, self.solver_term, sf = _poisson_stop(
             self.uniform_rate * t_final, TAIL_SHARE * budget)
+        self._stack = (_stack(self._PT, self.poisson_terms)
+                       if self.kernel == "csr-chained" else (1,))
         # z = int_0^T p = sum_k P(N_T > k) / Lambda * p0 P^k
         self._z_weights = sf / self.uniform_rate
         self._z = None
@@ -489,8 +490,8 @@ class TruncatedCME:
         by one product for the times together and one for t_final alone.
         Each block's first term is p0 or one call of the ``kernel`` on a
         copy of the previous block's last term, and ``_runs`` makes the
-        rest.  Per term, each is one call on the row before.  Chained, one
-        ``csr_matvec`` call over m stacked copies of P^T makes rows
+        rest, with DIA one term a call.  Chained, one ``csr_matvec`` call
+        over m stacked copies of P^T makes rows
         a+1..a+m from rows a..a+m-1 of the same block: input and output
         overlap, and copy j reads row a+j, which the call wrote as copy
         j-1.  This rests on ``csr_matvec`` finishing each output row, in
@@ -517,10 +518,7 @@ class TruncatedCME:
         for start in range(0, K + 1, _BLOCK):
             stop = min(start + _BLOCK, K + 1)
             terms = block[:stop - start]
-            # per term, a short last block's calls are a full one's first
-            runs = (full if len(terms) == len(block) else
-                    full[:len(terms) - 1] if self._stack is None else
-                    self._runs(terms))
+            runs = full if len(terms) == len(block) else self._runs(terms)
             block.fill(0.0)
             if start:
                 self._matvec(v, terms[0])
@@ -545,21 +543,19 @@ class TruncatedCME:
 
     def _runs(self, terms: np.ndarray) -> list:
         """(f, x, y) for each kernel call that makes terms[1:], in order,
-        f(x, y) adding P^T x into y: per term, x and y are consecutive
-        rows; chained, they are the flattened runs terms[a:a+m] and
-        terms[a+1:a+m+1], m at most the stack's copies, and f is
-        ``csr_matvec`` over its first m copies (see ``_pass``)."""
-        if self._stack is None:
-            rows = list(terms)
-            return [(self._matvec, x, y) for x, y in zip(rows, rows[1:])]
+        f(x, y) adding P^T x into y: x and y are the flattened runs
+        terms[a:a+m] and terms[a+1:a+m+1], m at most the stack's copies
+        (one for DIA), and f is the kernel's own call for m = 1, else
+        ``csr_matvec`` over the stack's first m copies (see ``_pass``)."""
         copies, *stack = self._stack
         count, n = terms.shape
         flat = terms.ravel()
         runs = []
         for a in range(0, count - 1, copies):
             m = min(copies, count - 1 - a)
-            runs.append((partial(_csr_matvec, m * n, m * n, *stack),
-                         flat[a * n:(a + m) * n],
+            f = (partial(_csr_matvec, m * n, m * n, *stack) if m > 1
+                 else self._matvec)
+            runs.append((f, flat[a * n:(a + m) * n],
                          flat[(a + 1) * n:(a + m + 1) * n]))
         return runs
 
@@ -789,14 +785,17 @@ class DominanceReport:
 
 
 def cdf_dominance(chain_cme: TruncatedCME, family, times) -> DominanceReport:
-    """Check chain CDF <= network CDF + slack over times, classes, family.
+    """Check first CDF <= member CDF + slack over times, classes, family.
 
-    Both solves are pointwise lower bounds on the true laws, so the chain
-    side needs no slack; each family member contributes its own mass
-    deficit at time t (absorbed mass plus the solver's dropped mass), and
-    both solver budgets are added as a margin for rounding.  Each solve is
-    evaluated at all times (and at t = 0) in one pass.  Every class of the
-    chain's window is checked.
+    ``chain_cme`` is any pointwise lower bound on a law whose CDF lies
+    below each family member's: an upper chain's solve against the
+    network's, or the network's against a lower chain's.  Its computed CDF
+    lies below its true one, so it needs no slack.  A member's computed
+    CDF lies below its true one by at most its mass deficit at time t
+    (absorbed mass plus the solver's dropped mass), which is the member's
+    slack; both solver budgets are added as a margin for rounding.  Each
+    solve is evaluated at all times (and at t = 0) in one pass.  Every
+    class of the first solve's window is checked.
     """
     family = list(family)
     times = np.asarray(times, dtype=float)

@@ -523,21 +523,21 @@ def test_solves_are_pinned(network, part211, upper211):
 @pytest.mark.parametrize("block", [cme_module._BLOCK, 1, 3])
 def test_direct_kernel_and_fallback_give_identical_bytes(
         monkeypatch, network, part211, upper211, block):
-    # every term is written into its block row by the solve's kernel,
-    # chained csr_matvec for the chain solves and csr_matvec for the network
-    # one, with no product with P^T.  Block sizes 1 and 3 put a block
+    # every term is written into its block row by chained csr_matvec
+    # calls, with no product with P^T.  Block sizes 1 and 3 put a block
     # boundary after every term or between any two, where the last term
     # must survive the next block's zeroing.  The blocks are weighted and
     # summed one by one, so another block size regroups those sums: the
     # floats agree with the 256-term blocks' to rounding, and the one-term
     # solve to the byte.  The chain solve makes 30 blocks of 256.  Each
-    # block size runs with the default stack (43 copies at M=500) and with
-    # 7 copies, which leave a run of 3 in each block of 256.
+    # block size runs with the default stack (43 copies at M=500, 7 for the
+    # network's 8,771 stored entries, 1 for K = 0) and with 7 copies, which
+    # leave a run of 3 in each block of 256.
     solves = {  # name: (solve, query time, K, kernel)
         "chain": (lambda: solve_chain_cme(upper211, 500, delta_p0(500, 80),
                                           4.0), 0.3, 7553, "csr-chained"),
         "network": (lambda: _network_solve(network, part211), 0.3, 487,
-                    "csr"),
+                    "csr-chained"),
         "t_final=0": (lambda: solve_chain_cme(upper211, 24, delta_p0(24, 14),
                                               0.0), 0.0, 0, "csr-chained"),
     }
@@ -567,8 +567,8 @@ def test_direct_kernel_and_fallback_give_identical_bytes(
             assert cme.passes == 1 and cme.matvecs == K, name
             assert cme.kernel == kernel, name
             assert not any(A is cme._PT for A in products), name
-            if name == "chain":
-                assert cme._stack[0] == min(copies, 43)
+            held = {"chain": min(copies, 43), "network": 7, "t_final=0": 1}
+            assert cme._stack[0] == held[name], name
         assert np.array_equal(got, want["t_final=0"])
 
 
@@ -580,6 +580,25 @@ def _gappy_chain():
                           -2: 0.5 * ell * (ell % 3 == 0)}, {}, (1,))
 
 
+# the pass's two kernels, and per-term CSR, the reference for both, as the
+# chained kernel with one copy: label -> (kernel, _CHAIN_NNZ, _DIA_FILL,
+# _COPIES)
+_FORCED = {
+    "csr-chained": ("csr-chained", np.inf, 0, cme_module._COPIES),
+    "csr per term": ("csr-chained", np.inf, 0, 1),
+    "dia": ("dia", -1, np.inf, cme_module._COPIES),
+}
+
+
+def _force(mp, label):
+    """Set the constants under which the next solve runs ``label``'s
+    kernel; returns the kernel's name."""
+    kernel, *values = _FORCED[label]
+    for name, value in zip(("_CHAIN_NNZ", "_DIA_FILL", "_COPIES"), values):
+        mp.setattr(cme_module, name, value)
+    return kernel
+
+
 @pytest.mark.parametrize("case", ["U70 M=500", "gaps", "clipped", "network"])
 def test_dia_and_csr_kernels_give_identical_bytes(monkeypatch, network,
                                                    part211, upper211, case):
@@ -588,8 +607,9 @@ def test_dia_and_csr_kernels_give_identical_bytes(monkeypatch, network,
     # clipped ends of each diagonal near 0 and M, and on a chain P's zero
     # diagonal entry in the row that sets Lambda, which CSR does not store)
     # add +0.0; the chained calls read rows their own call wrote: the bytes
-    # must not move.  The network's P divides by Lambda through its
-    # reciprocal, so its diagonal there is 1.1e-16, not 0.
+    # must not move from those of one csr_matvec call a term.  The
+    # network's P divides by Lambda through its reciprocal, so its diagonal
+    # there is 1.1e-16, not 0.
     solve = {
         "U70 M=500": lambda: solve_chain_cme(upper211, 500,
                                              delta_p0(500, 80), 4.0),
@@ -600,24 +620,28 @@ def test_dia_and_csr_kernels_give_identical_bytes(monkeypatch, network,
         "network": lambda: _network_solve(network, part211),
     }[case]
     got = {}
-    for kernel, chained, fill in (("csr-chained", np.inf, 0),
-                                  ("csr", -1, 0), ("dia", -1, np.inf)):
-        monkeypatch.setattr(cme_module, "_CHAIN_NNZ", chained)
-        monkeypatch.setattr(cme_module, "_DIA_FILL", fill)
+    for label in _FORCED:
+        kernel = _force(monkeypatch, label)
         cme = solve()
         assert cme.kernel == kernel
         assert (cme._PT.diagonal().min() == 0.0) == (case != "network")
-        got[kernel] = _solve_floats(cme).tobytes()
-    assert got["csr-chained"] == got["dia"] == got["csr"]
+        got[label] = _solve_floats(cme).tobytes()
+        if label != "csr-chained":  # one term a call
+            assert cme.kernel_calls == cme.poisson_terms, label
+    assert got["csr-chained"] == got["dia"] == got["csr per term"]
 
 
 def test_kernel_calls_make_every_term_once(monkeypatch, network, part211,
                                            upper211, lower225, naive111):
     # a spy on the compiled kernels counts the terms each call makes (its
     # rows over n): they sum to K per pass, over the ``kernel_calls`` the
-    # solve counts.  U70 boxes up to M = 683 (3M - 1 stored entries) are
-    # chained, a csr_matvec call making a run of terms; M = 2000 and the
-    # network make one term a call, with dia_matvec and csr_matvec
+    # solve counts.  U70 boxes up to M = 683 (3M - 1 stored entries) and
+    # the network are chained, a csr_matvec call making a run of at most
+    # the stack's copies; the stack holds at most K of them, as the
+    # benchmark's network-cme chain solve (M = 24, t = 1, K = 149) shows.
+    # M = 2000 makes one term a dia_matvec call.  The network's 487 terms
+    # take 71 calls: 37 runs in the first block of 256, the second block's
+    # first term and 33 runs after it
     calls = []
 
     def spy(name, kernel):
@@ -630,15 +654,18 @@ def test_kernel_calls_make_every_term_once(monkeypatch, network, part211,
                         spy("dia", cme_module._dia_matvec))
     monkeypatch.setattr(cme_module, "_csr_matvec",
                         spy("csr", cme_module._csr_matvec))
-    solves = {
+    solves = {  # name: (solve, kernel, copies, calls a pass or None)
         **{f"M={M}": (lambda M=M: solve_chain_cme(
-            upper211, M, delta_p0(M, min(M, 80)), 4.0), "csr-chained")
-           for M in (24, 160, 500)},
+            upper211, M, delta_p0(M, min(M, 80)), 4.0), "csr-chained",
+            copies, None) for M, copies in ((24, 255), (160, 136), (500, 43))},
+        "M=24, t=1": (lambda: _chain_solve(upper211), "csr-chained", 149, 1),
         "M=2000": (lambda: solve_chain_cme(upper211, 2000,
-                                           delta_p0(2000, 80), 4.0), "dia"),
-        "network": (lambda: _network_solve(network, part211), "csr"),
+                                           delta_p0(2000, 80), 4.0), "dia",
+                   1, 29105),
+        "network": (lambda: _network_solve(network, part211), "csr-chained",
+                    7, 71),
     }
-    for name, (solve, kernel) in solves.items():
+    for name, (solve, kernel, copies, per_pass) in solves.items():
         cme = solve()
         n, K = len(cme.p0), cme.poisson_terms
         for passes, times in enumerate(([cme.t_final], [0.5 * cme.t_final]),
@@ -652,15 +679,38 @@ def test_kernel_calls_make_every_term_once(monkeypatch, network, part211,
             assert cme.passes == passes, name
             assert cme.kernel_calls == passes * len(calls), name
             assert cme.matvecs == passes * K, name
-            if kernel == "csr-chained":
-                assert max(terms) == cme._stack[0] > 1, name
-            else:
-                assert len(calls) == K, name
+            assert max(terms) == cme._stack[0] == copies, name
+            assert per_pass is None or len(calls) == per_pass, name
     # with the chained kernel off, every chain generator is banded
     monkeypatch.setattr(cme_module, "_CHAIN_NNZ", -1)
     for c in (upper211, lower225, naive111, mm1(1.5, 2.0), _gappy_chain()):
         for M in (0, 1, 40, min(400, c.l_total)):
             assert solve_chain_cme(c, M, delta_p0(M, 0), 1.0).kernel == "dia"
+
+
+def test_a_pt_past_the_stack_cap_makes_one_term_a_call(monkeypatch, network,
+                                                      part211):
+    # the network's P^T is not banded; below its 8,771 stored entries the
+    # stack holds one copy, so the chained kernel is per-term CSR: one
+    # csr_matvec call a term, with the bytes of the default solve
+    want = _solve_floats(_network_solve(network, part211)).tobytes()
+    monkeypatch.setattr(cme_module, "_STACK_ENTRIES", 8_000)
+    calls = []
+    csr_matvec = cme_module._csr_matvec
+
+    def counted(n_rows, *args):
+        calls.append(n_rows)
+        return csr_matvec(n_rows, *args)
+
+    monkeypatch.setattr(cme_module, "_csr_matvec", counted)
+    cme = _network_solve(network, part211)
+    assert cme.kernel == "csr-chained" and cme._stack[0] == 1
+    for passes, t in enumerate((cme.t_final, 0.5 * cme.t_final), start=1):
+        calls.clear()
+        cme.p(t)
+        assert calls == [len(cme.p0)] * cme.poisson_terms
+        assert cme.kernel_calls == passes * cme.poisson_terms
+    assert _solve_floats(cme).tobytes() == want
 
 
 def _crowded_chain():
@@ -873,20 +923,21 @@ def test_dropped_weights_only_lower_p(solve):
 @settings(max_examples=100, deadline=None)
 @given(_small_solves())
 def test_chained_and_per_term_passes_give_identical_bytes(solve):
-    # every small generator is chained; with the chained kernel off the
-    # same solve makes one term a call, with csr_matvec or dia_matvec (an
-    # empty P^T, a one-state box whose state sets Lambda, is always DIA)
+    # every small generator is chained; with one copy, or with DIA forced,
+    # the same solve makes one term a call, with csr_matvec or dia_matvec
+    # (an empty P^T, a one-state box whose state sets Lambda, takes DIA too)
     Q, p0, t_final, times = solve
     got = {}
-    for chained, fill in ((np.inf, 0), (-1, 0), (-1, np.inf)):
+    for label in _FORCED:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cme_module, "_CHAIN_NNZ", chained)
-            mp.setattr(cme_module, "_DIA_FILL", fill)
+            kernel = _force(mp, label)
             cme = solve_cme(Q, p0, t_final)
-            got[cme.kernel] = (cme.p(times + [t_final]).tobytes(),
-                               cme.occupation.tobytes())
-    assert len(got) == 3 or not cme._PT.data.size
-    assert len(set(got.values())) == 1 and "csr-chained" in got
+            got[label] = (cme.p(times + [t_final]).tobytes(),
+                          cme.occupation.tobytes())
+            assert cme.kernel == kernel, label
+            if label != "csr-chained":
+                assert cme.kernel_calls == cme.poisson_terms, label
+    assert len(set(got.values())) == 1
 
 
 def test_no_weight_in_a_product_is_subnormal(monkeypatch, network, part211,

@@ -31,9 +31,11 @@ def test_dia_and_csr_matvec_give_the_bytes_of_matmul(monkeypatch):
     # overlapping rows 0..m-1 and 1..m of one block, makes m products
     kernel, matvec = cme._matvec_kernel(A)
     assert kernel == "csr-chained" and matvec.func is _csr_matvec
-    copies, *stack = cme._stack(A)
-    assert copies == cme._COPIES
+    # at most _COPIES copies, and at most K: no more than a pass can use
+    assert cme._stack(A, 10 ** 6)[0] == cme._COPIES
     m = 5
+    copies, *stack = cme._stack(A, m)
+    assert copies == m and cme._stack(A, 0)[0] == 1
     terms = np.zeros((m + 1, 8))
     terms[0] = v
     flat = terms.ravel()
