@@ -271,11 +271,14 @@ def cmd_couple(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["seed", "t"] + [f"x{i+1}" for i in range(d)]
                         + ["class_x", "y"])
-        for seed, traj in zip(seeds, trajs):
-            cls = traj.states @ np.asarray(partition.weights, dtype=np.int64)
-            for t, x, c, y in zip(traj.times.tolist(), traj.states.tolist(),
-                                  cls.tolist(), traj.levels.tolist()):
-                writer.writerow([seed, repr(t)] + x + [c, y])
+        # one row a jump, the columns zipped path by path; csv writes a
+        # float as its repr
+        w = np.asarray(partition.weights, dtype=np.int64)
+        writer.writerows(
+            row for seed, traj in zip(seeds, trajs)
+            for row in zip([seed] * len(traj), traj.times.tolist(),
+                           *traj.states.T.tolist(),
+                           (traj.states @ w).tolist(), traj.levels.tolist()))
     write_manifest(out, "couple", vars(args), seeds=seeds,
                    counters={"paths": len(seeds), "jumps": jumps,
                              "band_exits": band_exits, **sim.counters})

@@ -371,9 +371,12 @@ def _stack(PT: _CSR, K: int):
     its input and writing the same entries of its output.  At most
     ``_COPIES`` and K copies, as a pass uses no more, and past one copy
     their stored entries and rows each stay within ``_STACK_ENTRIES``, so
-    P^T's index type holds them."""
+    P^T's index type holds them.  One copy is ``(1,)``, as for DIA: a run
+    of one term takes the kernel's own call and reads no stack."""
     n, nnz = PT.shape[0], len(PT.data)
-    copies = max(1, min(_COPIES, K, _STACK_ENTRIES // max(nnz, n)))
+    copies = min(_COPIES, K, _STACK_ENTRIES // max(nnz, n))
+    if copies <= 1:
+        return (1,)
     j = np.arange(copies, dtype=PT.indices.dtype)[:, None]
     indptr = np.append((PT.indptr[:-1] + j * nnz).ravel(), copies * nnz)
     return (copies, indptr.astype(PT.indices.dtype),

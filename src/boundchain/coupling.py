@@ -14,10 +14,13 @@ restored.  Every built row is checked against both marginals.
 A row is built in one pass on Python floats over the supports of the two
 sides: at most a handful of classes and 2*j_max + 1 levels, however far
 apart the class and the level are.  The network side (propensities, q_x,
-the rate and destination of each move) is computed once per state and
-cached, as the rows are per (state, level) pair.  The moves are grouped by
-the class shift they make once per simulator, so a row adds up its class
-masses in class order without sorting them.  The walk behind ``pi_bar``
+the class masses that hold no self-loop, and the destination and rate
+share of each move) is computed once per state and the band row's nonzero
+offsets once per level, and both are cached, as the rows are per (state,
+level) pair; a row adds only its level's exit rate q_y to the self-loop
+and to that loop's class.  The moves are grouped by the class shift they
+make once per simulator, so the class masses come out in class order
+without sorting.  The walk behind ``pi_bar``
 hands back the plan's rows, which the moves read directly; the plan's two
 totals are taken in numpy's pairwise order on Python floats, and every
 other sum in the order the dense array computation used, so the rows are
@@ -50,7 +53,7 @@ PATH_CAP = 1_000  # paths of one `bounds couple` run, all held until written
 MARGINAL_RTOL = 1e-10
 
 
-@dataclass
+@dataclass(slots=True)
 class CouplingRow:
     source: tuple
     pairs: list  # [(state tuple, chain level), ...]
@@ -87,31 +90,34 @@ class CoupledSimulator:
         self._shift = (moves @ np.asarray(partition.weights,
                                           dtype=np.int64)).tolist()
         # the moves grouped by class shift, in shift order: a class's mass
-        # adds its moves' rates in reaction order, the self-loop last
+        # adds its moves' rates in reaction order, the self-loop last; the
+        # self-loop's class (shift 0) is split at the self-loop, whose rate
+        # depends on the level
         by_shift = {}
         for g in np.argsort(first).tolist():
             by_shift.setdefault(self._shift[g], []).append(g)
+        own = by_shift.pop(0)
+        i = own.index(self._self)
+        self._head, self._tail = own[:i], own[i + 1:]
         self._classes = sorted(by_shift.items())
-        self._class_of = [0] * len(moves)
-        for i, (_, members) in enumerate(self._classes):
-            for g in members:
-                self._class_of[g] = i
         self._add_to = [r.propensity._add_to for r in network.reactions]
         band = chain.band(chain.l_total)
         # exit rate per level, added one offset at a time in offset order
         # (np.sum would group the terms differently)
         self._exit = np.cumsum(band, axis=1)[:, -1].tolist()
-        self._band = band.tolist()
+        self._band = band
         # the caches reach the simulator through a weak proxy: a bound
         # method would close a reference cycle that keeps every cached row
         # alive after the simulator is dropped, until the cyclic GC runs;
         # the rows are cached per (state, level), their network side per
-        # state
+        # state and their chain side per level
         proxy = weakref.proxy(self)
         self._row = lru_cache(maxsize=ROW_CACHE)(
             partial(CoupledSimulator._build_row, proxy))
         self._state = lru_cache(maxsize=ROW_CACHE)(
             partial(CoupledSimulator._network_side, proxy))
+        self._level = lru_cache(maxsize=ROW_CACHE)(
+            partial(CoupledSimulator._chain_side, proxy))
 
     def row(self, x, ell: int) -> CouplingRow:
         """Joint row at (x, ell); the ROW_CACHE most recently used are kept."""
@@ -124,10 +130,16 @@ class CoupledSimulator:
         return {"rows_built": info.misses, "row_hits": info.hits}
 
     def _network_side(self, state: tuple):
-        """Class, total propensity q_x, rate and destination of each move.
+        """What every row at ``state`` shares, whatever its level.
 
-        The self-loop's rate holds only the zero-change reactions; a row
-        adds its chain side's exit rate q_y to it.
+        That is the class c, the total propensity q_x and the class masses
+        that hold no self-loop; the self-loop's class adds its members
+        before the self-loop (``head``), the self-loop's own rate (the
+        zero-change reactions; a row adds its chain side's exit rate q_y to
+        it) and the members after it (``tail``).  Each live move comes with
+        its destination, its class and its rate share of that class, or
+        None where the share waits for q_y; the self-loop comes with rate
+        None.
         """
         x = [float(v) for v in state]
         flow = [add_to(0.0, x) for add_to in self._add_to]
@@ -139,43 +151,64 @@ class CoupledSimulator:
         rate = [0.0] * len(self._moves)
         for g, f in zip(self._group, flow):
             rate[g] += f
-        dests = tuple(tuple(map(add, state, m)) for m in self._moves)
-        return (sum(map(mul, self.partition.weights, state)), q_x,
-                tuple(rate), dests)
-
-    def _build_row(self, state: tuple, ell: int) -> CouplingRow:
-        if len(state) != len(self.partition.weights) or min(state) < 0:
-            self.partition.class_of(state)  # raises, naming the fault
-        chain = self.chain
-        _check_level(chain, ell)
-        source = (state, ell)
-        c, q_x, rate, dests = self._state(state)
-        q_y = self._exit[ell]
-        M = q_x + q_y
-        if M <= 0.0:
-            return CouplingRow(source=source, pairs=[], rates=[],
-                               exit_rate=0.0, M=0.0, cum=[])
-        # network side: the state's rates, the self-loop's at mass q_y more,
-        # and each class's mass in class order (every rate is >= 0, so the
+        c = sum(map(mul, self.partition.weights, state))
+        # each class's mass in class order (every rate is >= 0, so the
         # zero rates of idle moves add nothing)
-        me = self._self
-        rate = list(rate)
-        rate[me] += q_y
-        masses = []
-        a = []
+        below, above = [], []
+        mass = {}
         for shift, members in self._classes:
             m = 0.0
             for g in members:
                 m += rate[g]
-            masses.append(m)
+            mass[shift] = m
             if m > 0.0:
-                a.append((c + shift, m))
+                (below if shift < 0 else above).append((c + shift, m))
+        head = 0.0
+        for g in self._head:
+            head += rate[g]
+        moves = []
+        for g, (r_g, shift, move) in enumerate(zip(rate, self._shift,
+                                                   self._moves)):
+            if g == self._self:
+                r_g = share = None
+            elif not r_g > 0.0:
+                continue
+            else:
+                share = r_g / mass[shift] if shift else None
+            moves.append((tuple(map(add, state, move)), c + shift, r_g,
+                          share))
+        return (c, q_x, below, above, head, rate[self._self],
+                [rate[g] for g in self._tail], tuple(moves))
+
+    def _chain_side(self, ell: int):
+        """Band row at ``ell`` as (level, rate) pairs below and above it."""
+        J = self.chain.j_max
+        band = self._band[ell].tolist()
+        return ([(ell - J + k, r) for k, r in enumerate(band[:J]) if r != 0.0],
+                [(ell + k, r) for k, r in enumerate(band[J + 1:], 1)
+                 if r != 0.0])
+
+    def _build_row(self, state: tuple, ell: int) -> CouplingRow:
+        if len(state) != len(self.partition.weights) or min(state) < 0:
+            self.partition.class_of(state)  # raises, naming the fault
+        _check_level(self.chain, ell)
+        source = (state, ell)
+        c, q_x, below, above, head, own, tail, moves = self._state(state)
+        q_y = self._exit[ell]
+        M = q_x + q_y
+        if M <= 0.0:
+            return CouplingRow(source, [], [], 0.0, 0.0, [])
+        # network side: the self-loop at mass q_y more, its class's mass
+        # added in class order, the self-loop at its place
+        r_self = own + q_y
+        m_self = head + r_self
+        for r in tail:
+            m_self += r
+        a = below + [(c, m_self)] + above if m_self > 0.0 else below + above
         # chain side: the band row at ell, the self-loop at mass q_x in its
         # k = 0 slot; both sides index the classes lo..hi from 0
-        J = chain.j_max
-        band = list(self._band[ell])
-        band[J] = q_x
-        levels = [(ell - J + k, r) for k, r in enumerate(band) if r != 0.0]
+        down, up = self._level(ell)
+        levels = down + [(ell, q_x)] + up if q_x != 0.0 else down + up
         lo = min(a[0][0], levels[0][0], ell)
         hi = max(a[-1][0], levels[-1][0], ell)
         b = [(m - lo, r) for m, r in levels]
@@ -213,23 +246,24 @@ class CoupledSimulator:
         rates = []
         self_mass = 0.0
         diag = ell - lo
-        shift = self._shift
-        class_of = self._class_of
-        for g, r_g in enumerate(rate):
-            if not r_g > 0.0:
-                continue
-            dest = dests[g]
+        for dest, k, r_g, share in moves:
+            own_move = r_g is None
+            if own_move:
+                r_g = r_self
+                if not r_g > 0.0:
+                    continue
             total = 0.0
             if ordered:
-                share = r_g / masses[class_of[g]]
-                row = plan[c + shift[g] - lo]
+                if share is None:
+                    share = r_g / m_self
+                row = plan[k - lo]
             else:
                 row = b
             for j, v in row:
                 v = share * v if ordered else r_g * v / M
                 total += v
                 col[j] += v
-                if j == diag and g == me:
+                if j == diag and own_move:
                     self_mass = v
                 elif v != 0.0:
                     pairs.append((dest, lo + j))
@@ -241,9 +275,8 @@ class CoupledSimulator:
             raise ConsistencyError(
                 f"joint row at {source} breaks its marginals at network "
                 f"states {net_bad} and chain levels {chain_bad}")
-        return CouplingRow(source=source, pairs=pairs, rates=rates,
-                           exit_rate=M - self_mass, M=M,
-                           cum=list(accumulate(rates)))
+        return CouplingRow(source, pairs, rates, M - self_mass, M,
+                           list(accumulate(rates)))
 
 
 def _check_level(chain: BoundingChain, ell: int) -> None:
@@ -299,12 +332,13 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
     ys = [y]
     reason = "horizon"
     # looked up once: the last level whose band row lies inside the chain,
-    # the row cache and the two draws
+    # the row cache, the two draws and the three appends
     top = chain.l_total - chain.j_max
     upper = sim.upper
     row_at = sim._row
     exponential = rng.standard_exponential
     uniform = rng.random
+    add_time, add_state, add_level = times.append, xs.append, ys.append
     for _ in range(JUMP_CAP):
         if y > top:
             reason = "band"
@@ -322,16 +356,19 @@ def coupled_ssa(network: ReactionNetwork, partition: ClassPartition,
             reason = "horizon"
             break
         t += dt
-        x, y = row.sample(uniform() * rate)
+        # CouplingRow.sample, inline
+        pairs = row.pairs
+        i = bisect_right(row.cum, uniform() * rate)
+        x, y = pairs[i] if i < len(pairs) else pairs[-1]
         c = sum(map(mul, w, x))
         if (c > y) if upper else (c < y):
             raise ConsistencyError(
                 f"order broke at t={t}: class {c} vs level {y} "
                 f"(seed {seed})"
             )
-        times.append(t)
-        xs.append(x)
-        ys.append(y)
+        add_time(t)
+        add_state(x)
+        add_level(y)
     else:
         reason = "cap"
     return CoupledTrajectory(seed=seed, times=np.asarray(times),

@@ -20,10 +20,8 @@ therefore give the floats of the dense formula.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from bisect import bisect_left
 from math import inf
-from operator import itemgetter
 
 import numpy as np
 
@@ -144,49 +142,74 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> dict:
     the dense formula; every slot outside the stretch that A_{k-1} and A_k
     fall in gives b_j - b_j or 0 - 0, exactly zero, and is skipped.
 
-    Prefix domination is checked first, at b's entries below ``n`` only:
-    between two of them b's prefix is constant and a's can only grow, so
-    a's prefix through j first falls short of b's at an entry of b, and
-    the first entry that fails is the first failing index of the dense
-    check.
+    The masses are checked first, then the totals, then prefix domination,
+    at b's entries below ``n`` only: between two of them b's prefix is
+    constant and a's can only grow, so a's prefix through j first falls
+    short of b's at an entry of b, and the first entry that fails is the
+    first failing index of the dense check.  The running sums are taken,
+    and the prefixes compared, in one loop over each sequence.
     """
-    if (any(not 0.0 <= m < inf for _, m in a)
-            or any(not 0.0 <= m < inf for _, m in b)):
-        raise ValidationError("mass sequences must be finite and nonnegative")
     scale = max(1.0, total_a, total_b)
     tol = RTOL * scale
+    # running sums in index order, as np.cumsum adds them (-0.0 is the
+    # identity of +, so the first sum is the first mass itself)
+    cum_a = []
+    s = -0.0
+    for _, m in a:
+        if not 0.0 <= m < inf:
+            raise ValidationError(
+                "mass sequences must be finite and nonnegative")
+        s += m
+        cum_a.append(s)
+    # P[i] is the mass before b's i-th entry, P[i + 1] the mass through it;
+    # a's prefix through slot j ends at its last entry at or before j, which
+    # one pointer into a follows
+    P = [0.0]
+    s = -0.0
+    i = 0
+    end = len(a)
+    short = None
+    for j, m in b:
+        if not 0.0 <= m < inf:
+            raise ValidationError(
+                "mass sequences must be finite and nonnegative")
+        s += m
+        P.append(s)
+        if short is None and j < n:
+            while i < end and a[i][0] <= j:
+                i += 1
+            ca = cum_a[i - 1] if i else 0.0
+            if ca < s - tol:
+                short = j, ca, s
     if abs(total_a - total_b) > tol:
         raise TransportError(
             f"total masses differ: {total_a} vs {total_b}", index=None
         )
-    # running sums in index order, as np.cumsum adds them
-    cum_a = list(accumulate(map(itemgetter(1), a)))
-    cum_b = list(accumulate(map(itemgetter(1), b)))
-    # a's prefix through slot j ends at its last entry at or before j
-    for (j, _), cb in zip(b, cum_b):
-        if j >= n:
-            break
-        i = bisect_right(a, j, key=itemgetter(0))
-        ca = cum_a[i - 1] if i else 0.0
-        if ca < cb - tol:
-            raise TransportError(
-                f"prefix domination fails at index {j}: "
-                f"a[0:{j}] = {ca} < b[0:{j}] = {cb}",
-                index=j,
-            )
-    # slot j can only take mass m when P_j < m <= P_j + b_j; both running
-    # sums are sorted, so one bisection on each finds the slots of a row,
-    # those between its lower mass m0 and its upper mass m1
-    before = [0.0] + cum_b[:-1]
+    if short is not None:
+        j, ca, cb = short
+        raise TransportError(
+            f"prefix domination fails at index {j}: "
+            f"a[0:{j}] = {ca} < b[0:{j}] = {cb}",
+            index=j,
+        )
+    # slot i can only take mass m when P[i] < m <= P[i + 1], so row k's
+    # slots run from the first whose P[i + 1] is at least its lower mass m0 to
+    # the last whose P[i] lies below its upper mass m1; both masses only
+    # grow from row to row, so the first slot only moves forward
     B = total_b
     noise = 1e-15 * scale
+    last = len(b)
     out = {}
     m0 = 0.0
+    first = 0
     for (k, _), A in zip(a, cum_a):
         m1 = A if A <= B else B
         out[k] = row = []
-        for i in range(bisect_left(cum_b, m0), bisect_left(before, m1)):
-            p = before[i]
+        while first < last and P[first + 1] < m0:
+            first += 1
+        i = first
+        while i < last and P[i] < m1:
+            p = P[i]
             j, bj = b[i]
             # min(max(m - p, 0.0), bj) for m = m1 and m0, without the calls
             hi_fill = m1 - p
@@ -199,5 +222,6 @@ def _walk(a, b, total_a: float, total_b: float, n: int) -> dict:
             # leave noise of about 1e-17 where it should be zero
             if value >= noise:
                 row.append((j, value))
+            i += 1
         m0 = m1
     return out

@@ -113,6 +113,63 @@ def test_row_sampling_covers_all_pairs(network, part211, upper211):
     assert seen == set(row.pairs)
 
 
+class ScriptedDraws:
+    """Stands in for a path's generator: the first jump takes no time and
+    draws ``u``, and the next waiting time runs past any horizon."""
+
+    def __init__(self, u):
+        self.u = u
+        self.waits = iter([0.0, np.inf])
+
+    def standard_exponential(self):
+        return next(self.waits)
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("x, ell", [((3, 2, 1), 9), ((15, 5, 5), 40),
+                                    ((6, 6, 6), 30)])
+def test_the_jump_loop_picks_the_pair_sample_picks(monkeypatch, network,
+                                                   part211, upper211, x, ell):
+    # the loop bisects row.cum inline; at every boundary of the running
+    # sums, one ulp below it, at 0 and at or past the last one it must take
+    # the pair CouplingRow.sample takes for the same u = draw * exit_rate
+    sim = CoupledSimulator(network, part211, upper211)
+    row = sim.row(x, ell)
+    rate = row.exit_rate
+    assert len(row.pairs) > 2
+    targets = [0.0, *row.cum, *np.nextafter(row.cum, -np.inf).tolist()]
+    # the draws nearest each target, a few ulps either side, and two past
+    # the last boundary (u >= rate)
+    draws = {1.0, 1.5}
+    for target in targets:
+        r = target / rate
+        for _ in range(3):
+            draws.update(np.nextafter(r, [-np.inf, np.inf]).tolist() + [r])
+            r = np.nextafter(r, np.inf)
+    us = set()
+    for draw in sorted(d for d in draws if d >= 0.0):
+        monkeypatch.setattr(coupling, "make_rng",
+                            lambda seed, draw=draw: ScriptedDraws(draw))
+        traj = coupled_ssa(network, part211, upper211, x, ell, 1.0,
+                           simulator=sim)
+        u = draw * rate
+        us.add(u)
+        assert len(traj) == 2
+        assert ((tuple(traj.states[1].tolist()), int(traj.levels[1]))
+                == row.sample(u)), (draw, u)
+    # every target was drawn, or the u nearest it on both sides were
+    for target in targets:
+        below = max(v for v in us if v <= target)
+        above = min(v for v in us if v >= target)
+        assert target in us or above <= np.nextafter(
+            np.nextafter(target, np.inf), np.inf), target
+        assert target in us or below >= np.nextafter(
+            np.nextafter(target, -np.inf), -np.inf), target
+    assert max(us) >= row.cum[-1]
+
+
 def test_coupled_ssa_preserves_order(network, part211, upper211):
     sim = CoupledSimulator(network, part211, upper211)
     for seed in range(5):

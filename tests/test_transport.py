@@ -1,12 +1,17 @@
 """Greedy transport vector and prefix-domination plan."""
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from math import inf
+from operator import itemgetter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boundchain import TransportError, ValidationError, pi, pi_bar
-from boundchain.transport import RTOL, _pairwise_sum
+from boundchain.transport import RTOL, _pairwise_sum, _walk
 
 mass_seq = st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1,
                     max_size=8)
@@ -359,3 +364,118 @@ def test_pairwise_sum_is_numpys_sum_of_the_dense_row(row):
     dense = np.zeros(width)
     dense[[k for k, _ in entries]] = [m for _, m in entries]
     assert _pairwise_sum(entries, width).hex() == float(dense.sum()).hex()
+
+
+def walk_reference(a, b, total_a, total_b, n):
+    """``_walk`` as it was first written: the mass checks in passes of
+    their own, one bisection of a per entry of b for the prefix check, and
+    the masses before b's slots in a list of their own."""
+    if (any(not 0.0 <= m < inf for _, m in a)
+            or any(not 0.0 <= m < inf for _, m in b)):
+        raise ValidationError("mass sequences must be finite and nonnegative")
+    scale = max(1.0, total_a, total_b)
+    tol = RTOL * scale
+    if abs(total_a - total_b) > tol:
+        raise TransportError(
+            f"total masses differ: {total_a} vs {total_b}", index=None
+        )
+    cum_a = list(accumulate(map(itemgetter(1), a)))
+    cum_b = list(accumulate(map(itemgetter(1), b)))
+    for (j, _), cb in zip(b, cum_b):
+        if j >= n:
+            break
+        i = bisect_right(a, j, key=itemgetter(0))
+        ca = cum_a[i - 1] if i else 0.0
+        if ca < cb - tol:
+            raise TransportError(
+                f"prefix domination fails at index {j}: "
+                f"a[0:{j}] = {ca} < b[0:{j}] = {cb}",
+                index=j,
+            )
+    before = [0.0] + cum_b[:-1]
+    B = total_b
+    noise = 1e-15 * scale
+    out = {}
+    m0 = 0.0
+    for (k, _), A in zip(a, cum_a):
+        m1 = A if A <= B else B
+        out[k] = row = []
+        for i in range(bisect_left(cum_b, m0), bisect_left(before, m1)):
+            p = before[i]
+            j, bj = b[i]
+            hi_fill = m1 - p
+            hi_fill = 0.0 if hi_fill < 0.0 else hi_fill
+            lo_fill = m0 - p
+            lo_fill = 0.0 if lo_fill < 0.0 else lo_fill
+            value = ((bj if bj < hi_fill else hi_fill)
+                     - (bj if bj < lo_fill else lo_fill))
+            if value >= noise:
+                row.append((j, value))
+        m0 = m1
+    return out
+
+
+BAD_MASSES = [np.nan, inf, -inf, -1.0, -5e-16, -0.0]
+
+
+@st.composite
+def walk_inputs(draw):
+    """(a, b, total_a, total_b, n): the sparse entries of a plan input.
+
+    Most draws dominate, so the walk runs to the end: a takes each of b's
+    masses at b's slot or an earlier one, and two of them landing on one
+    slot add up there.  The rest break it: now and then a and b trade
+    places.  An entry may be split in two
+    at the same index (a tie), the same extra mass may sit at or past n on
+    both sides, a mass may be NaN, infinite, negative or -0.0, a total may
+    be off, and n may fall short of both lengths.
+    """
+    n = draw(st.integers(1, 12))
+    slots = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                max_size=min(n, 5))))
+    b = [(j, draw(mass)) for j in slots]
+    to = {}
+    for j, m in b:
+        k = draw(st.integers(0, j))
+        to[k] = to[k] + m if k in to else m
+    a = sorted(to.items())
+    if draw(st.integers(0, 3)) == 0:  # b rarely dominates a
+        a, b = b, a
+    for side in draw(st.lists(st.sampled_from([a, b]), max_size=2)):
+        i = draw(st.integers(0, len(side) - 1))
+        k, m = side[i]
+        part = m * draw(st.sampled_from([0.5, 1 / 3, 1.0]))
+        side[i:i + 1] = [(k, part), (k, m - part)]
+    if draw(st.booleans()):
+        extra = draw(mass)
+        for side in (a, b):
+            side.append((max(n, side[-1][0] + 1) + draw(st.integers(0, 2)),
+                         extra))
+    if draw(st.integers(0, 2)) == 0:
+        side = draw(st.sampled_from([a, b]))
+        i = draw(st.integers(0, len(side) - 1))
+        side[i] = (side[i][0], draw(st.sampled_from(BAD_MASSES)))
+    total_a = sum(m for _, m in a)
+    total_b = draw(st.sampled_from([sum(m for _, m in b), total_a,
+                                    total_a + 1e-9, total_a * (1 - 1e-13)]))
+    n = draw(st.sampled_from([n, n - 1, n // 2]))
+    return a, b, total_a, total_b, n
+
+
+def walk_outcome(fn, args):
+    """The walk's entries as their reprs (exact, and showing the sign of a
+    zero), or the exception's type, text and index."""
+    try:
+        return repr(fn(*args))
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "index", None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(args=walk_inputs())
+@example(args=([(0, -0.0), (2, 1.0)], [(1, 1.0)], 1.0, 1.0, 3))
+@example(args=([(1, 1.0), (1, 1.0)], [(1, 1.0), (1, 1.0)], 2.0, 2.0, 2))
+@example(args=([(0, 1.0), (3, inf)], [(0, np.nan)], 1.0, 1.0, 4))
+def test_walk_matches_the_reference_walk(args):
+    got = walk_outcome(_walk, args)
+    assert got == walk_outcome(walk_reference, args)
