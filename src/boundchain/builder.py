@@ -9,16 +9,17 @@ low-degree polynomial; the first that matches the exact values on a
 trailing window is taken, and the requested degree is checked on that fit.
 ``verify_assumptions`` checks a chain against the same f-table pass.
 
-The f-table pass reads ``network.extreme_rates``.  Where every rate is
-affine along the rows of a class (the head counts fixed, the last two
-counts along an arithmetic progression) and the floats are exact, that is
-where d >= 2, no term with a nonzero coefficient has total exponent above
-1 on the last two species, no orthant face is on them, and
+The f-table pass reads ``network.class_rates`` with row ends asked for.
+Where every rate is affine along the rows of a class (the head counts
+fixed, the last two counts along an arithmetic progression) and the
+floats are exact, that is where d >= 2, no term with a nonzero
+coefficient has total exponent above 1 on the last two species, no
+orthant face is on them, and
 2^k * sum_terms |c| * prod_factors max(hi, e)^e < 2^53 with 2^-k the finest
-power of two in a coefficient, it evaluates only each row's two end
+power of two in a coefficient, the runs hold only each row's two end
 states: every rate and row mass is then an exact multiple of 2^-k, affine
 along the row, so its extremes over the row are at the ends and the table
-is the full enumeration's, byte for byte.  Otherwise it evaluates every
+is the full enumeration's, byte for byte.  Otherwise they hold every
 state.
 """
 
@@ -34,7 +35,7 @@ from .chain import BoundingChain, TailModel
 from .errors import (ConsistencyError, ResourceLimitError, StabilizationError,
                      ValidationError)
 from .network import (ClassPartition, ReactionNetwork, _class_sizes,
-                      class_shift, enumerate_class, extreme_rates, j_max)
+                      class_rates, class_shift, enumerate_class, j_max)
 
 RTOL = 1e-10
 
@@ -77,8 +78,8 @@ def _masses(rates: np.ndarray, masks) -> np.ndarray:
 
 def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
                     direction: str, hi: int) -> FTable:
-    """The f-table on classes [0, hi]: one pass over ``extreme_rates``'
-    runs of classes.
+    """The f-table on classes [0, hi]: one pass over ``class_rates``'
+    runs of classes, checked, with row ends asked for.
 
     Each run's prefix and tail masses are its masked rate rows added in
     reaction order, one (j_max, n) table per side; each class's extreme is
@@ -91,7 +92,8 @@ def _class_extremes(network: ReactionNetwork, partition: ClassPartition,
     low, high = (np.minimum, np.maximum) if upper else (np.maximum, np.minimum)
     minus, plus = np.full((2, J + 1, hi + 1), np.nan)
     empty = np.zeros(hi + 1, dtype=bool)
-    for lo, counts, X, rates in extreme_rates(network, partition, hi):
+    for lo, counts, X, rates in class_rates(network, partition, hi,
+                                            ends=True):
         full = counts > 0
         empty[lo:lo + counts.size] = ~full
         if not full.any():

@@ -67,8 +67,7 @@ import scipy
 
 from .chain import BoundingChain
 from .errors import InfeasibleError, ResourceLimitError, ValidationError
-from .network import (ClassPartition, ReactionNetwork, check_propensities,
-                      class_rates)
+from .network import ClassPartition, ReactionNetwork, class_rates
 from .simulate import check_t_final
 
 
@@ -239,7 +238,6 @@ def _network_q(network: ReactionNetwork, partition: ClassPartition,
     rates = np.concatenate([R for _, _, _, R in runs], axis=1)
     classes = np.repeat(np.arange(n_max + 1),
                         np.concatenate([sizes for _, sizes, _, _ in runs]))
-    check_propensities(network, rates.T, states)
     # every count is at most n_max < base, so class-major lexicographic
     # order is ascending order of class * base^d + (x in base `base`)
     radix = base ** np.arange(d - 1, -1, -1, dtype=np.int64)

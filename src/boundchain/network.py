@@ -6,20 +6,22 @@ S_l = {x : w.x = l} is a finite slice of the lattice.  That finiteness is
 what makes the min/max tables of the bound builder computable by exact
 enumeration.
 
-Every pass over the classes goes through one block layer: ``class_rates``
-cuts classes 0..hi into runs of consecutive classes, lists each run's
-states in class-major lexicographic order with one species-by-species
-expansion, and evaluates every reaction on the whole run at once, under
-one cumulative state cap.  A run's states are a (d, n) float64 block of
-per-species columns, the layout the rate block reads; the last two counts
-of each partial row come as arithmetic progressions.  ``enumerate_class``
-is the one-class case of the same enumerator, as an (n, d) int64 array.
+Every pass over the classes, the f-table pass, ``verify_assumptions`` and
+the network generator, is one generator, ``class_rates``: it cuts classes
+0..hi into runs of consecutive classes, lists each run's states in
+class-major lexicographic order with one species-by-species expansion
+(``_enumerate``), evaluates every reaction on the whole run at once, and
+checks each run's rates before yielding it, under one cumulative state
+cap.  A run's states are a (d, n) float64 block of per-species columns,
+the layout the rate block reads; the last two counts of each partial row
+come as arithmetic progressions.  ``enumerate_class`` is the one-class
+case of the same expansion, as an (n, d) int64 array.
 
-The f-table pass reads the same runs through ``extreme_rates``, which may
-evaluate only the two end states of each row: the head counts fixed, the
-last two counts along t = 0..T.  It does so when ``_rows_affine`` holds:
-d >= 2; every term with a nonzero coefficient has total exponent <= 1 on
-species d-2 and d-1; no orthant face is on those two species; and
+Asked for ``ends``, as the f-table pass asks, ``class_rates`` evaluates
+only the two end states of each row: the head counts fixed, the last two
+counts along t = 0..T.  It does so when ``_rows_affine`` holds: d >= 2;
+every term with a nonzero coefficient has total exponent <= 1 on species
+d-2 and d-1; no orthant face is on those two species; and
 2^k * sum_terms |c| * prod_factors max(hi, e)^e < 2^53, with 2^-k the
 finest power of two in any coefficient.  Then every rate is affine in t
 along a row, and every product and partial sum the rate block and the
@@ -28,7 +30,7 @@ floats are the exact affine values, whose extremes over a row lie at its
 ends, so the end states give the same bytes as every state.  A negative
 rate, or a positive one on a face of a head species (such a face covers
 whole rows), also shows at a row end; a run whose ends fail the check is
-enumerated whole and checked as ``class_rates``' runs are.
+enumerated whole and checked again.
 """
 
 from __future__ import annotations
@@ -356,37 +358,30 @@ def _rows(lo: int, hi: int, weights: tuple[int, ...]):
     return np.vstack([cols, v0, (rem - a * v0) // b]), counts, step_b, step_a
 
 
-def _enumerate(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
+def _enumerate(lo: int, hi: int, weights: tuple[int, ...],
+               ends: bool = False) -> np.ndarray:
     """The states of classes lo..hi as a (d, n) float64 block of
     per-species columns, class-major and lexicographic within a class:
-    every state of each of ``_rows``' rows."""
-    if len(weights) == 1:
+    every state of each of ``_rows``' rows, or with ``ends`` its first
+    state and, where it has two or more, its last, a subsequence of the
+    same order."""
+    if len(weights) == 1:  # every state is a row alone
         rem = np.arange(lo, hi + 1, dtype=np.int64)
         return (rem[rem % weights[0] == 0] // weights[0]).astype(float)[None]
     B, counts, step_b, step_a = _rows(lo, hi, weights)
+    taken = np.minimum(counts, 2) if ends else counts
     # state i of the block is step i - start of its row's progression
-    start = np.cumsum(counts) - counts
+    start = np.cumsum(taken) - taken
     B[-2] -= step_b * start
     B[-1] += step_a * start
-    X = np.repeat(B, counts, axis=1)
+    X = np.repeat(B, taken, axis=1)
     steps = np.arange(X.shape[1], dtype=float)
+    if ends:
+        # the second of a pair is step T, where T + 1 is the row's length
+        pair = taken == 2
+        steps[start[pair] + 1] += counts[pair] - 2
     X[-2] += step_b * steps
     X[-1] -= step_a * steps
-    return X
-
-
-def _row_ends(lo: int, hi: int, weights: tuple[int, ...]) -> np.ndarray:
-    """The first and last state of each of ``_rows``' rows of classes
-    lo..hi, one state for a one-state row, as a (d, n) float64 block in
-    ``_enumerate``'s order: a subsequence of it, so nothing is sorted."""
-    B, counts, step_b, step_a = _rows(lo, hi, weights)
-    ends = np.minimum(counts, 2)
-    X = np.repeat(B, ends, axis=1)
-    # the second of a pair is t = T, where T + 1 is the row's length
-    last = (np.cumsum(ends) - 1)[ends == 2]
-    T = counts[ends == 2] - 1
-    X[-2, last] += step_b * T
-    X[-1, last] -= step_a * T
     return X
 
 
@@ -405,23 +400,48 @@ def enumerate_class(ell: int, partition: ClassPartition) -> np.ndarray:
 
 
 def class_rates(network: ReactionNetwork, partition: ClassPartition, hi: int,
-                cap: int | None = None):
-    """Yield runs of consecutive classes in 0..hi as (lo, sizes, X, R).
+                cap: int | None = None, ends: bool = False):
+    """Yield runs of consecutive classes in 0..hi as (lo, counts, X, R),
+    each run's rates checked as ``check_propensities`` checks them before
+    it is yielded.
 
-    A run covers classes lo..lo + len(sizes) - 1, whose sizes are the int64
-    array ``sizes``; ``X`` is their states as a (d, n) float64 block of
-    per-species columns, each class in ``enumerate_class``'s order, one
-    after another, and ``R`` the (reactions, n) block
-    ``network._rate_block`` of them.  A run holds at
-    most RUN_STATES states, except a larger class, which is a run alone.
-    Once classes 0..ell hold more than ``cap`` (default DEFAULT_CLASS_CAP)
-    states, the runs below ell are yielded and ResourceLimitError is raised.
+    A run covers classes lo..lo + len(counts) - 1.  ``X`` is a (d, n)
+    float64 block of per-species columns of their states, ``counts[k]`` of
+    class lo + k, each class in ``enumerate_class``'s order, one after
+    another, and ``R`` the (reactions, n) block ``network._rate_block`` of
+    them.  These are every state, and ``counts`` the class sizes, unless
+    ``ends`` is asked and ``_rows_affine`` holds: then they are each row's
+    end states, enough for each class's extremes of any sum of rates.
+    Their number in class ell is size(ell) - size(ell - 2 lcm(a, b)) with
+    a, b the last two weights: a row of budget r has c(r) states, those of
+    budget r - lcm are its states past the first, one step down, so a row
+    has min(c(r), 2) = c(r) - c(r - 2 lcm) ends, and summing over the head
+    counts gives the class sizes.  A run whose ends fail the check is
+    enumerated whole and checked again, so a message names the first bad
+    state of the pass.
+
+    A run holds at most RUN_STATES evaluated states, except a larger
+    class, which is a run alone.  Once classes 0..ell hold more than
+    ``cap`` (default DEFAULT_CLASS_CAP) states, the runs below ell are
+    yielded and ResourceLimitError is raised.
     """
     _check_dims(network, partition)
     cap = DEFAULT_CLASS_CAP if cap is None else cap
-    for lo, sizes, _ in _runs(partition.weights, hi, cap):
-        X = _enumerate(lo, lo + sizes.size - 1, partition.weights)
-        yield lo, sizes, X, network._rate_block(X)
+    weights = partition.weights
+    ends = ends and _rows_affine(network, hi)
+    lag = 2 * math.lcm(*weights[-2:]) if ends else None
+    for lo, sizes, counts in _runs(weights, hi, cap, lag):
+        top = lo + sizes.size - 1
+        X = _enumerate(lo, top, weights, ends)
+        R = network._rate_block(X)
+        fault = _propensity_fault(network, R.T, X.T)
+        if fault is not None and ends:
+            X = _enumerate(lo, top, weights)
+            R, counts = network._rate_block(X), sizes
+            fault = _propensity_fault(network, R.T, X.T)
+        if fault is not None:
+            raise ValidationError(fault)
+        yield lo, counts, X, R
 
 
 def _runs(weights: tuple[int, ...], hi: int, cap: int,
@@ -487,41 +507,6 @@ def _rows_affine(network: ReactionNetwork, hi: int) -> bool:
                             for f in t.factors)
                 for (num, den), t in zip(ratios, terms))
     return bound < 2 ** 53
-
-
-def extreme_rates(network: ReactionNetwork, partition: ClassPartition,
-                  hi: int):
-    """Yield runs of consecutive classes in 0..hi as (lo, counts, X, R),
-    every rate of them checked by ``check_propensities``: ``X`` holds
-    states enough for each class's extremes of any sum of rates, ``counts``
-    how many of each class, one after another, and ``R`` their rate block.
-
-    Where ``_rows_affine`` holds these are each row's end states, whose
-    number in class ell is size(ell) - size(ell - 2 lcm(a, b)) with a, b
-    the last two weights: a row of budget r has c(r) states, those of
-    budget r - lcm are its states past the first, one step down, so a row
-    has min(c(r), 2) = c(r) - c(r - 2 lcm) ends, and summing over the head
-    counts gives the class sizes.  A run whose ends fail the check, or
-    every run where ``_rows_affine`` fails, holds every state, so a
-    message names the first bad state of the pass.  Runs, cap and its
-    error are ``class_rates``'.
-    """
-    weights = partition.weights
-    if not _rows_affine(network, hi):
-        for lo, sizes, X, R in class_rates(network, partition, hi):
-            check_propensities(network, R.T, X.T)
-            yield lo, sizes, X, R
-        return
-    _check_dims(network, partition)
-    lag = 2 * math.lcm(*weights[-2:])
-    for lo, sizes, evaluated in _runs(weights, hi, DEFAULT_CLASS_CAP, lag):
-        X = _row_ends(lo, lo + sizes.size - 1, weights)
-        R = network._rate_block(X)
-        if _propensity_fault(network, R.T, X.T) is not None:
-            X = _enumerate(lo, lo + sizes.size - 1, weights)
-            R, evaluated = network._rate_block(X), sizes
-            check_propensities(network, R.T, X.T)
-        yield lo, evaluated, X, R
 
 
 def _orthant_faces(reactions) -> tuple:

@@ -354,6 +354,14 @@ def test_block_enumerator_concatenates_classes(weights, lo, width):
     assert got.shape == (len(want), len(weights))
     assert got.dtype == np.int64
     assert [tuple(int(v) for v in row) for row in got] == [x for _, x in want]
+    # with ends, the first and last state of each row: the states of one
+    # class that share their first d - 2 counts, one state alone under d = 1
+    rows = [[x for _, x in row] for _, row in itertools.groupby(
+        want, key=lambda cx: (cx[0], cx[1][:-2]))]
+    ends = _enumerate(lo, hi, tuple(weights), ends=True)
+    assert (ends == ends.astype(np.int64)).all()
+    assert [tuple(int(v) for v in row) for row in ends.T] == [
+        x for row in rows for x in dict.fromkeys((row[0], row[-1]))]
 
 
 def negative_past_runs():
@@ -388,6 +396,16 @@ def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
     if run_states is not None:
         monkeypatch.setattr(network_module, "RUN_STATES", run_states)
     got = results()
+    # the row-end pass evaluates fewer states than the lattice holds, and
+    # checks each run once
+    calls, fault = [], network_module._propensity_fault
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network_module, "_propensity_fault",
+                   lambda *args: calls.append(args) or fault(*args))
+        ends = list(class_rates(network, part211, 60, ends=True))
+    assert len(calls) == len(ends) > 0
+    assert sum(c.sum() for _, c, _, _ in ends) < sum(
+        class_size(ell, part211) for ell in range(61))
     for a, b in zip(want[0], got[0]):
         for name in ("minus", "plus", "empty"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
@@ -413,11 +431,12 @@ def test_run_size_changes_no_result(monkeypatch, network, part211, part225,
                            match=r"classes 0\.\.84 hold 53922 states, above "
                                  r"the cap of 53921"):
             run(53921)
-    # compute_f checks each run as it comes: with classes 0..86 inside the
+    # both passes check each run as it comes: with classes 0..86 inside the
     # cap, the class 85 error comes before the cap's
     fits = sum(class_size(ell, part211) for ell in range(87))
-    with pytest.raises(ValidationError, match=message):
-        runs[0](fits)
+    for run in runs:
+        with pytest.raises(ValidationError, match=message):
+            run(fits)
 
 
 def test_class_shift_and_j_max(network, part211, part225, part111):
